@@ -13,12 +13,11 @@ from .errors import (
     CycleDetected,
     DuplicateName,
     EmptyDomain,
-    EmptyPoset,
     FinfibError,
     FunctorialityViolated,
     GuardExceeded,
+    InvariantViolated,
     NotAComponent,
-    NotAscending,
     NotDescending,
     NotGrothendieckFibration,
     NotGrothendieckOpfibration,

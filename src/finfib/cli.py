@@ -44,14 +44,8 @@ from .errors import (
     UnknownGalleryId,
 )
 from .gallery import ENTRIES, gallery_entry
-from .grothendieck import (
-    cartesian_lift,
-    classify_grothendieck,
-    cocartesian_lift,
-    grothendieck_construction,
-    is_fiber_bundle,
-)
-from .posets import DEFAULT_GUARD, MonotoneMap, Poset, _bits
+from .grothendieck import classify_grothendieck, grothendieck_construction, is_fiber_bundle
+from .posets import MonotoneMap, Poset
 from .slices import as_slice, map_beat_points, map_core
 from .stong import beat_points, core, is_contractible
 from .verdict import decide_hurewicz, is_closed_map, is_open_map, necessary_conditions
@@ -194,22 +188,6 @@ def _lift_phrase(w: dict) -> str:
     return f"{w['side']} lift missing at ({w['e']}, {w['b']})"
 
 
-def _all_lift_failures(m: MonotoneMap) -> list[dict]:
-    s = as_slice(m)
-    out = []
-    for ei, e in enumerate(s.total.elements):
-        pe = s.map.vals[ei]
-        for bi in _bits(s.base.below[pe] & ~(1 << pe)):
-            got = cartesian_lift(s, e, s.base.elements[bi])
-            if not got.ok:
-                out.append({"side": "cartesian", "e": e, "b": s.base.elements[bi], "reason": got.reason})
-        for bi in _bits(s.base.above[pe] & ~(1 << pe)):
-            got = cocartesian_lift(s, e, s.base.elements[bi])
-            if not got.ok:
-                out.append({"side": "cocartesian", "e": e, "b": s.base.elements[bi], "reason": got.reason})
-    return out
-
-
 def _check_groth(args) -> int:
     m = _load_map(args.target)
     rep = classify_grothendieck(m)
@@ -226,7 +204,7 @@ def _check_groth(args) -> int:
             lines.append(f"{label}: no ({_lift_phrase(w)})")
     lines.append(f"bifibration: {'yes' if rep.is_bifibration else 'no'}")
     if args.verbose:
-        failures = _all_lift_failures(m)
+        failures = [{"side": f.side, "e": f.e, "b": f.b, "reason": f.reason} for f in rep.failures]
         doc["all_failures"] = failures
         for f in failures:
             lines.append("  " + _lift_phrase(f) + f" [{f['reason']}]")
@@ -395,10 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--verbose", action="store_true", help="more detail")
-    common.add_argument("--guard", type=int, default=DEFAULT_GUARD, metavar="N",
-                        help="bound on enumerative searches")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for randomized helpers")
     common.add_argument("--budget", type=int, default=None, metavar="N",
                         help="node budget for isomorphism searches")
 

@@ -17,10 +17,6 @@ class CycleDetected(FinfibError):
     """The declared relation has a cycle, so the space would not be T0."""
 
 
-class EmptyPoset(FinfibError):
-    """The operation needs a nonempty poset."""
-
-
 class EmptyDomain(FinfibError):
     """Fibration analysis is only defined for nonempty total spaces."""
 
@@ -51,10 +47,6 @@ class SearchBudgetExhausted(FinfibError):
 
 class NotDescending(FinfibError):
     """Expected an endomap f with f <= Id."""
-
-
-class NotAscending(FinfibError):
-    """Expected an endomap f with f >= Id."""
 
 
 class NotOverBase(FinfibError):
@@ -94,6 +86,10 @@ class ReconstructionMismatch(FinfibError):
 
     This is an internal consistency check; it firing means an engine bug.
     """
+
+
+class InvariantViolated(FinfibError):
+    """A result failed a check the engine guarantees; it means an engine bug."""
 
 
 class UnknownGalleryId(FinfibError):

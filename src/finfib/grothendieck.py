@@ -12,11 +12,13 @@ isomorphism over the base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
     FinfibError,
     FunctorialityViolated,
+    InvariantViolated,
     NotGrothendieckFibration,
     NotGrothendieckOpfibration,
     PreconditionViolated,
@@ -55,7 +57,7 @@ class LiftOutcome:
 
 @dataclass(frozen=True)
 class LiftFailure:
-    """First failing lift on one side of the classification."""
+    """One failing lift request: its side, element, base point and reason."""
 
     side: str  # 'cartesian' | 'cocartesian'
     e: str
@@ -64,42 +66,48 @@ class LiftFailure:
     stray: Optional[str] = None
 
 
+def _lift(s: SliceMap, side: str, ei: int, bi: int, pre: int) -> tuple[Optional[int], Optional[str]]:
+    """Index-level lift of total element ei over base element bi.
+
+    ``pre`` is the preimage of U_b (cartesian) or F_b (cocartesian);
+    the lift is the maximum of U_e (minimum of F_e) inside it, and it
+    must sit over b.  Returns (transport, None) on success, otherwise
+    (stray, reason) with stray the extremum outside the fiber or None.
+    """
+    cone, ext = (s.total.below, "maximum") if side == "cartesian" else (s.total.above, "minimum")
+    m = cone[ei] & pre
+    for i in _bits(m):
+        if m & ~cone[i] == 0:
+            return i, None if s.map.vals[i] == bi else f"{ext}_outside_fiber"
+    return None, f"no_{ext}"
+
+
+def _single_lift(p: MapLike, e: str, b: str, side: str) -> LiftOutcome:
+    s = as_slice(p)
+    ei = s.total.idx(e)
+    bi = s.base.idx(b)
+    rows = s.base.below if side == "cartesian" else s.base.above
+    if not rows[s.map.vals[ei]] >> bi & 1:
+        rel = "<=" if side == "cartesian" else ">="
+        raise PreconditionViolated(f"{side} lift needs {b!r} {rel} p({e!r})")
+    i, reason = _lift(s, side, ei, bi, s.map.preimage_mask(rows[bi]))
+    if reason is None:
+        return LiftOutcome(s.total.elements[i])
+    return LiftOutcome(None, reason, None if i is None else s.total.elements[i])
+
+
 def cartesian_lift(p: MapLike, e: str, b: str) -> LiftOutcome:
     """Maximum of U_e inside p^{-1}(U_b), required to sit over b.
 
     Precondition b <= p(e); the lift of the trivial case b = p(e) is e
     itself.
     """
-    s = as_slice(p)
-    ei = s.total.idx(e)
-    bi = s.base.idx(b)
-    pe = s.map.vals[ei]
-    if not s.base.below[pe] >> bi & 1:
-        raise PreconditionViolated(f"cartesian lift needs {b!r} <= p({e!r})")
-    m = s.total.below[ei] & s.map.preimage_mask(s.base.below[bi])
-    top = s.total.max_of_mask(m)
-    if top is None:
-        return LiftOutcome(None, "no_maximum")
-    if s.map.vals[s.total.idx(top)] != bi:
-        return LiftOutcome(None, "maximum_outside_fiber", top)
-    return LiftOutcome(top)
+    return _single_lift(p, e, b, "cartesian")
 
 
 def cocartesian_lift(p: MapLike, e: str, b: str) -> LiftOutcome:
     """Minimum of F_e inside p^{-1}(F_b), required to sit over b."""
-    s = as_slice(p)
-    ei = s.total.idx(e)
-    bi = s.base.idx(b)
-    pe = s.map.vals[ei]
-    if not s.base.above[pe] >> bi & 1:
-        raise PreconditionViolated(f"cocartesian lift needs {b!r} >= p({e!r})")
-    m = s.total.above[ei] & s.map.preimage_mask(s.base.above[bi])
-    bot = s.total.min_of_mask(m)
-    if bot is None:
-        return LiftOutcome(None, "no_minimum")
-    if s.map.vals[s.total.idx(bot)] != bi:
-        return LiftOutcome(None, "minimum_outside_fiber", bot)
-    return LiftOutcome(bot)
+    return _single_lift(p, e, b, "cocartesian")
 
 
 class PosetFunctor:
@@ -230,26 +238,37 @@ class PosetFunctor:
 
 def _scan_lifts(
     s: SliceMap, side: str
-) -> tuple[Optional[LiftFailure], dict[tuple[int, int], int]]:
-    """All lifts on one side, plus the first failure in index order.
+) -> tuple[list[LiftFailure], dict[tuple[int, int], int]]:
+    """Every lift on one side: all failures and the transport table.
 
     Transport indices are recorded for every total element e and every
     base element strictly below (cartesian) or above (cocartesian)
-    p(e); scanning order is e-major, base-index-minor.
+    p(e); failures are listed e-major, base-index-minor.
     """
     total, base, vals = s.total, s.base, s.map.vals
     rows = base.below if side == "cartesian" else base.above
-    lift = cartesian_lift if side == "cartesian" else cocartesian_lift
-    failure = None
+    pre = [s.map.preimage_mask(row) for row in rows]
+    failures: list[LiftFailure] = []
     transports: dict[tuple[int, int], int] = {}
-    for ei, e in enumerate(total.elements):
+    for ei in range(total.n):
         for bi in _bits(rows[vals[ei]] & ~(1 << vals[ei])):
-            out = lift(s, e, base.elements[bi])
-            if out.ok:
-                transports[(ei, bi)] = total.idx(out.element)
-            elif failure is None:
-                failure = LiftFailure(side, e, base.elements[bi], out.reason, out.stray)
-    return failure, transports
+            i, reason = _lift(s, side, ei, bi, pre[bi])
+            if reason is None:
+                transports[(ei, bi)] = i
+            else:
+                stray = None if i is None else total.elements[i]
+                failures.append(LiftFailure(side, total.elements[ei], base.elements[bi], reason, stray))
+    return failures, transports
+
+
+def _transports(s: SliceMap, side: str) -> dict[tuple[int, int], int]:
+    """One side's transport table; the first failing lift raises."""
+    failures, table = _scan_lifts(s, side)
+    if failures:
+        f = failures[0]
+        error = NotGrothendieckFibration if side == "cartesian" else NotGrothendieckOpfibration
+        raise error(f"no {side} lift of {f.e!r} over {f.b!r} ({f.reason})", witness=f)
+    return table
 
 
 def _transport_functor(s: SliceMap, side: str, transports: dict[tuple[int, int], int]) -> PosetFunctor:
@@ -283,36 +302,45 @@ def _transport_functor(s: SliceMap, side: str, transports: dict[tuple[int, int],
 class GrothendieckReport:
     """Classification of a map on both lift sides.
 
-    ``alpha`` (contravariant transport) is present iff the map is a
-    Grothendieck fibration, ``beta`` (covariant) iff an opfibration.
+    ``failures`` lists every failing lift, e-major, cartesian before
+    cocartesian for one e, base-index-minor.  ``alpha`` (contravariant
+    transport) is present iff the map is a Grothendieck fibration,
+    ``beta`` (covariant) iff an opfibration; both are built on first
+    access.
     """
 
     is_fibration: bool
     is_opfibration: bool
     fibration_failure: Optional[LiftFailure] = None
     opfibration_failure: Optional[LiftFailure] = None
-    alpha: Optional[PosetFunctor] = field(default=None, compare=False)
-    beta: Optional[PosetFunctor] = field(default=None, compare=False)
+    failures: tuple[LiftFailure, ...] = ()
+    slice_map: Optional[SliceMap] = field(default=None, compare=False, repr=False)
 
     @property
     def is_bifibration(self) -> bool:
         return self.is_fibration and self.is_opfibration
+
+    @cached_property
+    def alpha(self) -> Optional[PosetFunctor]:
+        return alpha_functor(self.slice_map) if self.is_fibration else None
+
+    @cached_property
+    def beta(self) -> Optional[PosetFunctor]:
+        return beta_functor(self.slice_map) if self.is_opfibration else None
 
 
 def classify_grothendieck(p: MapLike) -> GrothendieckReport:
     """Decide fibration and opfibration status by checking every lift.
 
     Witnesses are the first failing (element, base point) pair in
-    index order on each failing side; transport functors are attached
-    for each side that holds.
+    index order on each failing side.
     """
     s = as_slice(p)
-    fib_fail, cart = _scan_lifts(s, "cartesian")
-    opfib_fail, cocart = _scan_lifts(s, "cocartesian")
-    alpha = _transport_functor(s, "cartesian", cart) if fib_fail is None else None
-    beta = _transport_functor(s, "cocartesian", cocart) if opfib_fail is None else None
+    cart, _ = _scan_lifts(s, "cartesian")
+    cocart, _ = _scan_lifts(s, "cocartesian")
+    failures = tuple(sorted(cart + cocart, key=lambda f: s.total.idx(f.e)))
     return GrothendieckReport(
-        fib_fail is None, opfib_fail is None, fib_fail, opfib_fail, alpha, beta
+        not cart, not cocart, cart[0] if cart else None, cocart[0] if cocart else None, failures, s
     )
 
 
@@ -324,25 +352,13 @@ def alpha_functor(p: MapLike) -> PosetFunctor:
     failure if p is not a fibration.
     """
     s = as_slice(p)
-    failure, cart = _scan_lifts(s, "cartesian")
-    if failure is not None:
-        raise NotGrothendieckFibration(
-            f"no cartesian lift of {failure.e!r} over {failure.b!r} ({failure.reason})",
-            witness=failure,
-        )
-    return _transport_functor(s, "cartesian", cart)
+    return _transport_functor(s, "cartesian", _transports(s, "cartesian"))
 
 
 def beta_functor(p: MapLike) -> PosetFunctor:
     """Covariant transport functor of a Grothendieck opfibration."""
     s = as_slice(p)
-    failure, cocart = _scan_lifts(s, "cocartesian")
-    if failure is not None:
-        raise NotGrothendieckOpfibration(
-            f"no cocartesian lift of {failure.e!r} over {failure.b!r} ({failure.reason})",
-            witness=failure,
-        )
-    return _transport_functor(s, "cocartesian", cocart)
+    return _transport_functor(s, "cocartesian", _transports(s, "cocartesian"))
 
 
 def grothendieck_construction(d: PosetFunctor) -> SliceMap:
@@ -474,16 +490,12 @@ def lower_lift(p: MapLike, f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
         raise PreconditionViolated("need f: X -> total and g: X -> base on one domain")
     if not g.le(f.then(s.map)):
         raise PreconditionViolated("g <= p o f must hold pointwise")
-    failure, cart = _scan_lifts(s, "cartesian")
-    if failure is not None:
-        raise NotGrothendieckFibration(
-            f"no cartesian lift of {failure.e!r} over {failure.b!r} ({failure.reason})",
-            witness=failure,
-        )
+    cart = _transports(s, "cartesian")
     vals = []
     for i in range(f.dom.n):
         ei, bi = f.vals[i], g.vals[i]
         vals.append(ei if s.map.vals[ei] == bi else cart[(ei, bi)])
     h = MonotoneMap(f.dom, s.total, tuple(vals))
-    assert h.le(f) and h.then(s.map) == g
+    if not (h.le(f) and h.then(s.map) == g):
+        raise InvariantViolated("lower lift is not below f or not over g")
     return h

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
+    InvariantViolated,
     NotAComponent,
     NotOverBase,
     PreconditionViolated,
@@ -262,4 +263,4 @@ def are_fiber_homotopic(
         seen_g = any(h == g for h in cls)
         if seen_f or seen_g:
             return seen_f and seen_g
-    raise AssertionError("maps over the base missing from their own hom poset")
+    raise InvariantViolated("maps over the base missing from their own hom poset")

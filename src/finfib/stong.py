@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import CodomainMismatch, GuardExceeded, NotDescending, UnknownElement
+from .errors import CodomainMismatch, GuardExceeded, InvariantViolated, NotDescending, UnknownElement
 from .posets import (
     DEFAULT_GUARD,
     HomPoset,
@@ -249,10 +249,11 @@ def f_infinity(f: MonotoneMap) -> MonotoneMap:
     for _ in range(f.dom.n + 1):
         nxt = g.then(f)
         if nxt == g:
-            assert g.then(g) == g
+            if g.then(g) != g:
+                raise InvariantViolated("stabilized iterate is not idempotent")
             return g
         g = nxt
-    raise AssertionError("descending endomap failed to stabilize")
+    raise InvariantViolated("descending endomap failed to stabilize")
 
 
 def endomaps_below_identity(x: Poset, guard: Optional[int] = DEFAULT_GUARD) -> Iterator[MonotoneMap]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .errors import EmptyDomain, PreconditionViolated, SearchBudgetExhausted
+from .errors import EmptyDomain, InvariantViolated, PreconditionViolated, SearchBudgetExhausted
 from .grothendieck import (
     GrothendieckReport,
     _scan_lifts,
@@ -329,9 +329,9 @@ def projection_retract_height1(p0: MapLike) -> RetractCertificate:
         raise PreconditionViolated("base has no maximum element")
     if s.base.height() > 1:
         raise PreconditionViolated("base height exceeds 1")
-    fib_fail, cart = _scan_lifts(s, "cartesian")
-    opfib_fail, cocart = _scan_lifts(s, "cocartesian")
-    if fib_fail is not None or opfib_fail is not None:
+    fib_fails, cart = _scan_lifts(s, "cartesian")
+    opfib_fails, cocart = _scan_lifts(s, "cocartesian")
+    if fib_fails or opfib_fails:
         raise PreconditionViolated("map is not a Grothendieck bifibration")
 
     total, base, vals = s.total, s.base, s.map.vals
@@ -346,8 +346,8 @@ def projection_retract_height1(p0: MapLike) -> RetractCertificate:
             r_vals[k] = ei
             continue
         mid = ei if vals[ei] == b0i else cocart[(ei, b0i)]
-        # the lifted point sits over the maximum and is >= the original
-        assert total.below[mid] >> ei & 1
+        if not total.below[mid] >> ei & 1:
+            raise InvariantViolated("cocartesian transport to the maximum is not above its source")
         r_vals[k] = mid if bi == b0i else cart[(mid, bi)]
     r = MonotoneMap.build(
         prod, total, {prod.elements[k]: total.elements[r_vals[k]] for k in range(prod.n)}
@@ -356,12 +356,14 @@ def projection_retract_height1(p0: MapLike) -> RetractCertificate:
     for ei in range(total.n):
         for bi in _bits(base.below[vals[ei]]):
             v = ei if vals[ei] == bi else cart[(ei, bi)]
-            assert total.below[ei] >> v & 1
+            if not total.below[ei] >> v & 1:
+                raise InvariantViolated("cartesian transport left the minimal open of its source")
     cert = RetractCertificate(
         base, total, i, r, MonotoneMap.identity(base), MonotoneMap.identity(base)
     )
     ok, reason = verify_retract_certificate(s, cert)
-    assert ok, reason
+    if not ok:
+        raise InvariantViolated(f"constructed retract certificate fails: {reason}")
     return cert
 
 
@@ -444,7 +446,8 @@ def search_retract_certificate(
                     s.base, y, i, r, MonotoneMap.identity(s.base), MonotoneMap.identity(s.base)
                 )
                 ok, reason = verify_retract_certificate(s, cert)
-                assert ok, reason
+                if not ok:
+                    raise InvariantViolated(f"found retract certificate fails: {reason}")
                 return cert
     return None
 

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from finfib import cli
 from finfib.cli import main
 from finfib.documents import functor_to_doc, map_from_doc, poset_from_doc
+from finfib.errors import InvariantViolated
 from finfib.gallery import ENTRIES, gallery_map
 from finfib.grothendieck import beta_functor
 from finfib.posets import find_isomorphism_over_base
@@ -94,6 +96,21 @@ def test_check_groth(capsys):
     assert "[no_minimum]" in out
 
 
+def test_check_groth_verbose_lists_every_failing_lift(capsys):
+    expected = {
+        "p1": [{"side": "cocartesian", "e": "(a,1)", "b": "b", "reason": "no_minimum"}],
+        "p1op": [{"side": "cartesian", "e": "(a,1)", "b": "b", "reason": "no_maximum"}],
+        "p2": [
+            {"side": "cocartesian", "e": "(a,2)", "b": "b", "reason": "no_minimum"},
+            {"side": "cocartesian", "e": "(a,1)", "b": "b", "reason": "no_minimum"},
+        ],
+    }
+    for gid, failures in expected.items():
+        code, out, _ = run(capsys, "check", "groth", f"gallery:{gid}", "--verbose", "--json")
+        assert code == 1
+        assert json.loads(out)["all_failures"] == failures
+
+
 def test_check_bundle(capsys):
     code, out, _ = run(capsys, "check", "bundle", "gallery:pi_sierpinski")
     assert (code, out.strip()) == (0, "fiber bundle")
@@ -176,6 +193,16 @@ def test_input_errors_exit_3(capsys, tmp_path):
         "values": {"x": "b", "y": "a"},
     }))
     assert run(capsys, "check", "groth", str(notmono))[0] == 3
+
+
+def test_invariant_violation_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolated("injected")
+
+    monkeypatch.setattr(cli, "decide_hurewicz", broken)
+    code, out, err = run(capsys, "check", "hurewicz", "gallery:p1")
+    assert (code, out) == (4, "")
+    assert err == "internal error: injected\n"
 
 
 def test_usage_errors_exit_3(capsys):

@@ -104,20 +104,28 @@ def test_reported_failure_is_the_first_in_index_order():
         m = rand_monotone(rng, dom, cod)
         s = as_slice(m)
         rep = classify_grothendieck(s)
-        for side, fail in (
-            ("cartesian", rep.fibration_failure),
-            ("cocartesian", rep.opfibration_failure),
-        ):
-            first = None
-            for e in s.total.elements:
+        # every failing lift: e-major, cartesian before cocartesian, base-index-minor
+        brute = []
+        for e in s.total.elements:
+            for side in ("cartesian", "cocartesian"):
                 for b in s.base.elements:
                     related = (
                         s.base.le(b, s.map(e)) if side == "cartesian" else s.base.le(s.map(e), b)
                     )
-                    if related and first is None:
-                        el, _ = brute_lift(s, e, b, side)
+                    if related:
+                        el, why = brute_lift(s, e, b, side)
                         if el is None:
-                            first = (e, b)
+                            brute.append((side, e, b, why))
+        got = [
+            (f.side, f.e, f.b, "no_extremum" if f.stray is None else "stray")
+            for f in rep.failures
+        ]
+        assert got == brute
+        for side, fail in (
+            ("cartesian", rep.fibration_failure),
+            ("cocartesian", rep.opfibration_failure),
+        ):
+            first = next(((e, b) for sd, e, b, _ in brute if sd == side), None)
             if fail is None:
                 assert first is None
             else:
