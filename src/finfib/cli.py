@@ -427,6 +427,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FinfibError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        # a resource limit or a bug is never a verdict, so it must not exit 1
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ and exists for hand-written fixtures:
     }
 
 Element names may contain commas and parentheses; separators split
-only at top level.  Map domains and codomains name a poset defined
-earlier in the same text or use a "gallery:ID" reference.
+only at top level.  The emitters refuse, with ParseError, any name
+the reader would not give back unchanged.  Map domains and codomains
+name a poset defined earlier in the same text or use a "gallery:ID"
+reference.
 """
 
 from __future__ import annotations
@@ -360,7 +362,23 @@ def parse_text(text: str) -> list[tuple[str, str, Union[Poset, MonotoneMap]]]:
     return out
 
 
+def _check_text_names(name: str, p: Poset, reserved: tuple[str, ...] = ()) -> None:
+    """Raise ParseError unless ``parse_text`` reads every element back.
+
+    A name must come back whole from the reader's top-level split even
+    with another name after it, which also rules out an unclosed
+    parenthesis; '#' starts a comment and '}' ends the block anywhere.
+    ``reserved`` lists further substrings the enclosing block cannot carry.
+    """
+    if not p.n:
+        raise ParseError(f"poset {name}: the text format has no empty poset")
+    for e in p.elements:
+        if _split_top(e + ",x", ",;<") != [e, "x"] or any(t in e for t in ("#", "}") + reserved):
+            raise ParseError(f"poset {name}: element {e!r} cannot be written in the text format")
+
+
 def poset_to_text(name: str, p: Poset) -> str:
+    _check_text_names(name, p)
     lines = [f"poset {name} {{"]
     lines.append("  points: " + ", ".join(p.elements) + ";")
     covers = p.covers()
@@ -372,6 +390,9 @@ def poset_to_text(name: str, p: Poset) -> str:
 
 def map_to_text(name: str, m: MapLike, dom_name: str = "E", cod_name: str = "B") -> str:
     m = as_slice(m).map
+    # map entries are split at newlines and at the first '->'
+    _check_text_names(dom_name, m.dom, ("\n", "->"))
+    _check_text_names(cod_name, m.cod, ("\n",))
     out = [poset_to_text(dom_name, m.dom), poset_to_text(cod_name, m.cod)]
     lines = [f"map {name} : {dom_name} -> {cod_name} {{"]
     for e in m.dom.elements:

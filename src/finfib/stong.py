@@ -76,6 +76,29 @@ class ReductionTrace:
         )
 
 
+def _extremum(x: Poset, kind: str, alive: int, i: int) -> Optional[int]:
+    """Beat-point witness of ``i`` in the subspace induced on ``alive``.
+
+    For kind "down" this is the max of the strict down set of i, for
+    "up" the min of its strict up set; None when there is none.  The
+    extremum lies beyond every point of the set, so each probe that is
+    not it cuts the search down to the points beyond the probe.  Probes
+    take the lowest and the highest remaining index in turn, which
+    finds the extremum within two probes when the indices follow a
+    linear extension or its reverse.
+    """
+    rows, co = (x.below, x.above) if kind == "down" else (x.above, x.below)
+    strict = rows[i] & alive & ~(1 << i)
+    cand, low = strict, True
+    while cand:
+        w = ((cand & -cand) if low else cand).bit_length() - 1
+        if not strict & ~rows[w]:
+            return w
+        cand &= co[w] & ~(1 << w)
+        low = not low
+    return None
+
+
 def _beat_candidates(
     x: Poset, alive: int, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]] = None
 ) -> list[tuple[int, str, int]]:
@@ -88,19 +111,10 @@ def _beat_candidates(
     """
     out = []
     for kind in kinds:
-        rows = x.below if kind == "down" else x.above
-        pick = x.max_of_mask if kind == "down" else x.min_of_mask
         for i in _bits(alive):
-            strict = rows[i] & alive & ~(1 << i)
-            if not strict:
-                continue
-            w = pick(strict)
-            if w is None:
-                continue
-            wi = x.index[w]
-            if fiber_vals is not None and fiber_vals[wi] != fiber_vals[i]:
-                continue
-            out.append((i, kind, wi))
+            wi = _extremum(x, kind, alive, i)
+            if wi is not None and (fiber_vals is None or fiber_vals[wi] == fiber_vals[i]):
+                out.append((i, kind, wi))
     return out
 
 
@@ -123,43 +137,78 @@ def _reduce(
     """Greedy beat-point removal engine shared by all reductions.
 
     ``keep`` masks elements that must not be removed; ``fiber_vals``
-    switches to beat points of a map.  The composite retraction is
-    accumulated as each removed element is redirected to its witness.
+    switches to beat points of a map.  One scan finds every point's
+    witness per kind; afterwards the removal of i re-examines only the
+    points comparable to i whose witness was i or who had none, since
+    any other witness survives the removal.  The beat points are kept
+    as one bitmask per kind and offered kind-major, index-minor, as
+    ``_beat_candidates`` lists them.  Each removed point is redirected
+    to its witness, and the composite retraction is resolved at the end.
     """
-    alive = (1 << x.n) - 1
-    cur = list(range(x.n))
-    removed: list[tuple[str, str]] = []
-    while True:
-        cands = [
-            (i, kind, wi)
-            for i, kind, wi in _beat_candidates(x, alive, kinds, fiber_vals)
-            if not keep >> i & 1
-        ]
-        if not cands:
-            break
+    n = x.n
+    alive = (1 << n) - 1
+    removable = alive & ~keep
+    ks = range(len(kinds))
+    wit: list[list[Optional[int]]] = [[None] * n for _ in ks]
+    witnessed = [[0] * n for _ in ks]  # witnessed[k][w]: points whose witness is w
+    lonely = [0 for _ in ks]  # alive points without a witness
+    cands = [0 for _ in ks]
+
+    def forget(k: int, j: int) -> None:
+        bit = 1 << j
+        if wit[k][j] is not None:
+            witnessed[k][wit[k][j]] &= ~bit
+        lonely[k] &= ~bit
+        cands[k] &= ~bit
+
+    def examine(k: int, j: int) -> None:
+        forget(k, j)
+        bit = 1 << j
+        w = wit[k][j] = _extremum(x, kinds[k], alive, j)
+        if w is None:
+            lonely[k] |= bit
+            return
+        witnessed[k][w] |= bit
+        if removable & bit and (fiber_vals is None or fiber_vals[w] == fiber_vals[j]):
+            cands[k] |= bit
+
+    for k in ks:
+        for j in range(n):
+            examine(k, j)
+    steps: list[tuple[int, int, int]] = []  # (removed point, kind, witness)
+    while any(cands):
         if picker is None:
-            i, kind, wi = cands[0]
+            k = next(k for k in ks if cands[k])
+            i = (cands[k] & -cands[k]).bit_length() - 1
         else:
-            choice = picker(tuple((x.elements[i], kind) for i, kind, _ in cands))
-            matches = [c for c in cands if (x.elements[c[0]], c[1]) == choice]
-            if not matches:
+            offered = [(i, k) for k in ks for i in _bits(cands[k])]
+            names = tuple((x.elements[i], kinds[k]) for i, k in offered)
+            choice = picker(names)
+            if choice not in names:
                 raise UnknownElement(f"picker returned {choice!r}, not a candidate")
-            i, kind, wi = matches[0]
-        alive &= ~(1 << i)
-        removed.append((x.elements[i], kind))
-        for k in range(x.n):
-            if cur[k] == i:
-                cur[k] = wi
+            i, k = offered[names.index(choice)]
+        bit = 1 << i
+        alive &= ~bit
+        steps.append((i, k, wit[k][i]))
+        for k in ks:
+            forget(k, i)
+            co = x.above if kinds[k] == "down" else x.below
+            for j in _bits((co[i] & lonely[k]) | witnessed[k][i]):
+                examine(k, j)
+    to = list(range(n))
+    for i, _, wi in reversed(steps):
+        to[i] = to[wi]
     result = x.sub(x.names(alive))
-    retraction = MonotoneMap(x, result, tuple(result.index[x.elements[cur[k]]] for k in range(x.n)))
-    return ReductionTrace(x, result, tuple(removed), retraction)
+    retraction = MonotoneMap(x, result, tuple(result.index[x.elements[to[j]]] for j in range(n)))
+    removed = tuple((x.elements[i], kinds[k]) for i, k, _ in steps)
+    return ReductionTrace(x, result, removed, retraction)
 
 
 def core(x: Poset, *, picker: Optional[Picker] = None) -> ReductionTrace:
     """Reduce to a core by removing beat points.
 
-    Default policy is kind-major: all down beat points are consumed
-    (lowest index first, recomputing each step) before any up beat
+    Default policy is kind-major: all down beat points are consumed,
+    lowest index among the current ones first, before any up beat
     point is touched.  Any other policy gives an isomorphic result.
     """
     return _reduce(x, ("down", "up"), picker)

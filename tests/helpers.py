@@ -9,9 +9,13 @@ test run sees the same instances.
 import itertools
 import random
 
+from hypothesis import strategies as st
+
+from finfib.errors import UnknownElement
 from finfib.grothendieck import PosetFunctor, grothendieck_construction
-from finfib.posets import MonotoneMap, Poset, product
+from finfib.posets import MonotoneMap, Poset, _bits, product
 from finfib.slices import SliceMap, as_slice
+from finfib.stong import ReductionTrace
 
 
 # -- independent oracles -----------------------------------------------
@@ -59,6 +63,66 @@ def is_beat_point_brute(x, a):
     has_max = any(all(x.le(z, m) for z in down) for m in down)
     has_min = any(all(x.le(m, z) for z in up) for m in up)
     return has_max or has_min
+
+
+def _rescan_candidates(x, alive, kinds, fiber_vals=None):
+    """Every beat point of the subspace on ``alive``, by a full scan.
+
+    Same contract as ``stong._beat_candidates``: (index, kind, witness
+    index) tuples, kind-major and index-minor, filtered by fiber value.
+    """
+    out = []
+    for kind in kinds:
+        rows = x.below if kind == "down" else x.above
+        pick = x.max_of_mask if kind == "down" else x.min_of_mask
+        for i in _bits(alive):
+            strict = rows[i] & alive & ~(1 << i)
+            if not strict:
+                continue
+            w = pick(strict)
+            if w is None:
+                continue
+            wi = x.index[w]
+            if fiber_vals is not None and fiber_vals[wi] != fiber_vals[i]:
+                continue
+            out.append((i, kind, wi))
+    return out
+
+
+def rescan_reduce(x, kinds, picker, keep=0, fiber_vals=None):
+    """Beat-point reduction that rescans every point after each removal.
+
+    The quadratic-per-step engine ``stong._reduce`` replaced, kept as
+    an oracle: same arguments, same trace, and the picker sees the
+    same candidate tuple at every step.
+    """
+    alive = (1 << x.n) - 1
+    cur = list(range(x.n))
+    removed = []
+    while True:
+        cands = [
+            (i, kind, wi)
+            for i, kind, wi in _rescan_candidates(x, alive, kinds, fiber_vals)
+            if not keep >> i & 1
+        ]
+        if not cands:
+            break
+        if picker is None:
+            i, kind, wi = cands[0]
+        else:
+            choice = picker(tuple((x.elements[i], kind) for i, kind, _ in cands))
+            matches = [c for c in cands if (x.elements[c[0]], c[1]) == choice]
+            if not matches:
+                raise UnknownElement(f"picker returned {choice!r}, not a candidate")
+            i, kind, wi = matches[0]
+        alive &= ~(1 << i)
+        removed.append((x.elements[i], kind))
+        for k in range(x.n):
+            if cur[k] == i:
+                cur[k] = wi
+    result = x.sub(x.names(alive))
+    retraction = MonotoneMap(x, result, tuple(result.index[x.elements[cur[k]]] for k in range(x.n)))
+    return ReductionTrace(x, result, tuple(removed), retraction)
 
 
 # -- random instance generators ----------------------------------------
@@ -194,6 +258,16 @@ def rand_fibration(rng):
     for k in range(rng.randint(0, 3)):
         p = insert_map_down_beat_point(rng, p, str(k))
     return p
+
+
+@st.composite
+def posets(draw, names=st.integers(0, 99).map(lambda i: f"x{i}"), max_size=8):
+    """Hypothesis strategy: a random order on distinct drawn names, shuffled."""
+    elements = draw(st.lists(names, unique=True, max_size=max_size))
+    slots = list(itertools.combinations(elements, 2))
+    edges = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    order = draw(st.permutations(elements))
+    return Poset.build(order, [pair for pair, edge in zip(slots, edges) if edge])
 
 
 def shuffling_picker(rng):

@@ -1,6 +1,9 @@
 """Command-line behavior: output text, JSON documents, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -203,6 +206,30 @@ def test_invariant_violation_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "check", "hurewicz", "gallery:p1")
     assert (code, out) == (4, "")
     assert err == "internal error: injected\n"
+
+
+def test_any_other_exception_exits_4(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "core", overflow)
+    code, out, err = run(capsys, "check", "core", "gallery:B1")
+    assert (code, out) == (4, "")
+    assert err == "internal error: RecursionError('maximum recursion depth exceeded')\n"
+
+
+def test_module_entry_point_keeps_the_exit_codes():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "finfib", *argv], capture_output=True, text=True, env=env
+        )
+
+    done = run_module("check", "hurewicz", "gallery:p2")
+    assert done.returncode == 1
+    assert done.stdout.startswith("not a fibration")
+    assert run_module("check", "hurewicz", "gallery:nope").returncode == 3
 
 
 def test_usage_errors_exit_3(capsys):

@@ -1,8 +1,11 @@
 """JSON documents and the text format: round trips and error paths."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finfib.documents import (
     detect_doc_kind,
@@ -23,7 +26,7 @@ from finfib.documents import (
 from finfib.errors import ParseError, UnknownGalleryId
 from finfib.gallery import gallery_map, gallery_poset
 from finfib.grothendieck import beta_functor, grothendieck_construction
-from finfib.posets import find_isomorphism_over_base
+from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base
 from finfib.slices import smallest_dbp_retract_of_map
 from finfib.verdict import (
     decide_hurewicz,
@@ -31,7 +34,7 @@ from finfib.verdict import (
     projection_retract_height1,
     verify_retract_certificate,
 )
-from helpers import rand_functor, rand_monotone, rand_poset, seeded
+from helpers import posets, rand_functor, rand_monotone, rand_poset, seeded
 
 
 def test_poset_doc_round_trip():
@@ -167,6 +170,55 @@ def test_parenthesized_names_survive_the_text_format():
     p1 = gallery_map("p1")
     parsed = parse_text(map_to_text("p1", p1))
     assert ("map", "p1", p1) in parsed
+
+
+@pytest.mark.parametrize("bad", ["a<b", "a;b", "a}b", "a,b", "(a", " a", "a#b"])
+def test_text_emitters_name_the_element_they_cannot_write(bad):
+    p = Poset.build(["(x,y)", bad, "c<d"], [])
+    for emit in (lambda: poset_to_text("X", p), lambda: map_to_text("f", MonotoneMap.identity(p))):
+        with pytest.raises(ParseError, match=re.escape(f"element {bad!r}")):
+            emit()
+
+
+def test_map_text_refuses_what_splits_a_map_entry():
+    # entries split at the first '->' and at newlines; poset blocks do not
+    p = Poset.build(["x"], [])
+    q = Poset.build(["a->b", "c"], [])
+    r = Poset.build(["c\nd"], [])
+    assert parse_text(poset_to_text("Q", q)) == [("poset", "Q", q)]
+    assert parse_text(poset_to_text("R", r)) == [("poset", "R", r)]
+    m = MonotoneMap.constant(p, q, "a->b")
+    assert parse_text(map_to_text("f", m))[-1] == ("map", "f", m)
+    with pytest.raises(ParseError, match="'a->b'"):
+        map_to_text("f", MonotoneMap.identity(q))
+    with pytest.raises(ParseError, match=re.escape("'c\\nd'")):
+        map_to_text("f", MonotoneMap.constant(p, r, "c\nd"))
+
+
+# names built from the DSL's own tokens, with arbitrary characters mixed in
+_DSL_NAMES = st.lists(
+    st.sampled_from(["a", "b", "(", ")", ",", ";", "<", "->", "#", "{", "}", " ", "\n"])
+    | st.characters(),
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=posets(names=_DSL_NAMES, max_size=5), q=posets(names=_DSL_NAMES, max_size=3))
+def test_text_emitters_refuse_or_round_trip(p, q):
+    try:
+        text = poset_to_text("X", p)
+    except ParseError:
+        pass
+    else:
+        assert parse_text(text) == [("poset", "X", p)]
+    maps = [MonotoneMap.identity(p)] + [MonotoneMap.constant(p, q, b) for b in q.elements[:1]]
+    for m in maps:
+        try:
+            text = map_to_text("f", m)
+        except ParseError:
+            continue
+        assert parse_text(text)[-1] == ("map", "f", m)
 
 
 def test_functor_doc_feeds_the_construction():

@@ -1,10 +1,15 @@
 """Beat points, cores, descending endomaps, and the rigidity facts."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finfib.errors import GuardExceeded, NotDescending
 from finfib.posets import MonotoneMap, Poset, find_isomorphism, hom_poset
 from finfib.stong import (
+    _reduce,
     all_dbp_retracts,
     all_ubp_retracts,
     beat_points,
@@ -21,7 +26,14 @@ from finfib.stong import (
     smallest_ubp_retract,
 )
 from finfib.gallery import gallery_poset
-from helpers import is_beat_point_brute, rand_poset, seeded, shuffling_picker
+from helpers import (
+    is_beat_point_brute,
+    posets,
+    rand_poset,
+    rescan_reduce,
+    seeded,
+    shuffling_picker,
+)
 
 
 def n_poset():
@@ -209,3 +221,46 @@ def test_core_of_gallery_posets():
     for pid in ["B5", "E5"]:
         x = gallery_poset(pid)
         assert core(x).result == x
+
+
+def recording_picker(seed, log):
+    rng = random.Random(seed)
+
+    def pick(cands):
+        log.append(cands)
+        return rng.choice(cands)
+
+    return pick
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=posets(max_size=10),
+    kinds=st.sampled_from([("down", "up"), ("down",), ("up",)]),
+    data=st.data(),
+)
+def test_worklist_reduction_agrees_with_the_rescan_oracle(x, kinds, data):
+    keep = data.draw(st.just(0) | st.integers(0, (1 << x.n) - 1))
+    fiber_vals = data.draw(st.none() | st.lists(st.integers(0, 2), min_size=x.n, max_size=x.n))
+    seed = data.draw(st.integers(0, 2**16))
+    got = _reduce(x, kinds, None, keep, fiber_vals)
+    want = rescan_reduce(x, kinds, None, keep, fiber_vals)
+    assert (got.removed, got.result, got.retraction) == (want.removed, want.result, want.retraction)
+    got_log, want_log = [], []
+    got = _reduce(x, kinds, recording_picker(seed, got_log), keep, fiber_vals)
+    want = rescan_reduce(x, kinds, recording_picker(seed, want_log), keep, fiber_vals)
+    assert got_log == want_log
+    assert (got.removed, got.result, got.retraction) == (want.removed, want.result, want.retraction)
+
+
+@pytest.mark.parametrize(
+    "reduce, end", [(core, "c0"), (smallest_dbp_retract, "c0"), (smallest_ubp_retract, "c1499")]
+)
+def test_a_shuffled_1500_chain_reduces_to_a_point(reduce, end):
+    names = [f"c{i}" for i in range(1500)]
+    order = names[:]
+    seeded(59).shuffle(order)
+    trace = reduce(Poset.build(order, list(zip(names, names[1:]))))
+    assert trace.result.elements == (end,)
+    f = trace.idempotent()
+    assert f.then(f) == f
