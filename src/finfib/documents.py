@@ -14,8 +14,10 @@ and exists for hand-written fixtures:
     }
 
 Element names may contain commas and parentheses; separators split
-only at top level.  The emitters refuse, with ParseError, any name
-the reader would not give back unchanged.  Map domains and codomains
+only at top level.  The emitters refuse, with ParseError, any element
+or block name the reader would not give back unchanged, and so does
+``functor_to_doc`` for base names its "lo<=hi" transition keys would
+not carry back.  Map domains and codomains
 name a poset defined earlier in the same text or use a "gallery:ID"
 reference.
 """
@@ -96,13 +98,23 @@ def map_from_doc(doc: Doc) -> MonotoneMap:
 _PAIR_KEY = re.compile(r"^(.*?)<=(.*)$")
 
 
+def _pair_key(lo: str, hi: str) -> str:
+    """Transition key "lo<=hi"; ParseError if the reader would not split it back."""
+    key = f"{lo}<={hi}"
+    m = _PAIR_KEY.match(key)
+    for name, back in zip((lo, hi), m.groups() if m else ("", "")):
+        if back.strip() != name:
+            raise ParseError(f"base element {name!r} cannot be written in the transition key {key!r}")
+    return key
+
+
 def functor_to_doc(d: PosetFunctor) -> dict:
     return {
         "base": poset_to_doc(d.base),
         "variance": d.variance,
         "fibers": {b: poset_to_doc(f) for b, f in d.fibers.items()},
         "transitions": {
-            f"{lo}<={hi}": dict(t.values) for (lo, hi), t in sorted(d.transitions.items())
+            _pair_key(lo, hi): dict(t.values) for (lo, hi), t in sorted(d.transitions.items())
         },
     }
 
@@ -377,9 +389,26 @@ def _check_text_names(name: str, p: Poset, reserved: tuple[str, ...] = ()) -> No
             raise ParseError(f"poset {name}: element {e!r} cannot be written in the text format")
 
 
+def _block_header(
+    kind: str, name: str, dom_name: Optional[str] = None, cod_name: Optional[str] = None
+) -> str:
+    """The block's header line; ParseError unless ``parse_text`` reads it back.
+
+    The reader takes the first match, which must span the whole block;
+    element names hold no '}', so an empty body stands for any body.
+    """
+    header = f"{kind} {name}" + ("" if dom_name is None else f" : {dom_name} -> {cod_name}")
+    block = header + " {}"
+    m = _BLOCK.match(block)
+    parts = (name, dom_name, cod_name)
+    if m is None or m.end() != len(block) or m.group(2, 3, 4) != parts or "#" in header:
+        raise ParseError(f"{kind} name {name!r} cannot be written in the text format")
+    return header + " {"
+
+
 def poset_to_text(name: str, p: Poset) -> str:
+    lines = [_block_header("poset", name)]
     _check_text_names(name, p)
-    lines = [f"poset {name} {{"]
     lines.append("  points: " + ", ".join(p.elements) + ";")
     covers = p.covers()
     if covers:
@@ -394,7 +423,12 @@ def map_to_text(name: str, m: MapLike, dom_name: str = "E", cod_name: str = "B")
     _check_text_names(dom_name, m.dom, ("\n", "->"))
     _check_text_names(cod_name, m.cod, ("\n",))
     out = [poset_to_text(dom_name, m.dom), poset_to_text(cod_name, m.cod)]
-    lines = [f"map {name} : {dom_name} -> {cod_name} {{"]
+    for ref in (dom_name, cod_name):
+        if ref.startswith("gallery:"):
+            raise ParseError(f"poset name {ref!r} would read back as a gallery reference")
+    if dom_name == cod_name and m.dom != m.cod:
+        raise ParseError(f"poset name {dom_name!r} cannot name both the domain and the codomain")
+    lines = [_block_header("map", name, dom_name, cod_name)]
     for e in m.dom.elements:
         lines.append(f"  {e} -> {m(e)};")
     lines.append("}")

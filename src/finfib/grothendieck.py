@@ -379,10 +379,9 @@ def grothendieck_construction(d: PosetFunctor) -> SliceMap:
         flipped: dict[tuple[str, str], MonotoneMap] = {}
         for (lo, hi), t in d.transitions.items():
             flipped[(hi, lo)] = t.op()
-        avatar = PosetFunctor(
+        d = PosetFunctor(
             d.base.op(), "covariant", {b: f.op() for b, f in d.fibers.items()}, flipped
         )
-        return grothendieck_construction(avatar)
     base = d.base
     names: list[str] = []
     owner: list[tuple[int, int]] = []  # (base index, index inside that fiber)

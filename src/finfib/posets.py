@@ -14,6 +14,7 @@ derived posets generate deterministic composite names such as "(a,0)".
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -263,11 +264,6 @@ class Poset:
         """Length of the longest chain; -1 for the empty poset."""
         return max(self.heights(), default=-1)
 
-    def depths(self) -> tuple[int, ...]:
-        """Longest chain length starting at each element (dual of heights)."""
-        heights_op = self.op().heights()
-        return heights_op
-
     # -- connectivity ------------------------------------------------
 
     def components(self) -> tuple[tuple[str, ...], ...]:
@@ -467,10 +463,6 @@ class MonotoneMap:
         """Restriction to a subposet of the domain (same names)."""
         return MonotoneMap(sub_dom, self.cod, tuple(self.vals[self.dom.idx(e)] for e in sub_dom.elements))
 
-    def corestrict(self, sub_cod: Poset) -> "MonotoneMap":
-        """Corestriction onto a subposet of the codomain containing the image."""
-        return MonotoneMap(self.dom, sub_cod, tuple(sub_cod.idx(self.cod.elements[v]) for v in self.vals))
-
     def op(self) -> "MonotoneMap":
         """The same function, seen between the opposite posets."""
         return MonotoneMap(self.dom.op(), self.cod.op(), self.vals)
@@ -490,55 +482,51 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
 # -- enumeration of monotone maps -------------------------------------
 
 
-def _linear_extension(p: Poset) -> list[int]:
-    # |U_x| strictly grows along the order, so this sort is a linear
-    # extension, and it is deterministic.
-    return sorted(range(p.n), key=lambda i: (p.below[i].bit_count(), i))
+def _cover_adjacency(p: Poset) -> tuple[list[list[int]], list[list[int]]]:
+    dn: list[list[int]] = [[] for _ in range(p.n)]
+    up: list[list[int]] = [[] for _ in range(p.n)]
+    for lo, hi in p.covers():
+        dn[p.index[hi]].append(p.index[lo])
+        up[p.index[lo]].append(p.index[hi])
+    return dn, up
 
 
-def _enumerate_monotone(
-    dom: Poset, cod: Poset, cand: Sequence[int], guard: Optional[int]
-) -> Iterator[tuple[int, ...]]:
-    """Yield value tuples of monotone maps with per-element candidate masks.
+def _backtrack(
+    order: Sequence[int],
+    cand: Callable[[int, list[int]], tuple[int, int]],
+    budget: Optional[int] = None,
+) -> Iterator[list[int]]:
+    """Depth-first search over value assignments, on an explicit stack.
 
-    The guard is checked against the product of candidate set sizes
-    before any work happens.
+    Position k of the non-empty ``order`` assigns element ``order[k]``;
+    ``cand(k, vals)`` returns the bitmasks ``(tried, ok)`` of values for
+    it, given the values already assigned in ``vals`` (indexed by
+    element), and ``ok`` is the consistent part of ``tried``.  Values
+    are tried in rising index order and each one counts against the
+    budget as the search reaches it.  The same ``vals`` list is yielded
+    for every complete assignment, so callers copy what they keep.
     """
-    if dom.n == 0:
-        yield ()
-        return
-    bound = 1
-    for m in cand:
-        bound *= m.bit_count()
-    if guard is not None and bound > guard:
-        raise GuardExceeded(bound, guard)
-    if bound == 0:
-        return
-    order = _linear_extension(dom)
-    pos_of = [0] * dom.n
-    for k, i in enumerate(order):
-        pos_of[i] = k
-    # strict lower covers of each element, as positions already assigned
-    lower = []
-    cover_dn = {e: dom.lower_covers(e) for e in dom.elements}
-    for i in order:
-        lower.append([dom.index[c] for c in cover_dn[dom.elements[i]]])
-    vals = [0] * dom.n
-    above = cod.above
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == dom.n:
-            yield tuple(vals)
-            return
-        i = order[k]
-        m = cand[i]
-        for j in lower[k]:
-            m &= above[vals[j]]
-        for v in _bits(m):
-            vals[i] = v
-            yield from rec(k + 1)
-
-    yield from rec(0)
+    vals = [-1] * len(order)
+    stack = [cand(0, vals)]
+    nodes = 0
+    while stack:
+        k = len(stack) - 1
+        tried, ok = stack[k]
+        if not tried:
+            stack.pop()
+            continue
+        low = tried & -tried
+        stack[k] = (tried ^ low, ok)
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExhausted(f"isomorphism search exceeded budget of {budget} nodes")
+        if not ok & low:
+            continue
+        vals[order[k]] = low.bit_length() - 1
+        if k + 1 == len(order):
+            yield vals
+        else:
+            stack.append(cand(k + 1, vals))
 
 
 def monotone_maps(
@@ -556,10 +544,10 @@ def monotone_maps(
     lower / upper bound the maps pointwise (f >= lower, f <= upper);
     ``over=(p, q)`` keeps only maps f with q o f = p, for p out of dom
     and q out of cod into a common base; ``fixed`` pins given elements.
-    The guard limits the product of candidate-set sizes.
+    The guard limits the product of candidate-set sizes and is checked
+    before any search happens.
     """
-    full = (1 << cod.n) - 1
-    cand = [full] * dom.n
+    cand = [(1 << cod.n) - 1] * dom.n
     if lower is not None:
         if lower.dom != dom or lower.cod != cod:
             raise CodomainMismatch("lower bound must be a map dom -> cod")
@@ -582,35 +570,47 @@ def monotone_maps(
     if fixed:
         for name, target in fixed.items():
             cand[dom.idx(name)] &= 1 << cod.idx(target)
-    for vals in _enumerate_monotone(dom, cod, cand, guard):
+    if dom.n == 0:
+        yield MonotoneMap(dom, cod, ())
+        return
+    bound = math.prod(m.bit_count() for m in cand)
+    if guard is not None and bound > guard:
+        raise GuardExceeded(bound, guard)
+    if bound == 0:
+        return
+    # |U_x| strictly grows along the order, so sorting by it gives a
+    # deterministic linear extension: the lower covers of an element,
+    # whose values bound its own from below, are assigned before it
+    dn, _ = _cover_adjacency(dom)
+    above = cod.above
+
+    def candidates(k: int, vals: list[int]) -> tuple[int, int]:
+        i = order[k]
+        m = cand[i]
+        for j in dn[i]:
+            m &= above[vals[j]]
+        return m, m
+
+    order = sorted(range(dom.n), key=lambda i: (dom.below[i].bit_count(), i))
+    for vals in _backtrack(order, candidates):
         yield MonotoneMap(dom, cod, vals)
 
 
 class HomPoset:
     """All monotone maps dom -> cod under the pointwise order."""
 
-    __slots__ = ("source", "target", "maps", "_index")
+    __slots__ = ("source", "target", "maps")
 
     def __init__(self, source: Poset, target: Poset, maps: Sequence[MonotoneMap]):
         self.source = source
         self.target = target
         self.maps = tuple(sorted(maps, key=lambda f: f.vals))
-        self._index = {f.vals: k for k, f in enumerate(self.maps)}
 
     def __len__(self) -> int:
         return len(self.maps)
 
     def __iter__(self) -> Iterator[MonotoneMap]:
         return iter(self.maps)
-
-    def le(self, f: MonotoneMap, g: MonotoneMap) -> bool:
-        return f.le(g)
-
-    def position(self, f: MonotoneMap) -> int:
-        try:
-            return self._index[f.vals]
-        except KeyError:
-            raise UnknownElement("map is not in this hom poset") from None
 
     def comparability_classes(self) -> list[list[MonotoneMap]]:
         """Connected components of the comparability graph.
@@ -665,33 +665,29 @@ def hom_over_base(
 # -- isomorphism search ------------------------------------------------
 
 
-def _cover_adjacency(p: Poset) -> tuple[list[list[int]], list[list[int]]]:
-    dn: list[list[int]] = [[] for _ in range(p.n)]
-    up: list[list[int]] = [[] for _ in range(p.n)]
-    for lo, hi in p.covers():
-        dn[p.index[hi]].append(p.index[lo])
-        up[p.index[lo]].append(p.index[hi])
-    return dn, up
-
-
 def _joint_labels(
     p: Poset,
     q: Poset,
     extra_p: Optional[Sequence[object]],
     extra_q: Optional[Sequence[object]],
 ) -> tuple[list[int], list[int]]:
-    """Structural labels refined jointly over both posets.
+    """Integer colour refinement on the disjoint union of p and q.
 
-    Elements that can correspond under an isomorphism (respecting the
-    optional extra labels) end with equal labels; the converse fails in
-    general, the backtracking handles the rest.  Canonicalization is
-    shared each round, so labels are comparable across the two posets.
+    An element starts from (|U|, |F|, height, depth, extra label); each
+    round recolours it by its colour and the sorted colours of its
+    lower and upper covers, until a round splits no class.  Elements
+    that can correspond under an isomorphism (respecting the extra
+    labels) end with equal colours; the converse fails in general, the
+    backtracking handles the rest.  Only the final partition matters,
+    so colours are numbered in order of first appearance.
     """
-
-    def initial(s: Poset, extra: Optional[Sequence[object]]) -> list[object]:
-        heights = s.heights()
-        depths = s.depths()
-        return [
+    keys: list[object] = []
+    dn: list[list[int]] = []
+    up: list[list[int]] = []
+    for s, extra in ((p, extra_p), (q, extra_q)):
+        heights, depths = s.heights(), s.op().heights()
+        shift = len(keys)
+        keys += [
             (
                 s.below[i].bit_count(),
                 s.above[i].bit_count(),
@@ -701,29 +697,20 @@ def _joint_labels(
             )
             for i in range(s.n)
         ]
-
-    lab_p = initial(p, extra_p)
-    lab_q = initial(q, extra_q)
-    dn_p, up_p = _cover_adjacency(p)
-    dn_q, up_q = _cover_adjacency(q)
-    for _ in range(p.n + q.n):
-        key_p = [
-            (lab_p[i], tuple(sorted(lab_p[j] for j in dn_p[i])), tuple(sorted(lab_p[j] for j in up_p[i])))
-            for i in range(p.n)
+        s_dn, s_up = _cover_adjacency(s)
+        dn += [[j + shift for j in row] for row in s_dn]
+        up += [[j + shift for j in row] for row in s_up]
+    classes = 0
+    while True:
+        ids: dict[object, int] = {}
+        colour = [ids.setdefault(k, len(ids)) for k in keys]
+        if len(ids) == classes:
+            return colour[: p.n], colour[p.n :]
+        classes = len(ids)
+        keys = [
+            (colour[v], tuple(sorted(colour[u] for u in dn[v])), tuple(sorted(colour[u] for u in up[v])))
+            for v in range(len(colour))
         ]
-        key_q = [
-            (lab_q[i], tuple(sorted(lab_q[j] for j in dn_q[i])), tuple(sorted(lab_q[j] for j in up_q[i])))
-            for i in range(q.n)
-        ]
-        canon: dict[object, int] = {}
-        for k in sorted(set(key_p) | set(key_q), key=repr):
-            canon[k] = len(canon)
-        new_p = [canon[k] for k in key_p]
-        new_q = [canon[k] for k in key_q]
-        if new_p == lab_p and new_q == lab_q:
-            break
-        lab_p, lab_q = new_p, new_q
-    return lab_p, lab_q  # type: ignore[return-value]
 
 
 def isomorphisms(
@@ -736,11 +723,12 @@ def isomorphisms(
 ) -> Iterator[dict[str, str]]:
     """Yield order isomorphisms p -> q as name dictionaries.
 
-    Candidates are pruned by refined structural labels and searched by
-    backtracking with deterministic index-order tie-breaking.  A budget
-    counts attempted assignments; running out raises
-    SearchBudgetExhausted, so absence of output from an unbudgeted call
-    is an exhausted-search certificate.
+    Candidates are pruned by colour refinement and searched by
+    backtracking on an explicit stack, with deterministic index-order
+    tie-breaking and no recursion limit on the size.  A budget counts
+    attempted assignments; running out raises SearchBudgetExhausted,
+    so absence of output from an unbudgeted call is an
+    exhausted-search certificate.
     """
     if p.n != q.n:
         return
@@ -750,47 +738,27 @@ def isomorphisms(
     lab_p, lab_q = _joint_labels(p, q, extra_p, extra_q)
     if sorted(lab_p) != sorted(lab_q):
         return
-    by_label: dict[int, list[int]] = {}
+    by_label: dict[int, int] = {}
     for j, l in enumerate(lab_q):
-        by_label.setdefault(l, []).append(j)
-    # assign elements in order of rising candidate count, then index
-    order = sorted(range(p.n), key=lambda i: (len(by_label.get(lab_p[i], ())), i))
-    assigned = [-1] * p.n
-    used = 0
-    nodes = [0]
+        by_label[l] = by_label.get(l, 0) | 1 << j
 
-    def rec(k: int) -> Iterator[dict[str, str]]:
-        nonlocal used
-        if k == p.n:
-            yield {p.elements[i]: q.elements[assigned[i]] for i in range(p.n)}
-            return
+    def candidates(k: int, vals: list[int]) -> tuple[int, int]:
+        # the colour class minus used values; a consistent value j must
+        # relate to every assigned j2 as i relates to i2
         i = order[k]
-        for j in by_label.get(lab_p[i], ()):
-            if used >> j & 1:
-                continue
-            nodes[0] += 1
-            if budget is not None and nodes[0] > budget:
-                raise SearchBudgetExhausted(
-                    f"isomorphism search exceeded budget of {budget} nodes"
-                )
-            ok = True
-            for k2 in range(k):
-                i2 = order[k2]
-                j2 = assigned[i2]
-                if (p.below[i] >> i2 & 1) != (q.below[j] >> j2 & 1) or (
-                    p.below[i2] >> i & 1
-                ) != (q.below[j2] >> j & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[i] = j
-            used |= 1 << j
-            yield from rec(k + 1)
-            used &= ~(1 << j)
-            assigned[i] = -1
+        tried = by_label[lab_p[i]]
+        ok = -1
+        for i2 in order[:k]:
+            j2 = vals[i2]
+            tried &= ~(1 << j2)
+            ok &= q.above[j2] if p.below[i] >> i2 & 1 else ~q.above[j2]
+            ok &= q.below[j2] if p.below[i2] >> i & 1 else ~q.below[j2]
+        return tried, tried & ok
 
-    yield from rec(0)
+    # assign elements in order of rising candidate count, then index
+    order = sorted(range(p.n), key=lambda i: (by_label[lab_p[i]].bit_count(), i))
+    for vals in _backtrack(order, candidates, budget):
+        yield {p.elements[i]: q.elements[vals[i]] for i in range(p.n)}
 
 
 def find_isomorphism(p: Poset, q: Poset, budget: Optional[int] = None) -> Optional[dict[str, str]]:

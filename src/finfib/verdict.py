@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import EmptyDomain, InvariantViolated, PreconditionViolated, SearchBudgetExhausted
 from .grothendieck import (
@@ -40,7 +40,8 @@ from .slices import (
     SliceMap,
     as_slice,
     map_beat_points,
-    restrict_over_component,
+    restrict_over,
+    restrict_over_component,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     smallest_dbp_retract_of_map,
 )
 from .stong import beat_points, is_contractible, is_dbp_retract, smallest_dbp_retract
@@ -65,17 +66,11 @@ def is_open_map(p: MapLike) -> tuple[bool, Optional[dict]]:
 
 
 def is_closed_map(p: MapLike) -> tuple[bool, Optional[dict]]:
-    """Check p(F_e) = F_{p(e)} for every e; witness the first miss."""
-    s = as_slice(p)
-    for ei, e in enumerate(s.total.elements):
-        got = 0
-        for j in _bits(s.total.above[ei]):
-            got |= 1 << s.map.vals[j]
-        miss = s.base.above[s.map.vals[ei]] & ~got
-        if miss:
-            b = s.base.elements[(miss & -miss).bit_length() - 1]
-            return False, {"e": e, "missing": b}
-    return True, None
+    """Check p(F_e) = F_{p(e)} for every e; witness the first miss.
+
+    Closed maps are the open maps between the opposite spaces.
+    """
+    return is_open_map(as_slice(p).op())
 
 
 CONDITION_NAMES = (
@@ -129,13 +124,10 @@ def _cond_open_map(pc: SliceMap) -> Optional[dict]:
 
 
 def _cond_down_fiber_nonempty(pc: SliceMap) -> Optional[dict]:
-    # openness restated fiberwise: U_e must meet every fiber below p(e)
-    for ei, e in enumerate(pc.total.elements):
-        pe = pc.map.vals[ei]
-        for bi in _bits(pc.base.below[pe]):
-            if not pc.total.below[ei] & pc.fiber_mask(pc.base.elements[bi]):
-                return {"e": e, "b": pc.base.elements[bi]}
-    return None
+    # openness restated fiberwise: U_e must meet every fiber below p(e),
+    # and the first fiber it misses is the first base point p(U_e) misses
+    w = _cond_open_map(pc)
+    return None if w is None else {"e": w["e"], "b": w["missing"]}
 
 
 def _cond_down_fiber_contractible(pc: SliceMap) -> Optional[dict]:
@@ -244,12 +236,16 @@ def necessary_conditions(p: MapLike) -> NecessaryReport:
     s = as_slice(p)
     if s.is_empty:
         raise EmptyDomain("necessary conditions need a nonempty total space")
-    comps = [restrict_over_component(s, c) for c in s.touched_components()]
+    return _evaluate_conditions([restrict_over(s, c) for c in s.touched_components()])
+
+
+def _evaluate_conditions(comps: Sequence[SliceMap], passed: tuple[str, ...] = ()) -> NecessaryReport:
+    """Run every condition over the components; those in ``passed`` are known to pass."""
     results = []
     for name in CONDITION_NAMES:
         func = _CONDITION_FUNCS[name]
         witness = None
-        for pc in comps:
+        for pc in comps if name not in passed else ():
             w = func(pc)
             if w is not None:
                 witness = dict(w)
@@ -537,7 +533,8 @@ def _decide_component(pc: SliceMap, budget: Optional[int]) -> ComponentVerdict:
             {"fiber_of": triv["fiber_of"], "iso": triv["iso"], "reduction": red},
         )
         return ComponentVerdict(comp, "fibration", certificate=cert)
-    report = necessary_conditions(pc)
+    # red was just classified as a bifibration
+    report = _evaluate_conditions([pc], passed=("reduced_bifibration",))
     witness = {"condition": "undecided", "component": list(comp)}
     if trivial_exhausted:
         witness["trivial_search"] = "budget_exhausted"
@@ -563,7 +560,7 @@ def decide_hurewicz(
     touched = s.touched_components()
     skipped = tuple(c for c in s.base.components() if c not in touched)
     parts = tuple(
-        _decide_component(restrict_over_component(s, c), budget) for c in touched
+        _decide_component(restrict_over(s, c), budget) for c in touched
     )
     if any(c.status == "not_fibration" for c in parts):
         first = next(c for c in parts if c.status == "not_fibration")

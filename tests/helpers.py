@@ -11,7 +11,12 @@ import random
 
 from hypothesis import strategies as st
 
-from finfib.errors import UnknownElement
+from finfib.errors import (
+    CodomainMismatch,
+    GuardExceeded,
+    SearchBudgetExhausted,
+    UnknownElement,
+)
 from finfib.grothendieck import PosetFunctor, grothendieck_construction
 from finfib.posets import MonotoneMap, Poset, _bits, product
 from finfib.slices import SliceMap, as_slice
@@ -123,6 +128,226 @@ def rescan_reduce(x, kinds, picker, keep=0, fiber_vals=None):
     result = x.sub(x.names(alive))
     retraction = MonotoneMap(x, result, tuple(result.index[x.elements[cur[k]]] for k in range(x.n)))
     return ReductionTrace(x, result, tuple(removed), retraction)
+
+
+def scan_closed_map(p):
+    """Closedness p(F_e) = F_{p(e)} scanned on the up sets directly.
+
+    The scan ``verdict.is_closed_map`` replaced by openness of the
+    opposite map; same (passed, witness) result.
+    """
+    s = as_slice(p)
+    for ei, e in enumerate(s.total.elements):
+        got = 0
+        for j in _bits(s.total.above[ei]):
+            got |= 1 << s.map.vals[j]
+        miss = s.base.above[s.map.vals[ei]] & ~got
+        if miss:
+            b = s.base.elements[(miss & -miss).bit_length() - 1]
+            return False, {"e": e, "missing": b}
+    return True, None
+
+
+def fiberwise_down_fiber_nonempty(pc):
+    """First (e, b) with b <= p(e) and U_e missing the fiber over b, or None."""
+    for ei, e in enumerate(pc.total.elements):
+        pe = pc.map.vals[ei]
+        for bi in _bits(pc.base.below[pe]):
+            if not pc.total.below[ei] & pc.fiber_mask(pc.base.elements[bi]):
+                return {"e": e, "b": pc.base.elements[bi]}
+    return None
+
+
+def _linear_extension(p):
+    # |U_x| strictly grows along the order, so this sort is a linear
+    # extension, and it is deterministic.
+    return sorted(range(p.n), key=lambda i: (p.below[i].bit_count(), i))
+
+
+def rec_enumerate_monotone(dom, cod, cand, guard):
+    """Yield value tuples of monotone maps with per-element candidate masks.
+
+    The recursive enumerator ``posets.monotone_maps`` replaced, kept
+    verbatim as an oracle.  The guard is checked against the product
+    of candidate set sizes before any work happens.
+    """
+    if dom.n == 0:
+        yield ()
+        return
+    bound = 1
+    for m in cand:
+        bound *= m.bit_count()
+    if guard is not None and bound > guard:
+        raise GuardExceeded(bound, guard)
+    if bound == 0:
+        return
+    order = _linear_extension(dom)
+    pos_of = [0] * dom.n
+    for k, i in enumerate(order):
+        pos_of[i] = k
+    # strict lower covers of each element, as positions already assigned
+    lower = []
+    cover_dn = {e: dom.lower_covers(e) for e in dom.elements}
+    for i in order:
+        lower.append([dom.index[c] for c in cover_dn[dom.elements[i]]])
+    vals = [0] * dom.n
+    above = cod.above
+
+    def rec(k):
+        if k == dom.n:
+            yield tuple(vals)
+            return
+        i = order[k]
+        m = cand[i]
+        for j in lower[k]:
+            m &= above[vals[j]]
+        for v in _bits(m):
+            vals[i] = v
+            yield from rec(k + 1)
+
+    yield from rec(0)
+
+
+def rec_monotone_maps(dom, cod, guard=100_000, *, lower=None, upper=None, over=None, fixed=None):
+    """``posets.monotone_maps`` as it was over ``rec_enumerate_monotone``."""
+    full = (1 << cod.n) - 1
+    cand = [full] * dom.n
+    if lower is not None:
+        if lower.dom != dom or lower.cod != cod:
+            raise CodomainMismatch("lower bound must be a map dom -> cod")
+        for i in range(dom.n):
+            cand[i] &= cod.above[lower.vals[i]]
+    if upper is not None:
+        if upper.dom != dom or upper.cod != cod:
+            raise CodomainMismatch("upper bound must be a map dom -> cod")
+        for i in range(dom.n):
+            cand[i] &= cod.below[upper.vals[i]]
+    if over is not None:
+        p, q = over
+        if p.dom != dom or q.dom != cod or p.cod != q.cod:
+            raise CodomainMismatch("'over' needs p: dom -> B and q: cod -> B")
+        fibers = {}
+        for i, v in enumerate(q.vals):
+            fibers[v] = fibers.get(v, 0) | 1 << i
+        for i in range(dom.n):
+            cand[i] &= fibers.get(p.vals[i], 0)
+    if fixed:
+        for name, target in fixed.items():
+            cand[dom.idx(name)] &= 1 << cod.idx(target)
+    for vals in rec_enumerate_monotone(dom, cod, cand, guard):
+        yield MonotoneMap(dom, cod, vals)
+
+
+def _rec_cover_adjacency(p):
+    dn = [[] for _ in range(p.n)]
+    up = [[] for _ in range(p.n)]
+    for lo, hi in p.covers():
+        dn[p.index[hi]].append(p.index[lo])
+        up[p.index[lo]].append(p.index[hi])
+    return dn, up
+
+
+def repr_joint_labels(p, q, extra_p, extra_q):
+    """Structural labels refined jointly over both posets.
+
+    The nested-tuple refinement ``posets._joint_labels`` replaced,
+    canonicalised each round by sorting with ``key=repr``; kept as an
+    oracle for ``rec_isomorphisms``.
+    """
+
+    def initial(s, extra):
+        heights = s.heights()
+        depths = s.op().heights()
+        return [
+            (
+                s.below[i].bit_count(),
+                s.above[i].bit_count(),
+                heights[i],
+                depths[i],
+                None if extra is None else extra[i],
+            )
+            for i in range(s.n)
+        ]
+
+    lab_p = initial(p, extra_p)
+    lab_q = initial(q, extra_q)
+    dn_p, up_p = _rec_cover_adjacency(p)
+    dn_q, up_q = _rec_cover_adjacency(q)
+    for _ in range(p.n + q.n):
+        key_p = [
+            (lab_p[i], tuple(sorted(lab_p[j] for j in dn_p[i])), tuple(sorted(lab_p[j] for j in up_p[i])))
+            for i in range(p.n)
+        ]
+        key_q = [
+            (lab_q[i], tuple(sorted(lab_q[j] for j in dn_q[i])), tuple(sorted(lab_q[j] for j in up_q[i])))
+            for i in range(q.n)
+        ]
+        canon = {}
+        for k in sorted(set(key_p) | set(key_q), key=repr):
+            canon[k] = len(canon)
+        new_p = [canon[k] for k in key_p]
+        new_q = [canon[k] for k in key_q]
+        if new_p == lab_p and new_q == lab_q:
+            break
+        lab_p, lab_q = new_p, new_q
+    return lab_p, lab_q
+
+
+def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, budget=None):
+    """The recursive isomorphism search ``posets.isomorphisms`` replaced.
+
+    Kept verbatim as an oracle: same yield sequence, and the budget
+    runs out at the same attempted assignment.
+    """
+    if p.n != q.n:
+        return
+    if p.n == 0:
+        yield {}
+        return
+    lab_p, lab_q = repr_joint_labels(p, q, extra_p, extra_q)
+    if sorted(lab_p) != sorted(lab_q):
+        return
+    by_label = {}
+    for j, l in enumerate(lab_q):
+        by_label.setdefault(l, []).append(j)
+    # assign elements in order of rising candidate count, then index
+    order = sorted(range(p.n), key=lambda i: (len(by_label.get(lab_p[i], ())), i))
+    assigned = [-1] * p.n
+    used = 0
+    nodes = [0]
+
+    def rec(k):
+        nonlocal used
+        if k == p.n:
+            yield {p.elements[i]: q.elements[assigned[i]] for i in range(p.n)}
+            return
+        i = order[k]
+        for j in by_label.get(lab_p[i], ()):
+            if used >> j & 1:
+                continue
+            nodes[0] += 1
+            if budget is not None and nodes[0] > budget:
+                raise SearchBudgetExhausted(
+                    f"isomorphism search exceeded budget of {budget} nodes"
+                )
+            ok = True
+            for k2 in range(k):
+                i2 = order[k2]
+                j2 = assigned[i2]
+                if (p.below[i] >> i2 & 1) != (q.below[j] >> j2 & 1) or (
+                    p.below[i2] >> i & 1
+                ) != (q.below[j2] >> j & 1):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assigned[i] = j
+            used |= 1 << j
+            yield from rec(k + 1)
+            used &= ~(1 << j)
+            assigned[i] = -1
+
+    yield from rec(0)
 
 
 # -- random instance generators ----------------------------------------

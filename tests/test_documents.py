@@ -25,7 +25,7 @@ from finfib.documents import (
 )
 from finfib.errors import ParseError, UnknownGalleryId
 from finfib.gallery import gallery_map, gallery_poset
-from finfib.grothendieck import beta_functor, grothendieck_construction
+from finfib.grothendieck import PosetFunctor, beta_functor, grothendieck_construction
 from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base
 from finfib.slices import smallest_dbp_retract_of_map
 from finfib.verdict import (
@@ -86,6 +86,38 @@ def test_functor_doc_keys_use_the_pair_form():
     doc = functor_to_doc(d)
     for key in doc["transitions"]:
         assert "<=" in key
+
+
+def two_point_functor(lo, hi):
+    """Constant one-point functor over the chain lo < hi."""
+    point = Poset.antichain(["0"])
+    base = Poset.build([lo, hi], [(lo, hi)])
+    ident = MonotoneMap.identity(point)
+    return PosetFunctor.build(base, "covariant", {lo: point, hi: point}, {(lo, hi): ident})
+
+
+@pytest.mark.parametrize(
+    "lo, hi, bad", [("a<=x", "c", "a<=x"), (" a", "c", " a"), ("c", "a ", "a "), ("a\nb", "c", "a\nb")]
+)
+def test_functor_doc_names_the_base_element_its_keys_cannot_carry(lo, hi, bad):
+    with pytest.raises(ParseError, match=re.escape(f"base element {bad!r}")):
+        functor_to_doc(two_point_functor(lo, hi))
+
+
+_KEY_NAMES = st.lists(st.sampled_from(["a", "<", "=", "<=", " ", "\n"]), min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=_KEY_NAMES, hi=_KEY_NAMES)
+def test_functor_doc_refuses_or_round_trips(lo, hi):
+    if lo == hi:
+        return
+    d = two_point_functor(lo, hi)
+    try:
+        doc = functor_to_doc(d)
+    except ParseError:
+        return
+    assert functor_from_doc(json.loads(json.dumps(doc))) == d
 
 
 def test_retract_certificate_doc_round_trip():
@@ -178,6 +210,56 @@ def test_text_emitters_name_the_element_they_cannot_write(bad):
     for emit in (lambda: poset_to_text("X", p), lambda: map_to_text("f", MonotoneMap.identity(p))):
         with pytest.raises(ParseError, match=re.escape(f"element {bad!r}")):
             emit()
+
+
+@pytest.mark.parametrize("bad", ["my poset", "X{", "a#b", ""])
+def test_text_emitters_name_the_block_they_cannot_write(bad):
+    p = Poset.build(["x"], [])
+    f = MonotoneMap.identity(p)
+    for kind, emit in (
+        ("poset", lambda: poset_to_text(bad, p)),
+        ("map", lambda: map_to_text(bad, f)),
+        ("poset", lambda: map_to_text("f", f, dom_name=bad)),
+        ("poset", lambda: map_to_text("f", f, cod_name=bad)),
+    ):
+        with pytest.raises(ParseError, match=re.escape(f"{kind} name {bad!r}")):
+            emit()
+
+
+def test_map_text_refuses_poset_names_the_reader_resolves_elsewhere():
+    p, q = Poset.build(["x"], []), Poset.build(["y"], [])
+    # a poset header would read as a map header
+    with pytest.raises(ParseError, match=re.escape("poset name 'a:b->c'")):
+        poset_to_text("a:b->c", p)
+    with pytest.raises(ParseError, match="gallery reference"):
+        map_to_text("f", MonotoneMap.identity(p), dom_name="gallery:E1")
+    with pytest.raises(ParseError, match="both the domain and the codomain"):
+        map_to_text("f", MonotoneMap.constant(p, q, "y"), dom_name="P", cod_name="P")
+    same = MonotoneMap.identity(p)
+    assert parse_text(map_to_text("f", same, "P", "P"))[-1] == ("map", "f", same)
+
+
+_BLOCK_NAMES = st.lists(
+    st.sampled_from(["a", ":", "->", "{", "}", "#", " ", "gallery:"]) | st.characters(), max_size=4
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=_BLOCK_NAMES, dom_name=_BLOCK_NAMES, cod_name=_BLOCK_NAMES)
+def test_text_block_names_refuse_or_round_trip(name, dom_name, cod_name):
+    p, q = Poset.build(["x", "y"], [("x", "y")]), Poset.build(["b"], [])
+    try:
+        text = poset_to_text(name, p)
+    except ParseError:
+        pass
+    else:
+        assert parse_text(text) == [("poset", name, p)]
+    m = MonotoneMap.constant(p, q, "b")
+    try:
+        text = map_to_text(name, m, dom_name, cod_name)
+    except ParseError:
+        return
+    assert parse_text(text) == [("poset", dom_name, p), ("poset", cod_name, q), ("map", name, m)]
 
 
 def test_map_text_refuses_what_splits_a_map_entry():

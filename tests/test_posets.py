@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finfib.errors import (
     CodomainMismatch,
     CycleDetected,
     DuplicateName,
+    FinfibError,
     GuardExceeded,
     NotMonotone,
     UnknownElement,
@@ -26,7 +29,15 @@ from finfib.posets import (
     product,
     sub_poset,
 )
-from helpers import brute_iso, rand_monotone, rand_poset, seeded
+from helpers import (
+    brute_iso,
+    posets,
+    rand_monotone,
+    rand_poset,
+    rec_isomorphisms,
+    rec_monotone_maps,
+    seeded,
+)
 
 
 def diamond():
@@ -296,3 +307,97 @@ def test_empty_and_singleton_edge_cases():
     assert one.minimum() == "x"
     assert len(list(monotone_maps(e, one))) == 1
     assert len(list(monotone_maps(one, e))) == 0
+
+
+def run_out(gen, cap=200):
+    """What a search yields (at most ``cap`` items), and the error that stopped it."""
+    out = []
+    try:
+        for x in itertools.islice(gen, cap):
+            out.append(x.vals if isinstance(x, MonotoneMap) else x)
+    except FinfibError as exc:
+        return out, f"{type(exc).__name__}: {exc}"
+    return out, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=posets(max_size=8), data=st.data())
+def test_isomorphism_search_agrees_with_the_recursive_oracle(p, data):
+    # q is a relabeled copy in shuffled storage order, possibly with one
+    # relation pair toggled, or an unrelated poset
+    ren = {a: f"q{i}" for i, a in enumerate(p.elements)}
+    pairs = {(ren[a], ren[b]) for a, b in p.covers()}
+    q = Poset.build([ren[a] for a in data.draw(st.permutations(p.elements))], sorted(pairs))
+    shape = data.draw(st.sampled_from(["copy", "toggled", "unrelated"]))
+    if shape == "toggled" and q.n > 1:
+        # drop the cover a < b, or add it unless b < a already
+        a, b = data.draw(st.permutations(q.elements))[:2]
+        if (a, b) in pairs:
+            pairs.remove((a, b))
+        elif not q.le(b, a):
+            pairs.add((a, b))
+        q = Poset.build(q.elements, sorted(pairs))
+    elif shape == "unrelated":
+        q = data.draw(posets(max_size=8))
+    extra_p = extra_q = None
+    if data.draw(st.booleans()):
+        extra_p = data.draw(st.lists(st.integers(0, 1), min_size=p.n, max_size=p.n))
+        extra_q = data.draw(st.lists(st.integers(0, 1), min_size=q.n, max_size=q.n))
+    budget = data.draw(st.sampled_from([None, 1, 5, 20, 1000]))
+    kwargs = {"extra_p": extra_p, "extra_q": extra_q, "budget": budget}
+    assert run_out(isomorphisms(p, q, **kwargs)) == run_out(rec_isomorphisms(p, q, **kwargs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dom=posets(max_size=4), cod=posets(max_size=5), data=st.data())
+def test_monotone_maps_agree_with_the_recursive_oracle(dom, cod, data):
+    kwargs = {}
+    maps = list(rec_monotone_maps(dom, cod, None))
+    if maps and data.draw(st.booleans()):
+        kwargs["lower"] = data.draw(st.sampled_from(maps))
+    if maps and data.draw(st.booleans()):
+        kwargs["upper"] = data.draw(st.sampled_from(maps))
+    if data.draw(st.booleans()):
+        base = data.draw(posets(max_size=3))
+        over_dom = list(rec_monotone_maps(dom, base, None))
+        over_cod = list(rec_monotone_maps(cod, base, None))
+        if over_dom and over_cod:
+            kwargs["over"] = (data.draw(st.sampled_from(over_dom)), data.draw(st.sampled_from(over_cod)))
+    if cod.n and data.draw(st.booleans()):
+        pinned = data.draw(st.lists(st.sampled_from(dom.elements), unique=True)) if dom.n else []
+        kwargs["fixed"] = {a: data.draw(st.sampled_from(cod.elements)) for a in pinned}
+    guard = data.draw(st.none() | st.integers(0, 40))
+    got = run_out(monotone_maps(dom, cod, guard, **kwargs))
+    assert got == run_out(rec_monotone_maps(dom, cod, guard, **kwargs))
+
+
+def crowns(k, copies, prefix):
+    """Disjoint copies of the 2k-point crown: min i below max i and max i+1 mod k."""
+    names, pairs = [], []
+    for c in range(copies):
+        lo = [f"{prefix}{c}m{i}" for i in range(k)]
+        hi = [f"{prefix}{c}M{i}" for i in range(k)]
+        names += lo + hi
+        pairs += [(lo[i], hi[j % k]) for i in range(k) for j in (i, i + 1)]
+    return Poset.build(names, pairs)
+
+
+def test_the_budget_counts_refuted_candidates_where_refinement_cannot_split():
+    # every point of both posets gets one colour, so the search tries and
+    # refutes many values before it proves there is no isomorphism
+    one, two = crowns(4, 1, "a"), crowns(2, 2, "b")
+    assert run_out(isomorphisms(one, two)) == ([], None)
+    for budget in range(220):
+        got = run_out(isomorphisms(one, two, budget=budget))
+        assert got == run_out(rec_isomorphisms(one, two, budget=budget))
+    assert got[1] is None
+
+
+def test_a_shuffled_1500_chain_has_no_search_ceiling():
+    names = [f"c{i}" for i in range(1500)]
+    order = names[:]
+    seeded(61).shuffle(order)
+    c = Poset.build(order, list(zip(names, names[1:])))
+    assert find_isomorphism(c, c) == {a: a for a in names}
+    first = next(monotone_maps(c, c, None))
+    assert first == MonotoneMap.constant(c, c, c.elements[0])

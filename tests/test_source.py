@@ -6,12 +6,31 @@ from pathlib import Path
 import finfib
 
 
+def package_trees():
+    for path in sorted(Path(finfib.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements, so engine checks must raise
     # InvariantViolated instead
     found = []
-    for path in sorted(Path(finfib.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_function_calls_itself_by_name():
+    # the recursion limit must not set the size ceiling, so searches
+    # keep an explicit stack
+    found = []
+    for name, tree in package_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name:
+                    found.append(f"{name}:{node.lineno} {fn.name}")
     assert found == []

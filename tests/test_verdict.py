@@ -1,6 +1,8 @@
 """The Hurewicz decision pipeline, its conditions, and its certificates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finfib.errors import EmptyDomain, PreconditionViolated, SearchBudgetExhausted
 from finfib.gallery import gallery_map, gallery_poset
@@ -11,6 +13,7 @@ from finfib.stong import core, is_dbp_retract, smallest_dbp_retract
 from finfib.verdict import (
     CONDITION_NAMES,
     RetractCertificate,
+    _cond_down_fiber_nonempty,
     decide_hurewicz,
     is_closed_map,
     is_open_map,
@@ -21,12 +24,15 @@ from finfib.verdict import (
     verify_retract_certificate,
 )
 from helpers import (
+    fiberwise_down_fiber_nonempty,
     minimal_fiber_pool,
+    posets,
     rand_bundle,
     rand_fibration,
     rand_functor,
     rand_monotone,
     rand_poset,
+    scan_closed_map,
     seeded,
     shuffling_picker,
 )
@@ -368,6 +374,8 @@ def test_unknown_verdicts_carry_the_necessary_report():
         (comp,) = v.components
         assert comp.status == "unknown"
         assert tuple(c.name for c in comp.necessary.conditions) == CONDITION_NAMES
+        # the verdict reuses its own reduction instead of rerunning it
+        assert comp.necessary == necessary_conditions(gallery_map(pid))
 
 
 def test_verdict_on_random_bifibrations_never_contradicts_conditions():
@@ -379,3 +387,15 @@ def test_verdict_on_random_bifibrations_never_contradicts_conditions():
             assert rep.all_pass
         if not rep.all_pass:
             assert v.status == "not_fibration"
+
+
+@settings(max_examples=300, deadline=None)
+@given(total=posets(max_size=7), base=posets(max_size=4), seed=st.integers(0, 2**16))
+def test_open_and_closed_conditions_agree_with_their_direct_scans(total, base, seed):
+    # down_fiber_nonempty is openness restated fiberwise, and closedness
+    # is openness between the opposite spaces: same verdicts, same witnesses
+    if not base.n:
+        return
+    s = as_slice(rand_monotone(seeded(seed), total, base))
+    assert is_closed_map(s) == scan_closed_map(s)
+    assert _cond_down_fiber_nonempty(s) == fiberwise_down_fiber_nonempty(s)
