@@ -9,6 +9,7 @@ fibration, 1 = property fails / not a fibration, 2 = undecided,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -200,8 +201,7 @@ def _check_groth(args) -> int:
         if holds:
             lines.append(f"{label}: yes")
         else:
-            w = {"side": fail.side, "e": fail.e, "b": fail.b}
-            lines.append(f"{label}: no ({_lift_phrase(w)})")
+            lines.append(f"{label}: no ({_lift_phrase(fail.as_dict())})")
     lines.append(f"bifibration: {'yes' if rep.is_bifibration else 'no'}")
     if args.verbose:
         failures = [{"side": f.side, "e": f.e, "b": f.b, "reason": f.reason} for f in rep.failures]
@@ -369,7 +369,10 @@ def cmd_gallery(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: argparse looks sys.stdout/sys.stderr up
+    # when it prints, not when it is built
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--verbose", action="store_true", help="more detail")

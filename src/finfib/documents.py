@@ -147,12 +147,7 @@ def functor_from_doc(doc: Doc) -> PosetFunctor:
 
 
 def lift_failure_to_doc(f: Optional[LiftFailure]) -> Optional[dict]:
-    if f is None:
-        return None
-    doc = {"side": f.side, "e": f.e, "b": f.b, "reason": f.reason}
-    if f.stray is not None:
-        doc["stray"] = f.stray
-    return doc
+    return None if f is None else f.as_dict()
 
 
 def groth_to_doc(rep: GrothendieckReport) -> dict:
@@ -226,24 +221,21 @@ def retract_certificate_from_doc(doc: Doc, p: MapLike) -> RetractCertificate:
     )
 
 
+_POINT_KEYS = {
+    "minimum_base_bifibration": "minimum",
+    "height1_max_retract": "maximum",
+    "trivial_over_base": "fiber_of",
+}
+
+
 def certificate_to_doc(cert: Certificate) -> dict:
-    doc = {"kind": cert.kind}
-    data = cert.data
-    if "minimum" in data:
-        doc["minimum"] = data["minimum"]
-    if "maximum" in data:
-        doc["maximum"] = data["maximum"]
-    if "fiber_of" in data:
-        doc["fiber_of"] = data["fiber_of"]
-    if "iso" in data:
-        doc["iso"] = dict(data["iso"])
-    if "reduction" in data:
-        doc["reduction"] = map_reduction_to_doc(data["reduction"])
-    if "retract" in data:
-        doc["retract"] = retract_certificate_to_doc(data["retract"])
-    if "certificate" in data:
-        doc["retract"] = retract_certificate_to_doc(data["certificate"])
-    return doc
+    fields = (
+        (_POINT_KEYS.get(cert.kind), cert.point, str),
+        ("iso", cert.iso, dict),
+        ("reduction", cert.reduction, map_reduction_to_doc),
+        ("retract", cert.retract, retract_certificate_to_doc),
+    )
+    return {"kind": cert.kind} | {key: emit(v) for key, v, emit in fields if v is not None}
 
 
 def verdict_to_doc(v: Verdict) -> dict:

@@ -65,6 +65,13 @@ class LiftFailure:
     reason: str
     stray: Optional[str] = None
 
+    def as_dict(self) -> dict:
+        """{side, e, b, reason}, plus the stray extremum when there is one."""
+        d = {"side": self.side, "e": self.e, "b": self.b, "reason": self.reason}
+        if self.stray is not None:
+            d["stray"] = self.stray
+        return d
+
 
 def _lift(s: SliceMap, side: str, ei: int, bi: int, pre: int) -> tuple[Optional[int], Optional[str]]:
     """Index-level lift of total element ei over base element bi.

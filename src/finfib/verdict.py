@@ -73,18 +73,6 @@ def is_closed_map(p: MapLike) -> tuple[bool, Optional[dict]]:
     return is_open_map(as_slice(p).op())
 
 
-CONDITION_NAMES = (
-    "open_map",
-    "down_fiber_nonempty",
-    "down_fiber_contractible",
-    "up_reachability",
-    "reduced_bifibration",
-    "minimalE_implies_minimalB",
-    "Ed_inside_preimage_Bd",
-    "beat_point_dichotomy",
-)
-
-
 @dataclass(frozen=True)
 class ConditionResult:
     name: str
@@ -157,10 +145,7 @@ def _cond_up_reachability(pc: SliceMap) -> Optional[dict]:
 
 
 def _reduced_witness(red: MapReduction, rep: GrothendieckReport) -> dict:
-    fail = rep.fibration_failure or rep.opfibration_failure
-    w = {"side": fail.side, "e": fail.e, "b": fail.b, "reason": fail.reason}
-    if fail.stray is not None:
-        w["stray"] = fail.stray
+    w = (rep.fibration_failure or rep.opfibration_failure).as_dict()
     if red.trace.removed:
         w["removed"] = list(red.trace.removed)
     return w
@@ -224,6 +209,7 @@ _CONDITION_FUNCS = {
     "Ed_inside_preimage_Bd": _cond_ed_inside_preimage_bd,
     "beat_point_dichotomy": _cond_beat_point_dichotomy,
 }
+CONDITION_NAMES = tuple(_CONDITION_FUNCS)
 
 
 def necessary_conditions(p: MapLike) -> NecessaryReport:
@@ -242,8 +228,7 @@ def necessary_conditions(p: MapLike) -> NecessaryReport:
 def _evaluate_conditions(comps: Sequence[SliceMap], passed: tuple[str, ...] = ()) -> NecessaryReport:
     """Run every condition over the components; those in ``passed`` are known to pass."""
     results = []
-    for name in CONDITION_NAMES:
-        func = _CONDITION_FUNCS[name]
+    for name, func in _CONDITION_FUNCS.items():
         witness = None
         for pc in comps if name not in passed else ():
             w = func(pc)
@@ -384,31 +369,31 @@ def is_trivial_over_base(p: MapLike, budget: Optional[int] = None) -> Optional[d
 
 
 def _all_labeled_posets(names: tuple[str, ...]):
-    """Every partial order on the given labeled elements."""
+    """Every partial order on the given labeled elements.
+
+    Each element's up-set runs over the subsets of the others, counted
+    in binary with the lowest other index as the top bit, and element 0
+    varies slowest: the order of a scan over the relation pairs (i, j),
+    i != j, row-major and absent before present.
+    """
     n = len(names)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for choice in iproduct((False, True), repeat=len(pairs)):
-        rel = [[i == j for j in range(n)] for i in range(n)]
-        ok = True
-        for (i, j), on in zip(pairs, choice):
-            if on:
-                rel[i][j] = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and rel[i][j] and rel[j][i]:
-                    ok = False
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if rel[i][j] and rel[j][k] and not rel[i][k]:
-                        ok = False
-        if not ok:
+    ups = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        ups.append([
+            (1 << i) | sum(1 << j for t, j in enumerate(others) if v >> (n - 2 - t) & 1)
+            for v in range(1 << (n - 1))
+        ])
+    for above in iproduct(*ups):
+        # an order: whatever lies strictly above i has its up-set inside
+        # i's strict up-set (transitive, and never back down to i)
+        strict = [row & ~(1 << i) for i, row in enumerate(above)]
+        if any(above[j] & ~strict[i] for i in range(n) for j in _bits(strict[i])):
             continue
         below = [0] * n
-        for j in range(n):
-            for i in range(n):
-                if rel[i][j]:
-                    below[j] |= 1 << i
+        for i, row in enumerate(above):
+            for j in _bits(row):
+                below[j] |= 1 << i
         yield Poset(names, below)
 
 
@@ -450,10 +435,22 @@ def search_retract_certificate(
 
 @dataclass(frozen=True)
 class Certificate:
-    """A machine-checkable reason a verdict is Fibration."""
+    """A machine-checkable reason a verdict is Fibration.
+
+    ``point`` is the base minimum (minimum_base_bifibration), the base
+    maximum (height1_max_retract) or the base point whose fiber is F
+    (trivial_over_base); ``reduction`` is the down-beat-point reduction
+    p0 the certificate speaks about, ``iso`` the isomorphism of p0 with
+    B x F over B, and ``retract`` presents p0 (or, for explicit_retract,
+    the map itself) as a retract of a projection.  A field the kind
+    does not use is None.
+    """
 
     kind: str  # minimum_base_bifibration | height1_max_retract | trivial_over_base | explicit_retract
-    data: dict
+    point: Optional[str] = None
+    reduction: Optional[MapReduction] = None
+    iso: Optional[dict] = None
+    retract: Optional[RetractCertificate] = None
 
 
 @dataclass(frozen=True)
@@ -509,16 +506,11 @@ def _decide_component(pc: SliceMap, budget: Optional[int]) -> ComponentVerdict:
         w["component"] = list(comp)
         return ComponentVerdict(comp, "not_fibration", witness=w)
     if pc.base.minimum() is not None:
-        cert = Certificate(
-            "minimum_base_bifibration",
-            {"minimum": pc.base.minimum(), "reduction": red, "classification": rep},
-        )
+        cert = Certificate("minimum_base_bifibration", pc.base.minimum(), red)
         return ComponentVerdict(comp, "fibration", certificate=cert)
     if pc.base.maximum() is not None and pc.base.height() <= 1:
-        retract = projection_retract_height1(red.reduced)
         cert = Certificate(
-            "height1_max_retract",
-            {"maximum": pc.base.maximum(), "reduction": red, "retract": retract},
+            "height1_max_retract", pc.base.maximum(), red, retract=projection_retract_height1(red.reduced)
         )
         return ComponentVerdict(comp, "fibration", certificate=cert)
     trivial_exhausted = False
@@ -528,10 +520,7 @@ def _decide_component(pc: SliceMap, budget: Optional[int]) -> ComponentVerdict:
         triv = None
         trivial_exhausted = True
     if triv is not None:
-        cert = Certificate(
-            "trivial_over_base",
-            {"fiber_of": triv["fiber_of"], "iso": triv["iso"], "reduction": red},
-        )
+        cert = Certificate("trivial_over_base", triv["fiber_of"], red, iso=triv["iso"])
         return ComponentVerdict(comp, "fibration", certificate=cert)
     # red was just classified as a bifibration
     report = _evaluate_conditions([pc], passed=("reduced_bifibration",))
@@ -569,7 +558,7 @@ def decide_hurewicz(
         if certificate is not None:
             ok, _ = verify_retract_certificate(s, certificate)
             if ok:
-                cert = Certificate("explicit_retract", {"certificate": certificate})
+                cert = Certificate("explicit_retract", retract=certificate)
                 return Verdict("fibration", parts, skipped, certificate=cert)
         first = next(c for c in parts if c.status == "unknown")
         return Verdict("unknown", parts, skipped, witness=first.witness)

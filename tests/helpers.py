@@ -158,6 +158,39 @@ def fiberwise_down_fiber_nonempty(pc):
     return None
 
 
+def matrix_labeled_posets(names):
+    """Every partial order on the labeled elements, by filtering relation sets.
+
+    The k x k matrix scan ``verdict._all_labeled_posets`` replaced; it
+    yields the same posets in the same order.
+    """
+    n = len(names)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for choice in itertools.product((False, True), repeat=len(pairs)):
+        rel = [[i == j for j in range(n)] for i in range(n)]
+        ok = True
+        for (i, j), on in zip(pairs, choice):
+            if on:
+                rel[i][j] = True
+        for i in range(n):
+            for j in range(n):
+                if i != j and rel[i][j] and rel[j][i]:
+                    ok = False
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if rel[i][j] and rel[j][k] and not rel[i][k]:
+                        ok = False
+        if not ok:
+            continue
+        below = [0] * n
+        for j in range(n):
+            for i in range(n):
+                if rel[i][j]:
+                    below[j] |= 1 << i
+        yield Poset(names, below)
+
+
 def _linear_extension(p):
     # |U_x| strictly grows along the order, so this sort is a linear
     # extension, and it is deterministic.

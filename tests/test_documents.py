@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfib.documents import (
+    certificate_to_doc,
     detect_doc_kind,
     functor_from_doc,
     functor_to_doc,
@@ -26,7 +27,7 @@ from finfib.documents import (
 from finfib.errors import ParseError, UnknownGalleryId
 from finfib.gallery import gallery_map, gallery_poset
 from finfib.grothendieck import PosetFunctor, beta_functor, grothendieck_construction
-from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base
+from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base, product
 from finfib.slices import smallest_dbp_retract_of_map
 from finfib.verdict import (
     decide_hurewicz,
@@ -35,6 +36,7 @@ from finfib.verdict import (
     verify_retract_certificate,
 )
 from helpers import posets, rand_functor, rand_monotone, rand_poset, seeded
+from test_verdict import identity_product_certificate
 
 
 def test_poset_doc_round_trip():
@@ -146,6 +148,29 @@ def test_verdict_doc_shapes():
     necessary = doc["components"][0]["necessary"]
     assert all(v["passed"] for v in necessary.values())
     json.dumps(doc)  # serializable all the way down
+
+
+def test_certificate_docs_write_each_kind_s_fields_in_order():
+    fib = Poset.chain(["0", "1"])
+    vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    fence = Poset.build(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
+    crown = gallery_poset("B5")
+    cases = [
+        (gallery_map("p1"), {}, "minimum_base_bifibration", ["minimum", "reduction"]),
+        (product(vee, fib)[1], {}, "height1_max_retract", ["maximum", "reduction", "retract"]),
+        (product(fence, fib)[1], {}, "trivial_over_base", ["fiber_of", "iso", "reduction"]),
+        (
+            product(crown, fib)[1],
+            {"budget": 0, "certificate": identity_product_certificate(crown, fib)},
+            "explicit_retract",
+            ["retract"],
+        ),
+    ]
+    for m, kwargs, kind, keys in cases:
+        doc = certificate_to_doc(decide_hurewicz(m, **kwargs).certificate)
+        assert list(doc) == ["kind", *keys]
+        assert doc["kind"] == kind
+        assert json.loads(json.dumps(doc)) == doc
 
 
 def test_necessary_doc_contains_every_condition():

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import finfib
@@ -33,4 +34,27 @@ def test_no_function_calls_itself_by_name():
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == fn.name:
                     found.append(f"{name}:{node.lineno} {fn.name}")
+    assert found == []
+
+
+def _name_of(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_every_private_definition_is_used():
+    # a private helper that nothing names any more has outlived its callers
+    trees = dict(package_trees())
+    uses = Counter(_name_of(node) for tree in trees.values() for node in ast.walk(tree))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            inside = sum(_name_of(sub) == node.name for sub in ast.walk(node))
+            if node.name.startswith("_") and uses[node.name] == inside:
+                found.append(f"{module}:{node.lineno} {node.name}")
     assert found == []

@@ -13,6 +13,7 @@ from finfib.stong import core, is_dbp_retract, smallest_dbp_retract
 from finfib.verdict import (
     CONDITION_NAMES,
     RetractCertificate,
+    _all_labeled_posets,
     _cond_down_fiber_nonempty,
     decide_hurewicz,
     is_closed_map,
@@ -25,6 +26,7 @@ from finfib.verdict import (
 )
 from helpers import (
     fiberwise_down_fiber_nonempty,
+    matrix_labeled_posets,
     minimal_fiber_pool,
     posets,
     rand_bundle,
@@ -116,6 +118,19 @@ def test_necessary_conditions_on_gallery_maps():
     )
 
 
+def test_condition_names_keep_their_order():
+    assert CONDITION_NAMES == (
+        "open_map",
+        "down_fiber_nonempty",
+        "down_fiber_contractible",
+        "up_reachability",
+        "reduced_bifibration",
+        "minimalE_implies_minimalB",
+        "Ed_inside_preimage_Bd",
+        "beat_point_dichotomy",
+    )
+
+
 def test_condition_report_shape():
     rep = necessary_conditions(gallery_map("p2"))
     assert tuple(c.name for c in rep.conditions) == CONDITION_NAMES
@@ -189,7 +204,7 @@ def test_verdicts_on_gallery_maps():
     v = decide_hurewicz(gallery_map("p1"))
     assert v.status == "fibration"
     assert v.certificate.kind == "minimum_base_bifibration"
-    assert v.certificate.data["minimum"] == "a"
+    assert v.certificate.point == "a"
     assert v.exit_code == 0
 
     v = decide_hurewicz(gallery_map("p1op"))
@@ -214,7 +229,7 @@ def test_verdicts_on_gallery_maps():
 
     v = decide_hurewicz(gallery_map("pi_sierpinski"))
     assert v.status == "fibration"
-    assert v.certificate.data["minimum"] == "0"
+    assert v.certificate.point == "0"
 
     v = decide_hurewicz(gallery_map("p5_minimal_bifib"))
     assert v.status == "unknown"
@@ -337,6 +352,18 @@ def test_certificate_search_finds_small_witnesses():
     assert cert is not None
     assert verify_retract_certificate(p1red, cert)[0]
     assert cert.y.n <= 2
+
+
+def test_labeled_posets_match_the_matrix_scan():
+    # the retract search returns the first certificate it meets, so the
+    # posets must come in the old order, not just as the same set
+    counts = []
+    for k in range(5):
+        names = tuple(f"y{t}" for t in range(k))
+        got = list(_all_labeled_posets(names))
+        assert got == list(matrix_labeled_posets(names))
+        counts.append(len(got))
+    assert counts == [1, 1, 3, 19, 219]
 
 
 def test_certificate_search_exhausts_on_the_undecided_example():
