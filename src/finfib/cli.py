@@ -204,7 +204,7 @@ def _check_groth(args) -> int:
             lines.append(f"{label}: no ({_lift_phrase(fail.as_dict())})")
     lines.append(f"bifibration: {'yes' if rep.is_bifibration else 'no'}")
     if args.verbose:
-        failures = [{"side": f.side, "e": f.e, "b": f.b, "reason": f.reason} for f in rep.failures]
+        failures = [f.as_dict() for f in rep.failures]
         doc["all_failures"] = failures
         for f in failures:
             lines.append("  " + _lift_phrase(f) + f" [{f['reason']}]")

@@ -55,10 +55,17 @@ def poset_from_doc(doc: Doc) -> Poset:
         raise ParseError("'covers' must be a list of pairs")
     pairs = []
     for c in covers:
-        if not (isinstance(c, (list, tuple)) and len(c) == 2):
-            raise ParseError(f"cover {c!r} is not a pair")
+        if not (isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(x, str) for x in c)):
+            raise ParseError(f"cover {c!r} is not a pair of names")
         pairs.append((c[0], c[1]))
     return Poset.build(elements, pairs)
+
+
+def _element_map(doc: Doc, field: str) -> dict[str, str]:
+    """``doc`` as a name -> name mapping; ParseError if it is not one."""
+    if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
+        raise ParseError(f"{field} must be an object mapping elements to elements")
+    return doc
 
 
 def _resolve_poset(doc: Doc, field: str) -> Poset:
@@ -89,10 +96,7 @@ def map_from_doc(doc: Doc) -> MonotoneMap:
             raise ParseError(f"map document needs a {key!r} field")
     dom = _resolve_poset(doc["domain"], "domain")
     cod = _resolve_poset(doc["codomain"], "codomain")
-    values = doc["values"]
-    if not isinstance(values, dict):
-        raise ParseError("'values' must be an object mapping elements to elements")
-    return MonotoneMap.build(dom, cod, values)
+    return MonotoneMap.build(dom, cod, _element_map(doc["values"], "'values'"))
 
 
 _PAIR_KEY = re.compile(r"^(.*?)<=(.*)$")
@@ -133,8 +137,11 @@ def functor_from_doc(doc: Doc) -> PosetFunctor:
     if not isinstance(fibers_doc, dict):
         raise ParseError("'fibers' must map base elements to posets")
     fibers = {b: _resolve_poset(f, f"fibers[{b}]") for b, f in fibers_doc.items()}
+    transitions_doc = doc.get("transitions", {})
+    if not isinstance(transitions_doc, dict):
+        raise ParseError("'transitions' must map 'b<=b2' keys to element mappings")
     transitions = {}
-    for key, mapping in doc.get("transitions", {}).items():
+    for key, mapping in transitions_doc.items():
         m = _PAIR_KEY.match(key)
         if not m:
             raise ParseError(f"transition key {key!r} must look like 'b<=b2'")
@@ -142,6 +149,7 @@ def functor_from_doc(doc: Doc) -> PosetFunctor:
         if lo not in fibers or hi not in fibers:
             raise ParseError(f"transition {key!r} names an unknown base element")
         src, dst = (lo, hi) if variance == "covariant" else (hi, lo)
+        mapping = _element_map(mapping, f"transition {key!r}")
         transitions[(lo, hi)] = MonotoneMap.build(fibers[src], fibers[dst], mapping)
     return PosetFunctor.build(base, variance, fibers, transitions)
 

@@ -30,6 +30,7 @@ from .posets import (
     MonotoneMap,
     Poset,
     _bits,
+    _extremum,
     find_isomorphism_over_base,
     pair_name,
     product,
@@ -81,12 +82,12 @@ def _lift(s: SliceMap, side: str, ei: int, bi: int, pre: int) -> tuple[Optional[
     must sit over b.  Returns (transport, None) on success, otherwise
     (stray, reason) with stray the extremum outside the fiber or None.
     """
-    cone, ext = (s.total.below, "maximum") if side == "cartesian" else (s.total.above, "minimum")
-    m = cone[ei] & pre
-    for i in _bits(m):
-        if m & ~cone[i] == 0:
-            return i, None if s.map.vals[i] == bi else f"{ext}_outside_fiber"
-    return None, f"no_{ext}"
+    t = s.total
+    rows, co, ext = (t.below, t.above, "maximum") if side == "cartesian" else (t.above, t.below, "minimum")
+    i = _extremum(rows, co, rows[ei] & pre)
+    if i is None:
+        return None, f"no_{ext}"
+    return i, None if s.map.vals[i] == bi else f"{ext}_outside_fiber"
 
 
 def _single_lift(p: MapLike, e: str, b: str, side: str) -> LiftOutcome:
@@ -97,7 +98,7 @@ def _single_lift(p: MapLike, e: str, b: str, side: str) -> LiftOutcome:
     if not rows[s.map.vals[ei]] >> bi & 1:
         rel = "<=" if side == "cartesian" else ">="
         raise PreconditionViolated(f"{side} lift needs {b!r} {rel} p({e!r})")
-    i, reason = _lift(s, side, ei, bi, s.map.preimage_mask(rows[bi]))
+    i, reason = _lift(s, side, ei, bi, s.preimage(rows[bi]))
     if reason is None:
         return LiftOutcome(s.total.elements[i])
     return LiftOutcome(None, reason, None if i is None else s.total.elements[i])
@@ -248,16 +249,18 @@ def _scan_lifts(
 ) -> tuple[list[LiftFailure], dict[tuple[int, int], int]]:
     """Every lift on one side: all failures and the transport table.
 
-    Transport indices are recorded for every total element e and every
-    base element strictly below (cartesian) or above (cocartesian)
-    p(e); failures are listed e-major, base-index-minor.
+    The table maps index pairs (e, b) to the lift of e over b wherever it
+    exists, for b in U_p(e) (cartesian) or F_p(e) (cocartesian); the
+    trivial lift over p(e) is e itself, recorded without a search.
+    Failures are listed e-major, base-index-minor.
     """
     total, base, vals = s.total, s.base, s.map.vals
     rows = base.below if side == "cartesian" else base.above
-    pre = [s.map.preimage_mask(row) for row in rows]
+    pre = [s.preimage(row) for row in rows]
     failures: list[LiftFailure] = []
     transports: dict[tuple[int, int], int] = {}
     for ei in range(total.n):
+        transports[(ei, vals[ei])] = ei
         for bi in _bits(rows[vals[ei]] & ~(1 << vals[ei])):
             i, reason = _lift(s, side, ei, bi, pre[bi])
             if reason is None:
@@ -285,21 +288,17 @@ def _transport_functor(s: SliceMap, side: str, transports: dict[tuple[int, int],
     cocartesian ones a covariant functor (beta); fibers carry their
     order as subspaces of the total space.
     """
-    total, base, vals = s.total, s.base, s.map.vals
+    total, base = s.total, s.base
     fibers = {b: s.fiber(b) for b in base.elements}
     transitions: dict[tuple[str, str], MonotoneMap] = {}
     for bi, b in enumerate(base.elements):
         for vi in _bits(base.below[bi] & ~(1 << bi)):
             v = base.elements[vi]
-            if side == "cartesian":
-                src, dst = fibers[b], fibers[v]
-                key = lambda ei: (ei, vi)
-            else:
-                src, dst = fibers[v], fibers[b]
-                key = lambda ei: (ei, bi)
-            tvals = tuple(
-                dst.index[total.elements[transports[key(total.index[x])]]] for x in src.elements
-            )
+            # cartesian transport runs down from b to v, cocartesian up from v to b
+            src, dst, to = (b, v, vi) if side == "cartesian" else (v, b, bi)
+            src, dst = fibers[src], fibers[dst]
+            lifts = (transports[(total.index[x], to)] for x in src.elements)
+            tvals = tuple(dst.index[total.elements[k]] for k in lifts)
             transitions[(v, b)] = MonotoneMap(src, dst, tvals)
     variance = "contravariant" if side == "cartesian" else "covariant"
     return PosetFunctor(base, variance, fibers, transitions)
@@ -310,10 +309,11 @@ class GrothendieckReport:
     """Classification of a map on both lift sides.
 
     ``failures`` lists every failing lift, e-major, cartesian before
-    cocartesian for one e, base-index-minor.  ``alpha`` (contravariant
-    transport) is present iff the map is a Grothendieck fibration,
-    ``beta`` (covariant) iff an opfibration; both are built on first
-    access.
+    cocartesian for one e, base-index-minor.  ``cartesian`` and
+    ``cocartesian`` hold the two transport tables ``_scan_lifts`` built.
+    ``alpha`` (contravariant transport) is present iff the map is a
+    Grothendieck fibration, ``beta`` (covariant) iff an opfibration;
+    both are built from the tables on first access.
     """
 
     is_fibration: bool
@@ -322,6 +322,8 @@ class GrothendieckReport:
     opfibration_failure: Optional[LiftFailure] = None
     failures: tuple[LiftFailure, ...] = ()
     slice_map: Optional[SliceMap] = field(default=None, compare=False, repr=False)
+    cartesian: dict[tuple[int, int], int] = field(default_factory=dict, compare=False, repr=False)
+    cocartesian: dict[tuple[int, int], int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def is_bifibration(self) -> bool:
@@ -329,11 +331,15 @@ class GrothendieckReport:
 
     @cached_property
     def alpha(self) -> Optional[PosetFunctor]:
-        return alpha_functor(self.slice_map) if self.is_fibration else None
+        if not self.is_fibration:
+            return None
+        return _transport_functor(self.slice_map, "cartesian", self.cartesian)
 
     @cached_property
     def beta(self) -> Optional[PosetFunctor]:
-        return beta_functor(self.slice_map) if self.is_opfibration else None
+        if not self.is_opfibration:
+            return None
+        return _transport_functor(self.slice_map, "cocartesian", self.cocartesian)
 
 
 def classify_grothendieck(p: MapLike) -> GrothendieckReport:
@@ -343,11 +349,12 @@ def classify_grothendieck(p: MapLike) -> GrothendieckReport:
     index order on each failing side.
     """
     s = as_slice(p)
-    cart, _ = _scan_lifts(s, "cartesian")
-    cocart, _ = _scan_lifts(s, "cocartesian")
+    cart, cart_table = _scan_lifts(s, "cartesian")
+    cocart, cocart_table = _scan_lifts(s, "cocartesian")
     failures = tuple(sorted(cart + cocart, key=lambda f: s.total.idx(f.e)))
     return GrothendieckReport(
-        not cart, not cocart, cart[0] if cart else None, cocart[0] if cocart else None, failures, s
+        not cart, not cocart, cart[0] if cart else None, cocart[0] if cocart else None,
+        failures, s, cart_table, cocart_table,
     )
 
 
@@ -497,11 +504,7 @@ def lower_lift(p: MapLike, f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
     if not g.le(f.then(s.map)):
         raise PreconditionViolated("g <= p o f must hold pointwise")
     cart = _transports(s, "cartesian")
-    vals = []
-    for i in range(f.dom.n):
-        ei, bi = f.vals[i], g.vals[i]
-        vals.append(ei if s.map.vals[ei] == bi else cart[(ei, bi)])
-    h = MonotoneMap(f.dom, s.total, tuple(vals))
+    h = MonotoneMap(f.dom, s.total, tuple(cart[(ei, bi)] for ei, bi in zip(f.vals, g.vals)))
     if not (h.le(f) and h.then(s.map) == g):
         raise InvariantViolated("lower lift is not below f or not over g")
     return h

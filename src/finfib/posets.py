@@ -38,6 +38,26 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _extremum(rows: Sequence[int], co: Sequence[int], m: int) -> Optional[int]:
+    """The element of mask m whose row holds all of m, or None.
+
+    With rows = below and co = above this is the maximum of m, with
+    rows = above and co = below its minimum.  The extremum lies beyond
+    every point of m, so each probe that is not it cuts the search down
+    to the points strictly beyond the probe.  Probes take the lowest and
+    the highest remaining index in turn, which finds the extremum within
+    two probes when the indices follow a linear extension or its reverse.
+    """
+    cand, low = m, True
+    while cand:
+        w = ((cand & -cand) if low else cand).bit_length() - 1
+        if not m & ~rows[w]:
+            return w
+        cand &= co[w] & ~(1 << w)
+        low = not low
+    return None
+
+
 class Poset:
     """Finite poset with named elements.
 
@@ -232,16 +252,12 @@ class Poset:
         return self.min_of_mask(self.mask(names))
 
     def max_of_mask(self, m: int) -> Optional[str]:
-        for i in _bits(m):
-            if m & ~self.below[i] == 0:
-                return self.elements[i]
-        return None
+        i = _extremum(self.below, self.above, m)
+        return None if i is None else self.elements[i]
 
     def min_of_mask(self, m: int) -> Optional[str]:
-        for i in _bits(m):
-            if m & ~self.above[i] == 0:
-                return self.elements[i]
-        return None
+        i = _extremum(self.above, self.below, m)
+        return None if i is None else self.elements[i]
 
     def maximum(self) -> Optional[str]:
         return self.max_of_mask((1 << self.n) - 1) if self.n else None
@@ -466,13 +482,6 @@ class MonotoneMap:
     def op(self) -> "MonotoneMap":
         """The same function, seen between the opposite posets."""
         return MonotoneMap(self.dom.op(), self.cod.op(), self.vals)
-
-    def preimage_mask(self, cod_mask: int) -> int:
-        m = 0
-        for i, v in enumerate(self.vals):
-            if cod_mask >> v & 1:
-                m |= 1 << i
-        return m
 
 
 def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:

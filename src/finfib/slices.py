@@ -28,7 +28,7 @@ from .posets import (
     hom_over_base,
     monotone_maps,
 )
-from .stong import Picker, ReductionTrace, _beat_candidates, _reduce
+from .stong import Picker, ReductionTrace, _reduce, _witnesses
 
 
 class SliceMap:
@@ -77,6 +77,11 @@ class SliceMap:
 
     def fiber_mask(self, b: str) -> int:
         return self._fiber_masks.get(self.base.idx(b), 0)
+
+    def preimage(self, base_mask: int) -> int:
+        """Mask of the total-space points over the base points in base_mask."""
+        # the fibers are disjoint, so their sum is their union
+        return sum(fm for bi, fm in self._fiber_masks.items() if base_mask >> bi & 1)
 
     def fiber_elements(self, b: str) -> tuple[str, ...]:
         return self.total.names(self.fiber_mask(b))
@@ -133,13 +138,7 @@ def map_beat_points(p: MapLike) -> MapBeatPointReport:
     down set inside the fiber, and dually for up beat points.
     """
     s = as_slice(p)
-    x = s.total
-    alive = (1 << x.n) - 1
-    down: dict[str, str] = {}
-    up: dict[str, str] = {}
-    for i, kind, wi in _beat_candidates(x, alive, ("down", "up"), fiber_vals=s.map.vals):
-        (down if kind == "down" else up)[x.elements[i]] = x.elements[wi]
-    return MapBeatPointReport(down, up)
+    return MapBeatPointReport(*_witnesses(s.total, s.map.vals))
 
 
 def is_minimal_map(p: MapLike) -> bool:
@@ -206,10 +205,7 @@ def restrict_over(p: MapLike, base_part: Iterable[str]) -> SliceMap:
     """Restrict a map to the preimage of a subset of the base."""
     s = as_slice(p)
     part = s.base.sub(base_part)
-    pre = 0
-    for name in part.elements:
-        pre |= s.fiber_mask(name)
-    sub_total = s.total.sub(s.total.names(pre))
+    sub_total = s.total.sub(s.total.names(s.preimage(s.base.mask(part.elements))))
     vals = tuple(part.index[s.map(e)] for e in sub_total.elements)
     return SliceMap(MonotoneMap(sub_total, part, vals))
 

@@ -21,6 +21,7 @@ from .posets import (
     MonotoneMap,
     Poset,
     _bits,
+    _extremum,
     find_isomorphism,
     hom_poset,
     monotone_maps,
@@ -76,29 +77,6 @@ class ReductionTrace:
         )
 
 
-def _extremum(x: Poset, kind: str, alive: int, i: int) -> Optional[int]:
-    """Beat-point witness of ``i`` in the subspace induced on ``alive``.
-
-    For kind "down" this is the max of the strict down set of i, for
-    "up" the min of its strict up set; None when there is none.  The
-    extremum lies beyond every point of the set, so each probe that is
-    not it cuts the search down to the points beyond the probe.  Probes
-    take the lowest and the highest remaining index in turn, which
-    finds the extremum within two probes when the indices follow a
-    linear extension or its reverse.
-    """
-    rows, co = (x.below, x.above) if kind == "down" else (x.above, x.below)
-    strict = rows[i] & alive & ~(1 << i)
-    cand, low = strict, True
-    while cand:
-        w = ((cand & -cand) if low else cand).bit_length() - 1
-        if not strict & ~rows[w]:
-            return w
-        cand &= co[w] & ~(1 << w)
-        low = not low
-    return None
-
-
 def _beat_candidates(
     x: Poset, alive: int, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]] = None
 ) -> list[tuple[int, str, int]]:
@@ -111,20 +89,25 @@ def _beat_candidates(
     """
     out = []
     for kind in kinds:
+        rows, co = (x.below, x.above) if kind == "down" else (x.above, x.below)
         for i in _bits(alive):
-            wi = _extremum(x, kind, alive, i)
+            wi = _extremum(rows, co, rows[i] & alive & ~(1 << i))
             if wi is not None and (fiber_vals is None or fiber_vals[wi] == fiber_vals[i]):
                 out.append((i, kind, wi))
     return out
 
 
-def beat_points(x: Poset) -> BeatPointReport:
-    alive = (1 << x.n) - 1
-    down = {}
-    up = {}
-    for i, kind, wi in _beat_candidates(x, alive, ("down", "up")):
+def _witnesses(x: Poset, fiber_vals: Optional[Sequence[int]] = None) -> tuple[dict, dict]:
+    """Down and up beat points of x by name, each mapped to its witness."""
+    down: dict[str, str] = {}
+    up: dict[str, str] = {}
+    for i, kind, wi in _beat_candidates(x, (1 << x.n) - 1, ("down", "up"), fiber_vals):
         (down if kind == "down" else up)[x.elements[i]] = x.elements[wi]
-    return BeatPointReport(down, up)
+    return down, up
+
+
+def beat_points(x: Poset) -> BeatPointReport:
+    return BeatPointReport(*_witnesses(x))
 
 
 def _reduce(
@@ -149,6 +132,7 @@ def _reduce(
     alive = (1 << n) - 1
     removable = alive & ~keep
     ks = range(len(kinds))
+    cones = [(x.below, x.above) if kind == "down" else (x.above, x.below) for kind in kinds]
     wit: list[list[Optional[int]]] = [[None] * n for _ in ks]
     witnessed = [[0] * n for _ in ks]  # witnessed[k][w]: points whose witness is w
     lonely = [0 for _ in ks]  # alive points without a witness
@@ -164,7 +148,8 @@ def _reduce(
     def examine(k: int, j: int) -> None:
         forget(k, j)
         bit = 1 << j
-        w = wit[k][j] = _extremum(x, kinds[k], alive, j)
+        rows, co = cones[k]
+        w = wit[k][j] = _extremum(rows, co, rows[j] & alive & ~bit)
         if w is None:
             lonely[k] |= bit
             return
@@ -192,8 +177,7 @@ def _reduce(
         steps.append((i, k, wit[k][i]))
         for k in ks:
             forget(k, i)
-            co = x.above if kinds[k] == "down" else x.below
-            for j in _bits((co[i] & lonely[k]) | witnessed[k][i]):
+            for j in _bits((cones[k][1][i] & lonely[k]) | witnessed[k][i]):
                 examine(k, j)
     to = list(range(n))
     for i, _, wi in reversed(steps):

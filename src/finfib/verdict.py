@@ -15,14 +15,14 @@ with a concrete witness when it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .errors import EmptyDomain, InvariantViolated, PreconditionViolated, SearchBudgetExhausted
 from .grothendieck import (
     GrothendieckReport,
-    _scan_lifts,
+    _scan_lifts,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     classify_grothendieck,
 )
 from .posets import (
@@ -173,8 +173,7 @@ def _cond_minimal_e_implies_minimal_b(pc: SliceMap) -> Optional[dict]:
 def _cond_ed_inside_preimage_bd(pc: SliceMap) -> Optional[dict]:
     ed = smallest_dbp_retract(pc.total).result
     bd = smallest_dbp_retract(pc.base).result
-    pre_mask = pc.map.preimage_mask(pc.base.mask(bd.elements))
-    pre_names = pc.total.names(pre_mask)
+    pre_names = pc.total.names(pc.preimage(pc.base.mask(bd.elements)))
     allowed = set(pre_names)
     for x in ed.elements:
         if x not in allowed:
@@ -292,17 +291,19 @@ def verify_retract_certificate(
     return True, None
 
 
-def projection_retract_height1(p0: MapLike) -> RetractCertificate:
+def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     """Constructive retract certificate over a height <= 1 base with maximum.
 
-    With X = B and Y = E, the section is i(e) = (p(e), e).  The
-    retraction first pushes (b, e) up into the fiber of the maximum
-    (cocartesian transport, unless p(e) = b already), then back down
-    into the fiber of b (cartesian transport).  Height 1 makes that
-    composite monotone; preconditions are checked up front and every
-    claimed identity is validated on the result.
+    ``rep`` is the ``classify_grothendieck`` report of the map p0; its
+    transport tables give every lift.  With X = B and Y = E, the section
+    is i(e) = (p(e), e), and r(p(e), e) = e.  Elsewhere the retraction
+    first pushes (b, e) up into the fiber of the maximum (cocartesian
+    transport), then back down into the fiber of b (cartesian
+    transport).  Height 1 makes that composite monotone; preconditions
+    are checked up front and every claimed identity is validated on the
+    result.
     """
-    s = as_slice(p0)
+    s = rep.slice_map
     if s.is_empty:
         raise PreconditionViolated("certificate construction needs a nonempty total space")
     b0 = s.base.maximum()
@@ -310,11 +311,10 @@ def projection_retract_height1(p0: MapLike) -> RetractCertificate:
         raise PreconditionViolated("base has no maximum element")
     if s.base.height() > 1:
         raise PreconditionViolated("base height exceeds 1")
-    fib_fails, cart = _scan_lifts(s, "cartesian")
-    opfib_fails, cocart = _scan_lifts(s, "cocartesian")
-    if fib_fails or opfib_fails:
+    if not rep.is_bifibration:
         raise PreconditionViolated("map is not a Grothendieck bifibration")
 
+    cart, cocart = rep.cartesian, rep.cocartesian
     total, base, vals = s.total, s.base, s.map.vals
     b0i = base.idx(b0)
     prod, _, _ = product(base, total)
@@ -326,18 +326,17 @@ def projection_retract_height1(p0: MapLike) -> RetractCertificate:
         if vals[ei] == bi:
             r_vals[k] = ei
             continue
-        mid = ei if vals[ei] == b0i else cocart[(ei, b0i)]
+        mid = cocart[(ei, b0i)]
         if not total.below[mid] >> ei & 1:
             raise InvariantViolated("cocartesian transport to the maximum is not above its source")
-        r_vals[k] = mid if bi == b0i else cart[(mid, bi)]
+        r_vals[k] = cart[(mid, bi)]
     r = MonotoneMap.build(
         prod, total, {prod.elements[k]: total.elements[r_vals[k]] for k in range(prod.n)}
     )
     # downward transport never leaves the minimal open of its argument
     for ei in range(total.n):
         for bi in _bits(base.below[vals[ei]]):
-            v = ei if vals[ei] == bi else cart[(ei, bi)]
-            if not total.below[ei] >> v & 1:
+            if not total.below[ei] >> cart[(ei, bi)] & 1:
                 raise InvariantViolated("cartesian transport left the minimal open of its source")
     cert = RetractCertificate(
         base, total, i, r, MonotoneMap.identity(base), MonotoneMap.identity(base)
@@ -348,11 +347,13 @@ def projection_retract_height1(p0: MapLike) -> RetractCertificate:
     return cert
 
 
-def is_trivial_over_base(p: MapLike, budget: Optional[int] = None) -> Optional[dict]:
+def is_trivial_over_base(p: MapLike, budget: Optional[int] = None) -> Optional["Certificate"]:
     """Isomorphism over B with the projection B x F -> B, if one exists.
 
     F is the fiber over the first base element; a size mismatch rules
-    the isomorphism out without searching.
+    the isomorphism out without searching.  The result is a
+    trivial_over_base certificate about p itself: its ``point`` is that
+    base element and its ``iso`` the isomorphism.
     """
     s = as_slice(p)
     if s.base.n == 0:
@@ -363,9 +364,7 @@ def is_trivial_over_base(p: MapLike, budget: Optional[int] = None) -> Optional[d
         return None
     prod, to_base, _ = product(s.base, fiber)
     iso = find_isomorphism_over_base(s.map, to_base, budget)
-    if iso is None:
-        return None
-    return {"fiber_of": b0, "iso": iso}
+    return None if iso is None else Certificate("trivial_over_base", b0, iso=iso)
 
 
 def _all_labeled_posets(names: tuple[str, ...]):
@@ -440,10 +439,11 @@ class Certificate:
     ``point`` is the base minimum (minimum_base_bifibration), the base
     maximum (height1_max_retract) or the base point whose fiber is F
     (trivial_over_base); ``reduction`` is the down-beat-point reduction
-    p0 the certificate speaks about, ``iso`` the isomorphism of p0 with
-    B x F over B, and ``retract`` presents p0 (or, for explicit_retract,
-    the map itself) as a retract of a projection.  A field the kind
-    does not use is None.
+    p0 the certificate speaks about (None when it speaks about the map
+    itself, as from ``is_trivial_over_base``), ``iso`` the isomorphism
+    of p0 with B x F over B, and ``retract`` presents p0 (or, for
+    explicit_retract, the map itself) as a retract of a projection.  A
+    field the kind does not use is None.
     """
 
     kind: str  # minimum_base_bifibration | height1_max_retract | trivial_over_base | explicit_retract
@@ -510,7 +510,7 @@ def _decide_component(pc: SliceMap, budget: Optional[int]) -> ComponentVerdict:
         return ComponentVerdict(comp, "fibration", certificate=cert)
     if pc.base.maximum() is not None and pc.base.height() <= 1:
         cert = Certificate(
-            "height1_max_retract", pc.base.maximum(), red, retract=projection_retract_height1(red.reduced)
+            "height1_max_retract", pc.base.maximum(), red, retract=projection_retract_height1(rep)
         )
         return ComponentVerdict(comp, "fibration", certificate=cert)
     trivial_exhausted = False
@@ -520,8 +520,7 @@ def _decide_component(pc: SliceMap, budget: Optional[int]) -> ComponentVerdict:
         triv = None
         trivial_exhausted = True
     if triv is not None:
-        cert = Certificate("trivial_over_base", triv["fiber_of"], red, iso=triv["iso"])
-        return ComponentVerdict(comp, "fibration", certificate=cert)
+        return ComponentVerdict(comp, "fibration", certificate=replace(triv, reduction=red))
     # red was just classified as a bifibration
     report = _evaluate_conditions([pc], passed=("reduced_bifibration",))
     witness = {"condition": "undecided", "component": list(comp)}

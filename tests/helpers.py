@@ -61,6 +61,19 @@ def brute_iso(p, q):
     return None
 
 
+def linear_extremum(rows, m):
+    """First index of mask m whose row holds all of m, or None.
+
+    The linear probe that ``Poset.max_of_mask``/``min_of_mask``, the
+    lift search and the beat-point witness search each ran before
+    ``posets._extremum`` replaced them; kept as an oracle.
+    """
+    for i in _bits(m):
+        if m & ~rows[i] == 0:
+            return i
+    return None
+
+
 def is_beat_point_brute(x, a):
     """Beat point test straight from the definition, via down/up sets."""
     down = [z for z in x.strict_down_set(a)]
@@ -79,15 +92,13 @@ def _rescan_candidates(x, alive, kinds, fiber_vals=None):
     out = []
     for kind in kinds:
         rows = x.below if kind == "down" else x.above
-        pick = x.max_of_mask if kind == "down" else x.min_of_mask
         for i in _bits(alive):
             strict = rows[i] & alive & ~(1 << i)
             if not strict:
                 continue
-            w = pick(strict)
-            if w is None:
+            wi = linear_extremum(rows, strict)
+            if wi is None:
                 continue
-            wi = x.index[w]
             if fiber_vals is not None and fiber_vals[wi] != fiber_vals[i]:
                 continue
             out.append((i, kind, wi))

@@ -114,6 +114,25 @@ def test_check_groth_verbose_lists_every_failing_lift(capsys):
         assert json.loads(out)["all_failures"] == failures
 
 
+def test_check_groth_verbose_failures_carry_the_stray_extremum(capsys, tmp_path):
+    # E = {x < e} over the chain a < b < c with x -> a, e -> c: both lifts
+    # over b find their extremum in the wrong fiber
+    doc = tmp_path / "stray.json"
+    doc.write_text(json.dumps({
+        "domain": {"elements": ["x", "e"], "covers": [["x", "e"]]},
+        "codomain": {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]},
+        "values": {"x": "a", "e": "c"},
+    }))
+    code, out, _ = run(capsys, "check", "groth", str(doc), "--verbose", "--json")
+    assert code == 1
+    got = json.loads(out)
+    assert got["all_failures"] == [
+        {"side": "cocartesian", "e": "x", "b": "b", "reason": "minimum_outside_fiber", "stray": "e"},
+        {"side": "cartesian", "e": "e", "b": "b", "reason": "maximum_outside_fiber", "stray": "x"},
+    ]
+    assert got["all_failures"] == [got["opfibration_failure"], got["fibration_failure"]]
+
+
 def test_check_bundle(capsys):
     code, out, _ = run(capsys, "check", "bundle", "gallery:pi_sierpinski")
     assert (code, out.strip()) == (0, "fiber bundle")
@@ -196,6 +215,34 @@ def test_input_errors_exit_3(capsys, tmp_path):
         "values": {"x": "b", "y": "a"},
     }))
     assert run(capsys, "check", "groth", str(notmono))[0] == 3
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["info"], {"elements": ["a", "b"], "covers": [[["a"], "b"]]}),
+        (
+            ["check", "hurewicz"],
+            {"domain": {"elements": ["a"]}, "codomain": {"elements": ["b"]}, "values": {"a": ["b"]}},
+        ),
+        (
+            ["construct"],
+            {
+                "base": {"elements": ["0"]},
+                "variance": "covariant",
+                "fibers": {"0": {"elements": ["u"]}},
+                "transitions": [],
+            },
+        ),
+    ],
+    ids=["list_in_cover", "list_as_map_value", "transitions_not_an_object"],
+)
+def test_malformed_documents_exit_3(capsys, tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_invariant_violation_exits_4(capsys, monkeypatch):

@@ -26,7 +26,7 @@ from finfib.documents import (
 )
 from finfib.errors import ParseError, UnknownGalleryId
 from finfib.gallery import gallery_map, gallery_poset
-from finfib.grothendieck import PosetFunctor, beta_functor, grothendieck_construction
+from finfib.grothendieck import PosetFunctor, beta_functor, classify_grothendieck, grothendieck_construction
 from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base, product
 from finfib.slices import smallest_dbp_retract_of_map
 from finfib.verdict import (
@@ -124,7 +124,7 @@ def test_functor_doc_refuses_or_round_trips(lo, hi):
 
 def test_retract_certificate_doc_round_trip():
     red = smallest_dbp_retract_of_map(gallery_map("pi_sierpinski")).reduced
-    cert = projection_retract_height1(red)
+    cert = projection_retract_height1(classify_grothendieck(red))
     doc = retract_certificate_to_doc(cert)
     back = retract_certificate_from_doc(json.loads(json.dumps(doc)), red)
     assert verify_retract_certificate(red, back)[0]

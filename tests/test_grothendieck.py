@@ -2,6 +2,7 @@
 
 import pytest
 
+from finfib import grothendieck, verdict
 from finfib.errors import (
     FunctorialityViolated,
     NotGrothendieckFibration,
@@ -352,3 +353,48 @@ def test_lower_lift_is_the_greatest_lift_below():
             assert other.le(h)
         checked += 1
     assert checked >= 20
+
+
+def count_lift_scans(monkeypatch):
+    """Record the side of every ``_scan_lifts`` call, through both bindings."""
+    sides = []
+    scan = grothendieck._scan_lifts
+
+    def counted(s, side):
+        sides.append(side)
+        return scan(s, side)
+
+    monkeypatch.setattr(grothendieck, "_scan_lifts", counted)
+    monkeypatch.setattr(verdict, "_scan_lifts", counted)
+    return sides
+
+
+def test_one_lift_table_per_side_serves_every_caller(monkeypatch):
+    vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    _, p, _ = product(vee, Poset.chain(["0", "1"]))
+    sides = count_lift_scans(monkeypatch)
+    v = verdict.decide_hurewicz(p)
+    assert v.certificate.kind == "height1_max_retract"
+    assert sorted(sides) == ["cartesian", "cocartesian"]
+    sides.clear()
+    rep = classify_grothendieck(p)
+    alpha, beta = rep.alpha, rep.beta
+    assert sorted(sides) == ["cartesian", "cocartesian"]
+    assert (alpha, beta) == (alpha_functor(p), beta_functor(p))
+
+
+def test_report_tables_hold_every_lift_the_trivial_ones_included():
+    rng = seeded(223)
+    for _ in range(30):
+        s = as_slice(rand_monotone(rng, rand_poset(rng, 5), rand_poset(rng, 3, prefix="b")))
+        rep = classify_grothendieck(s)
+        for side, table in (("cartesian", rep.cartesian), ("cocartesian", rep.cocartesian)):
+            rows = s.base.below if side == "cartesian" else s.base.above
+            want = {}
+            for ei, e in enumerate(s.total.elements):
+                for bi in range(s.base.n):
+                    if rows[s.map.vals[ei]] >> bi & 1:
+                        got, _ = brute_lift(s, e, s.base.elements[bi], side)
+                        if got is not None:
+                            want[(ei, bi)] = s.total.idx(got)
+            assert table == want

@@ -18,6 +18,7 @@ from finfib.errors import (
 from finfib.posets import (
     MonotoneMap,
     Poset,
+    _extremum,
     automorphisms,
     compose,
     find_isomorphism,
@@ -31,6 +32,7 @@ from finfib.posets import (
 )
 from helpers import (
     brute_iso,
+    linear_extremum,
     posets,
     rand_monotone,
     rand_poset,
@@ -126,6 +128,21 @@ def test_max_min_of_subsets():
     assert c.max_of(["c", "d"]) is None
     assert c.min_of(["a", "b"]) is None
     assert c.min_of(["a", "d"]) == "a"
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=posets(max_size=8), data=st.data())
+def test_extremum_search_agrees_with_the_linear_probe(p, data):
+    full = (1 << p.n) - 1
+    r = data.draw(st.integers(0, full))
+    masks = [r]
+    if p.n:
+        # a down or up set keeps its generator, so extrema are common
+        i = data.draw(st.integers(0, p.n - 1))
+        masks += [p.below[i] & (r | 1 << i), p.above[i] & (r | 1 << i)]
+    for m in masks:
+        assert _extremum(p.below, p.above, m) == linear_extremum(p.below, m)
+        assert _extremum(p.above, p.below, m) == linear_extremum(p.above, m)
 
 
 def test_product_is_x_major_with_pair_names():

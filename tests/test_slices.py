@@ -179,3 +179,12 @@ def test_reduction_idempotent_is_fiberwise_descending():
         idem = red.trace.idempotent()
         assert idem.le(MonotoneMap.identity(m.dom))
         assert idem.then(MonotoneMap(m.dom, m.cod, m.vals)) == MonotoneMap(m.dom, m.cod, m.vals)
+
+
+def test_preimage_is_the_union_of_the_fibers():
+    rng = seeded(211)
+    for _ in range(20):
+        s = as_slice(rand_monotone(rng, rand_poset(rng, 6), rand_poset(rng, 4, prefix="b")))
+        for base_mask in range(1 << s.base.n):
+            over = [e for e in s.total.elements if base_mask >> s.base.idx(s(e)) & 1]
+            assert s.preimage(base_mask) == s.total.mask(over)

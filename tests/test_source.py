@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -58,3 +61,27 @@ def test_every_private_definition_is_used():
             if node.name.startswith("_") and uses[node.name] == inside:
                 found.append(f"{module}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_every_benchmark_patch_site_resolves():
+    # perfbench wraps these names from outside the package; a renamed or
+    # dropped binding would only show up in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for span, sites in spans.SPANS.items():
+        for module, attr in sites:
+            mod = importlib.import_module(f"finfib.{module}")
+            owner_name, _, name = attr.rpartition(".")
+            if owner_name == "json":
+                ok = getattr(mod, "json", None) is json and callable(getattr(json, name))
+            elif owner_name:
+                owner = getattr(mod, owner_name, None)
+                ok = owner is not None and isinstance(owner.__dict__.get(name), classmethod)
+            else:
+                ok = callable(getattr(mod, name, None))
+            if not ok:
+                missing.append(f"{span}: finfib.{module}.{attr}")
+    assert missing == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from finfib.errors import EmptyDomain, PreconditionViolated, SearchBudgetExhausted
 from finfib.gallery import gallery_map, gallery_poset
-from finfib.grothendieck import is_fiber_bundle
+from finfib.grothendieck import classify_grothendieck, is_fiber_bundle
 from finfib.posets import MonotoneMap, Poset, find_isomorphism, product
 from finfib.slices import as_slice, map_core, smallest_dbp_retract_of_map
 from finfib.stong import core, is_dbp_retract, smallest_dbp_retract
@@ -168,7 +168,7 @@ def test_total_dbp_reduction_lands_inside_the_base_one():
         s = as_slice(p)
         ed = smallest_dbp_retract(s.total, picker=shuffling_picker(rng)).result
         bd = smallest_dbp_retract(s.base, picker=shuffling_picker(rng)).result
-        pre = s.total.names(s.map.preimage_mask(s.base.mask(bd.elements)))
+        pre = s.total.names(s.preimage(s.base.mask(bd.elements)))
         assert set(ed.elements) <= set(pre)
         trace = is_dbp_retract(s.total.sub(pre), ed.elements)
         assert trace is not None
@@ -296,13 +296,13 @@ def test_up_beat_points_of_the_map_are_not_safe_to_remove():
 def test_height1_retract_certificate_on_reduced_maps():
     pi = gallery_map("pi_sierpinski")
     red = smallest_dbp_retract_of_map(pi).reduced
-    cert = projection_retract_height1(red)
+    cert = projection_retract_height1(classify_grothendieck(red))
     ok, reason = verify_retract_certificate(red, cert)
     assert ok, reason
     assert cert.x == red.base
 
     p1red = smallest_dbp_retract_of_map(gallery_map("p1")).reduced
-    cert = projection_retract_height1(p1red)
+    cert = projection_retract_height1(classify_grothendieck(p1red))
     assert verify_retract_certificate(p1red, cert)[0]
 
 
@@ -310,21 +310,21 @@ def test_height1_retract_certificate_preconditions():
     crown = gallery_poset("B5")
     _, to_crown, _ = product(crown, Poset.chain(["0", "1"]))
     with pytest.raises(PreconditionViolated):
-        projection_retract_height1(to_crown)  # no maximum
+        projection_retract_height1(classify_grothendieck(to_crown))  # no maximum
     tall = Poset.chain(["u", "v", "w"])
     with pytest.raises(PreconditionViolated):
-        projection_retract_height1(MonotoneMap.identity(tall))  # height 2
+        projection_retract_height1(classify_grothendieck(MonotoneMap.identity(tall)))  # height 2
     with pytest.raises(PreconditionViolated):
-        projection_retract_height1(gallery_map("p1op"))  # not a bifibration
+        projection_retract_height1(classify_grothendieck(gallery_map("p1op")))  # not a bifibration
     empty = MonotoneMap.build(Poset.empty(), Poset.chain(["u", "v"]), {})
     with pytest.raises(PreconditionViolated):
-        projection_retract_height1(empty)
+        projection_retract_height1(classify_grothendieck(empty))
 
 
 def test_tampered_certificates_fail_with_the_right_reason():
     pi = gallery_map("pi_sierpinski")
     red = smallest_dbp_retract_of_map(pi).reduced
-    cert = projection_retract_height1(red)
+    cert = projection_retract_height1(classify_grothendieck(red))
     # r squashed to a constant: r i = Id_E breaks first
     bad_r = MonotoneMap.constant(cert.r.dom, cert.r.cod, red.total.elements[0])
     broken = RetractCertificate(cert.x, cert.y, cert.i, bad_r, cert.j, cert.s)
@@ -341,7 +341,8 @@ def test_trivial_over_base_detection():
     assert is_trivial_over_base(gallery_map("p5_minimal_bifib")) is None
     found = is_trivial_over_base(smallest_dbp_retract_of_map(gallery_map("p1")).reduced)
     assert found is not None
-    assert set(found) == {"fiber_of", "iso"}
+    assert (found.kind, found.point, found.reduction, found.retract) == ("trivial_over_base", "a", None, None)
+    assert found.iso == {"(a,0)": "(a,(a,0))", "(b,0)": "(b,(a,0))"}
     with pytest.raises(SearchBudgetExhausted):
         is_trivial_over_base(gallery_map("pi_sierpinski"), budget=0)
 
