@@ -63,21 +63,23 @@ class Poset:
 
     ``below[i]`` is the bitmask of indices j with j <= i (the minimal
     open set of element i), ``above[i]`` the bitmask of j >= i (its
-    closure).  Instances are immutable and hashable; equality is on the
-    element tuple plus the order, so it is equality of spaces, not of
-    isomorphism classes.
+    closure); ``above`` is transposed from ``below`` unless the caller
+    already has it.  Instances are immutable and hashable; equality is
+    on the element tuple plus the order, so it is equality of spaces,
+    not of isomorphism classes.
     """
 
     __slots__ = ("elements", "index", "below", "above", "_covers", "_heights", "_hash")
 
-    def __init__(self, elements: Sequence[str], below: Sequence[int]):
+    def __init__(self, elements: Sequence[str], below: Sequence[int], above: Optional[Sequence[int]] = None):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.below = tuple(below)
-        above = [0] * len(self.elements)
-        for i, row in enumerate(self.below):
-            for j in _bits(row):
-                above[j] |= 1 << i
+        if above is None:
+            above = [0] * len(self.elements)
+            for i, row in enumerate(self.below):
+                for j in _bits(row):
+                    above[j] |= 1 << i
         self.above = tuple(above)
         self._covers = None
         self._heights = None
@@ -312,7 +314,7 @@ class Poset:
 
     def op(self) -> "Poset":
         """Opposite poset: same elements, order reversed."""
-        return Poset(self.elements, self.above)
+        return Poset(self.elements, self.above, self.below)
 
     def sub(self, keep: Iterable[str]) -> "Poset":
         """Subposet induced on the given elements, relative order kept."""
@@ -511,28 +513,34 @@ def _backtrack(
     ``cand(k, vals)`` returns the bitmasks ``(tried, ok)`` of values for
     it, given the values already assigned in ``vals`` (indexed by
     element), and ``ok`` is the consistent part of ``tried``.  Values
-    are tried in rising index order and each one counts against the
-    budget as the search reaches it.  The same ``vals`` list is yielded
-    for every complete assignment, so callers copy what they keep.
+    are tried in rising index order, and each one counts against the
+    budget.  The search jumps straight to the next consistent value;
+    the inconsistent values it skips are counted in bulk, with the same
+    total, and have no other effect, so the budget runs out at the same
+    point of the search.  The same ``vals`` list is yielded for every
+    complete assignment, so callers copy what they keep.
     """
     vals = [-1] * len(order)
+    last = len(order) - 1
+    limit = math.inf if budget is None else budget
     stack = [cand(0, vals)]
     nodes = 0
     while stack:
-        k = len(stack) - 1
-        tried, ok = stack[k]
-        if not tried:
+        tried, ok = stack[-1]
+        low = tried & ok
+        low &= -low
+        # low and the refuted values below it; all of tried when low is 0
+        spent = tried & ((low << 1) - 1)
+        nodes += spent.bit_count()
+        if nodes > limit:
+            raise SearchBudgetExhausted(f"isomorphism search exceeded budget of {budget} nodes")
+        if not low:
             stack.pop()
             continue
-        low = tried & -tried
-        stack[k] = (tried ^ low, ok)
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise SearchBudgetExhausted(f"isomorphism search exceeded budget of {budget} nodes")
-        if not ok & low:
-            continue
+        stack[-1] = (tried ^ spent, ok)
+        k = len(stack) - 1
         vals[order[k]] = low.bit_length() - 1
-        if k + 1 == len(order):
+        if k == last:
             yield vals
         else:
             stack.append(cand(k + 1, vals))
@@ -747,27 +755,65 @@ def isomorphisms(
     lab_p, lab_q = _joint_labels(p, q, extra_p, extra_q)
     if sorted(lab_p) != sorted(lab_q):
         return
+    n = p.n
     by_label: dict[int, int] = {}
     for j, l in enumerate(lab_q):
         by_label[l] = by_label.get(l, 0) | 1 << j
+    # assign elements in order of rising candidate count, then index
+    order = sorted(range(n), key=lambda i: (by_label[lab_p[i]].bit_count(), i))
+
+    # a value j for i must relate to the value j2 of every earlier i2
+    # as i relates to i2: above j2 when i2 < i, below it when i2 > i and
+    # apart from it otherwise.  j2 is used, so q's own rows serve as the
+    # strict up- and down-set tables.
+    ups, downs = q.above, q.below
+    # per colour class: the values strictly comparable to one of its
+    # values, and the elements of p it colours
+    reach = dict.fromkeys(by_label, 0)
+    for j, l in enumerate(lab_q):
+        reach[l] |= (ups[j] | downs[j]) ^ 1 << j
+    members = dict.fromkeys(by_label, 0)
+    for i, l in enumerate(lab_p):
+        members[l] |= 1 << i
+    # per class: the elements of the classes that reach one of its values.
+    # An apart i2 outside them rules out only its own value, which
+    # ``used`` already removes.
+    reached_by: dict[int, int] = {}
+    # per position: its colour class, and the earlier elements below,
+    # above and apart from it whose values can rule a candidate out
+    classes, lows, highs, aparts = [], [], [], []
+    earlier = 0
+    for i in order:
+        l = lab_p[i]
+        cls = by_label[l]
+        lo, hi = p.below[i] & earlier, p.above[i] & earlier
+        rest = earlier & ~(lo | hi)
+        if rest:
+            if l not in reached_by:
+                reached_by[l] = sum(members[l2] for l2 in by_label if reach[l2] & cls)
+            rest &= reached_by[l]
+        classes.append(cls)
+        lows.append(lo)
+        highs.append(hi)
+        aparts.append(rest)
+        earlier |= 1 << i
+    full = (1 << n) - 1
+    apart_of = [full ^ (ups[j] | downs[j]) for j in range(n)] if any(aparts) else []
+    used = [0] * n  # values taken by the positions before each depth
 
     def candidates(k: int, vals: list[int]) -> tuple[int, int]:
-        # the colour class minus used values; a consistent value j must
-        # relate to every assigned j2 as i relates to i2
-        i = order[k]
-        tried = by_label[lab_p[i]]
-        ok = -1
-        for i2 in order[:k]:
-            j2 = vals[i2]
-            tried &= ~(1 << j2)
-            ok &= q.above[j2] if p.below[i] >> i2 & 1 else ~q.above[j2]
-            ok &= q.below[j2] if p.below[i2] >> i & 1 else ~q.below[j2]
-        return tried, tried & ok
+        if k:
+            used[k] = used[k - 1] | 1 << vals[order[k - 1]]
+        tried = ok = classes[k] & ~used[k]
+        for m, table in ((lows[k], ups), (highs[k], downs), (aparts[k], apart_of)):
+            while m and ok:
+                b = m & -m
+                ok &= table[vals[b.bit_length() - 1]]
+                m ^= b
+        return tried, ok
 
-    # assign elements in order of rising candidate count, then index
-    order = sorted(range(p.n), key=lambda i: (by_label[lab_p[i]].bit_count(), i))
     for vals in _backtrack(order, candidates, budget):
-        yield {p.elements[i]: q.elements[vals[i]] for i in range(p.n)}
+        yield {p.elements[i]: q.elements[vals[i]] for i in range(n)}
 
 
 def find_isomorphism(p: Poset, q: Poset, budget: Optional[int] = None) -> Optional[dict[str, str]]:

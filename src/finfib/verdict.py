@@ -16,6 +16,7 @@ with a concrete witness when it fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
@@ -44,7 +45,7 @@ from .slices import (
     restrict_over_component,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     smallest_dbp_retract_of_map,
 )
-from .stong import beat_points, is_contractible, is_dbp_retract, smallest_dbp_retract
+from .stong import BeatPointReport, beat_points, is_contractible, is_dbp_retract, smallest_dbp_retract
 
 
 def is_open_map(p: MapLike) -> tuple[bool, Optional[dict]]:
@@ -106,19 +107,42 @@ class NecessaryReport:
         return tuple(c.name for c in self.conditions if not c.passed)
 
 
-def _cond_open_map(pc: SliceMap) -> Optional[dict]:
-    ok, w = is_open_map(pc)
-    return None if ok else w
+class _ComponentFacts:
+    """One component and the facts several conditions read off it.
+
+    Each fact is computed on first use and then shared, so openness and
+    the beat points of E and B are found at most once per component.
+    """
+
+    def __init__(self, pc: SliceMap):
+        self.pc = pc
+
+    @cached_property
+    def open_miss(self) -> Optional[dict]:
+        return is_open_map(self.pc)[1]
+
+    @cached_property
+    def total_beat_points(self) -> BeatPointReport:
+        return beat_points(self.pc.total)
+
+    @cached_property
+    def base_beat_points(self) -> BeatPointReport:
+        return beat_points(self.pc.base)
 
 
-def _cond_down_fiber_nonempty(pc: SliceMap) -> Optional[dict]:
+def _cond_open_map(f: _ComponentFacts) -> Optional[dict]:
+    return f.open_miss
+
+
+def _cond_down_fiber_nonempty(f: _ComponentFacts) -> Optional[dict]:
     # openness restated fiberwise: U_e must meet every fiber below p(e),
     # and the first fiber it misses is the first base point p(U_e) misses
-    w = _cond_open_map(pc)
+    w = f.open_miss
     return None if w is None else {"e": w["e"], "b": w["missing"]}
 
 
-def _cond_down_fiber_contractible(pc: SliceMap) -> Optional[dict]:
+def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
+    pc = f.pc
     for ei, e in enumerate(pc.total.elements):
         pe = pc.map.vals[ei]
         for bi in _bits(pc.base.below[pe]):
@@ -131,7 +155,8 @@ def _cond_down_fiber_contractible(pc: SliceMap) -> Optional[dict]:
     return None
 
 
-def _cond_up_reachability(pc: SliceMap) -> Optional[dict]:
+def _cond_up_reachability(f: _ComponentFacts) -> Optional[dict]:
+    pc = f.pc
     # some e' <= e in the fiber of p(e) must have closure meeting
     # every fiber above p(e)
     for ei, e in enumerate(pc.total.elements):
@@ -151,26 +176,27 @@ def _reduced_witness(red: MapReduction, rep: GrothendieckReport) -> dict:
     return w
 
 
-def _cond_reduced_bifibration(pc: SliceMap) -> Optional[dict]:
-    red = smallest_dbp_retract_of_map(pc)
+def _cond_reduced_bifibration(f: _ComponentFacts) -> Optional[dict]:
+    red = smallest_dbp_retract_of_map(f.pc)
     rep = classify_grothendieck(red.reduced)
     return None if rep.is_bifibration else _reduced_witness(red, rep)
 
 
-def _cond_minimal_e_implies_minimal_b(pc: SliceMap) -> Optional[dict]:
-    if not beat_points(pc.total).is_minimal:
+def _cond_minimal_e_implies_minimal_b(f: _ComponentFacts) -> Optional[dict]:
+    if not f.total_beat_points.is_minimal:
         return None
-    bp = beat_points(pc.base)
+    bp = f.base_beat_points
     if bp.is_minimal:
         return None
     if bp.down:
-        b = min(bp.down, key=pc.base.idx)
+        b = min(bp.down, key=f.pc.base.idx)
         return {"base_beat_point": b, "kind": "down"}
-    b = min(bp.up, key=pc.base.idx)
+    b = min(bp.up, key=f.pc.base.idx)
     return {"base_beat_point": b, "kind": "up"}
 
 
-def _cond_ed_inside_preimage_bd(pc: SliceMap) -> Optional[dict]:
+def _cond_ed_inside_preimage_bd(f: _ComponentFacts) -> Optional[dict]:
+    pc = f.pc
     ed = smallest_dbp_retract(pc.total).result
     bd = smallest_dbp_retract(pc.base).result
     pre_names = pc.total.names(pc.preimage(pc.base.mask(bd.elements)))
@@ -184,9 +210,8 @@ def _cond_ed_inside_preimage_bd(pc: SliceMap) -> Optional[dict]:
     return None
 
 
-def _cond_beat_point_dichotomy(pc: SliceMap) -> Optional[dict]:
-    bp_e = beat_points(pc.total)
-    bp_b = beat_points(pc.base)
+def _cond_beat_point_dichotomy(f: _ComponentFacts) -> Optional[dict]:
+    pc, bp_e, bp_b = f.pc, f.total_beat_points, f.base_beat_points
     mbp = map_beat_points(pc)
     for e0 in sorted(bp_e.down, key=pc.total.idx):
         if pc.map(e0) not in bp_b.down and e0 not in mbp.down:
@@ -226,14 +251,15 @@ def necessary_conditions(p: MapLike) -> NecessaryReport:
 
 def _evaluate_conditions(comps: Sequence[SliceMap], passed: tuple[str, ...] = ()) -> NecessaryReport:
     """Run every condition over the components; those in ``passed`` are known to pass."""
+    facts = [_ComponentFacts(pc) for pc in comps]
     results = []
     for name, func in _CONDITION_FUNCS.items():
         witness = None
-        for pc in comps if name not in passed else ():
-            w = func(pc)
+        for f in facts if name not in passed else ():
+            w = func(f)
             if w is not None:
                 witness = dict(w)
-                witness["component"] = list(pc.base.elements)
+                witness["component"] = list(f.pc.base.elements)
                 break
         results.append(ConditionResult(name, witness is None, witness))
     return NecessaryReport(tuple(results))

@@ -394,6 +394,36 @@ def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, budget=None):
     yield from rec(0)
 
 
+def per_value_backtrack(order, cand, budget=None):
+    """The explicit-stack search ``posets._backtrack`` replaced.
+
+    Kept verbatim as an oracle: it steps through the tried values one at
+    a time, counting each against the budget before testing it for
+    consistency, where the replacement counts the refuted ones in bulk.
+    """
+    vals = [-1] * len(order)
+    stack = [cand(0, vals)]
+    nodes = 0
+    while stack:
+        k = len(stack) - 1
+        tried, ok = stack[k]
+        if not tried:
+            stack.pop()
+            continue
+        low = tried & -tried
+        stack[k] = (tried ^ low, ok)
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExhausted(f"isomorphism search exceeded budget of {budget} nodes")
+        if not ok & low:
+            continue
+        vals[order[k]] = low.bit_length() - 1
+        if k + 1 == len(order):
+            yield vals
+        else:
+            stack.append(cand(k + 1, vals))
+
+
 # -- random instance generators ----------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Core poset machinery: order queries, products, map enumeration, isos."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,14 @@ from finfib.errors import (
     FinfibError,
     GuardExceeded,
     NotMonotone,
+    SearchBudgetExhausted,
     UnknownElement,
 )
+from finfib.grothendieck import PosetFunctor, grothendieck_construction
 from finfib.posets import (
     MonotoneMap,
     Poset,
+    _backtrack,
     _extremum,
     automorphisms,
     compose,
@@ -33,6 +37,7 @@ from finfib.posets import (
 from helpers import (
     brute_iso,
     linear_extremum,
+    per_value_backtrack,
     posets,
     rand_monotone,
     rand_poset,
@@ -110,6 +115,16 @@ def test_op_swaps_the_order():
     assert o.le("top", "bot")
     assert o.op() == d
     assert set(o.covers()) == {(b, a) for a, b in d.covers()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=posets(max_size=8))
+def test_op_swaps_the_rows_it_already_has(p):
+    # op() passes both rows on instead of transposing below again
+    o = p.op()
+    transposed = Poset(p.elements, p.above)
+    assert (o.below, o.above) == (transposed.below, transposed.above) == (p.above, p.below)
+    assert o == transposed and hash(o) == hash(transposed)
 
 
 def test_sub_induces_the_order():
@@ -337,11 +352,12 @@ def run_out(gen, cap=200):
     return out, None
 
 
-@settings(max_examples=300, deadline=None)
-@given(p=posets(max_size=8), data=st.data())
-def test_isomorphism_search_agrees_with_the_recursive_oracle(p, data):
-    # q is a relabeled copy in shuffled storage order, possibly with one
-    # relation pair toggled, or an unrelated poset
+def draw_search_pair(p, data, labels):
+    """A poset q to search for isomorphisms p -> q, and extra labels or None.
+
+    q is a relabeled copy in shuffled storage order, possibly with one
+    relation pair toggled, or an unrelated poset.
+    """
     ren = {a: f"q{i}" for i, a in enumerate(p.elements)}
     pairs = {(ren[a], ren[b]) for a, b in p.covers()}
     q = Poset.build([ren[a] for a in data.draw(st.permutations(p.elements))], sorted(pairs))
@@ -358,11 +374,81 @@ def test_isomorphism_search_agrees_with_the_recursive_oracle(p, data):
         q = data.draw(posets(max_size=8))
     extra_p = extra_q = None
     if data.draw(st.booleans()):
-        extra_p = data.draw(st.lists(st.integers(0, 1), min_size=p.n, max_size=p.n))
-        extra_q = data.draw(st.lists(st.integers(0, 1), min_size=q.n, max_size=q.n))
+        extra_p = data.draw(st.lists(st.integers(0, labels - 1), min_size=p.n, max_size=p.n))
+        extra_q = data.draw(st.lists(st.integers(0, labels - 1), min_size=q.n, max_size=q.n))
+    return q, extra_p, extra_q
+
+
+def agrees_with_the_recursive_oracle(p, data, labels):
+    q, extra_p, extra_q = draw_search_pair(p, data, labels)
     budget = data.draw(st.sampled_from([None, 1, 5, 20, 1000]))
     kwargs = {"extra_p": extra_p, "extra_q": extra_q, "budget": budget}
     assert run_out(isomorphisms(p, q, **kwargs)) == run_out(rec_isomorphisms(p, q, **kwargs))
+
+
+def agrees_at_every_budget(p, q, cap=200, **kwargs):
+    """Compare with the oracle at budgets 0, 1, ... until the search completes."""
+    budget = 0
+    while True:
+        got = run_out(isomorphisms(p, q, budget=budget, **kwargs), cap)
+        assert got == run_out(rec_isomorphisms(p, q, budget=budget, **kwargs), cap)
+        if got[1] is None:
+            return got
+        budget += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=posets(max_size=8), data=st.data())
+def test_isomorphism_search_agrees_with_the_recursive_oracle(p, data):
+    agrees_with_the_recursive_oracle(p, data, labels=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=posets(max_size=8), data=st.data())
+def test_isomorphism_search_agrees_with_the_recursive_oracle_on_four_labels(p, data):
+    # more colour classes, so more of them are mutually apart
+    agrees_with_the_recursive_oracle(p, data, labels=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=posets(max_size=6), data=st.data())
+def test_isomorphism_search_spends_the_oracle_budget_node_for_node(p, data):
+    # a constraint the search drops or adds by mistake often changes
+    # only how many values it refutes, which only some budgets see
+    q, extra_p, extra_q = draw_search_pair(p, data, labels=4)
+    agrees_at_every_budget(p, q, cap=20, extra_p=extra_p, extra_q=extra_q)
+
+
+def run_backtrack(search, order, seed, budget):
+    """Value lists a search over seeded random (tried, ok) tables yields, and its error.
+
+    The tables depend on the position and on the values assigned so
+    far; about half of them have ok == tried, the rest a random part.
+    """
+
+    def cand(k, vals):
+        rng = random.Random(f"{seed}:{k}:{[vals[i] for i in order[:k]]}")
+        tried = rng.getrandbits(5)
+        return tried, tried if rng.random() < 0.5 else tried & rng.getrandbits(5)
+
+    out = []
+    try:
+        for vals in search(order, cand, budget):
+            out.append(list(vals))
+    except SearchBudgetExhausted as exc:
+        return out, str(exc)
+    return out, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    order=st.integers(1, 4).flatmap(lambda n: st.permutations(range(n))),
+    seed=st.integers(0, 2**16),
+    budget=st.sampled_from([None, 0, 1, 5, 50]),
+)
+def test_bulk_node_counting_matches_the_per_value_search(order, seed, budget):
+    got = run_backtrack(_backtrack, order, seed, budget)
+    assert got == run_backtrack(per_value_backtrack, order, seed, budget)
 
 
 @settings(max_examples=300, deadline=None)
@@ -408,6 +494,43 @@ def test_the_budget_counts_refuted_candidates_where_refinement_cannot_split():
         got = run_out(isomorphisms(one, two, budget=budget))
         assert got == run_out(rec_isomorphisms(one, two, budget=budget))
     assert got[1] is None
+
+
+def twisted_bundle(k, fiber, aut):
+    """Bundle over the 2k-point crown with fiber F, twisted by aut on its last cover."""
+    base = crowns(k, 1, "b")
+    covers = base.covers()
+    transitions = {c: MonotoneMap.identity(fiber) for c in covers}
+    transitions[covers[-1]] = MonotoneMap.build(fiber, fiber, aut)
+    d = PosetFunctor.build(base, "covariant", {b: fiber for b in base.elements}, transitions)
+    return grothendieck_construction(d)
+
+
+def crown_fibers():
+    return [Poset.antichain(["x0", "x1"]), Poset.antichain(["x0", "x1", "x2"]), crowns(2, 1, "x")]
+
+
+@pytest.mark.parametrize(
+    "k, fiber, twist",
+    [(2, 0, 1), (2, 1, 3), (2, 2, 1), (2, 2, 3), (3, 0, 1)],
+)
+def test_bundle_searches_agree_with_the_recursive_oracle_at_every_budget(k, fiber, twist):
+    # labels are base values, as in the search over the base, so the
+    # colour classes over incomparable base points are mutually apart
+    # and the search drops their constraints
+    fib = crown_fibers()[fiber]
+    aut = list(automorphisms(fib))[twist]
+    s = twisted_bundle(k, fib, aut)
+    prod, to_base, _ = product(s.base, fib)
+    ren = {a: f"y{i}" for i, a in enumerate(s.total.elements)}
+    order = list(s.total.elements)
+    seeded(k * 10 + twist).shuffle(order)
+    copy = Poset.build([ren[a] for a in order], [(ren[a], ren[b]) for a, b in s.total.covers()])
+    copy_vals = [s.map.vals[s.total.index[a]] for a in order]
+    for q, extra_q in ((prod, to_base.vals), (copy, copy_vals)):
+        kwargs = {"extra_p": s.map.vals, "extra_q": extra_q}
+        got = agrees_at_every_budget(s.total, q, **kwargs)
+        assert got == run_out(isomorphisms(s.total, q, **kwargs))
 
 
 def test_a_shuffled_1500_chain_has_no_search_ceiling():

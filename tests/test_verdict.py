@@ -14,6 +14,7 @@ from finfib.verdict import (
     CONDITION_NAMES,
     RetractCertificate,
     _all_labeled_posets,
+    _ComponentFacts,
     _cond_down_fiber_nonempty,
     decide_hurewicz,
     is_closed_map,
@@ -426,4 +427,20 @@ def test_open_and_closed_conditions_agree_with_their_direct_scans(total, base, s
         return
     s = as_slice(rand_monotone(seeded(seed), total, base))
     assert is_closed_map(s) == scan_closed_map(s)
-    assert _cond_down_fiber_nonempty(s) == fiberwise_down_fiber_nonempty(s)
+    assert _cond_down_fiber_nonempty(_ComponentFacts(s)) == fiberwise_down_fiber_nonempty(s)
+
+
+@pytest.mark.parametrize("pid", ["p3", "p5_minimal_bifib"])
+def test_conditions_compute_openness_and_beat_points_once_per_component(monkeypatch, pid):
+    import finfib.verdict as verdict
+
+    seen = []
+    open_map, beat = verdict.is_open_map, verdict.beat_points
+    monkeypatch.setattr(verdict, "is_open_map", lambda p: seen.append(("open", p)) or open_map(p))
+    monkeypatch.setattr(verdict, "beat_points", lambda x: seen.append(("beat", x)) or beat(x))
+    rep = necessary_conditions(gallery_map(pid))
+    # every condition ran and both openness conditions read the one scan
+    assert rep.all_pass
+    assert [kind for kind, _ in seen].count("open") == 1
+    beat_args = [x for kind, x in seen if kind == "beat"]
+    assert len(beat_args) == len(set(beat_args)) == 2
