@@ -406,6 +406,7 @@ def grothendieck_construction(d: PosetFunctor) -> SliceMap:
             names.append(pair_name(b, x))
             owner.append((bi, xi))
     below = [0] * len(names)
+    above = [0] * len(names)
     for k, (bi, xi) in enumerate(owner):
         b = base.elements[bi]
         fib_b = d.fibers[b]
@@ -416,8 +417,9 @@ def grothendieck_construction(d: PosetFunctor) -> SliceMap:
             for yj in range(d.fibers[v].n):
                 if fib_b.below[xi] >> t.vals[yj] & 1:
                     m |= 1 << offset[vi] + yj
+                    above[offset[vi] + yj] |= 1 << k
         below[k] = m
-    total = Poset(names, below)
+    total = Poset(names, below, above)
     for k in range(total.n):
         for j in _bits(below[k]):
             if below[j] & ~below[k]:

@@ -63,23 +63,19 @@ class Poset:
 
     ``below[i]`` is the bitmask of indices j with j <= i (the minimal
     open set of element i), ``above[i]`` the bitmask of j >= i (its
-    closure); ``above`` is transposed from ``below`` unless the caller
-    already has it.  Instances are immutable and hashable; equality is
-    on the element tuple plus the order, so it is equality of spaces,
-    not of isomorphism classes.
+    closure).  Callers hand over both rows, each constructor building
+    the one it lacks from data it already holds, and the rows are
+    trusted as given.  Instances are immutable and hashable; equality
+    is on the element tuple plus the order, so it is equality of
+    spaces, not of isomorphism classes.
     """
 
     __slots__ = ("elements", "index", "below", "above", "_covers", "_heights", "_hash")
 
-    def __init__(self, elements: Sequence[str], below: Sequence[int], above: Optional[Sequence[int]] = None):
+    def __init__(self, elements: Sequence[str], below: Sequence[int], above: Sequence[int]):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.below = tuple(below)
-        if above is None:
-            above = [0] * len(self.elements)
-            for i, row in enumerate(self.below):
-                for j in _bits(row):
-                    above[j] |= 1 << i
         self.above = tuple(above)
         self._covers = None
         self._heights = None
@@ -138,7 +134,13 @@ class Poset:
             for j in _bits(dn_adj[i]):
                 row |= below[j]
             below[i] = row
-        return cls(names, below)
+        above = [0] * n
+        for i in reversed(topo):
+            row = 1 << i
+            for j in _bits(up_adj[i]):
+                row |= above[j]
+            above[i] = row
+        return cls(names, below, above)
 
     @classmethod
     def chain(cls, names: Sequence[str]) -> "Poset":
@@ -151,7 +153,7 @@ class Poset:
 
     @classmethod
     def empty(cls) -> "Poset":
-        return cls((), ())
+        return cls((), (), ())
 
     # -- basics ------------------------------------------------------
 
@@ -321,13 +323,16 @@ class Poset:
         keep_mask = self.mask(keep)
         kept = list(_bits(keep_mask))
         pos = {i: k for k, i in enumerate(kept)}
-        below = []
+        below, above = [], []
         for i in kept:
-            row = 0
+            lo = hi = 0
             for j in _bits(self.below[i] & keep_mask):
-                row |= 1 << pos[j]
-            below.append(row)
-        return Poset(tuple(self.elements[i] for i in kept), below)
+                lo |= 1 << pos[j]
+            for j in _bits(self.above[i] & keep_mask):
+                hi |= 1 << pos[j]
+            below.append(lo)
+            above.append(hi)
+        return Poset(tuple(self.elements[i] for i in kept), below, above)
 
 
 def pair_name(x: str, y: str) -> str:
@@ -342,15 +347,12 @@ def product(p: Poset, q: Poset) -> tuple[Poset, "MonotoneMap", "MonotoneMap"]:
     """
     names = [pair_name(x, y) for x in p.elements for y in q.elements]
     nq = q.n
-    below = []
-    for i in range(p.n):
-        for j in range(q.n):
-            row = 0
-            for a in _bits(p.below[i]):
-                for b in _bits(q.below[j]):
-                    row |= 1 << (a * nq + b)
-            below.append(row)
-    prod = Poset(names, below)
+
+    def rows(p_rows: Sequence[int], q_rows: Sequence[int]) -> list[int]:
+        # the row of (x, y) is y's row copied into the block of each a in x's row
+        return [sum(q_row << a * nq for a in _bits(p_row)) for p_row in p_rows for q_row in q_rows]
+
+    prod = Poset(names, rows(p.below, q.below), rows(p.above, q.above))
     to_p = MonotoneMap(prod, p, tuple(i for i in range(p.n) for _ in range(nq)))
     to_q = MonotoneMap(prod, q, tuple(j for _ in range(p.n) for j in range(nq)))
     return prod, to_p, to_q
@@ -660,13 +662,9 @@ class HomPoset:
 def hom_poset(dom: Poset, cod: Poset, guard: Optional[int] = DEFAULT_GUARD) -> HomPoset:
     """The poset of all monotone maps dom -> cod.
 
-    The guard is prechecked against |cod| ** |dom| before enumerating.
+    The guard bounds |cod| ** |dom|, checked before enumerating.
     """
-    if dom.n and guard is not None:
-        bound = cod.n ** dom.n
-        if bound > guard:
-            raise GuardExceeded(bound, guard)
-    return HomPoset(dom, cod, list(monotone_maps(dom, cod, None)))
+    return HomPoset(dom, cod, list(monotone_maps(dom, cod, guard)))
 
 
 def hom_over_base(
@@ -690,28 +688,23 @@ def _joint_labels(
 ) -> tuple[list[int], list[int]]:
     """Integer colour refinement on the disjoint union of p and q.
 
-    An element starts from (|U|, |F|, height, depth, extra label); each
-    round recolours it by its colour and the sorted colours of its
-    lower and upper covers, until a round splits no class.  Elements
-    that can correspond under an isomorphism (respecting the extra
-    labels) end with equal colours; the converse fails in general, the
-    backtracking handles the rest.  Only the final partition matters,
-    so colours are numbered in order of first appearance.
+    An element starts from (|U|, |F|, extra label); each round
+    recolours it by its colour and the sorted colours of its lower and
+    upper covers, until a round splits no class.  Equal final colours
+    give equal lower-cover colours, so by induction equal heights, and
+    dually equal depths.  Elements that can correspond under an
+    isomorphism (respecting the extra labels) end with equal colours;
+    the converse fails in general, the backtracking handles the rest.
+    Only the final partition matters, so colours are numbered in order
+    of first appearance.
     """
     keys: list[object] = []
     dn: list[list[int]] = []
     up: list[list[int]] = []
     for s, extra in ((p, extra_p), (q, extra_q)):
-        heights, depths = s.heights(), s.op().heights()
         shift = len(keys)
         keys += [
-            (
-                s.below[i].bit_count(),
-                s.above[i].bit_count(),
-                heights[i],
-                depths[i],
-                None if extra is None else extra[i],
-            )
+            (s.below[i].bit_count(), s.above[i].bit_count(), None if extra is None else extra[i])
             for i in range(s.n)
         ]
         s_dn, s_up = _cover_adjacency(s)

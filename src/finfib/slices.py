@@ -20,15 +20,8 @@ from .errors import (
     PreconditionViolated,
     UnknownElement,
 )
-from .posets import (
-    DEFAULT_GUARD,
-    HomPoset,
-    MonotoneMap,
-    Poset,
-    hom_over_base,
-    monotone_maps,
-)
-from .stong import Picker, ReductionTrace, _reduce, _witnesses
+from .posets import DEFAULT_GUARD, HomPoset, MonotoneMap, Poset, monotone_maps
+from .stong import BeatPointReport, Picker, ReductionTrace, _bp_retract, _reduce, _witnesses
 
 
 class SliceMap:
@@ -118,16 +111,9 @@ def as_slice(p: MapLike) -> SliceMap:
     return p if isinstance(p, SliceMap) else SliceMap(p)
 
 
-@dataclass(frozen=True)
-class MapBeatPointReport:
-    """Beat points of a map, each with its (same fiber) witness."""
-
-    down: dict[str, str]
-    up: dict[str, str]
-
-    @property
-    def is_minimal(self) -> bool:
-        return not self.down and not self.up
+# Beat points of a map, each with its (same fiber) witness: the same
+# record as for a space.
+MapBeatPointReport = BeatPointReport
 
 
 def map_beat_points(p: MapLike) -> MapBeatPointReport:
@@ -196,9 +182,7 @@ def is_map_dbp_retract(p: MapLike, keep: Sequence[str]) -> Optional[ReductionTra
     as for spaces.
     """
     s = as_slice(p)
-    keep_mask = s.total.mask(keep)
-    trace = _reduce(s.total, ("down",), None, keep=keep_mask, fiber_vals=s.map.vals)
-    return trace if trace.result.n == keep_mask.bit_count() else None
+    return _bp_retract(s.total, keep, "down", s.map.vals)
 
 
 def restrict_over(p: MapLike, base_part: Iterable[str]) -> SliceMap:
@@ -248,12 +232,9 @@ def are_fiber_homotopic(
             raise UnknownElement(f"{a!r} is not in the domain")
         if f(a) != g(a):
             raise PreconditionViolated(f"maps disagree on rel point {a!r}")
-    if not rel_names:
-        classes = hom_over_base(p, q, guard).comparability_classes()
-    else:
-        pins = {a: f(a) for a in rel_names}
-        maps = list(monotone_maps(p.dom, q.dom, guard, over=(p, q), fixed=pins))
-        classes = HomPoset(p.dom, q.dom, maps).comparability_classes()
+    pins = {a: f(a) for a in rel_names}
+    maps = list(monotone_maps(p.dom, q.dom, guard, over=(p, q), fixed=pins))
+    classes = HomPoset(p.dom, q.dom, maps).comparability_classes()
     for cls in classes:
         seen_f = any(h == f for h in cls)
         seen_g = any(h == g for h in cls)

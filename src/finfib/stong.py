@@ -223,6 +223,15 @@ def smallest_ubp_retract(x: Poset, *, picker: Optional[Picker] = None) -> Reduct
     return _reduce(x, ("up",), picker)
 
 
+def _bp_retract(
+    x: Poset, keep: Sequence[str], kind: str, fiber_vals: Optional[Sequence[int]] = None
+) -> Optional[ReductionTrace]:
+    """Greedy removal of ``kind`` beat points outside ``keep``; None if it stops short."""
+    keep_mask = x.mask(keep)
+    trace = _reduce(x, (kind,), None, keep=keep_mask, fiber_vals=fiber_vals)
+    return trace if trace.result.n == keep_mask.bit_count() else None
+
+
 def is_dbp_retract(x: Poset, keep: Sequence[str]) -> Optional[ReductionTrace]:
     """Trace showing ``keep`` is reachable by down beat point removals.
 
@@ -230,15 +239,11 @@ def is_dbp_retract(x: Poset, keep: Sequence[str]) -> Optional[ReductionTrace]:
     subspace reachable this way keeps it reachable, so a stuck state
     not equal to ``keep`` certifies absence (returns None).
     """
-    keep_mask = x.mask(keep)
-    trace = _reduce(x, ("down",), None, keep=keep_mask)
-    return trace if trace.result.n == keep_mask.bit_count() else None
+    return _bp_retract(x, keep, "down")
 
 
 def is_ubp_retract(x: Poset, keep: Sequence[str]) -> Optional[ReductionTrace]:
-    keep_mask = x.mask(keep)
-    trace = _reduce(x, ("up",), None, keep=keep_mask)
-    return trace if trace.result.n == keep_mask.bit_count() else None
+    return _bp_retract(x, keep, "up")
 
 
 def _all_bp_retracts(x: Poset, kind: str, limit: Optional[int]) -> tuple[tuple[str, ...], ...]:

@@ -110,12 +110,21 @@ class NecessaryReport:
 class _ComponentFacts:
     """One component and the facts several conditions read off it.
 
-    Each fact is computed on first use and then shared, so openness and
-    the beat points of E and B are found at most once per component.
+    Each fact is computed on first use and then shared, so openness,
+    the beat points of E and B and the reduced map's lift report are
+    found at most once per component, by the decision or a condition.
     """
 
     def __init__(self, pc: SliceMap):
         self.pc = pc
+
+    @cached_property
+    def reduction(self) -> MapReduction:
+        return smallest_dbp_retract_of_map(self.pc)
+
+    @cached_property
+    def report(self) -> GrothendieckReport:
+        return classify_grothendieck(self.reduction.reduced)
 
     @cached_property
     def open_miss(self) -> Optional[dict]:
@@ -177,9 +186,7 @@ def _reduced_witness(red: MapReduction, rep: GrothendieckReport) -> dict:
 
 
 def _cond_reduced_bifibration(f: _ComponentFacts) -> Optional[dict]:
-    red = smallest_dbp_retract_of_map(f.pc)
-    rep = classify_grothendieck(red.reduced)
-    return None if rep.is_bifibration else _reduced_witness(red, rep)
+    return None if f.report.is_bifibration else _reduced_witness(f.reduction, f.report)
 
 
 def _cond_minimal_e_implies_minimal_b(f: _ComponentFacts) -> Optional[dict]:
@@ -246,16 +253,15 @@ def necessary_conditions(p: MapLike) -> NecessaryReport:
     s = as_slice(p)
     if s.is_empty:
         raise EmptyDomain("necessary conditions need a nonempty total space")
-    return _evaluate_conditions([restrict_over(s, c) for c in s.touched_components()])
+    return _evaluate_conditions([_ComponentFacts(restrict_over(s, c)) for c in s.touched_components()])
 
 
-def _evaluate_conditions(comps: Sequence[SliceMap], passed: tuple[str, ...] = ()) -> NecessaryReport:
-    """Run every condition over the components; those in ``passed`` are known to pass."""
-    facts = [_ComponentFacts(pc) for pc in comps]
+def _evaluate_conditions(facts: Sequence[_ComponentFacts]) -> NecessaryReport:
+    """Run every condition over the components' facts."""
     results = []
     for name, func in _CONDITION_FUNCS.items():
         witness = None
-        for f in facts if name not in passed else ():
+        for f in facts:
             w = func(f)
             if w is not None:
                 witness = dict(w)
@@ -419,7 +425,7 @@ def _all_labeled_posets(names: tuple[str, ...]):
         for i, row in enumerate(above):
             for j in _bits(row):
                 below[j] |= 1 << i
-        yield Poset(names, below)
+        yield Poset(names, below, above)
 
 
 def search_retract_certificate(
@@ -511,7 +517,8 @@ class Verdict:
         return {"fibration": 0, "not_fibration": 1, "unknown": 2}[self.status]
 
 
-def _decide_component(pc: SliceMap, budget: Optional[int]) -> ComponentVerdict:
+def _decide_component(facts: _ComponentFacts, budget: Optional[int]) -> ComponentVerdict:
+    pc = facts.pc
     comp = pc.base.elements
     missing = pc.missed()
     if missing:
@@ -524,8 +531,7 @@ def _decide_component(pc: SliceMap, budget: Optional[int]) -> ComponentVerdict:
                 "component": list(comp),
             },
         )
-    red = smallest_dbp_retract_of_map(pc)
-    rep = classify_grothendieck(red.reduced)
+    red, rep = facts.reduction, facts.report
     if not rep.is_bifibration:
         w = _reduced_witness(red, rep)
         w["condition"] = "reduced_bifibration"
@@ -547,8 +553,7 @@ def _decide_component(pc: SliceMap, budget: Optional[int]) -> ComponentVerdict:
         trivial_exhausted = True
     if triv is not None:
         return ComponentVerdict(comp, "fibration", certificate=replace(triv, reduction=red))
-    # red was just classified as a bifibration
-    report = _evaluate_conditions([pc], passed=("reduced_bifibration",))
+    report = _evaluate_conditions([facts])
     witness = {"condition": "undecided", "component": list(comp)}
     if trivial_exhausted:
         witness["trivial_search"] = "budget_exhausted"
@@ -574,7 +579,7 @@ def decide_hurewicz(
     touched = s.touched_components()
     skipped = tuple(c for c in s.base.components() if c not in touched)
     parts = tuple(
-        _decide_component(restrict_over(s, c), budget) for c in touched
+        _decide_component(_ComponentFacts(restrict_over(s, c)), budget) for c in touched
     )
     if any(c.status == "not_fibration" for c in parts):
         first = next(c for c in parts if c.status == "not_fibration")

@@ -18,7 +18,7 @@ from finfib.errors import (
     UnknownElement,
 )
 from finfib.grothendieck import PosetFunctor, grothendieck_construction
-from finfib.posets import MonotoneMap, Poset, _bits, product
+from finfib.posets import MonotoneMap, Poset, _bits, _cover_adjacency, product
 from finfib.slices import SliceMap, as_slice
 from finfib.stong import ReductionTrace
 
@@ -169,6 +169,19 @@ def fiberwise_down_fiber_nonempty(pc):
     return None
 
 
+def transpose(rows):
+    """The transposed bitmask rows: bit i of row j wherever bit j of row i.
+
+    The bit-by-bit loop ``Poset.__init__`` ran when a caller gave only
+    ``below``; every constructor now builds ``above`` itself.
+    """
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
 def matrix_labeled_posets(names):
     """Every partial order on the labeled elements, by filtering relation sets.
 
@@ -195,11 +208,13 @@ def matrix_labeled_posets(names):
         if not ok:
             continue
         below = [0] * n
+        above = [0] * n
         for j in range(n):
             for i in range(n):
                 if rel[i][j]:
                     below[j] |= 1 << i
-        yield Poset(names, below)
+                    above[i] |= 1 << j
+        yield Poset(names, below, above)
 
 
 def _linear_extension(p):
@@ -335,6 +350,45 @@ def repr_joint_labels(p, q, extra_p, extra_q):
             break
         lab_p, lab_q = new_p, new_q
     return lab_p, lab_q
+
+
+def height_keyed_joint_labels(p, q, extra_p, extra_q):
+    """Integer colour refinement on the disjoint union of p and q.
+
+    The refinement ``posets._joint_labels`` replaced, kept verbatim as
+    an oracle: it seeds each element with its height and depth as well,
+    which the stable partition separates anyway.
+    """
+    keys = []
+    dn = []
+    up = []
+    for s, extra in ((p, extra_p), (q, extra_q)):
+        heights, depths = s.heights(), s.op().heights()
+        shift = len(keys)
+        keys += [
+            (
+                s.below[i].bit_count(),
+                s.above[i].bit_count(),
+                heights[i],
+                depths[i],
+                None if extra is None else extra[i],
+            )
+            for i in range(s.n)
+        ]
+        s_dn, s_up = _cover_adjacency(s)
+        dn += [[j + shift for j in row] for row in s_dn]
+        up += [[j + shift for j in row] for row in s_up]
+    classes = 0
+    while True:
+        ids = {}
+        colour = [ids.setdefault(k, len(ids)) for k in keys]
+        if len(ids) == classes:
+            return colour[: p.n], colour[p.n :]
+        classes = len(ids)
+        keys = [
+            (colour[v], tuple(sorted(colour[u] for u in dn[v])), tuple(sorted(colour[u] for u in up[v])))
+            for v in range(len(colour))
+        ]
 
 
 def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, budget=None):

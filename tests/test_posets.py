@@ -23,6 +23,7 @@ from finfib.posets import (
     Poset,
     _backtrack,
     _extremum,
+    _joint_labels,
     automorphisms,
     compose,
     find_isomorphism,
@@ -34,16 +35,20 @@ from finfib.posets import (
     product,
     sub_poset,
 )
+from finfib.verdict import _all_labeled_posets
 from helpers import (
     brute_iso,
+    height_keyed_joint_labels,
     linear_extremum,
     per_value_backtrack,
     posets,
+    rand_functor,
     rand_monotone,
     rand_poset,
     rec_isomorphisms,
     rec_monotone_maps,
     seeded,
+    transpose,
 )
 
 
@@ -122,9 +127,60 @@ def test_op_swaps_the_order():
 def test_op_swaps_the_rows_it_already_has(p):
     # op() passes both rows on instead of transposing below again
     o = p.op()
-    transposed = Poset(p.elements, p.above)
+    transposed = Poset(p.elements, p.above, transpose(p.above))
     assert (o.below, o.above) == (transposed.below, transposed.above) == (p.above, p.below)
     assert o == transposed and hash(o) == hash(transposed)
+
+
+def has_transposed_rows(p):
+    return p.above == transpose(p.below)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=posets(max_size=8), q=posets(max_size=4), data=st.data())
+def test_every_constructor_hands_over_the_transposed_rows(p, q, data):
+    # each constructor builds above from its own data; none may drift
+    # from the transpose of below
+    assert has_transposed_rows(p)
+    assert has_transposed_rows(p.op())
+    keep = data.draw(st.lists(st.booleans(), min_size=p.n, max_size=p.n))
+    assert has_transposed_rows(p.sub(e for e, k in zip(p.elements, keep) if k))
+    assert has_transposed_rows(product(p, q)[0])
+    d = rand_functor(seeded(data.draw(st.integers(0, 2**16))))
+    assert has_transposed_rows(grothendieck_construction(d).total)
+
+
+def test_enumerated_and_empty_posets_hand_over_the_transposed_rows():
+    for k in range(1, 4):
+        for p in _all_labeled_posets(tuple(f"y{t}" for t in range(k))):
+            assert has_transposed_rows(p)
+    assert Poset.empty().above == Poset.empty().below == ()
+
+
+@st.composite
+def label_pairs(draw):
+    """A poset of up to 20 points against a shuffled, renamed copy or an
+    unrelated poset, with extra labels None or drawn from 0..3.
+    """
+    p = draw(posets(max_size=20))
+    labelled = draw(st.booleans())
+    extra_p = draw(st.lists(st.integers(0, 3), min_size=p.n, max_size=p.n)) if labelled else None
+    if draw(st.booleans()):
+        ren = {a: f"r{i}" for i, a in enumerate(p.elements)}
+        order = draw(st.permutations(p.elements))
+        q = Poset.build([ren[a] for a in order], [(ren[a], ren[b]) for a, b in p.covers()])
+        extra_q = [extra_p[p.index[a]] for a in order] if labelled else None
+    else:
+        q = draw(posets(max_size=20))
+        extra_q = draw(st.lists(st.integers(0, 3), min_size=q.n, max_size=q.n)) if labelled else None
+    return p, q, extra_p, extra_q
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=label_pairs())
+def test_refinement_without_height_keys_gives_the_same_colours(pair):
+    # the stable partition separates heights and depths by itself
+    assert _joint_labels(*pair) == height_keyed_joint_labels(*pair)
 
 
 def test_sub_induces_the_order():

@@ -444,3 +444,16 @@ def test_conditions_compute_openness_and_beat_points_once_per_component(monkeypa
     assert [kind for kind, _ in seen].count("open") == 1
     beat_args = [x for kind, x in seen if kind == "beat"]
     assert len(beat_args) == len(set(beat_args)) == 2
+
+
+def test_an_undecided_component_classifies_its_reduced_map_once(monkeypatch):
+    import finfib.verdict as verdict
+
+    seen = []
+    classify = verdict.classify_grothendieck
+    monkeypatch.setattr(verdict, "classify_grothendieck", lambda p: seen.append(p) or classify(p))
+    v = decide_hurewicz(gallery_map("p3"))
+    # the decision and the reduced_bifibration condition share one report
+    undecided = [c for c in v.components if c.status == "unknown"]
+    assert undecided and len(seen) == len(undecided)
+    assert all(c.necessary.get("reduced_bifibration").passed for c in undecided)
