@@ -39,7 +39,6 @@ from .posets import (
     compose,
     find_isomorphism,
     find_isomorphism_over_base,
-    hom_over_base,
     hom_poset,
     isomorphisms,
     monotone_maps,

@@ -151,7 +151,7 @@ def functor_from_doc(doc: Doc) -> PosetFunctor:
         src, dst = (lo, hi) if variance == "covariant" else (hi, lo)
         mapping = _element_map(mapping, f"transition {key!r}")
         transitions[(lo, hi)] = MonotoneMap.build(fibers[src], fibers[dst], mapping)
-    return PosetFunctor.build(base, variance, fibers, transitions)
+    return PosetFunctor(base, variance, fibers, transitions)
 
 
 def lift_failure_to_doc(f: Optional[LiftFailure]) -> Optional[dict]:

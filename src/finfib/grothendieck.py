@@ -51,10 +51,6 @@ class LiftOutcome:
     reason: Optional[str] = None
     stray: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.element is not None
-
 
 @dataclass(frozen=True)
 class LiftFailure:
@@ -121,11 +117,14 @@ def cocartesian_lift(p: MapLike, e: str, b: str) -> LiftOutcome:
 class PosetFunctor:
     """A functor from a poset into finite posets.
 
-    ``fibers[b]`` is the poset at b.  ``transitions`` holds one
-    monotone map per strictly related pair (lo, hi): covariant
-    functors map fibers[lo] -> fibers[hi], contravariant ones
-    fibers[hi] -> fibers[lo].  Construction validates shapes and path
-    independence, so instances are always genuine functors.
+    ``fibers[b]`` is the poset at b.  ``transitions`` holds monotone
+    maps for strictly related pairs (lo, hi): covariant functors map
+    fibers[lo] -> fibers[hi], contravariant ones fibers[hi] ->
+    fibers[lo].  Every pair left out is filled in by composing given
+    ones (cover transitions suffice), and a pair no composite reaches
+    raises.  Construction then validates shapes and path independence,
+    so instances are always genuine functors with a transition for
+    every strictly related pair.
     """
 
     __slots__ = ("base", "variance", "fibers", "transitions")
@@ -137,54 +136,6 @@ class PosetFunctor:
         fibers: dict[str, Poset],
         transitions: dict[tuple[str, str], MonotoneMap],
     ):
-        if variance not in ("covariant", "contravariant"):
-            raise FunctorialityViolated(f"unknown variance {variance!r}")
-        if set(fibers) != set(base.elements):
-            raise UnknownElement("fibers must be indexed exactly by the base elements")
-        self.base = base
-        self.variance = variance
-        self.fibers = dict(fibers)
-        self.transitions = dict(transitions)
-        self._validate()
-
-    def _validate(self) -> None:
-        for (lo, hi), t in self.transitions.items():
-            if lo not in self.base or hi not in self.base:
-                raise UnknownElement(f"transition pair ({lo!r}, {hi!r}) is not in the base")
-            if not self.base.lt(lo, hi):
-                raise FunctorialityViolated(f"transition pair ({lo!r}, {hi!r}) is not strictly related")
-            src, dst = (lo, hi) if self.variance == "covariant" else (hi, lo)
-            if t.dom != self.fibers[src] or t.cod != self.fibers[dst]:
-                raise FunctorialityViolated(f"transition for ({lo!r}, {hi!r}) has the wrong fibers")
-        for bi, b in enumerate(self.base.elements):
-            for vi in _bits(self.base.below[bi] & ~(1 << bi)):
-                v = self.base.elements[vi]
-                if (v, b) not in self.transitions:
-                    raise FunctorialityViolated(f"missing transition for ({v!r}, {b!r})")
-        # path independence over every strictly ordered triple
-        for lo, hi in self.transitions:
-            for mi in _bits(self.base.below[self.base.idx(hi)] & self.base.above[self.base.idx(lo)]):
-                mid = self.base.elements[mi]
-                if mid == lo or mid == hi:
-                    continue
-                if self.variance == "covariant":
-                    through = self.transitions[(lo, mid)].then(self.transitions[(mid, hi)])
-                else:
-                    through = self.transitions[(mid, hi)].then(self.transitions[(lo, mid)])
-                if through != self.transitions[(lo, hi)]:
-                    raise FunctorialityViolated(
-                        f"transitions do not compose along {lo!r} <= {mid!r} <= {hi!r}"
-                    )
-
-    @classmethod
-    def build(
-        cls,
-        base: Poset,
-        variance: str,
-        fibers: dict[str, Poset],
-        transitions: dict[tuple[str, str], MonotoneMap],
-    ) -> "PosetFunctor":
-        """Build a functor, composing cover transitions for absent pairs."""
         filled = dict(transitions)
         # bottom-up over the base, and within each top element nearest
         # lower elements first, so both halves of a composite exist
@@ -210,7 +161,39 @@ class PosetFunctor:
                     filled[(v, b)] = filled[(v, step)].then(filled[(step, b)])
                 else:
                     filled[(v, b)] = filled[(step, b)].then(filled[(v, step)])
-        return cls(base, variance, fibers, filled)
+        if variance not in ("covariant", "contravariant"):
+            raise FunctorialityViolated(f"unknown variance {variance!r}")
+        if set(fibers) != set(base.elements):
+            raise UnknownElement("fibers must be indexed exactly by the base elements")
+        self.base = base
+        self.variance = variance
+        self.fibers = dict(fibers)
+        self.transitions = filled
+        self._validate()
+
+    def _validate(self) -> None:
+        for (lo, hi), t in self.transitions.items():
+            if lo not in self.base or hi not in self.base:
+                raise UnknownElement(f"transition pair ({lo!r}, {hi!r}) is not in the base")
+            if not self.base.lt(lo, hi):
+                raise FunctorialityViolated(f"transition pair ({lo!r}, {hi!r}) is not strictly related")
+            src, dst = (lo, hi) if self.variance == "covariant" else (hi, lo)
+            if t.dom != self.fibers[src] or t.cod != self.fibers[dst]:
+                raise FunctorialityViolated(f"transition for ({lo!r}, {hi!r}) has the wrong fibers")
+        # path independence over every strictly ordered triple
+        for lo, hi in self.transitions:
+            for mi in _bits(self.base.below[self.base.idx(hi)] & self.base.above[self.base.idx(lo)]):
+                mid = self.base.elements[mi]
+                if mid == lo or mid == hi:
+                    continue
+                if self.variance == "covariant":
+                    through = self.transitions[(lo, mid)].then(self.transitions[(mid, hi)])
+                else:
+                    through = self.transitions[(mid, hi)].then(self.transitions[(lo, mid)])
+                if through != self.transitions[(lo, hi)]:
+                    raise FunctorialityViolated(
+                        f"transitions do not compose along {lo!r} <= {mid!r} <= {hi!r}"
+                    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PosetFunctor):
@@ -388,44 +371,27 @@ def grothendieck_construction(d: PosetFunctor) -> SliceMap:
     defines over the opposite base, with opposite fibers; the result
     then projects to d.base.op().  Integrating the cartesian functor
     of a fibration p this way rebuilds p.op().
+
+    Either way the order is the closure of the fiber covers (reversed
+    for a contravariant d) and the pairs (src, y) < (dst, t(y)) of
+    every transition t from the fiber over src to the one over dst;
+    names that collide raise DuplicateName.
     """
-    if d.variance == "contravariant":
-        flipped: dict[tuple[str, str], MonotoneMap] = {}
-        for (lo, hi), t in d.transitions.items():
-            flipped[(hi, lo)] = t.op()
-        d = PosetFunctor(
-            d.base.op(), "covariant", {b: f.op() for b, f in d.fibers.items()}, flipped
-        )
-    base = d.base
-    names: list[str] = []
-    owner: list[tuple[int, int]] = []  # (base index, index inside that fiber)
-    offset: dict[int, int] = {}
-    for bi, b in enumerate(base.elements):
-        offset[bi] = len(names)
-        for xi, x in enumerate(d.fibers[b].elements):
-            names.append(pair_name(b, x))
-            owner.append((bi, xi))
-    below = [0] * len(names)
-    above = [0] * len(names)
-    for k, (bi, xi) in enumerate(owner):
-        b = base.elements[bi]
-        fib_b = d.fibers[b]
-        m = 0
-        for vi in _bits(base.below[bi]):
-            v = base.elements[vi]
-            t = d.transition(v, b)
-            for yj in range(d.fibers[v].n):
-                if fib_b.below[xi] >> t.vals[yj] & 1:
-                    m |= 1 << offset[vi] + yj
-                    above[offset[vi] + yj] |= 1 << k
-        below[k] = m
-    total = Poset(names, below, above)
-    for k in range(total.n):
-        for j in _bits(below[k]):
-            if below[j] & ~below[k]:
-                raise FunctorialityViolated("transition data does not generate a poset")
-    proj = MonotoneMap(total, base, tuple(bi for bi, _ in owner))
-    return SliceMap(proj)
+    co = d.variance == "covariant"
+    names: dict[str, list[str]] = {}
+    pairs: list[tuple[str, str]] = []
+    for b in d.base.elements:
+        fib = d.fibers[b]
+        names[b] = at = [pair_name(b, x) for x in fib.elements]
+        for lo, hi in fib.covers():
+            lo, hi = at[fib.index[lo]], at[fib.index[hi]]
+            pairs.append((lo, hi) if co else (hi, lo))
+    for (lo, hi), t in d.transitions.items():
+        src, dst = (names[lo], names[hi]) if co else (names[hi], names[lo])
+        pairs.extend(zip(src, (dst[v] for v in t.vals)))
+    total = Poset.build((x for b in d.base.elements for x in names[b]), pairs)
+    owner = tuple(bi for bi, b in enumerate(d.base.elements) for _ in names[b])
+    return SliceMap(MonotoneMap(total, d.base if co else d.base.op(), owner))
 
 
 def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:

@@ -667,16 +667,6 @@ def hom_poset(dom: Poset, cod: Poset, guard: Optional[int] = DEFAULT_GUARD) -> H
     return HomPoset(dom, cod, list(monotone_maps(dom, cod, guard)))
 
 
-def hom_over_base(
-    p: MonotoneMap, q: MonotoneMap, guard: Optional[int] = DEFAULT_GUARD
-) -> HomPoset:
-    """Maps f: dom(p) -> dom(q) with q o f = p, under the pointwise order."""
-    if p.cod != q.cod:
-        raise CodomainMismatch("maps over a base need the same codomain")
-    maps = list(monotone_maps(p.dom, q.dom, guard, over=(p, q)))
-    return HomPoset(p.dom, q.dom, maps)
-
-
 # -- isomorphism search ------------------------------------------------
 
 

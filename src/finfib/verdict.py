@@ -154,7 +154,8 @@ def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
     pc = f.pc
     for ei, e in enumerate(pc.total.elements):
         pe = pc.map.vals[ei]
-        for bi in _bits(pc.base.below[pe]):
+        # over p(e) itself U_e meets the fiber in a set with maximum e
+        for bi in _bits(pc.base.below[pe] & ~(1 << pe)):
             b = pc.base.elements[bi]
             m = pc.total.below[ei] & pc.fiber_mask(b)
             if not m:

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from finfib.errors import (
     CodomainMismatch,
+    FunctorialityViolated,
     GuardExceeded,
     SearchBudgetExhausted,
     UnknownElement,
 )
 from finfib.grothendieck import PosetFunctor, grothendieck_construction
-from finfib.posets import MonotoneMap, Poset, _bits, _cover_adjacency, product
+from finfib.posets import MonotoneMap, Poset, _bits, _cover_adjacency, pair_name, product
 from finfib.slices import SliceMap, as_slice
 from finfib.stong import ReductionTrace
 
@@ -167,6 +168,51 @@ def fiberwise_down_fiber_nonempty(pc):
             if not pc.total.below[ei] & pc.fiber_mask(pc.base.elements[bi]):
                 return {"e": e, "b": pc.base.elements[bi]}
     return None
+
+
+def hand_built_grothendieck_construction(d):
+    """The construction with hand-built order rows, flipping a contravariant d.
+
+    The library now closes generating pairs with ``Poset.build``; this
+    is the earlier routine, kept verbatim as an oracle.
+    """
+    if d.variance == "contravariant":
+        flipped: dict[tuple[str, str], MonotoneMap] = {}
+        for (lo, hi), t in d.transitions.items():
+            flipped[(hi, lo)] = t.op()
+        d = PosetFunctor(
+            d.base.op(), "covariant", {b: f.op() for b, f in d.fibers.items()}, flipped
+        )
+    base = d.base
+    names: list[str] = []
+    owner: list[tuple[int, int]] = []  # (base index, index inside that fiber)
+    offset: dict[int, int] = {}
+    for bi, b in enumerate(base.elements):
+        offset[bi] = len(names)
+        for xi, x in enumerate(d.fibers[b].elements):
+            names.append(pair_name(b, x))
+            owner.append((bi, xi))
+    below = [0] * len(names)
+    above = [0] * len(names)
+    for k, (bi, xi) in enumerate(owner):
+        b = base.elements[bi]
+        fib_b = d.fibers[b]
+        m = 0
+        for vi in _bits(base.below[bi]):
+            v = base.elements[vi]
+            t = d.transition(v, b)
+            for yj in range(d.fibers[v].n):
+                if fib_b.below[xi] >> t.vals[yj] & 1:
+                    m |= 1 << offset[vi] + yj
+                    above[offset[vi] + yj] |= 1 << k
+        below[k] = m
+    total = Poset(names, below, above)
+    for k in range(total.n):
+        for j in _bits(below[k]):
+            if below[j] & ~below[k]:
+                raise FunctorialityViolated("transition data does not generate a poset")
+    proj = MonotoneMap(total, base, tuple(bi for bi, _ in owner))
+    return SliceMap(proj)
 
 
 def transpose(rows):
@@ -534,7 +580,7 @@ def rand_functor(rng, fiber_pool=None, max_base=5, max_fiber=4):
 
     fiber_pool, when given, is a list of posets to draw fibers from;
     otherwise fibers are fresh random posets.  Unique Hasse paths make
-    path independence automatic, so build always succeeds.
+    path independence automatic, so the constructor always succeeds.
     """
     base = forest_base(rng, rng.randint(2, max_base))
     fibers = {}
@@ -546,7 +592,7 @@ def rand_functor(rng, fiber_pool=None, max_base=5, max_fiber=4):
     transitions = {
         (lo, hi): rand_monotone(rng, fibers[lo], fibers[hi]) for lo, hi in base.covers()
     }
-    return PosetFunctor.build(base, "covariant", fibers, transitions)
+    return PosetFunctor(base, "covariant", fibers, transitions)
 
 
 def minimal_fiber_pool():
@@ -570,7 +616,7 @@ def rand_bundle(rng, max_base=4, max_fiber=4):
     fiber = rand_poset(rng, rng.randint(2, max_fiber), prefix="f")
     auts = [MonotoneMap.build(fiber, fiber, a) for a in automorphisms(fiber)]
     transitions = {(lo, hi): rng.choice(auts) for lo, hi in base.covers()}
-    d = PosetFunctor.build(
+    d = PosetFunctor(
         base, "covariant", {b: fiber for b in base.elements}, transitions
     )
     return d, grothendieck_construction(d)

@@ -344,6 +344,24 @@ def test_construct_rejects_non_functor_input(capsys, tmp_path):
     assert "construct" in err
 
 
+def test_construct_refuses_colliding_pair_names(capsys, tmp_path):
+    # base point a with fiber point "b,c" and base point "a,b" with fiber
+    # point c both name the pair "(a,b,c)"
+    f = tmp_path / "collide.json"
+    f.write_text(json.dumps({
+        "base": {"elements": ["a", "a,b"], "covers": []},
+        "variance": "covariant",
+        "fibers": {
+            "a": {"elements": ["b,c"], "covers": []},
+            "a,b": {"elements": ["c"], "covers": []},
+        },
+    }))
+    code, out, err = run(capsys, "construct", str(f), "--json")
+    assert code == 3
+    assert out == ""
+    assert "duplicate element name '(a,b,c)'" in err
+
+
 def test_gallery_target_reaches_every_check(capsys):
     for which in ("open", "closed", "groth", "bundle", "hurewicz", "core", "map-core", "necessary"):
         code, out, _ = run(capsys, "check", which, "gallery:pi_sierpinski")

@@ -95,7 +95,7 @@ def two_point_functor(lo, hi):
     point = Poset.antichain(["0"])
     base = Poset.build([lo, hi], [(lo, hi)])
     ident = MonotoneMap.identity(point)
-    return PosetFunctor.build(base, "covariant", {lo: point, hi: point}, {(lo, hi): ident})
+    return PosetFunctor(base, "covariant", {lo: point, hi: point}, {(lo, hi): ident})
 
 
 @pytest.mark.parametrize(

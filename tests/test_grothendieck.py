@@ -1,6 +1,8 @@
 """Lifts, transport functors, the construction, and bundle detection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finfib import grothendieck, verdict
 from finfib.errors import (
@@ -26,6 +28,7 @@ from finfib.posets import MonotoneMap, Poset, monotone_maps, pair_name, product
 from finfib.slices import as_slice
 from helpers import (
     brute_lift,
+    hand_built_grothendieck_construction,
     rand_bundle,
     rand_functor,
     rand_monotone,
@@ -249,12 +252,67 @@ def test_integrating_beta_recovers_the_map():
         reconstruct_over_base(grothendieck_construction(d))
 
 
+def flipped(d):
+    """A covariant d read as the contravariant functor it is over the opposite base."""
+    transitions = {(hi, lo): t for (lo, hi), t in d.transitions.items()}
+    return PosetFunctor(d.base.op(), "contravariant", d.fibers, transitions)
+
+
+def assert_same_construction(got, want):
+    assert got.total.elements == want.total.elements
+    assert got.total.below == want.total.below
+    assert got.total.above == want.total.above
+    assert got.base == want.base
+    assert got.map.vals == want.map.vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_construction_matches_the_hand_built_rows(seed):
+    # both variances: a random covariant functor, the same data read
+    # contravariantly over the opposite base, and the cartesian
+    # transport of the construction when it is a fibration
+    d = rand_functor(seeded(seed))
+    proj = grothendieck_construction(d)
+    assert_same_construction(proj, hand_built_grothendieck_construction(d))
+    assert_same_construction(
+        grothendieck_construction(flipped(d)), hand_built_grothendieck_construction(flipped(d))
+    )
+    alpha = classify_grothendieck(proj).alpha
+    if alpha is not None:
+        assert_same_construction(
+            grothendieck_construction(alpha), hand_built_grothendieck_construction(alpha)
+        )
+
+
+def test_integrating_alpha_rebuilds_the_opposite_map():
+    # the construction's docstring: integrating the cartesian functor of
+    # a fibration p rebuilds p.op() over B^op via (b, x) -> x
+    rng = seeded(149)
+    fibrations = [m for m in all_gallery_maps() if classify_grothendieck(m).is_fibration]
+    while len(fibrations) < 43:
+        proj = grothendieck_construction(rand_functor(rng))
+        if classify_grothendieck(proj).is_fibration:
+            fibrations.append(proj)
+    for p in fibrations:
+        s = as_slice(p)
+        integ = grothendieck_construction(classify_grothendieck(s).alpha)
+        assert integ.base == s.base.op()
+        phi = MonotoneMap.build(
+            integ.total,
+            s.total.op(),
+            {pair_name(b, x): x for b in s.base.elements for x in s.fiber(b).elements},
+        )
+        assert phi.is_iso()
+        assert phi.then(s.map.op()) == integ.map
+
+
 def test_functor_build_composes_covers():
     base = Poset.chain(["u", "v", "w"])
     fib = Poset.chain(["0", "1"])
     flip = {"0": "0", "1": "1"}
     step = MonotoneMap.build(fib, fib, flip)
-    d = PosetFunctor.build(
+    d = PosetFunctor(
         base,
         "covariant",
         {b: fib for b in base.elements},
@@ -262,7 +320,19 @@ def test_functor_build_composes_covers():
     )
     assert d.transition("u", "w") == step.then(step)
     with pytest.raises(FunctorialityViolated):
-        PosetFunctor.build(base, "covariant", {b: fib for b in base.elements}, {("u", "v"): step})
+        PosetFunctor(base, "covariant", {b: fib for b in base.elements}, {("u", "v"): step})
+    # contravariant: fiber(w) -> fiber(v) -> fiber(u), composed in that order
+    chain = Poset.chain(["0", "1", "2"])
+    t_uv = MonotoneMap.build(chain, chain, {"0": "0", "1": "0", "2": "1"})
+    t_vw = MonotoneMap.build(chain, chain, {"0": "1", "1": "2", "2": "2"})
+    d = PosetFunctor(
+        base,
+        "contravariant",
+        {b: chain for b in base.elements},
+        {("u", "v"): t_uv, ("v", "w"): t_vw},
+    )
+    assert d.transition("u", "w") == t_vw.then(t_uv)
+    assert d.transition("u", "w") != t_uv.then(t_vw)
 
 
 def test_functor_build_rejects_path_dependence():
@@ -274,7 +344,7 @@ def test_functor_build_rejects_path_dependence():
     ident = MonotoneMap.identity(fib)
     swap = MonotoneMap.build(fib, fib, {"0": "1", "1": "0"})
     with pytest.raises(FunctorialityViolated):
-        PosetFunctor.build(
+        PosetFunctor(
             diamond,
             "covariant",
             {b: fib for b in diamond.elements},

@@ -558,7 +558,7 @@ def twisted_bundle(k, fiber, aut):
     covers = base.covers()
     transitions = {c: MonotoneMap.identity(fiber) for c in covers}
     transitions[covers[-1]] = MonotoneMap.build(fiber, fiber, aut)
-    d = PosetFunctor.build(base, "covariant", {b: fiber for b in base.elements}, transitions)
+    d = PosetFunctor(base, "covariant", {b: fiber for b in base.elements}, transitions)
     return grothendieck_construction(d)
 
 
