@@ -137,26 +137,19 @@ class PosetFunctor:
         transitions: dict[tuple[str, str], MonotoneMap],
     ):
         filled = dict(transitions)
-        # bottom-up over the base, and within each top element nearest
-        # lower elements first, so both halves of a composite exist
-        for bi in sorted(range(base.n), key=lambda i: (base.below[i].bit_count(), i)):
+        # bottom-up over the base, and within each top element nearest lower
+        # elements first, so both halves through any point in between exist
+        for bi in base._linear_extension():
             b = base.elements[bi]
-            lows = sorted(
-                _bits(base.below[bi] & ~(1 << bi)),
-                key=lambda vi: -base.below[vi].bit_count(),
-            )
-            for vi in lows:
+            strict = _bits(base.below[bi] & ~(1 << bi))
+            for vi in sorted(strict, key=lambda vi: -base.below[vi].bit_count()):
                 v = base.elements[vi]
                 if (v, b) in filled:
                     continue
-                step = None
-                for ci in _bits(base.below[bi] & ~(1 << bi)):
-                    c = base.elements[ci]
-                    if base.lt(v, c) and (v, c) in filled and (c, b) in filled:
-                        step = c
-                        break
-                if step is None:
+                between = base.above[vi] & base.below[bi] & ~(1 << vi | 1 << bi)
+                if not between:
                     raise FunctorialityViolated(f"missing transition for ({v!r}, {b!r})")
+                step = base.elements[(between & -between).bit_length() - 1]
                 if variance == "covariant":
                     filled[(v, b)] = filled[(v, step)].then(filled[(step, b)])
                 else:
@@ -383,8 +376,8 @@ def grothendieck_construction(d: PosetFunctor) -> SliceMap:
     for b in d.base.elements:
         fib = d.fibers[b]
         names[b] = at = [pair_name(b, x) for x in fib.elements]
-        for lo, hi in fib.covers():
-            lo, hi = at[fib.index[lo]], at[fib.index[hi]]
+        for lo, hi in fib._cover_pairs():
+            lo, hi = at[lo], at[hi]
             pairs.append((lo, hi) if co else (hi, lo))
     for (lo, hi), t in d.transitions.items():
         src, dst = (names[lo], names[hi]) if co else (names[hi], names[lo])

@@ -38,24 +38,42 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _extremum(rows: Sequence[int], co: Sequence[int], m: int) -> Optional[int]:
-    """The element of mask m whose row holds all of m, or None.
+def _climb(rows: Sequence[int], co: Sequence[int], m: int) -> int:
+    """A maximal element of the non-empty mask m (minimal with rows = above).
 
-    With rows = below and co = above this is the maximum of m, with
-    rows = above and co = below its minimum.  The extremum lies beyond
-    every point of m, so each probe that is not it cuts the search down
-    to the points strictly beyond the probe.  Probes take the lowest and
-    the highest remaining index in turn, which finds the extremum within
-    two probes when the indices follow a linear extension or its reverse.
+    Each probe leaves the points of m strictly beyond it.  Probing the
+    lowest and the highest index in turn ends within two probes when the
+    indices follow a linear extension or its reverse.
     """
     cand, low = m, True
-    while cand:
+    while True:
         w = ((cand & -cand) if low else cand).bit_length() - 1
-        if not m & ~rows[w]:
+        cand = (cand & co[w]) ^ (1 << w)  # drops w, which co[w] holds
+        if not cand:
             return w
-        cand &= co[w] & ~(1 << w)
         low = not low
-    return None
+
+
+def _extremum(rows: Sequence[int], co: Sequence[int], m: int) -> Optional[int]:
+    """The maximum of mask m (minimum with rows = above), or None."""
+    if not m:
+        return None
+    w = _climb(rows, co, m)
+    return None if m & ~rows[w] else w
+
+
+def _maximal(rows: Sequence[int], co: Sequence[int], m: int) -> int:
+    """Mask of the maximal elements of m (minimal with rows = above).
+
+    Climb to one, keep it and clear its down-set; the rest has nothing
+    below it, so its maximal elements are maximal in m.
+    """
+    out = 0
+    while m:
+        w = _climb(rows, co, m)
+        out |= 1 << w
+        m &= ~rows[w]
+    return out
 
 
 class Poset:
@@ -65,12 +83,15 @@ class Poset:
     open set of element i), ``above[i]`` the bitmask of j >= i (its
     closure).  Callers hand over both rows, each constructor building
     the one it lacks from data it already holds, and the rows are
-    trusted as given.  Instances are immutable and hashable; equality
-    is on the element tuple plus the order, so it is equality of
-    spaces, not of isomorphism classes.
+    trusted as given.  The Hasse diagram is one cover table, built on
+    first use by extracting the maximal elements of each strict down-set
+    (the lower covers) and transposing them; every cover query reads
+    it.  Instances are immutable and hashable; equality is on the
+    element tuple plus the order, so it is equality of spaces, not of
+    isomorphism classes.
     """
 
-    __slots__ = ("elements", "index", "below", "above", "_covers", "_heights", "_hash")
+    __slots__ = ("elements", "index", "below", "above", "_covers", "_hash")
 
     def __init__(self, elements: Sequence[str], below: Sequence[int], above: Sequence[int]):
         self.elements = tuple(elements)
@@ -78,7 +99,6 @@ class Poset:
         self.below = tuple(below)
         self.above = tuple(above)
         self._covers = None
-        self._heights = None
         self._hash = hash((self.elements, self.below))
 
     # -- construction ------------------------------------------------
@@ -128,18 +148,13 @@ class Poset:
         if len(topo) != n:
             stuck = min(i for i in range(n) if indeg[i] > 0)
             raise CycleDetected(f"relation has a cycle through {names[stuck]!r}")
-        below = [0] * n
-        for i in topo:
-            row = 1 << i
-            for j in _bits(dn_adj[i]):
-                row |= below[j]
-            below[i] = row
-        above = [0] * n
-        for i in reversed(topo):
-            row = 1 << i
-            for j in _bits(up_adj[i]):
-                row |= above[j]
-            above[i] = row
+        below, above = [0] * n, [0] * n
+        for rows, adj, order in ((below, dn_adj, topo), (above, up_adj, topo[::-1])):
+            for i in order:
+                row = 1 << i
+                for j in _bits(adj[i]):
+                    row |= rows[j]
+                rows[i] = row
         return cls(names, below, above)
 
     @classmethod
@@ -223,24 +238,36 @@ class Poset:
         i = self.idx(a)
         return self.names(self.above[i] & ~(1 << i))
 
-    def covers(self) -> tuple[tuple[str, str], ...]:
-        """Hasse relation (transitive reduction), as (lo, hi) pairs."""
+    def _cover_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Lower and upper covers of each element, as rising indices, and the cover pairs."""
         if self._covers is None:
-            out = []
-            for i in range(self.n):
-                for j in _bits(self.below[i] & ~(1 << i)):
-                    # j is covered by i iff the interval [j, i] has 2 points
-                    if (self.below[i] & self.above[j]).bit_count() == 2:
-                        out.append((j, i))
-            out.sort()
-            self._covers = tuple((self.elements[j], self.elements[i]) for j, i in out)
+            below, above = self.below, self.above
+            lower = [tuple(_bits(_maximal(below, above, row & ~(1 << i)))) for i, row in enumerate(below)]
+            upper: list[list[int]] = [[] for _ in range(self.n)]
+            for i, row in enumerate(lower):
+                for j in row:
+                    upper[j].append(i)
+            pairs = tuple([(j, i) for j, row in enumerate(upper) for i in row])
+            self._covers = (tuple(lower), tuple(map(tuple, upper)), pairs)
         return self._covers
 
+    def _cover_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs (lo, hi) of the covers, in rising (lo, hi) order."""
+        return self._cover_table()[2]
+
+    def _linear_extension(self) -> list[int]:
+        """Indices by rising |U_x|, which strictly grows along the order."""
+        return sorted(range(self.n), key=lambda i: (self.below[i].bit_count(), i))
+
+    def covers(self) -> tuple[tuple[str, str], ...]:
+        """Hasse relation (transitive reduction), as (lo, hi) pairs."""
+        return tuple([(self.elements[j], self.elements[i]) for j, i in self._cover_pairs()])
+
     def lower_covers(self, a: str) -> tuple[str, ...]:
-        return tuple(lo for lo, hi in self.covers() if hi == a)
+        return tuple(self.elements[j] for j in self._cover_table()[0][self.idx(a)])
 
     def upper_covers(self, a: str) -> tuple[str, ...]:
-        return tuple(hi for lo, hi in self.covers() if lo == a)
+        return tuple(self.elements[j] for j in self._cover_table()[1][self.idx(a)])
 
     def minimal_elements(self) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.elements) if self.below[i] == 1 << i)
@@ -271,14 +298,11 @@ class Poset:
 
     def heights(self) -> tuple[int, ...]:
         """Longest chain length (in edges) ending at each element."""
-        if self._heights is None:
-            order = sorted(range(self.n), key=lambda i: (self.below[i].bit_count(), i))
-            h = [0] * self.n
-            for i in order:
-                strict = self.below[i] & ~(1 << i)
-                h[i] = 1 + max((h[j] for j in _bits(strict)), default=-1)
-            self._heights = tuple(h)
-        return self._heights
+        lower = self._cover_table()[0]
+        h = [0] * self.n
+        for i in self._linear_extension():
+            h[i] = 1 + max((h[j] for j in lower[i]), default=-1)
+        return tuple(h)
 
     def height(self) -> int:
         """Length of the longest chain; -1 for the empty poset."""
@@ -391,11 +415,11 @@ class MonotoneMap:
         extra = set(values) - set(dom.elements)
         if extra:
             raise UnknownElement(f"values assigned to unknown elements {sorted(extra)}")
-        for lo, hi in dom.covers():
-            a, b = vals[dom.index[lo]], vals[dom.index[hi]]
+        for lo, hi in dom._cover_pairs():
+            a, b = vals[lo], vals[hi]
             if not cod.below[b] >> a & 1:
                 raise NotMonotone(
-                    f"{lo!r} <= {hi!r} in the domain but "
+                    f"{dom.elements[lo]!r} <= {dom.elements[hi]!r} in the domain but "
                     f"{cod.elements[a]!r} <= {cod.elements[b]!r} fails in the codomain"
                 )
         return cls(dom, cod, vals)
@@ -461,23 +485,14 @@ class MonotoneMap:
         """Bijective with monotone inverse, i.e. a homeomorphism."""
         if self.dom.n != self.cod.n or not self.is_injective():
             return False
-        inv = [0] * self.cod.n
-        for i, v in enumerate(self.vals):
-            inv[v] = i
-        dom_below, cod_below = self.dom.below, self.cod.below
-        for j in range(self.cod.n):
-            for k in _bits(cod_below[j]):
-                if not dom_below[inv[j]] >> inv[k] & 1:
-                    return False
-        return True
+        # the inverse is monotone when it keeps every cover of the codomain
+        inv = sorted(range(self.dom.n), key=self.vals.__getitem__)
+        return all(self.dom.below[inv[hi]] >> inv[lo] & 1 for lo, hi in self.cod._cover_pairs())
 
     def inverse(self) -> "MonotoneMap":
         if not self.is_iso():
             raise NotMonotone("map is not an isomorphism")
-        inv = [0] * self.cod.n
-        for i, v in enumerate(self.vals):
-            inv[v] = i
-        return MonotoneMap(self.cod, self.dom, inv)
+        return MonotoneMap(self.cod, self.dom, sorted(range(self.dom.n), key=self.vals.__getitem__))
 
     def restrict(self, sub_dom: Poset) -> "MonotoneMap":
         """Restriction to a subposet of the domain (same names)."""
@@ -493,15 +508,6 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
 
 
 # -- enumeration of monotone maps -------------------------------------
-
-
-def _cover_adjacency(p: Poset) -> tuple[list[list[int]], list[list[int]]]:
-    dn: list[list[int]] = [[] for _ in range(p.n)]
-    up: list[list[int]] = [[] for _ in range(p.n)]
-    for lo, hi in p.covers():
-        dn[p.index[hi]].append(p.index[lo])
-        up[p.index[lo]].append(p.index[hi])
-    return dn, up
 
 
 def _backtrack(
@@ -597,20 +603,19 @@ def monotone_maps(
         raise GuardExceeded(bound, guard)
     if bound == 0:
         return
-    # |U_x| strictly grows along the order, so sorting by it gives a
-    # deterministic linear extension: the lower covers of an element,
-    # whose values bound its own from below, are assigned before it
-    dn, _ = _cover_adjacency(dom)
+    # in a linear extension the lower covers of an element, whose
+    # values bound its own from below, are assigned before it
+    order = dom._linear_extension()
+    lower = dom._cover_table()[0]
     above = cod.above
 
     def candidates(k: int, vals: list[int]) -> tuple[int, int]:
         i = order[k]
         m = cand[i]
-        for j in dn[i]:
+        for j in lower[i]:
             m &= above[vals[j]]
         return m, m
 
-    order = sorted(range(dom.n), key=lambda i: (dom.below[i].bit_count(), i))
     for vals in _backtrack(order, candidates):
         yield MonotoneMap(dom, cod, vals)
 
@@ -697,9 +702,8 @@ def _joint_labels(
             (s.below[i].bit_count(), s.above[i].bit_count(), None if extra is None else extra[i])
             for i in range(s.n)
         ]
-        s_dn, s_up = _cover_adjacency(s)
-        dn += [[j + shift for j in row] for row in s_dn]
-        up += [[j + shift for j in row] for row in s_up]
+        for adj, rows in zip((dn, up), s._cover_table()):
+            adj += [[j + shift for j in row] for row in rows]
     classes = 0
     while True:
         ids: dict[object, int] = {}
@@ -762,8 +766,9 @@ def isomorphisms(
     # An apart i2 outside them rules out only its own value, which
     # ``used`` already removes.
     reached_by: dict[int, int] = {}
-    # per position: its colour class, and the earlier elements below,
-    # above and apart from it whose values can rule a candidate out
+    # per position: its colour class, the maximal earlier elements below
+    # it, the minimal ones above it (earlier values already relate as
+    # their elements do) and the earlier ones apart from it that matter
     classes, lows, highs, aparts = [], [], [], []
     earlier = 0
     for i in order:
@@ -776,8 +781,8 @@ def isomorphisms(
                 reached_by[l] = sum(members[l2] for l2 in by_label if reach[l2] & cls)
             rest &= reached_by[l]
         classes.append(cls)
-        lows.append(lo)
-        highs.append(hi)
+        lows.append(_maximal(p.below, p.above, lo))
+        highs.append(_maximal(p.above, p.below, hi))
         aparts.append(rest)
         earlier |= 1 << i
     full = (1 << n) - 1

@@ -31,6 +31,7 @@ from .posets import (
     MonotoneMap,
     Poset,
     _bits,
+    _extremum,
     find_isomorphism_over_base,
     monotone_maps,
     product,
@@ -154,13 +155,14 @@ def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
     pc = f.pc
     for ei, e in enumerate(pc.total.elements):
         pe = pc.map.vals[ei]
-        # over p(e) itself U_e meets the fiber in a set with maximum e
-        for bi in _bits(pc.base.below[pe] & ~(1 << pe)):
+        for bi in _bits(pc.base.below[pe]):
             b = pc.base.elements[bi]
             m = pc.total.below[ei] & pc.fiber_mask(b)
             if not m:
                 return {"e": e, "b": b, "reason": "empty"}
-            if not is_contractible(pc.total.sub(pc.total.names(m))):
+            # a set with a maximum (e itself over p(e)) is contractible
+            cone = _extremum(pc.total.below, pc.total.above, m) is not None
+            if not cone and not is_contractible(pc.total.sub(pc.total.names(m))):
                 return {"e": e, "b": b, "reason": "not_contractible"}
     return None
 

@@ -19,9 +19,9 @@ from finfib.errors import (
     UnknownElement,
 )
 from finfib.grothendieck import PosetFunctor, grothendieck_construction
-from finfib.posets import MonotoneMap, Poset, _bits, _cover_adjacency, pair_name, product
+from finfib.posets import MonotoneMap, Poset, _bits, pair_name, product
 from finfib.slices import SliceMap, as_slice
-from finfib.stong import ReductionTrace
+from finfib.stong import ReductionTrace, core
 
 
 # -- independent oracles -----------------------------------------------
@@ -73,6 +73,31 @@ def linear_extremum(rows, m):
         if m & ~rows[i] == 0:
             return i
     return None
+
+
+def pair_walk_covers(p):
+    """Hasse relation as (lo, hi) names, by one popcount per comparable pair.
+
+    ``Poset.covers`` before the cover table, kept verbatim as an oracle.
+    """
+    out = []
+    for i in range(p.n):
+        for j in _bits(p.below[i] & ~(1 << i)):
+            # j is covered by i iff the interval [j, i] has 2 points
+            if (p.below[i] & p.above[j]).bit_count() == 2:
+                out.append((j, i))
+    out.sort()
+    return tuple((p.elements[j], p.elements[i]) for j, i in out)
+
+
+def pair_walk_heights(p):
+    """``Poset.heights`` over every comparable pair, kept verbatim as an oracle."""
+    order = sorted(range(p.n), key=lambda i: (p.below[i].bit_count(), i))
+    h = [0] * p.n
+    for i in order:
+        strict = p.below[i] & ~(1 << i)
+        h[i] = 1 + max((h[j] for j in _bits(strict)), default=-1)
+    return tuple(h)
 
 
 def is_beat_point_brute(x, a):
@@ -167,6 +192,25 @@ def fiberwise_down_fiber_nonempty(pc):
         for bi in _bits(pc.base.below[pe]):
             if not pc.total.below[ei] & pc.fiber_mask(pc.base.elements[bi]):
                 return {"e": e, "b": pc.base.elements[bi]}
+    return None
+
+
+def every_pair_down_fiber_contractible(pc):
+    """First (e, b) with b <= p(e) and U_e meeting the fiber over b in an
+    empty or non-contractible set.
+
+    Every pair is built and reduced to its core, with no shortcut for a
+    set that has a maximum.
+    """
+    for ei, e in enumerate(pc.total.elements):
+        pe = pc.map.vals[ei]
+        for bi in _bits(pc.base.below[pe]):
+            b = pc.base.elements[bi]
+            m = pc.total.below[ei] & pc.fiber_mask(b)
+            if not m:
+                return {"e": e, "b": b, "reason": "empty"}
+            if core(pc.total.sub(pc.total.names(m))).result.n != 1:
+                return {"e": e, "b": b, "reason": "not_contractible"}
     return None
 
 
@@ -421,7 +465,7 @@ def height_keyed_joint_labels(p, q, extra_p, extra_q):
             )
             for i in range(s.n)
         ]
-        s_dn, s_up = _cover_adjacency(s)
+        s_dn, s_up = _rec_cover_adjacency(s)
         dn += [[j + shift for j in row] for row in s_dn]
         up += [[j + shift for j in row] for row in s_up]
     classes = 0

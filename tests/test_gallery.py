@@ -1,7 +1,13 @@
 """Every gallery entry recomputed from scratch against its frozen data."""
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
 
+from finfib.cli import _CHECKS, main
 from finfib.errors import UnknownGalleryId
 from finfib.gallery import ENTRIES, gallery_entry, gallery_ids, gallery_map, gallery_poset
 from finfib.grothendieck import classify_grothendieck, is_fiber_bundle
@@ -79,3 +85,45 @@ def test_every_map_relates_gallery_posets():
     pi = gallery_map("pi_sierpinski")
     assert pi.cod == gallery_poset("S")
     assert pi.dom.n == 8
+
+
+# -- CLI output snapshot ------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "gallery_cli.json"
+MODES = ((), ("--verbose",), ("--json", "--verbose"))
+
+
+def gallery_cli_runs():
+    """Exit code, stdout and stderr of in-process ``cli.main`` runs.
+
+    ``info`` on every gallery entry and every gallery map under every
+    check, each in the three output modes.
+    """
+    argvs = [["info", f"gallery:{e.id}", *mode] for e in ENTRIES for mode in MODES]
+    argvs += [
+        ["check", which, f"gallery:{e.id}", *mode]
+        for e in ENTRIES
+        if e.kind == "map"
+        for which in sorted(_CHECKS)
+        for mode in MODES
+    ]
+    runs = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        runs.append({"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+    return runs
+
+
+def test_gallery_cli_output_matches_the_snapshot():
+    want = json.loads(GOLDEN.read_text())
+    got = gallery_cli_runs()
+    assert [r["argv"] for r in got] == [r["argv"] for r in want]
+    for g, w in zip(got, want):
+        assert g == w, g["argv"]
+
+
+if __name__ == "__main__":
+    # regenerate the snapshot, one run per line: PYTHONPATH=src python tests/test_gallery.py
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r) for r in gallery_cli_runs()) + "\n]\n")

@@ -343,7 +343,9 @@ def test_functor_build_rejects_path_dependence():
     fib = Poset.antichain(["0", "1"])
     ident = MonotoneMap.identity(fib)
     swap = MonotoneMap.build(fib, fib, {"0": "1", "1": "0"})
-    with pytest.raises(FunctorialityViolated):
+    # (bot, top) is composed through the lowest-indexed middle, l, so
+    # the other middle is the one that disagrees
+    with pytest.raises(FunctorialityViolated, match="along 'bot' <= 'r' <= 'top'"):
         PosetFunctor(
             diamond,
             "covariant",

@@ -24,6 +24,7 @@ from finfib.posets import (
     _backtrack,
     _extremum,
     _joint_labels,
+    _maximal,
     automorphisms,
     compose,
     find_isomorphism,
@@ -40,6 +41,8 @@ from helpers import (
     brute_iso,
     height_keyed_joint_labels,
     linear_extremum,
+    pair_walk_covers,
+    pair_walk_heights,
     per_value_backtrack,
     posets,
     rand_functor,
@@ -132,6 +135,27 @@ def test_op_swaps_the_rows_it_already_has(p):
     assert o == transposed and hash(o) == hash(transposed)
 
 
+def assert_cover_queries_match_the_pair_walk(p):
+    covers = pair_walk_covers(p)
+    assert p.covers() == covers
+    for a in p.elements:
+        assert p.lower_covers(a) == tuple(lo for lo, hi in covers if hi == a)
+        assert p.upper_covers(a) == tuple(hi for lo, hi in covers if lo == a)
+    assert p.heights() == pair_walk_heights(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=posets(max_size=10), q=posets(max_size=4), data=st.data())
+def test_cover_table_matches_the_pair_walk(p, q, data):
+    # op() both before and after p has built its cover table
+    fresh_op = p.op()
+    assert_cover_queries_match_the_pair_walk(p)
+    keep = data.draw(st.lists(st.booleans(), min_size=p.n, max_size=p.n))
+    derived = [fresh_op, p.op(), p.sub(e for e, k in zip(p.elements, keep) if k), product(p, q)[0]]
+    for s in derived:
+        assert_cover_queries_match_the_pair_walk(s)
+
+
 def has_transposed_rows(p):
     return p.above == transpose(p.below)
 
@@ -214,6 +238,10 @@ def test_extremum_search_agrees_with_the_linear_probe(p, data):
     for m in masks:
         assert _extremum(p.below, p.above, m) == linear_extremum(p.below, m)
         assert _extremum(p.above, p.below, m) == linear_extremum(p.above, m)
+        # i is maximal (minimal) in m when nothing else of m is above (below) it
+        inside = [i for i in range(p.n) if m >> i & 1]
+        assert _maximal(p.below, p.above, m) == sum(1 << i for i in inside if m & p.above[i] == 1 << i)
+        assert _maximal(p.above, p.below, m) == sum(1 << i for i in inside if m & p.below[i] == 1 << i)
 
 
 def test_product_is_x_major_with_pair_names():
@@ -281,6 +309,24 @@ def test_image_and_injectivity_flags():
     iso = MonotoneMap.build(p, q, {"a": "0", "b": "1"})
     assert iso.is_iso()
     assert iso.inverse()("1") == "b"
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=posets(max_size=6), data=st.data())
+def test_is_iso_agrees_with_the_pairwise_definition(p, data):
+    # q is p shuffled with some covers dropped, so the identity on names
+    # q -> p is a monotone bijection, an iso exactly when no relation is lost
+    names = data.draw(st.permutations(p.elements))
+    pairs = [c for c in p.covers() if data.draw(st.booleans())]
+    q = Poset.build(names, pairs)
+    f = MonotoneMap(q, p, [p.index[a] for a in q.elements])
+    reflects = all(q.le(a, b) == p.le(a, b) for a in p.elements for b in p.elements)
+    assert f.is_iso() == reflects
+    if reflects:
+        assert f.inverse().then(f) == MonotoneMap.identity(p)
+    else:
+        with pytest.raises(NotMonotone):
+            f.inverse()
 
 
 def test_monotone_maps_match_raw_filtering():
@@ -594,6 +640,13 @@ def test_a_shuffled_1500_chain_has_no_search_ceiling():
     order = names[:]
     seeded(61).shuffle(order)
     c = Poset.build(order, list(zip(names, names[1:])))
+
+    def in_index_order(pairs):
+        return tuple(sorted(pairs, key=lambda pair: c.index[pair[0]]))
+
+    assert c.covers() == in_index_order(zip(names, names[1:]))
+    assert c.heights() == tuple(int(a[1:]) for a in c.elements)
+    assert c.op().covers() == in_index_order(zip(names[1:], names))
     assert find_isomorphism(c, c) == {a: a for a in names}
     first = next(monotone_maps(c, c, None))
     assert first == MonotoneMap.constant(c, c, c.elements[0])

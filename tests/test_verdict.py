@@ -15,6 +15,7 @@ from finfib.verdict import (
     RetractCertificate,
     _all_labeled_posets,
     _ComponentFacts,
+    _cond_down_fiber_contractible,
     _cond_down_fiber_nonempty,
     decide_hurewicz,
     is_closed_map,
@@ -26,6 +27,7 @@ from finfib.verdict import (
     verify_retract_certificate,
 )
 from helpers import (
+    every_pair_down_fiber_contractible,
     fiberwise_down_fiber_nonempty,
     matrix_labeled_posets,
     minimal_fiber_pool,
@@ -428,6 +430,26 @@ def test_open_and_closed_conditions_agree_with_their_direct_scans(total, base, s
     s = as_slice(rand_monotone(seeded(seed), total, base))
     assert is_closed_map(s) == scan_closed_map(s)
     assert _cond_down_fiber_nonempty(_ComponentFacts(s)) == fiberwise_down_fiber_nonempty(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(total=posets(max_size=7), base=posets(max_size=4), seed=st.integers(0, 2**16))
+def test_down_fiber_contractible_skips_only_passing_pairs(total, base, seed):
+    # pairs whose set has a maximum are skipped unreduced; the witness
+    # is the one a reduction of every pair finds first
+    if not base.n:
+        return
+    s = as_slice(rand_monotone(seeded(seed), total, base))
+    assert _cond_down_fiber_contractible(_ComponentFacts(s)) == every_pair_down_fiber_contractible(s)
+
+
+def test_down_fiber_contractible_names_a_two_point_fiber():
+    # U_e meets the fiber over b in the discrete two-point space
+    total = Poset.build(["x", "y", "e"], [("x", "e"), ("y", "e")])
+    base = Poset.chain(["b", "t"])
+    s = as_slice(MonotoneMap.build(total, base, {"x": "b", "y": "b", "e": "t"}))
+    want = {"e": "e", "b": "b", "reason": "not_contractible"}
+    assert _cond_down_fiber_contractible(_ComponentFacts(s)) == want
 
 
 @pytest.mark.parametrize("pid", ["p3", "p5_minimal_bifib"])
