@@ -29,6 +29,10 @@ from .errors import (
 
 DEFAULT_GUARD = 100_000
 
+# Poset._sub_mask moves rows run by run when the runs of kept indices
+# are this long on average, and bit by bit when they are shorter
+_SUB_MIN_RUN = 4
+
 
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in increasing order."""
@@ -343,16 +347,51 @@ class Poset:
         return Poset(self.elements, self.above, self.below)
 
     def sub(self, keep: Iterable[str]) -> "Poset":
-        """Subposet induced on the given elements, relative order kept."""
-        keep_mask = self.mask(keep)
-        kept = list(_bits(keep_mask))
+        """Subposet induced on the given elements, relative order kept.
+
+        Keeping every element returns this poset itself.
+        """
+        return self._sub_mask(self.mask(keep))
+
+    def _sub_mask(self, keep: int) -> "Poset":
+        """Subposet induced on the bitmask keep; this poset if it keeps all.
+
+        A kept row is compressed with one shift-and-mask per maximal run
+        of kept indices, so a mask made of a few blocks (a fiber-aligned
+        restriction, a reduction that drops the tops of chains) costs a
+        few big-int operations per row.  When the runs are short on average
+        (shorter than ``_SUB_MIN_RUN``), each kept comparable pair is moved
+        bit by bit instead, which is cheaper there.
+        """
+        if keep == (1 << self.n) - 1:
+            return self
+        if keep and (keep & ~(keep << 1)).bit_count() * _SUB_MIN_RUN <= keep.bit_count():
+            kept: list[int] = []
+            runs = []  # (first index, width mask, new first index) per run
+            m = keep
+            while m:
+                lo = (m & -m).bit_length() - 1
+                width = ((m >> lo) + 1 & ~(m >> lo)).bit_length() - 1
+                runs.append((lo, (1 << width) - 1, len(kept)))
+                kept.extend(range(lo, lo + width))
+                m = m >> (lo + width) << (lo + width)
+
+            def compress(rows: Sequence[int]) -> list[int]:
+                lo, w, _ = runs[0]
+                out = [rows[i] >> lo & w for i in kept]
+                for lo, w, at in runs[1:]:
+                    out = [o | (rows[i] >> lo & w) << at for o, i in zip(out, kept)]
+                return out
+
+            return Poset([self.elements[i] for i in kept], compress(self.below), compress(self.above))
+        kept = list(_bits(keep))
         pos = {i: k for k, i in enumerate(kept)}
         below, above = [], []
         for i in kept:
             lo = hi = 0
-            for j in _bits(self.below[i] & keep_mask):
+            for j in _bits(self.below[i] & keep):
                 lo |= 1 << pos[j]
-            for j in _bits(self.above[i] & keep_mask):
+            for j in _bits(self.above[i] & keep):
                 hi |= 1 << pos[j]
             below.append(lo)
             above.append(hi)

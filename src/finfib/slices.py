@@ -20,7 +20,7 @@ from .errors import (
     PreconditionViolated,
     UnknownElement,
 )
-from .posets import DEFAULT_GUARD, HomPoset, MonotoneMap, Poset, monotone_maps
+from .posets import DEFAULT_GUARD, HomPoset, MonotoneMap, Poset, _bits, monotone_maps
 from .stong import BeatPointReport, Picker, ReductionTrace, _bp_retract, _reduce, _witnesses
 
 
@@ -84,7 +84,7 @@ class SliceMap:
         bi = self.base.idx(b)
         got = self._fibers.get(bi)
         if got is None:
-            got = self.total.sub(self.total.names(self._fiber_masks.get(bi, 0)))
+            got = self.total._sub_mask(self._fiber_masks.get(bi, 0))
             self._fibers[bi] = got
         return got
 
@@ -186,12 +186,19 @@ def is_map_dbp_retract(p: MapLike, keep: Sequence[str]) -> Optional[ReductionTra
 
 
 def restrict_over(p: MapLike, base_part: Iterable[str]) -> SliceMap:
-    """Restrict a map to the preimage of a subset of the base."""
+    """Restrict a map to the preimage of a subset of the base.
+
+    The whole base gives back the map itself, as a slice.
+    """
     s = as_slice(p)
-    part = s.base.sub(base_part)
-    sub_total = s.total.sub(s.total.names(s.preimage(s.base.mask(part.elements))))
-    vals = tuple(part.index[s.map(e)] for e in sub_total.elements)
-    return SliceMap(MonotoneMap(sub_total, part, vals))
+    base_mask = s.base.mask(base_part)
+    part = s.base._sub_mask(base_mask)
+    if part is s.base:
+        return s
+    pre = s.preimage(base_mask)
+    at = {b: k for k, b in enumerate(_bits(base_mask))}
+    vals = tuple(at[s.map.vals[i]] for i in _bits(pre))
+    return SliceMap(MonotoneMap(s.total._sub_mask(pre), part, vals))
 
 
 def restrict_over_component(p: MapLike, component: Iterable[str]) -> SliceMap:

@@ -121,12 +121,22 @@ def _reduce(
 
     ``keep`` masks elements that must not be removed; ``fiber_vals``
     switches to beat points of a map.  One scan finds every point's
-    witness per kind; afterwards the removal of i re-examines only the
-    points comparable to i whose witness was i or who had none, since
-    any other witness survives the removal.  The beat points are kept
-    as one bitmask per kind and offered kind-major, index-minor, as
-    ``_beat_candidates`` lists them.  Each removed point is redirected
-    to its witness, and the composite retraction is resolved at the end.
+    witness per kind (for kind down, the maximum of its alive strict
+    down-set).  The removal of i then re-examines only
+
+    - the points whose witness was i; any other witness survives;
+    - the lonely points j (alive, no witness) just above i, with nothing
+      alive strictly between: ``rows[j] & co[i] & alive`` is j alone.
+      The alive strict down-set D of a lonely j is empty or has two or
+      more maximal elements.  Removing an i of D that lies below some z
+      of D keeps them all, so only an i maximal in D can give D a
+      maximum, and a j with i outside D keeps D as it is.
+
+    The beat points are kept as one bitmask per kind and offered
+    kind-major, index-minor, as ``_beat_candidates`` lists them, so the
+    picker sees what a full rescan would offer.  Each removed point is
+    redirected to its witness, and the composite retraction is resolved
+    at the end.
     """
     n = x.n
     alive = (1 << n) - 1
@@ -177,12 +187,22 @@ def _reduce(
         steps.append((i, k, wit[k][i]))
         for k in ks:
             forget(k, i)
-            for j in _bits((cones[k][1][i] & lonely[k]) | witnessed[k][i]):
+            rows, co = cones[k]
+            redo = witnessed[k][i]
+            up = co[i] & lonely[k]
+            if up:
+                between = co[i] & alive
+                while up:
+                    b = up & -up
+                    if rows[b.bit_length() - 1] & between == b:
+                        redo |= b
+                    up ^= b
+            for j in _bits(redo):
                 examine(k, j)
     to = list(range(n))
     for i, _, wi in reversed(steps):
         to[i] = to[wi]
-    result = x.sub(x.names(alive))
+    result = x._sub_mask(alive)
     retraction = MonotoneMap(x, result, tuple(result.index[x.elements[to[j]]] for j in range(n)))
     removed = tuple((x.elements[i], kinds[k]) for i, k, _ in steps)
     return ReductionTrace(x, result, removed, retraction)

@@ -52,25 +52,37 @@ from .stong import BeatPointReport, beat_points, is_contractible, is_dbp_retract
 def is_open_map(p: MapLike) -> tuple[bool, Optional[dict]]:
     """Check p(U_e) = U_{p(e)} for every e; witness the first miss.
 
-    Openness is equivalent to every fiber below p(e) meeting U_e, so a
-    witness names the element and the unreached base point.
+    Openness is equivalent to every fiber below p(e) meeting U_e, and it
+    is enough to ask this of the lower covers b' of p(e): one AND of U_e
+    with the preimage of b' per pair.  By induction on U_e: a point
+    b < p(e) lies below some lower cover b', U_e holds a point e' over
+    b', e' < e, and U_{e'}, inside U_e, already maps onto U_{b'}, which
+    holds b.  A failing map is scanned again point by point, so the
+    witness names the first e in index order and the lowest base point
+    p(U_e) misses.
     """
     s = as_slice(p)
+    below, vals = s.total.below, s.map.vals
+    lower = s.base._cover_table()[0]
+    fib = [s._fiber_masks.get(b, 0) for b in range(s.base.n)]
+    if all(below[ei] & fib[b] for ei, v in enumerate(vals) for b in lower[v]):
+        return True, None
     for ei, e in enumerate(s.total.elements):
         got = 0
-        for j in _bits(s.total.below[ei]):
-            got |= 1 << s.map.vals[j]
-        miss = s.base.below[s.map.vals[ei]] & ~got
+        for j in _bits(below[ei]):
+            got |= 1 << vals[j]
+        miss = s.base.below[vals[ei]] & ~got
         if miss:
             b = s.base.elements[(miss & -miss).bit_length() - 1]
             return False, {"e": e, "missing": b}
-    return True, None
+    raise InvariantViolated("the lower-cover test failed but no point misses a base point")
 
 
 def is_closed_map(p: MapLike) -> tuple[bool, Optional[dict]]:
     """Check p(F_e) = F_{p(e)} for every e; witness the first miss.
 
-    Closed maps are the open maps between the opposite spaces.
+    Closed maps are the open maps between the opposite spaces, so this
+    is the upper-cover test of ``is_open_map`` on the opposite map.
     """
     return is_open_map(as_slice(p).op())
 
@@ -162,7 +174,7 @@ def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
                 return {"e": e, "b": b, "reason": "empty"}
             # a set with a maximum (e itself over p(e)) is contractible
             cone = _extremum(pc.total.below, pc.total.above, m) is not None
-            if not cone and not is_contractible(pc.total.sub(pc.total.names(m))):
+            if not cone and not is_contractible(pc.total._sub_mask(m)):
                 return {"e": e, "b": b, "reason": "not_contractible"}
     return None
 
@@ -209,14 +221,13 @@ def _cond_ed_inside_preimage_bd(f: _ComponentFacts) -> Optional[dict]:
     pc = f.pc
     ed = smallest_dbp_retract(pc.total).result
     bd = smallest_dbp_retract(pc.base).result
-    pre_names = pc.total.names(pc.preimage(pc.base.mask(bd.elements)))
-    allowed = set(pre_names)
-    for x in ed.elements:
-        if x not in allowed:
-            return {"stray": x}
-    sub = pc.total.sub(pre_names)
-    if is_dbp_retract(sub, ed.elements) is None:
-        return {"reason": "not_a_dbp_retract", "subspace": list(pre_names)}
+    pre = pc.preimage(pc.base.mask(bd.elements))
+    # ed keeps the index order of E, so its first stray has the lowest index
+    stray = pc.total.mask(ed.elements) & ~pre
+    if stray:
+        return {"stray": pc.total.elements[(stray & -stray).bit_length() - 1]}
+    if is_dbp_retract(pc.total._sub_mask(pre), ed.elements) is None:
+        return {"reason": "not_a_dbp_retract", "subspace": list(pc.total.names(pre))}
     return None
 
 

@@ -100,6 +100,27 @@ def pair_walk_heights(p):
     return tuple(h)
 
 
+def pair_walk_sub(p, keep):
+    """Induced subposet on the names ``keep``, moving each kept comparable pair.
+
+    ``Poset.sub`` before it compressed rows run by run, kept verbatim as
+    an oracle (it always builds a new poset).
+    """
+    keep_mask = p.mask(keep)
+    kept = list(_bits(keep_mask))
+    pos = {i: k for k, i in enumerate(kept)}
+    below, above = [], []
+    for i in kept:
+        lo = hi = 0
+        for j in _bits(p.below[i] & keep_mask):
+            lo |= 1 << pos[j]
+        for j in _bits(p.above[i] & keep_mask):
+            hi |= 1 << pos[j]
+        below.append(lo)
+        above.append(hi)
+    return Poset(tuple(p.elements[i] for i in kept), below, above)
+
+
 def is_beat_point_brute(x, a):
     """Beat point test straight from the definition, via down/up sets."""
     down = [z for z in x.strict_down_set(a)]
@@ -165,6 +186,24 @@ def rescan_reduce(x, kinds, picker, keep=0, fiber_vals=None):
     result = x.sub(x.names(alive))
     retraction = MonotoneMap(x, result, tuple(result.index[x.elements[cur[k]]] for k in range(x.n)))
     return ReductionTrace(x, result, tuple(removed), retraction)
+
+
+def scan_open_map(p):
+    """Openness p(U_e) = U_{p(e)} scanned on every down set, point by point.
+
+    ``verdict.is_open_map`` before the lower-cover test, kept verbatim
+    as an oracle: same (passed, witness) result.
+    """
+    s = as_slice(p)
+    for ei, e in enumerate(s.total.elements):
+        got = 0
+        for j in _bits(s.total.below[ei]):
+            got |= 1 << s.map.vals[j]
+        miss = s.base.below[s.map.vals[ei]] & ~got
+        if miss:
+            b = s.base.elements[(miss & -miss).bit_length() - 1]
+            return False, {"e": e, "missing": b}
+    return True, None
 
 
 def scan_closed_map(p):

@@ -43,6 +43,7 @@ from helpers import (
     linear_extremum,
     pair_walk_covers,
     pair_walk_heights,
+    pair_walk_sub,
     per_value_backtrack,
     posets,
     rand_functor,
@@ -215,6 +216,53 @@ def test_sub_induces_the_order():
     sub, incl = sub_poset(d, ["bot", "top"])
     assert sub.le("bot", "top")
     assert incl(sub.elements[0]) == sub.elements[0]
+
+
+@st.composite
+def sub_masks(draw):
+    """A poset and a mask on it: full, empty, one point, one run, fiber
+    blocks, runs with gaps or random.
+    """
+    kind = draw(st.sampled_from(["full", "empty", "one", "run", "blocks", "runs", "random"]))
+    if kind == "blocks":
+        # whole fibers of a product over some base points, or each
+        # fiber's bottom part, as restriction and reduction keep them
+        base, fib = draw(posets(max_size=4)), draw(posets(max_size=8))
+        p = product(base, fib)[0]
+        width = draw(st.integers(0, fib.n))
+        picked = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
+        return p, sum(((1 << width) - 1) << x * fib.n for x, on in enumerate(picked) if on)
+    p = draw(posets(max_size=16 if kind == "runs" else 10))
+    full = (1 << p.n) - 1
+    if kind == "full" or not p.n:
+        return p, full
+    if kind == "empty":
+        return p, 0
+    if kind == "one":
+        return p, 1 << draw(st.integers(0, p.n - 1))
+    if kind == "run":
+        lo = draw(st.integers(0, p.n - 1))
+        return p, ((1 << draw(st.integers(1, p.n - lo))) - 1) << lo
+    if kind == "runs":
+        # mostly long runs, so the mask is moved run by run
+        mask, at = 0, draw(st.integers(0, 2))
+        while at < p.n:
+            width = draw(st.integers(1, 6))
+            mask |= ((1 << width) - 1) << at
+            at += width + draw(st.integers(1, 3))
+        return p, mask & full
+    return p, draw(st.integers(0, full))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=sub_masks())
+def test_sub_agrees_with_the_pair_walk(case):
+    p, mask = case
+    keep = p.names(mask)
+    got, want = p.sub(keep), pair_walk_sub(p, keep)
+    assert got.elements == want.elements
+    assert (got.below, got.above) == (want.below, want.above)
+    assert p.sub(p.elements) is p
 
 
 def test_max_min_of_subsets():
@@ -596,6 +644,25 @@ def test_the_budget_counts_refuted_candidates_where_refinement_cannot_split():
         got = run_out(isomorphisms(one, two, budget=budget))
         assert got == run_out(rec_isomorphisms(one, two, budget=budget))
     assert got[1] is None
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+def test_the_search_prunes_with_maximal_lower_and_minimal_upper_neighbours(opposite):
+    # the crown's points share one colour on each level of the chain, so
+    # the search meets earlier neighbours that refinement cannot tell
+    # apart; checking only minimal earlier lower neighbours (or maximal
+    # upper ones) instead of the maximal (minimal) ones refutes values
+    # later and moves the point where the budget runs out
+    prod, _, _ = product(crowns(2, 1, "a"), Poset.chain(["c0", "c1", "c2"]))
+    p = prod.op() if opposite else prod
+    for seed in range(3):
+        order = list(p.elements)
+        seeded(seed).shuffle(order)
+        q = Poset.build(order, p.covers())
+        for budget in range(401):
+            got = run_out(isomorphisms(p, q, budget=budget))
+            assert got == run_out(rec_isomorphisms(p, q, budget=budget))
+        assert got[1] is None and len(got[0]) == 4
 
 
 def twisted_bundle(k, fiber, aut):

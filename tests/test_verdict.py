@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfib.errors import EmptyDomain, PreconditionViolated, SearchBudgetExhausted
-from finfib.gallery import gallery_map, gallery_poset
+from finfib.gallery import ENTRIES, gallery_map, gallery_poset
 from finfib.grothendieck import classify_grothendieck, is_fiber_bundle
 from finfib.posets import MonotoneMap, Poset, find_isomorphism, product
 from finfib.slices import as_slice, map_core, smallest_dbp_retract_of_map
@@ -29,6 +29,7 @@ from finfib.verdict import (
 from helpers import (
     every_pair_down_fiber_contractible,
     fiberwise_down_fiber_nonempty,
+    insert_map_down_beat_point,
     matrix_labeled_posets,
     minimal_fiber_pool,
     posets,
@@ -38,10 +39,12 @@ from helpers import (
     rand_monotone,
     rand_poset,
     scan_closed_map,
+    scan_open_map,
     seeded,
     shuffling_picker,
 )
 from test_grothendieck import collect_bifibrations
+from test_posets import crowns
 
 
 def identity_product_certificate(base, fib):
@@ -428,8 +431,53 @@ def test_open_and_closed_conditions_agree_with_their_direct_scans(total, base, s
     if not base.n:
         return
     s = as_slice(rand_monotone(seeded(seed), total, base))
+    assert is_open_map(s) == scan_open_map(s)
     assert is_closed_map(s) == scan_closed_map(s)
     assert _cond_down_fiber_nonempty(_ComponentFacts(s)) == fiberwise_down_fiber_nonempty(s)
+
+
+def openness_inputs():
+    """Random maps with and without a map beat point, fibrations, gallery maps."""
+    rng = seeded(211)
+    maps = []
+    for k in range(60):
+        dom = rand_poset(rng, rng.randint(1, 9), prefix="e")
+        cod = rand_poset(rng, rng.randint(1, 5), prefix="b")
+        m = rand_monotone(rng, dom, cod)
+        maps += [m, insert_map_down_beat_point(rng, m, str(k))]
+    maps += [rand_fibration(rng) for _ in range(30)]
+    return maps + [gallery_map(e.id) for e in ENTRIES if e.kind == "map"]
+
+
+def test_openness_returns_the_point_by_point_scan_verdict_and_witness():
+    # the lower-cover test decides; a failing map must still name the
+    # scan's first point in index order and its lowest missing base point
+    fails = {"open": 0, "closed": 0}
+    for m in openness_inputs():
+        for kind, got, want in (
+            ("open", is_open_map(m), scan_open_map(m)),
+            ("closed", is_closed_map(m), scan_open_map(as_slice(m).op())),
+        ):
+            assert got == want
+            fails[kind] += not want[0]
+    assert is_open_map(gallery_map("p1op")) == (False, {"e": "(a,1)", "missing": "b"})
+    assert min(fails.values()) >= 20
+
+
+def test_a_shuffled_crown_times_chain_is_decided_at_1280_points():
+    # the projection of the 10-point crown times a 128-chain onto the
+    # crown, stored in a shuffled order; no timing bound, only verdicts
+    base = crowns(5, 1, "b")
+    prod, to_base, _ = product(base, Poset.chain([f"c{i}" for i in range(128)]))
+    order = list(prod.elements)
+    seeded(1280).shuffle(order)
+    p = MonotoneMap.build(Poset.build(order, prod.covers()), base, to_base.values)
+    assert p.dom.n == 1280
+    v = decide_hurewicz(p)
+    assert v.status == "fibration"
+    assert v.certificate.kind == "trivial_over_base"
+    assert necessary_conditions(p).all_pass
+    assert is_fiber_bundle(p).status == "bundle"
 
 
 @settings(max_examples=300, deadline=None)
