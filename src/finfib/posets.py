@@ -29,10 +29,6 @@ from .errors import (
 
 DEFAULT_GUARD = 100_000
 
-# Poset._sub_mask moves rows run by run when the runs of kept indices
-# are this long on average, and bit by bit when they are shorter
-_SUB_MIN_RUN = 4
-
 
 def _bits(mask: int) -> Iterator[int]:
     """Yield set bit positions of mask in increasing order."""
@@ -356,34 +352,10 @@ class Poset:
     def _sub_mask(self, keep: int) -> "Poset":
         """Subposet induced on the bitmask keep; this poset if it keeps all.
 
-        A kept row is compressed with one shift-and-mask per maximal run
-        of kept indices, so a mask made of a few blocks (a fiber-aligned
-        restriction, a reduction that drops the tops of chains) costs a
-        few big-int operations per row.  When the runs are short on average
-        (shorter than ``_SUB_MIN_RUN``), each kept comparable pair is moved
-        bit by bit instead, which is cheaper there.
+        Each kept comparable pair is moved bit by bit to its new index.
         """
         if keep == (1 << self.n) - 1:
             return self
-        if keep and (keep & ~(keep << 1)).bit_count() * _SUB_MIN_RUN <= keep.bit_count():
-            kept: list[int] = []
-            runs = []  # (first index, width mask, new first index) per run
-            m = keep
-            while m:
-                lo = (m & -m).bit_length() - 1
-                width = ((m >> lo) + 1 & ~(m >> lo)).bit_length() - 1
-                runs.append((lo, (1 << width) - 1, len(kept)))
-                kept.extend(range(lo, lo + width))
-                m = m >> (lo + width) << (lo + width)
-
-            def compress(rows: Sequence[int]) -> list[int]:
-                lo, w, _ = runs[0]
-                out = [rows[i] >> lo & w for i in kept]
-                for lo, w, at in runs[1:]:
-                    out = [o | (rows[i] >> lo & w) << at for o, i in zip(out, kept)]
-                return out
-
-            return Poset([self.elements[i] for i in kept], compress(self.below), compress(self.above))
         kept = list(_bits(keep))
         pos = {i: k for k, i in enumerate(kept)}
         below, above = [], []

@@ -103,8 +103,8 @@ def pair_walk_heights(p):
 def pair_walk_sub(p, keep):
     """Induced subposet on the names ``keep``, moving each kept comparable pair.
 
-    ``Poset.sub`` before it compressed rows run by run, kept verbatim as
-    an oracle (it always builds a new poset).
+    ``Poset.sub`` before it took masks, kept verbatim as an oracle (it
+    always builds a new poset, even for a full mask).
     """
     keep_mask = p.mask(keep)
     kept = list(_bits(keep_mask))

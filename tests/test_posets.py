@@ -244,7 +244,6 @@ def sub_masks(draw):
         lo = draw(st.integers(0, p.n - 1))
         return p, ((1 << draw(st.integers(1, p.n - lo))) - 1) << lo
     if kind == "runs":
-        # mostly long runs, so the mask is moved run by run
         mask, at = 0, draw(st.integers(0, 2))
         while at < p.n:
             width = draw(st.integers(1, 6))
