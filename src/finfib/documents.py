@@ -222,10 +222,10 @@ def retract_certificate_from_doc(doc: Doc, p: MapLike) -> RetractCertificate:
     return RetractCertificate(
         x,
         y,
-        MonotoneMap.build(sl.total, prod, doc["i"]),
-        MonotoneMap.build(prod, sl.total, doc["r"]),
-        MonotoneMap.build(sl.base, x, doc["j"]),
-        MonotoneMap.build(x, sl.base, doc["s"]),
+        MonotoneMap.build(sl.total, prod, _element_map(doc["i"], "'i'")),
+        MonotoneMap.build(prod, sl.total, _element_map(doc["r"], "'r'")),
+        MonotoneMap.build(sl.base, x, _element_map(doc["j"], "'j'")),
+        MonotoneMap.build(x, sl.base, _element_map(doc["s"], "'s'")),
     )
 
 

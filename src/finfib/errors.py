@@ -49,24 +49,12 @@ class NotDescending(FinfibError):
     """Expected an endomap f with f <= Id."""
 
 
-class NotOverBase(FinfibError):
-    """Maps do not commute with the given projections to the base."""
-
-
 class NotAComponent(FinfibError):
     """The given subset is not a connected component of the base."""
 
 
 class PreconditionViolated(FinfibError):
     """A documented precondition of the operation does not hold."""
-
-
-class NotGrothendieckFibration(FinfibError):
-    """Cartesian transport was requested from a map that lacks it."""
-
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
 
 
 class NotGrothendieckOpfibration(FinfibError):

@@ -18,8 +18,6 @@ from typing import Optional
 from .errors import (
     FinfibError,
     FunctorialityViolated,
-    InvariantViolated,
-    NotGrothendieckFibration,
     NotGrothendieckOpfibration,
     PreconditionViolated,
     ReconstructionMismatch,
@@ -36,20 +34,6 @@ from .posets import (
     product,
 )
 from .slices import MapLike, SliceMap, as_slice, restrict_over
-
-
-@dataclass(frozen=True)
-class LiftOutcome:
-    """Result of one (co)cartesian lift request.
-
-    ``element`` is the transport when it exists; otherwise ``reason``
-    says what broke and ``stray`` names the extremum that landed in
-    the wrong fiber, when there is one.
-    """
-
-    element: Optional[str]
-    reason: Optional[str] = None
-    stray: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -84,34 +68,6 @@ def _lift(s: SliceMap, side: str, ei: int, bi: int, pre: int) -> tuple[Optional[
     if i is None:
         return None, f"no_{ext}"
     return i, None if s.map.vals[i] == bi else f"{ext}_outside_fiber"
-
-
-def _single_lift(p: MapLike, e: str, b: str, side: str) -> LiftOutcome:
-    s = as_slice(p)
-    ei = s.total.idx(e)
-    bi = s.base.idx(b)
-    rows = s.base.below if side == "cartesian" else s.base.above
-    if not rows[s.map.vals[ei]] >> bi & 1:
-        rel = "<=" if side == "cartesian" else ">="
-        raise PreconditionViolated(f"{side} lift needs {b!r} {rel} p({e!r})")
-    i, reason = _lift(s, side, ei, bi, s.preimage(rows[bi]))
-    if reason is None:
-        return LiftOutcome(s.total.elements[i])
-    return LiftOutcome(None, reason, None if i is None else s.total.elements[i])
-
-
-def cartesian_lift(p: MapLike, e: str, b: str) -> LiftOutcome:
-    """Maximum of U_e inside p^{-1}(U_b), required to sit over b.
-
-    Precondition b <= p(e); the lift of the trivial case b = p(e) is e
-    itself.
-    """
-    return _single_lift(p, e, b, "cartesian")
-
-
-def cocartesian_lift(p: MapLike, e: str, b: str) -> LiftOutcome:
-    """Minimum of F_e inside p^{-1}(F_b), required to sit over b."""
-    return _single_lift(p, e, b, "cocartesian")
 
 
 class PosetFunctor:
@@ -247,16 +203,6 @@ def _scan_lifts(
     return failures, transports
 
 
-def _transports(s: SliceMap, side: str) -> dict[tuple[int, int], int]:
-    """One side's transport table; the first failing lift raises."""
-    failures, table = _scan_lifts(s, side)
-    if failures:
-        f = failures[0]
-        error = NotGrothendieckFibration if side == "cartesian" else NotGrothendieckOpfibration
-        raise error(f"no {side} lift of {f.e!r} over {f.b!r} ({f.reason})", witness=f)
-    return table
-
-
 def _transport_functor(s: SliceMap, side: str, transports: dict[tuple[int, int], int]) -> PosetFunctor:
     """Package one side's transports as a functor on the base.
 
@@ -334,23 +280,6 @@ def classify_grothendieck(p: MapLike) -> GrothendieckReport:
     )
 
 
-def alpha_functor(p: MapLike) -> PosetFunctor:
-    """Contravariant transport functor of a Grothendieck fibration.
-
-    alpha(b' >= b) sends e in the fiber over b' to its cartesian
-    transport max(U_e inside p^{-1}(b)); fails with the first lift
-    failure if p is not a fibration.
-    """
-    s = as_slice(p)
-    return _transport_functor(s, "cartesian", _transports(s, "cartesian"))
-
-
-def beta_functor(p: MapLike) -> PosetFunctor:
-    """Covariant transport functor of a Grothendieck opfibration."""
-    s = as_slice(p)
-    return _transport_functor(s, "cocartesian", _transports(s, "cocartesian"))
-
-
 def grothendieck_construction(d: PosetFunctor) -> SliceMap:
     """Total space and projection of a transport functor.
 
@@ -394,10 +323,17 @@ def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:
     original total space given by (b, x) -> x; any failure of that
     correspondence to be an isomorphism over the base raises
     ReconstructionMismatch, so a clean return is a machine check of
-    the reconstruction.
+    the reconstruction.  A map that is not an opfibration raises
+    NotGrothendieckOpfibration with its first failing cocartesian lift.
     """
     s = as_slice(p)
-    integ = grothendieck_construction(beta_functor(s))
+    rep = classify_grothendieck(s)
+    if rep.beta is None:
+        f = rep.opfibration_failure
+        raise NotGrothendieckOpfibration(
+            f"no cocartesian lift of {f.e!r} over {f.b!r} ({f.reason})", witness=f
+        )
+    integ = grothendieck_construction(rep.beta)
     try:
         phi = MonotoneMap.build(
             integ.total,
@@ -451,21 +387,3 @@ def is_fiber_bundle(p: MapLike, budget: Optional[int] = None) -> BundleReport:
         trivializations[b] = iso
     return BundleReport("bundle", trivializations)
 
-
-def lower_lift(p: MapLike, f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
-    """The largest lift of g through a fibration p below f.
-
-    For g <= p o f pointwise, h(x) is the cartesian transport of f(x)
-    into the fiber over g(x); then h <= f and p o h = g.  The map p
-    must be a Grothendieck fibration.
-    """
-    s = as_slice(p)
-    if f.cod != s.total or g.cod != s.base or f.dom != g.dom:
-        raise PreconditionViolated("need f: X -> total and g: X -> base on one domain")
-    if not g.le(f.then(s.map)):
-        raise PreconditionViolated("g <= p o f must hold pointwise")
-    cart = _transports(s, "cartesian")
-    h = MonotoneMap(f.dom, s.total, tuple(cart[(ei, bi)] for ei, bi in zip(f.vals, g.vals)))
-    if not (h.le(f) and h.then(s.map) == g):
-        raise InvariantViolated("lower lift is not below f or not over g")
-    return h

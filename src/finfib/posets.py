@@ -393,13 +393,6 @@ def product(p: Poset, q: Poset) -> tuple[Poset, "MonotoneMap", "MonotoneMap"]:
     return prod, to_p, to_q
 
 
-def sub_poset(p: Poset, keep: Iterable[str]) -> tuple[Poset, "MonotoneMap"]:
-    """Induced subposet together with its inclusion into p."""
-    sub = p.sub(keep)
-    incl = MonotoneMap(sub, p, tuple(p.index[e] for e in sub.elements))
-    return sub, incl
-
-
 class MonotoneMap:
     """Order-preserving map between two posets.
 
@@ -514,10 +507,6 @@ class MonotoneMap:
         return MonotoneMap(self.dom.op(), self.cod.op(), self.vals)
 
 
-def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    return f.then(g)
-
-
 # -- enumeration of monotone maps -------------------------------------
 
 
@@ -629,58 +618,6 @@ def monotone_maps(
 
     for vals in _backtrack(order, candidates):
         yield MonotoneMap(dom, cod, vals)
-
-
-class HomPoset:
-    """All monotone maps dom -> cod under the pointwise order."""
-
-    __slots__ = ("source", "target", "maps")
-
-    def __init__(self, source: Poset, target: Poset, maps: Sequence[MonotoneMap]):
-        self.source = source
-        self.target = target
-        self.maps = tuple(sorted(maps, key=lambda f: f.vals))
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-    def __iter__(self) -> Iterator[MonotoneMap]:
-        return iter(self.maps)
-
-    def comparability_classes(self) -> list[list[MonotoneMap]]:
-        """Connected components of the comparability graph.
-
-        Two maps land in one class iff they are connected by a zigzag
-        of pointwise inequalities, i.e. iff they are homotopic.
-        """
-        n = len(self.maps)
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                fi, fj = self.maps[i], self.maps[j]
-                if fi.le(fj) or fj.le(fi):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
-        groups: dict[int, list[MonotoneMap]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(self.maps[i])
-        return [groups[r] for r in sorted(groups, key=lambda r: self.maps[r].vals)]
-
-
-def hom_poset(dom: Poset, cod: Poset, guard: Optional[int] = DEFAULT_GUARD) -> HomPoset:
-    """The poset of all monotone maps dom -> cod.
-
-    The guard bounds |cod| ** |dom|, checked before enumerating.
-    """
-    return HomPoset(dom, cod, list(monotone_maps(dom, cod, guard)))
 
 
 # -- isomorphism search ------------------------------------------------
@@ -832,7 +769,3 @@ def find_isomorphism_over_base(
         raise CodomainMismatch("isomorphism over a base needs a common codomain")
     gen = isomorphisms(p.dom, q.dom, extra_p=p.vals, extra_q=q.vals, budget=budget)
     return next(gen, None)
-
-
-def automorphisms(p: Poset, budget: Optional[int] = None) -> Iterator[dict[str, str]]:
-    return isomorphisms(p, p, budget=budget)

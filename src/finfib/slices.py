@@ -11,17 +11,11 @@ subspaces reachable that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-from .errors import (
-    InvariantViolated,
-    NotAComponent,
-    NotOverBase,
-    PreconditionViolated,
-    UnknownElement,
-)
-from .posets import DEFAULT_GUARD, HomPoset, MonotoneMap, Poset, _bits, monotone_maps
-from .stong import BeatPointReport, Picker, ReductionTrace, _bp_retract, _reduce, _witnesses
+from .errors import NotAComponent
+from .posets import MonotoneMap, Poset, _bits
+from .stong import BeatPointReport, Picker, ReductionTrace, _reduce, _witnesses
 
 
 class SliceMap:
@@ -111,12 +105,7 @@ def as_slice(p: MapLike) -> SliceMap:
     return p if isinstance(p, SliceMap) else SliceMap(p)
 
 
-# Beat points of a map, each with its (same fiber) witness: the same
-# record as for a space.
-MapBeatPointReport = BeatPointReport
-
-
-def map_beat_points(p: MapLike) -> MapBeatPointReport:
+def map_beat_points(p: MapLike) -> BeatPointReport:
     """Beat points of the total space whose witness shares the fiber.
 
     For a down beat point the witness max(strict down set) must have
@@ -124,11 +113,7 @@ def map_beat_points(p: MapLike) -> MapBeatPointReport:
     down set inside the fiber, and dually for up beat points.
     """
     s = as_slice(p)
-    return MapBeatPointReport(*_witnesses(s.total, s.map.vals))
-
-
-def is_minimal_map(p: MapLike) -> bool:
-    return map_beat_points(p).is_minimal
+    return BeatPointReport(*_witnesses(s.total, s.map.vals))
 
 
 @dataclass(frozen=True)
@@ -170,21 +155,6 @@ def smallest_dbp_retract_of_map(p: MapLike, *, picker: Optional[Picker] = None) 
     return _map_reduce(p, ("down",), picker)
 
 
-def smallest_ubp_retract_of_map(p: MapLike, *, picker: Optional[Picker] = None) -> MapReduction:
-    return _map_reduce(p, ("up",), picker)
-
-
-def is_map_dbp_retract(p: MapLike, keep: Sequence[str]) -> Optional[ReductionTrace]:
-    """Trace reaching ``keep`` by removing down beat points of the map.
-
-    None certifies the subspace is not reachable this way; the greedy
-    sweep outside ``keep`` is complete by the same exchange argument
-    as for spaces.
-    """
-    s = as_slice(p)
-    return _bp_retract(s.total, keep, "down", s.map.vals)
-
-
 def restrict_over(p: MapLike, base_part: Iterable[str]) -> SliceMap:
     """Restrict a map to the preimage of a subset of the base.
 
@@ -209,42 +179,3 @@ def restrict_over_component(p: MapLike, component: Iterable[str]) -> SliceMap:
         if tuple(sorted(c)) == want:
             return restrict_over(s, c)
     raise NotAComponent(f"{want!r} is not a connected component of the base")
-
-
-def are_fiber_homotopic(
-    f: MonotoneMap,
-    g: MonotoneMap,
-    p: MonotoneMap,
-    q: MonotoneMap,
-    rel: Optional[Iterable[str]] = None,
-    guard: Optional[int] = DEFAULT_GUARD,
-) -> bool:
-    """Fiberwise homotopy of f, g: dom(p) -> dom(q) over the base of q.
-
-    Both maps must satisfy q o f = p = q o g.  With ``rel`` given, f and
-    g must agree there and the homotopy is constrained to fix it.  Two
-    maps over the base are fiber homotopic (rel A) iff they are linked
-    by a zigzag of pointwise inequalities among such maps, so the test
-    is a comparability-component check.
-    """
-    if f.dom != p.dom or g.dom != p.dom or f.cod != q.dom or g.cod != q.dom:
-        raise NotOverBase("f and g must map dom(p) into dom(q)")
-    if p.cod != q.cod:
-        raise NotOverBase("p and q must share a base")
-    if f.then(q) != p or g.then(q) != p:
-        raise NotOverBase("both maps must commute with the projections")
-    rel_names = tuple(rel) if rel is not None else ()
-    for a in rel_names:
-        if a not in p.dom:
-            raise UnknownElement(f"{a!r} is not in the domain")
-        if f(a) != g(a):
-            raise PreconditionViolated(f"maps disagree on rel point {a!r}")
-    pins = {a: f(a) for a in rel_names}
-    maps = list(monotone_maps(p.dom, q.dom, guard, over=(p, q), fixed=pins))
-    classes = HomPoset(p.dom, q.dom, maps).comparability_classes()
-    for cls in classes:
-        seen_f = any(h == f for h in cls)
-        seen_g = any(h == g for h in cls)
-        if seen_f or seen_g:
-            return seen_f and seen_g
-    raise InvariantViolated("maps over the base missing from their own hom poset")

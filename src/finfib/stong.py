@@ -12,20 +12,10 @@ the finite searches implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import CodomainMismatch, GuardExceeded, InvariantViolated, NotDescending, UnknownElement
-from .posets import (
-    DEFAULT_GUARD,
-    HomPoset,
-    MonotoneMap,
-    Poset,
-    _bits,
-    _extremum,
-    find_isomorphism,
-    hom_poset,
-    monotone_maps,
-)
+from .errors import CodomainMismatch, InvariantViolated, NotDescending, UnknownElement
+from .posets import MonotoneMap, Poset, _bits, _extremum, find_isomorphism
 
 # A picker receives the ordered candidate tuple ((element, kind), ...)
 # and returns one entry; the default policy takes the first, i.e. the
@@ -239,19 +229,6 @@ def smallest_dbp_retract(x: Poset, *, picker: Optional[Picker] = None) -> Reduct
     return _reduce(x, ("down",), picker)
 
 
-def smallest_ubp_retract(x: Poset, *, picker: Optional[Picker] = None) -> ReductionTrace:
-    return _reduce(x, ("up",), picker)
-
-
-def _bp_retract(
-    x: Poset, keep: Sequence[str], kind: str, fiber_vals: Optional[Sequence[int]] = None
-) -> Optional[ReductionTrace]:
-    """Greedy removal of ``kind`` beat points outside ``keep``; None if it stops short."""
-    keep_mask = x.mask(keep)
-    trace = _reduce(x, (kind,), None, keep=keep_mask, fiber_vals=fiber_vals)
-    return trace if trace.result.n == keep_mask.bit_count() else None
-
-
 def is_dbp_retract(x: Poset, keep: Sequence[str]) -> Optional[ReductionTrace]:
     """Trace showing ``keep`` is reachable by down beat point removals.
 
@@ -259,36 +236,9 @@ def is_dbp_retract(x: Poset, keep: Sequence[str]) -> Optional[ReductionTrace]:
     subspace reachable this way keeps it reachable, so a stuck state
     not equal to ``keep`` certifies absence (returns None).
     """
-    return _bp_retract(x, keep, "down")
-
-
-def is_ubp_retract(x: Poset, keep: Sequence[str]) -> Optional[ReductionTrace]:
-    return _bp_retract(x, keep, "up")
-
-
-def _all_bp_retracts(x: Poset, kind: str, limit: Optional[int]) -> tuple[tuple[str, ...], ...]:
-    full = (1 << x.n) - 1
-    seen = {full}
-    frontier = [full]
-    while frontier:
-        alive = frontier.pop()
-        for i, _, _ in _beat_candidates(x, alive, (kind,)):
-            nxt = alive & ~(1 << i)
-            if nxt not in seen:
-                if limit is not None and len(seen) >= limit:
-                    raise GuardExceeded(len(seen) + 1, limit)
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(x.names(m) for m in sorted(seen, key=lambda m: (-m.bit_count(), m)))
-
-
-def all_dbp_retracts(x: Poset, limit: Optional[int] = 10_000) -> tuple[tuple[str, ...], ...]:
-    """Every subspace reachable by removing down beat points."""
-    return _all_bp_retracts(x, "down", limit)
-
-
-def all_ubp_retracts(x: Poset, limit: Optional[int] = 10_000) -> tuple[tuple[str, ...], ...]:
-    return _all_bp_retracts(x, "up", limit)
+    keep_mask = x.mask(keep)
+    trace = _reduce(x, ("down",), None, keep=keep_mask)
+    return trace if trace.result.n == keep_mask.bit_count() else None
 
 
 def f_infinity(f: MonotoneMap) -> MonotoneMap:
@@ -312,21 +262,3 @@ def f_infinity(f: MonotoneMap) -> MonotoneMap:
             return g
         g = nxt
     raise InvariantViolated("descending endomap failed to stabilize")
-
-
-def endomaps_below_identity(x: Poset, guard: Optional[int] = DEFAULT_GUARD) -> Iterator[MonotoneMap]:
-    """All monotone f: x -> x with f <= Id."""
-    return monotone_maps(x, x, guard, upper=MonotoneMap.identity(x))
-
-
-def endomaps_above_identity(x: Poset, guard: Optional[int] = DEFAULT_GUARD) -> Iterator[MonotoneMap]:
-    return monotone_maps(x, x, guard, lower=MonotoneMap.identity(x))
-
-
-def homotopy_classes(x: Poset, y: Poset, guard: Optional[int] = DEFAULT_GUARD) -> list[list[MonotoneMap]]:
-    """Partition of hom(x, y) into homotopy classes.
-
-    Two maps are homotopic iff they are joined by a zigzag of pointwise
-    inequalities, i.e. iff they lie in one comparability component.
-    """
-    return hom_poset(x, y, guard).comparability_classes()

@@ -8,6 +8,7 @@ test run sees the same instances.
 
 import itertools
 import random
+from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
@@ -19,9 +20,18 @@ from finfib.errors import (
     UnknownElement,
 )
 from finfib.grothendieck import PosetFunctor, grothendieck_construction
-from finfib.posets import MonotoneMap, Poset, _bits, pair_name, product
+from finfib.posets import (
+    DEFAULT_GUARD,
+    MonotoneMap,
+    Poset,
+    _bits,
+    isomorphisms,
+    monotone_maps,
+    pair_name,
+    product,
+)
 from finfib.slices import SliceMap, as_slice
-from finfib.stong import ReductionTrace, core
+from finfib.stong import ReductionTrace, _beat_candidates, core
 
 
 # -- independent oracles -----------------------------------------------
@@ -607,6 +617,96 @@ def per_value_backtrack(order, cand, budget=None):
             stack.append(cand(k + 1, vals))
 
 
+# -- retract families, descending endomaps and hom-posets --------------
+
+
+def _all_bp_retracts(x: Poset, kind: str, limit: Optional[int]) -> tuple[tuple[str, ...], ...]:
+    full = (1 << x.n) - 1
+    seen = {full}
+    frontier = [full]
+    while frontier:
+        alive = frontier.pop()
+        for i, _, _ in _beat_candidates(x, alive, (kind,)):
+            nxt = alive & ~(1 << i)
+            if nxt not in seen:
+                if limit is not None and len(seen) >= limit:
+                    raise GuardExceeded(len(seen) + 1, limit)
+                seen.add(nxt)
+                frontier.append(nxt)
+    return tuple(x.names(m) for m in sorted(seen, key=lambda m: (-m.bit_count(), m)))
+
+
+def all_dbp_retracts(x: Poset, limit: Optional[int] = 10_000) -> tuple[tuple[str, ...], ...]:
+    """Every subspace reachable by removing down beat points."""
+    return _all_bp_retracts(x, "down", limit)
+
+
+def endomaps_below_identity(x: Poset, guard: Optional[int] = DEFAULT_GUARD) -> Iterator[MonotoneMap]:
+    """All monotone f: x -> x with f <= Id."""
+    return monotone_maps(x, x, guard, upper=MonotoneMap.identity(x))
+
+
+def homotopy_classes(x: Poset, y: Poset, guard: Optional[int] = DEFAULT_GUARD) -> list[list[MonotoneMap]]:
+    """Partition of hom(x, y) into homotopy classes.
+
+    Two maps are homotopic iff they are joined by a zigzag of pointwise
+    inequalities, i.e. iff they lie in one comparability component.
+    """
+    return hom_poset(x, y, guard).comparability_classes()
+
+
+class HomPoset:
+    """All monotone maps dom -> cod under the pointwise order."""
+
+    __slots__ = ("source", "target", "maps")
+
+    def __init__(self, source: Poset, target: Poset, maps: Sequence[MonotoneMap]):
+        self.source = source
+        self.target = target
+        self.maps = tuple(sorted(maps, key=lambda f: f.vals))
+
+    def __len__(self) -> int:
+        return len(self.maps)
+
+    def __iter__(self) -> Iterator[MonotoneMap]:
+        return iter(self.maps)
+
+    def comparability_classes(self) -> list[list[MonotoneMap]]:
+        """Connected components of the comparability graph.
+
+        Two maps land in one class iff they are connected by a zigzag
+        of pointwise inequalities, i.e. iff they are homotopic.
+        """
+        n = len(self.maps)
+        parent = list(range(n))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                fi, fj = self.maps[i], self.maps[j]
+                if fi.le(fj) or fj.le(fi):
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[rj] = ri
+        groups: dict[int, list[MonotoneMap]] = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(self.maps[i])
+        return [groups[r] for r in sorted(groups, key=lambda r: self.maps[r].vals)]
+
+
+def hom_poset(dom: Poset, cod: Poset, guard: Optional[int] = DEFAULT_GUARD) -> HomPoset:
+    """The poset of all monotone maps dom -> cod.
+
+    The guard bounds |cod| ** |dom|, checked before enumerating.
+    """
+    return HomPoset(dom, cod, list(monotone_maps(dom, cod, guard)))
+
+
 # -- random instance generators ----------------------------------------
 
 
@@ -693,11 +793,9 @@ def minimal_fiber_pool():
 
 def rand_bundle(rng, max_base=4, max_fiber=4):
     """Grothendieck construction with one fiber and automorphism transitions."""
-    from finfib.posets import automorphisms
-
     base = forest_base(rng, rng.randint(2, max_base))
     fiber = rand_poset(rng, rng.randint(2, max_fiber), prefix="f")
-    auts = [MonotoneMap.build(fiber, fiber, a) for a in automorphisms(fiber)]
+    auts = [MonotoneMap.build(fiber, fiber, a) for a in isomorphisms(fiber, fiber)]
     transitions = {(lo, hi): rng.choice(auts) for lo, hi in base.covers()}
     d = PosetFunctor(
         base, "covariant", {b: fiber for b in base.elements}, transitions

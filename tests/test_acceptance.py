@@ -16,20 +16,14 @@ from finfib.grothendieck import (
     reconstruct_over_base,
 )
 from finfib.posets import MonotoneMap, find_isomorphism, find_isomorphism_over_base
-from finfib.slices import as_slice, is_minimal_map, map_beat_points, map_core, smallest_dbp_retract_of_map
+from finfib.slices import as_slice, map_beat_points, map_core, smallest_dbp_retract_of_map
 from finfib.stong import (
-    all_dbp_retracts,
-    all_ubp_retracts,
     core,
-    endomaps_above_identity,
-    endomaps_below_identity,
     f_infinity,
-    homotopy_classes,
     homotopy_equivalent,
     is_contractible,
     is_dbp_retract,
     smallest_dbp_retract,
-    smallest_ubp_retract,
 )
 from finfib.errors import GuardExceeded
 from finfib.verdict import (
@@ -40,6 +34,9 @@ from finfib.verdict import (
     search_retract_certificate,
 )
 from helpers import (
+    all_dbp_retracts,
+    endomaps_below_identity,
+    homotopy_classes,
     minimal_fiber_pool,
     rand_bundle,
     rand_fibration,
@@ -115,14 +112,14 @@ def test_criterion_4_sierpinski_projection_fiber_retracts():
     assert decide_hurewicz(pi).status == "fibration"
     s = as_slice(pi)
     f0, f1 = s.fiber("0"), s.fiber("1")
-    v_shape = smallest_ubp_retract(f0).result
+    v_shape = smallest_dbp_retract(f0.op()).result.op()
     wedge = smallest_dbp_retract(f1).result
     assert v_shape.n == wedge.n == 3
     assert all(
         find_isomorphism(v_shape, f1.sub(keep)) is None for keep in all_dbp_retracts(f1)
     )
     assert all(
-        find_isomorphism(wedge, f0.sub(keep)) is None for keep in all_ubp_retracts(f0)
+        find_isomorphism(wedge, f0.sub(keep)) is None for keep in all_dbp_retracts(f0.op())
     )
 
 
@@ -131,7 +128,7 @@ def test_criterion_5_minimal_bifibration_is_not_a_bundle():
     """p5: minimal bifibration, contractible fibers all fiberwise equivalent, still not a bundle."""
     p5 = gallery_map("p5_minimal_bifib")
     assert classify_grothendieck(p5).is_bifibration
-    assert is_minimal_map(p5)
+    assert map_beat_points(p5).is_minimal
     assert is_fiber_bundle(p5).status == "not_bundle"
     s = as_slice(p5)
     fibers = [s.fiber(b) for b in s.base.elements]
@@ -206,8 +203,9 @@ def test_criterion_8_stong_reduction_laws():
         assert [f.values for f in endomaps_below_identity(down_free)] == [
             MonotoneMap.identity(down_free).values
         ]
-        up_free = smallest_ubp_retract(p).result
-        assert [f.values for f in endomaps_above_identity(up_free)] == [
+        # up beat points and maps above the identity: their down duals on p.op()
+        up_free = smallest_dbp_retract(p.op()).result
+        assert [f.values for f in endomaps_below_identity(up_free)] == [
             MonotoneMap.identity(up_free).values
         ]
         try:

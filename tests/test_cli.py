@@ -12,7 +12,7 @@ from finfib.cli import main
 from finfib.documents import functor_to_doc, map_from_doc, poset_from_doc
 from finfib.errors import InvariantViolated
 from finfib.gallery import ENTRIES, gallery_map
-from finfib.grothendieck import beta_functor
+from finfib.grothendieck import classify_grothendieck
 from finfib.posets import find_isomorphism_over_base
 
 
@@ -288,7 +288,7 @@ def test_usage_errors_exit_3(capsys):
 
 def test_construct_round_trips_p3(capsys, tmp_path):
     p3 = gallery_map("p3")
-    doc = functor_to_doc(beta_functor(p3))
+    doc = functor_to_doc(classify_grothendieck(p3).beta)
     f = tmp_path / "beta.json"
     f.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "construct", str(f), "--out", str(tmp_path / "built"))

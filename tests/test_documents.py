@@ -26,7 +26,7 @@ from finfib.documents import (
 )
 from finfib.errors import ParseError, UnknownGalleryId
 from finfib.gallery import gallery_map, gallery_poset
-from finfib.grothendieck import PosetFunctor, beta_functor, classify_grothendieck, grothendieck_construction
+from finfib.grothendieck import PosetFunctor, classify_grothendieck, grothendieck_construction
 from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base, product
 from finfib.slices import smallest_dbp_retract_of_map
 from finfib.verdict import (
@@ -130,6 +130,21 @@ def test_retract_certificate_doc_round_trip():
     assert verify_retract_certificate(red, back)[0]
     assert back.x == cert.x and back.y == cert.y
     assert back.i == cert.i and back.r == cert.r
+
+
+@pytest.mark.parametrize("field", ["i", "r", "j", "s"])
+def test_retract_certificate_doc_refuses_malformed_maps(field):
+    vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    _, p, _ = product(vee, Poset.chain(["0", "1"]))
+    cert = projection_retract_height1(classify_grothendieck(p))
+    doc = json.loads(json.dumps(retract_certificate_to_doc(cert)))
+    good = doc[field]
+    for bad in ({k: [v] for k, v in good.items()}, list(good.items()), "x", None, 3):
+        with pytest.raises(ParseError, match=f"'{field}' must be an object mapping elements"):
+            retract_certificate_from_doc({**doc, field: bad}, p)
+    back = retract_certificate_from_doc(doc, p)
+    assert (back.i, back.r, back.j, back.s) == (cert.i, cert.r, cert.j, cert.s)
+    assert verify_retract_certificate(p, back)[0]
 
 
 def test_verdict_doc_shapes():
@@ -332,6 +347,6 @@ def test_functor_doc_feeds_the_construction():
     rng = seeded(227)
     d = rand_functor(rng)
     proj = grothendieck_construction(d)
-    doc = functor_to_doc(beta_functor(proj))
+    doc = functor_to_doc(classify_grothendieck(proj).beta)
     rebuilt = grothendieck_construction(functor_from_doc(doc))
     assert find_isomorphism_over_base(rebuilt.map, proj.map) is not None

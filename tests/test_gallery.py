@@ -11,7 +11,7 @@ from finfib.cli import _CHECKS, main
 from finfib.errors import UnknownGalleryId
 from finfib.gallery import ENTRIES, gallery_entry, gallery_ids, gallery_map, gallery_poset
 from finfib.grothendieck import classify_grothendieck, is_fiber_bundle
-from finfib.slices import is_minimal_map, map_core
+from finfib.slices import map_beat_points, map_core
 from finfib.stong import beat_points, is_contractible
 from finfib.verdict import decide_hurewicz, is_closed_map, is_open_map
 
@@ -59,7 +59,7 @@ def test_map_expectations(entry):
     assert rep.is_opfibration == want["opfibration"]
     assert rep.is_bifibration == want["bifibration"]
     assert is_fiber_bundle(m).status == want["bundle"]
-    assert is_minimal_map(m) == want["minimal_map"]
+    assert map_beat_points(m).is_minimal == want["minimal_map"]
     assert map_core(m).reduced.total.n == want["map_core_size"]
     v = decide_hurewicz(m)
     assert v.status == want["hurewicz"]

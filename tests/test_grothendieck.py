@@ -5,26 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfib import grothendieck, verdict
-from finfib.errors import (
-    FunctorialityViolated,
-    NotGrothendieckFibration,
-    NotGrothendieckOpfibration,
-    PreconditionViolated,
-)
+from finfib.errors import FunctorialityViolated, NotGrothendieckOpfibration
 from finfib.gallery import gallery_map
 from finfib.grothendieck import (
     PosetFunctor,
-    alpha_functor,
-    beta_functor,
-    cartesian_lift,
     classify_grothendieck,
-    cocartesian_lift,
     grothendieck_construction,
     is_fiber_bundle,
-    lower_lift,
     reconstruct_over_base,
 )
-from finfib.posets import MonotoneMap, Poset, monotone_maps, pair_name, product
+from finfib.posets import MonotoneMap, Poset, pair_name, product
 from finfib.slices import as_slice
 from helpers import (
     brute_lift,
@@ -42,17 +32,23 @@ def all_gallery_maps():
 
 
 def assert_lifts_match_brute_force(m):
+    # the report's transport tables are the lifts every caller reads
     s = as_slice(m)
-    for e in s.total.elements:
-        for b in s.base.elements:
+    rep = classify_grothendieck(s)
+    for ei, e in enumerate(s.total.elements):
+        for bi, b in enumerate(s.base.elements):
             if s.base.le(b, s.map(e)):
-                got = cartesian_lift(s, e, b)
                 want, _ = brute_lift(s, e, b, "cartesian")
-                assert got.element == want
+                assert lift_name(s, rep.cartesian, ei, bi) == want
             if s.base.le(s.map(e), b):
-                got = cocartesian_lift(s, e, b)
                 want, _ = brute_lift(s, e, b, "cocartesian")
-                assert got.element == want
+                assert lift_name(s, rep.cocartesian, ei, bi) == want
+
+
+def lift_name(s, table, ei, bi):
+    """The table's lift of element ei over base point bi, by name, or None."""
+    got = table.get((ei, bi))
+    return None if got is None else s.total.elements[got]
 
 
 def test_lifts_agree_with_brute_force_on_gallery_maps():
@@ -70,17 +66,10 @@ def test_lifts_agree_with_brute_force_on_random_maps():
 
 def test_trivial_lift_is_the_element_itself():
     p3 = gallery_map("p3")
-    for e in p3.dom.elements:
-        assert cartesian_lift(p3, e, p3(e)).element == e
-        assert cocartesian_lift(p3, e, p3(e)).element == e
-
-
-def test_lift_preconditions():
-    p1 = gallery_map("p1")
-    with pytest.raises(PreconditionViolated):
-        cartesian_lift(p1, "(a,0)", "b")
-    with pytest.raises(PreconditionViolated):
-        cocartesian_lift(p1, "(b,0)", "a")
+    rep = classify_grothendieck(p3)
+    for ei, bi in enumerate(p3.vals):
+        assert rep.cartesian[(ei, bi)] == ei
+        assert rep.cocartesian[(ei, bi)] == ei
 
 
 def test_classification_of_gallery_maps():
@@ -139,10 +128,15 @@ def test_reported_failure_is_the_first_in_index_order():
 
 
 def test_transport_functors_require_their_side():
-    with pytest.raises(NotGrothendieckFibration):
-        alpha_functor(gallery_map("p1op"))
-    with pytest.raises(NotGrothendieckOpfibration):
-        beta_functor(gallery_map("p1"))
+    assert classify_grothendieck(gallery_map("p1op")).alpha is None
+    rep = classify_grothendieck(gallery_map("p1"))
+    assert rep.beta is None
+    f = rep.opfibration_failure
+    msg = f"no cocartesian lift of {f.e!r} over {f.b!r} ({f.reason})"
+    with pytest.raises(NotGrothendieckOpfibration) as err:
+        reconstruct_over_base(gallery_map("p1"))
+    assert str(err.value) == msg
+    assert err.value.witness == f
 
 
 def collect_bifibrations(rng, count):
@@ -177,7 +171,7 @@ def test_construction_cocartesian_transport_is_the_functor():
     for _ in range(15):
         d = rand_functor(rng)
         s = grothendieck_construction(d)
-        beta = beta_functor(s)
+        beta = classify_grothendieck(s).beta
         for lo, hi in d.base.covers():
             t = d.transition(lo, hi)
             bt = beta.transition(lo, hi)
@@ -216,9 +210,9 @@ def test_transports_are_the_pointwise_lifts():
                 al = rep.alpha.transition(lo, hi)
                 be = rep.beta.transition(lo, hi)
                 for e in s.fiber(hi).elements:
-                    assert al(e) == cartesian_lift(s, e, lo).element
+                    assert al(e) == brute_lift(s, e, lo, "cartesian")[0]
                 for e in s.fiber(lo).elements:
-                    assert be(e) == cocartesian_lift(s, e, hi).element
+                    assert be(e) == brute_lift(s, e, hi, "cocartesian")[0]
 
 
 def test_transport_functoriality_along_chains():
@@ -393,7 +387,7 @@ def test_automorphism_constructions_are_bundles():
     rng = seeded(137)
     for _ in range(20):
         d, proj = rand_bundle(rng)
-        beta = beta_functor(proj)
+        beta = classify_grothendieck(proj).beta
         assert beta.is_morphism_inverting()
         assert is_fiber_bundle(proj).status == "bundle"
 
@@ -403,28 +397,6 @@ def test_bundle_budget_runs_out_gracefully():
     assert rep.status == "undecided"
     assert rep.undecided_at == "0"
     assert rep.failed_at is None
-
-
-def test_lower_lift_is_the_greatest_lift_below():
-    rng = seeded(139)
-    checked = 0
-    for _ in range(60):
-        base = rand_poset(rng, rng.randint(1, 3), prefix="b")
-        fib = rand_poset(rng, rng.randint(1, 3), prefix="f")
-        _, p, _ = product(base, fib)
-        dom = rand_poset(rng, rng.randint(1, 3), prefix="d")
-        f = rand_monotone(rng, dom, p.dom)
-        candidates = list(monotone_maps(dom, base, upper=f.then(p)))
-        if not candidates:
-            continue
-        g = rng.choice(candidates)
-        h = lower_lift(p, f, g)
-        assert h.then(p) == g
-        assert h.le(f)
-        for other in monotone_maps(dom, p.dom, upper=f, over=(g, p)):
-            assert other.le(h)
-        checked += 1
-    assert checked >= 20
 
 
 def count_lift_scans(monkeypatch):
@@ -450,9 +422,10 @@ def test_one_lift_table_per_side_serves_every_caller(monkeypatch):
     assert sorted(sides) == ["cartesian", "cocartesian"]
     sides.clear()
     rep = classify_grothendieck(p)
-    alpha, beta = rep.alpha, rep.beta
+    assert rep.alpha is not None and rep.beta is not None
     assert sorted(sides) == ["cartesian", "cocartesian"]
-    assert (alpha, beta) == (alpha_functor(p), beta_functor(p))
+    reconstruct_over_base(p)
+    assert sorted(sides) == ["cartesian", "cartesian", "cocartesian", "cocartesian"]
 
 
 def test_report_tables_hold_every_lift_the_trivial_ones_included():

@@ -25,21 +25,18 @@ from finfib.posets import (
     _extremum,
     _joint_labels,
     _maximal,
-    automorphisms,
-    compose,
     find_isomorphism,
     find_isomorphism_over_base,
-    hom_poset,
     isomorphisms,
     monotone_maps,
     pair_name,
     product,
-    sub_poset,
 )
 from finfib.verdict import _all_labeled_posets
 from helpers import (
     brute_iso,
     height_keyed_joint_labels,
+    hom_poset,
     linear_extremum,
     pair_walk_covers,
     pair_walk_heights,
@@ -213,9 +210,9 @@ def test_sub_induces_the_order():
     s = d.sub(["bot", "l", "top"])
     assert s.le("bot", "top")
     assert s.covers() == (("bot", "l"), ("l", "top"))
-    sub, incl = sub_poset(d, ["bot", "top"])
+    sub = d.sub(["bot", "top"])
     assert sub.le("bot", "top")
-    assert incl(sub.elements[0]) == sub.elements[0]
+    assert sub.covers() == (("bot", "top"),)
 
 
 @st.composite
@@ -337,7 +334,6 @@ def test_composition_and_identity():
     f = rand_monotone(rng, p, q)
     g = rand_monotone(rng, q, r)
     h = f.then(g)
-    assert h == compose(g, f)
     for a in p.elements:
         assert h(a) == g(f(a))
     assert f.then(MonotoneMap.identity(q)) == f
@@ -461,10 +457,8 @@ def test_isomorphisms_enumerates_all_of_them():
     c = crown()
     found = list(isomorphisms(c, c))
     assert len(found) == 4
-    auts = list(automorphisms(c))
-    assert len(auts) == 4
     ident = {a: a for a in c.elements}
-    assert ident in auts
+    assert ident in found
 
 
 def test_find_isomorphism_over_base_on_a_product():
@@ -687,7 +681,7 @@ def test_bundle_searches_agree_with_the_recursive_oracle_at_every_budget(k, fibe
     # colour classes over incomparable base points are mutually apart
     # and the search drops their constraints
     fib = crown_fibers()[fiber]
-    aut = list(automorphisms(fib))[twist]
+    aut = list(isomorphisms(fib, fib))[twist]
     s = twisted_bundle(k, fib, aut)
     prod, to_base, _ = product(s.base, fib)
     ren = {a: f"y{i}" for i, a in enumerate(s.total.elements)}

@@ -2,20 +2,16 @@
 
 import pytest
 
-from finfib.errors import NotAComponent, NotOverBase, PreconditionViolated
-from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base, product
+from finfib.errors import NotAComponent
+from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base
 from finfib.slices import (
     SliceMap,
-    are_fiber_homotopic,
     as_slice,
-    is_map_dbp_retract,
-    is_minimal_map,
     map_beat_points,
     map_core,
     restrict_over,
     restrict_over_component,
     smallest_dbp_retract_of_map,
-    smallest_ubp_retract_of_map,
 )
 from finfib.stong import beat_points
 from finfib.gallery import gallery_map
@@ -74,8 +70,8 @@ def test_map_beat_points_need_the_witness_in_the_fiber():
 
 def test_map_beat_points_of_gallery_maps():
     assert map_beat_points(gallery_map("p2")).down == {}
-    assert is_minimal_map(gallery_map("p5_minimal_bifib"))
-    assert not is_minimal_map(gallery_map("p1"))
+    assert map_beat_points(gallery_map("p5_minimal_bifib")).is_minimal
+    assert not map_beat_points(gallery_map("p1")).is_minimal
 
 
 def test_smallest_dbp_retract_of_map_is_order_independent():
@@ -115,7 +111,7 @@ def test_map_core_trace_replays_as_map_beat_point_removals():
             keep = [e for e in cur.total.elements if e != name]
             cur = SliceMap(cur.map.restrict(cur.total.sub(keep)))
         assert cur.total == red.reduced.total
-        assert is_minimal_map(red.reduced)
+        assert map_beat_points(red.reduced).is_minimal
 
 
 def test_map_cores_from_shuffled_orders_are_isomorphic_over_the_base():
@@ -130,12 +126,12 @@ def test_map_cores_from_shuffled_orders_are_isomorphic_over_the_base():
 def test_map_dbp_retract_membership():
     p1 = gallery_map("p1")
     # (a,1) is the only down beat point of the map
-    assert is_map_dbp_retract(p1, ["(a,0)", "(b,0)"]) is not None
-    assert is_map_dbp_retract(p1, ["(a,1)", "(b,0)"]) is None
+    assert map_beat_points(p1).down == {"(a,1)": "(a,0)"}
     red = smallest_dbp_retract_of_map(p1)
     assert set(red.reduced.total.elements) == {"(a,0)", "(b,0)"}
-    dual = smallest_ubp_retract_of_map(p1)
-    assert map_beat_points(dual.reduced).up == {}
+    # the up beat point retract: the down one of the opposite map
+    dual = smallest_dbp_retract_of_map(p1.op())
+    assert map_beat_points(dual.reduced.op()).up == {}
 
 
 def test_restrict_over_takes_the_preimage():
@@ -150,25 +146,6 @@ def test_restrict_over_takes_the_preimage():
         restrict_over_component(p3, ["a"])
     comp = restrict_over_component(p3, p3.cod.elements)
     assert comp.total == as_slice(p3).total
-
-
-def test_fiber_homotopy_links_comparable_maps_over_the_base():
-    base = Poset.chain(["u", "v"])
-    fib = Poset.chain(["0", "1"])
-    prod, to_base, _ = product(base, fib)
-    ident = MonotoneMap.identity(prod)
-    drop = MonotoneMap.build(
-        prod,
-        prod,
-        {"(u,0)": "(u,0)", "(u,1)": "(u,0)", "(v,0)": "(v,0)", "(v,1)": "(v,0)"},
-    )
-    assert are_fiber_homotopic(ident, drop, to_base, to_base)
-    assert are_fiber_homotopic(ident, drop, to_base, to_base, rel=["(u,0)"])
-    with pytest.raises(PreconditionViolated):
-        are_fiber_homotopic(ident, drop, to_base, to_base, rel=["(u,1)"])
-    bad = MonotoneMap.constant(prod, base, "u")
-    with pytest.raises(NotOverBase):
-        are_fiber_homotopic(ident, ident, bad, to_base)
 
 
 def test_reduction_idempotent_is_fiberwise_descending():

@@ -63,6 +63,41 @@ def test_every_private_definition_is_used():
     assert found == []
 
 
+# public names that nothing in the package calls, each with the reason it stays
+PUBLIC_KEEP = {
+    "f_infinity": "README: Stong's stabilized iterate of a descending endomap",
+    "homotopy_equivalent": "README: homotopy equivalence via core isomorphism",
+    "reconstruct_over_base": "README: the round trip that rebuilds a map from its covariant transport",
+    "functor_to_doc": "README: JSON round trips for every object, the functor documents construct reads",
+    "map_to_text": "README: the text emitters and the names they refuse",
+    "gallery_ids": "the gallery's lookup by id",
+    "gallery_map": "the gallery's lookup by id; the README's Library example",
+    "gallery_poset": "the gallery's lookup by id",
+    "search_retract_certificate": "ROADMAP: the planned certify command runs this search",
+    "retract_certificate_from_doc": "ROADMAP: the planned certify and --certificate read certificates back",
+    "restrict_over_component": "perfbench/spans.py wraps it where verdict imports it",
+}
+
+
+def test_every_public_definition_is_used_or_kept_for_a_reason():
+    # a public name that only tests and the __init__ re-exports reach is
+    # API nothing needs; it goes, or it is kept above with its reason
+    trees = dict(package_trees())
+    programs = [tree for module, tree in trees.items() if module != "__init__.py"]
+    uses = Counter(_name_of(node) for tree in programs for node in ast.walk(tree))
+    unused = set()
+    for tree in programs:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            inside = sum(_name_of(sub) == node.name for sub in ast.walk(node))
+            if not node.name.startswith("_") and uses[node.name] == inside:
+                unused.add(node.name)
+    assert sorted(unused - set(PUBLIC_KEEP)) == []
+    # a kept name that gained a caller or was deleted leaves the list
+    assert sorted(set(PUBLIC_KEEP) - unused) == []
+
+
 def test_every_benchmark_patch_site_resolves():
     # perfbench wraps these names from outside the package; a renamed or
     # dropped binding would only show up in a traced benchmark run
