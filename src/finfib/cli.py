@@ -369,6 +369,17 @@ def cmd_gallery(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """A node budget: an int that is 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"budget must be 0 or more, got {n}")
+    return n
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: argparse looks sys.stdout/sys.stderr up
@@ -376,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--verbose", action="store_true", help="more detail")
-    common.add_argument("--budget", type=int, default=None, metavar="N",
+    common.add_argument("--budget", type=_budget, default=None, metavar="N",
                         help="node budget for isomorphism searches")
 
     parser = argparse.ArgumentParser(

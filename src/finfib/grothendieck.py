@@ -19,7 +19,6 @@ from .errors import (
     FinfibError,
     FunctorialityViolated,
     NotGrothendieckOpfibration,
-    PreconditionViolated,
     ReconstructionMismatch,
     SearchBudgetExhausted,
     UnknownElement,
@@ -159,21 +158,6 @@ class PosetFunctor:
 
     def __repr__(self) -> str:
         return f"PosetFunctor({self.variance} over {self.base!r})"
-
-    def transition(self, lo: str, hi: str) -> MonotoneMap:
-        """Transport along lo <= hi (the identity when lo == hi)."""
-        if lo == hi:
-            if lo not in self.fibers:
-                raise UnknownElement(f"{lo!r} is not in the base")
-            return MonotoneMap.identity(self.fibers[lo])
-        try:
-            return self.transitions[(lo, hi)]
-        except KeyError:
-            raise PreconditionViolated(f"{lo!r} <= {hi!r} does not hold in the base") from None
-
-    def is_morphism_inverting(self) -> bool:
-        """True when every transition is an isomorphism."""
-        return all(t.is_iso() for t in self.transitions.values())
 
 
 def _scan_lifts(

@@ -162,14 +162,6 @@ class Poset:
         """Total order with the given names, first name at the bottom."""
         return cls.build(names, [(names[i], names[i + 1]) for i in range(len(names) - 1)])
 
-    @classmethod
-    def antichain(cls, names: Sequence[str]) -> "Poset":
-        return cls.build(names, [])
-
-    @classmethod
-    def empty(cls) -> "Poset":
-        return cls((), (), ())
-
     # -- basics ------------------------------------------------------
 
     @property
@@ -226,18 +218,6 @@ class Poset:
         """Minimal open set U_a = {x : x <= a}."""
         return self.names(self.below[self.idx(a)])
 
-    def strict_down_set(self, a: str) -> tuple[str, ...]:
-        i = self.idx(a)
-        return self.names(self.below[i] & ~(1 << i))
-
-    def up_set(self, a: str) -> tuple[str, ...]:
-        """Closure F_a = {x : x >= a}."""
-        return self.names(self.above[self.idx(a)])
-
-    def strict_up_set(self, a: str) -> tuple[str, ...]:
-        i = self.idx(a)
-        return self.names(self.above[i] & ~(1 << i))
-
     def _cover_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Lower and upper covers of each element, as rising indices, and the cover pairs."""
         if self._covers is None:
@@ -262,25 +242,6 @@ class Poset:
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Hasse relation (transitive reduction), as (lo, hi) pairs."""
         return tuple([(self.elements[j], self.elements[i]) for j, i in self._cover_pairs()])
-
-    def lower_covers(self, a: str) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in self._cover_table()[0][self.idx(a)])
-
-    def upper_covers(self, a: str) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in self._cover_table()[1][self.idx(a)])
-
-    def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(e for i, e in enumerate(self.elements) if self.below[i] == 1 << i)
-
-    def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(e for i, e in enumerate(self.elements) if self.above[i] == 1 << i)
-
-    def max_of(self, names: Iterable[str]) -> Optional[str]:
-        """Maximum of a subset if it has one, else None."""
-        return self.max_of_mask(self.mask(names))
-
-    def min_of(self, names: Iterable[str]) -> Optional[str]:
-        return self.min_of_mask(self.mask(names))
 
     def max_of_mask(self, m: int) -> Optional[str]:
         i = _extremum(self.below, self.above, m)
@@ -432,10 +393,6 @@ class MonotoneMap:
     def identity(cls, p: Poset) -> "MonotoneMap":
         return cls(p, p, range(p.n))
 
-    @classmethod
-    def constant(cls, dom: Poset, cod: Poset, value: str) -> "MonotoneMap":
-        return cls(dom, cod, (cod.idx(value),) * dom.n)
-
     def __call__(self, name: str) -> str:
         return self.cod.elements[self.vals[self.dom.idx(name)]]
 
@@ -463,21 +420,11 @@ class MonotoneMap:
             raise CodomainMismatch("composite needs matching middle poset")
         return MonotoneMap(self.dom, g.cod, tuple(g.vals[v] for v in self.vals))
 
-    def le(self, other: "MonotoneMap") -> bool:
-        """Pointwise order on maps; this is the exponential order."""
-        if self.dom != other.dom or self.cod != other.cod:
-            raise CodomainMismatch("maps are comparable only with equal dom and cod")
-        below = self.cod.below
-        return all(below[w] >> v & 1 for v, w in zip(self.vals, other.vals))
-
     def image_mask(self) -> int:
         m = 0
         for v in self.vals:
             m |= 1 << v
         return m
-
-    def image(self) -> tuple[str, ...]:
-        return self.cod.names(self.image_mask())
 
     def is_surjective(self) -> bool:
         return self.image_mask() == (1 << self.cod.n) - 1
@@ -492,11 +439,6 @@ class MonotoneMap:
         # the inverse is monotone when it keeps every cover of the codomain
         inv = sorted(range(self.dom.n), key=self.vals.__getitem__)
         return all(self.dom.below[inv[hi]] >> inv[lo] & 1 for lo, hi in self.cod._cover_pairs())
-
-    def inverse(self) -> "MonotoneMap":
-        if not self.is_iso():
-            raise NotMonotone("map is not an isomorphism")
-        return MonotoneMap(self.cod, self.dom, sorted(range(self.dom.n), key=self.vals.__getitem__))
 
     def restrict(self, sub_dom: Poset) -> "MonotoneMap":
         """Restriction to a subposet of the domain (same names)."""
@@ -559,30 +501,17 @@ def monotone_maps(
     cod: Poset,
     guard: Optional[int] = DEFAULT_GUARD,
     *,
-    lower: Optional[MonotoneMap] = None,
-    upper: Optional[MonotoneMap] = None,
     over: Optional[tuple[MonotoneMap, MonotoneMap]] = None,
     fixed: Optional[dict[str, str]] = None,
 ) -> Iterator[MonotoneMap]:
     """Enumerate monotone maps dom -> cod, optionally constrained.
 
-    lower / upper bound the maps pointwise (f >= lower, f <= upper);
     ``over=(p, q)`` keeps only maps f with q o f = p, for p out of dom
     and q out of cod into a common base; ``fixed`` pins given elements.
     The guard limits the product of candidate-set sizes and is checked
     before any search happens.
     """
     cand = [(1 << cod.n) - 1] * dom.n
-    if lower is not None:
-        if lower.dom != dom or lower.cod != cod:
-            raise CodomainMismatch("lower bound must be a map dom -> cod")
-        for i in range(dom.n):
-            cand[i] &= cod.above[lower.vals[i]]
-    if upper is not None:
-        if upper.dom != dom or upper.cod != cod:
-            raise CodomainMismatch("upper bound must be a map dom -> cod")
-        for i in range(dom.n):
-            cand[i] &= cod.below[upper.vals[i]]
     if over is not None:
         p, q = over
         if p.dom != dom or q.dom != cod or p.cod != q.cod:

@@ -54,18 +54,6 @@ class ReductionTrace:
     removed: tuple[tuple[str, str], ...]
     retraction: MonotoneMap
 
-    def inclusion(self) -> MonotoneMap:
-        return MonotoneMap(
-            self.result, self.source, tuple(self.source.idx(e) for e in self.result.elements)
-        )
-
-    def idempotent(self) -> MonotoneMap:
-        """The retraction followed by the inclusion, as an endomap."""
-        incl = self.inclusion()
-        return MonotoneMap(
-            self.source, self.source, tuple(incl.vals[v] for v in self.retraction.vals)
-        )
-
 
 def _beat_candidates(
     x: Poset, alive: int, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]] = None
@@ -223,8 +211,9 @@ def smallest_dbp_retract(x: Poset, *, picker: Optional[Picker] = None) -> Reduct
 
     The result is the minimum element of the family of subspaces
     reachable by such removals, so it does not depend on the order;
-    the trace's ``idempotent()`` is the unique descending idempotent
-    onto it, which is also the minimum of the maps below the identity.
+    the trace's retraction, followed by the inclusion of the result, is
+    the unique descending idempotent onto it, which is also the minimum
+    of the maps below the identity.
     """
     return _reduce(x, ("down",), picker)
 

@@ -110,12 +110,6 @@ class NecessaryReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.conditions)
 
-    def get(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def failing(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.conditions if not c.passed)
 
@@ -302,10 +296,6 @@ class RetractCertificate:
     r: MonotoneMap
     j: MonotoneMap
     s: MonotoneMap
-
-    @property
-    def ambient(self) -> Poset:
-        return self.i.cod
 
 
 def verify_retract_certificate(

@@ -133,8 +133,8 @@ def pair_walk_sub(p, keep):
 
 def is_beat_point_brute(x, a):
     """Beat point test straight from the definition, via down/up sets."""
-    down = [z for z in x.strict_down_set(a)]
-    up = [z for z in x.strict_up_set(a)]
+    down = [z for z in x.elements if x.lt(z, a)]
+    up = [z for z in x.elements if x.lt(a, z)]
     has_max = any(all(x.le(z, m) for z in down) for m in down)
     has_min = any(all(x.le(m, z) for z in up) for m in up)
     return has_max or has_min
@@ -293,7 +293,7 @@ def hand_built_grothendieck_construction(d):
         m = 0
         for vi in _bits(base.below[bi]):
             v = base.elements[vi]
-            t = d.transition(v, b)
+            t = d.transitions[(v, b)] if v != b else MonotoneMap.identity(fib_b)
             for yj in range(d.fibers[v].n):
                 if fib_b.below[xi] >> t.vals[yj] & 1:
                     m |= 1 << offset[vi] + yj
@@ -366,7 +366,7 @@ def rec_enumerate_monotone(dom, cod, cand, guard):
     """Yield value tuples of monotone maps with per-element candidate masks.
 
     The recursive enumerator ``posets.monotone_maps`` replaced, kept
-    verbatim as an oracle.  The guard is checked against the product
+    as an oracle.  The guard is checked against the product
     of candidate set sizes before any work happens.
     """
     if dom.n == 0:
@@ -384,10 +384,8 @@ def rec_enumerate_monotone(dom, cod, cand, guard):
     for k, i in enumerate(order):
         pos_of[i] = k
     # strict lower covers of each element, as positions already assigned
-    lower = []
-    cover_dn = {e: dom.lower_covers(e) for e in dom.elements}
-    for i in order:
-        lower.append([dom.index[c] for c in cover_dn[dom.elements[i]]])
+    cover_dn = _rec_cover_adjacency(dom)[0]
+    lower = [cover_dn[i] for i in order]
     vals = [0] * dom.n
     above = cod.above
 
@@ -406,15 +404,13 @@ def rec_enumerate_monotone(dom, cod, cand, guard):
     yield from rec(0)
 
 
-def rec_monotone_maps(dom, cod, guard=100_000, *, lower=None, upper=None, over=None, fixed=None):
-    """``posets.monotone_maps`` as it was over ``rec_enumerate_monotone``."""
+def rec_monotone_maps(dom, cod, guard=100_000, *, upper=None, over=None, fixed=None):
+    """``posets.monotone_maps`` as it was over ``rec_enumerate_monotone``.
+
+    ``upper`` bounds the maps pointwise from above (f <= upper).
+    """
     full = (1 << cod.n) - 1
     cand = [full] * dom.n
-    if lower is not None:
-        if lower.dom != dom or lower.cod != cod:
-            raise CodomainMismatch("lower bound must be a map dom -> cod")
-        for i in range(dom.n):
-            cand[i] &= cod.above[lower.vals[i]]
     if upper is not None:
         if upper.dom != dom or upper.cod != cod:
             raise CodomainMismatch("upper bound must be a map dom -> cod")
@@ -643,7 +639,18 @@ def all_dbp_retracts(x: Poset, limit: Optional[int] = 10_000) -> tuple[tuple[str
 
 def endomaps_below_identity(x: Poset, guard: Optional[int] = DEFAULT_GUARD) -> Iterator[MonotoneMap]:
     """All monotone f: x -> x with f <= Id."""
-    return monotone_maps(x, x, guard, upper=MonotoneMap.identity(x))
+    return rec_monotone_maps(x, x, guard, upper=MonotoneMap.identity(x))
+
+
+def map_le(f: MonotoneMap, g: MonotoneMap) -> bool:
+    """The pointwise order f <= g of two maps with one domain and codomain."""
+    return all(f.cod.below[w] >> v & 1 for v, w in zip(f.vals, g.vals))
+
+
+def trace_idempotent(trace: ReductionTrace) -> MonotoneMap:
+    """The retraction of a reduction trace followed by the inclusion of its result."""
+    incl = [trace.source.idx(e) for e in trace.result.elements]
+    return MonotoneMap(trace.source, trace.source, tuple(incl[v] for v in trace.retraction.vals))
 
 
 def homotopy_classes(x: Poset, y: Poset, guard: Optional[int] = DEFAULT_GUARD) -> list[list[MonotoneMap]]:
@@ -689,7 +696,7 @@ class HomPoset:
         for i in range(n):
             for j in range(i + 1, n):
                 fi, fj = self.maps[i], self.maps[j]
-                if fi.le(fj) or fj.le(fi):
+                if map_le(fi, fj) or map_le(fj, fi):
                     ri, rj = find(i), find(j)
                     if ri != rj:
                         parent[rj] = ri
@@ -732,18 +739,19 @@ def rand_monotone(rng, dom, cod, tries=60):
     (always monotone) last resort.
     """
     order = sorted(dom.elements, key=lambda a: len(dom.down_set(a)))
+    lower_covers = {a: [lo for lo, hi in dom.covers() if hi == a] for a in dom.elements}
     for _ in range(tries):
         vals = {}
         for a in order:
             allowed = set(cod.elements)
-            for l in dom.lower_covers(a):
-                allowed &= set(cod.up_set(vals[l]))
+            for l in lower_covers[a]:
+                allowed &= {z for z in cod.elements if cod.le(vals[l], z)}
             if not allowed:
                 break
             vals[a] = rng.choice(sorted(allowed))
         else:
             return MonotoneMap.build(dom, cod, vals)
-    return MonotoneMap.constant(dom, cod, rng.choice(cod.elements))
+    return MonotoneMap(dom, cod, (cod.idx(rng.choice(cod.elements)),) * dom.n)
 
 
 def forest_base(rng, n, prefix="b"):
@@ -781,9 +789,9 @@ def rand_functor(rng, fiber_pool=None, max_base=5, max_fiber=4):
 def minimal_fiber_pool():
     """Small spaces with no beat points: point, antichains, a crown."""
     return [
-        Poset.antichain(["m0"]),
-        Poset.antichain(["m0", "m1"]),
-        Poset.antichain(["m0", "m1", "m2"]),
+        Poset.build(["m0"], []),
+        Poset.build(["m0", "m1"], []),
+        Poset.build(["m0", "m1", "m2"], []),
         Poset.build(
             ["m0", "m1", "m2", "m3"],
             [("m0", "m2"), ("m0", "m3"), ("m1", "m2"), ("m1", "m3")],
@@ -807,7 +815,7 @@ def based_poset(rng, n, prefix="b"):
     """Random poset with a fresh minimum adjoined below everything."""
     top = rand_poset(rng, n, prefix=prefix)
     root = f"{prefix}_min"
-    pairs = list(top.covers()) + [(root, m) for m in top.minimal_elements()]
+    pairs = list(top.covers()) + [(root, m) for m in top.elements if top.down_set(m) == (m,)]
     return Poset.build([root] + list(top.elements), pairs)
 
 
@@ -822,7 +830,7 @@ def insert_map_down_beat_point(rng, p, tag):
     x = rng.choice(s.total.elements)
     dup = f"{x}+{tag}"
     pairs = list(s.total.covers()) + [(x, dup)]
-    pairs += [(dup, z) for z in s.total.upper_covers(x)]
+    pairs += [(dup, hi) for lo, hi in s.total.covers() if lo == x]
     total = Poset.build(list(s.total.elements) + [dup], pairs)
     values = s.map.values
     values[dup] = s.map(x)

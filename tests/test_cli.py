@@ -144,6 +144,20 @@ def test_check_bundle(capsys):
     assert out.strip() == "undecided (budget exhausted over 0)"
 
 
+def test_a_negative_budget_is_a_usage_error(capsys):
+    # the budget counts attempted assignments, so -1 is bad input, not a verdict
+    for which in ("bundle", "hurewicz"):
+        code, out, err = run(capsys, "check", which, "gallery:p1", "--budget", "-1")
+        assert (code, out) == (3, "")
+        assert "argument --budget: budget must be 0 or more, got -1" in err
+    # 0 is a budget: the search that needs one runs out at once
+    assert run(capsys, "check", "bundle", "gallery:p1", "--budget", "0")[:2] == (
+        2,
+        "undecided (budget exhausted over a)\n",
+    )
+    assert run(capsys, "check", "hurewicz", "gallery:p1", "--budget", "0")[0] == 0
+
+
 def test_check_core_and_map_core(capsys):
     code, out, _ = run(capsys, "check", "core", "gallery:B3")
     assert code == 0

@@ -92,7 +92,7 @@ def test_functor_doc_keys_use_the_pair_form():
 
 def two_point_functor(lo, hi):
     """Constant one-point functor over the chain lo < hi."""
-    point = Poset.antichain(["0"])
+    point = Poset.build(["0"], [])
     base = Poset.build([lo, hi], [(lo, hi)])
     ident = MonotoneMap.identity(point)
     return PosetFunctor(base, "covariant", {lo: point, hi: point}, {(lo, hi): ident})
@@ -274,7 +274,7 @@ def test_map_text_refuses_poset_names_the_reader_resolves_elsewhere():
     with pytest.raises(ParseError, match="gallery reference"):
         map_to_text("f", MonotoneMap.identity(p), dom_name="gallery:E1")
     with pytest.raises(ParseError, match="both the domain and the codomain"):
-        map_to_text("f", MonotoneMap.constant(p, q, "y"), dom_name="P", cod_name="P")
+        map_to_text("f", MonotoneMap(p, q, (q.idx("y"),) * p.n), dom_name="P", cod_name="P")
     same = MonotoneMap.identity(p)
     assert parse_text(map_to_text("f", same, "P", "P"))[-1] == ("map", "f", same)
 
@@ -294,7 +294,7 @@ def test_text_block_names_refuse_or_round_trip(name, dom_name, cod_name):
         pass
     else:
         assert parse_text(text) == [("poset", name, p)]
-    m = MonotoneMap.constant(p, q, "b")
+    m = MonotoneMap(p, q, (q.idx("b"),) * p.n)
     try:
         text = map_to_text(name, m, dom_name, cod_name)
     except ParseError:
@@ -309,12 +309,12 @@ def test_map_text_refuses_what_splits_a_map_entry():
     r = Poset.build(["c\nd"], [])
     assert parse_text(poset_to_text("Q", q)) == [("poset", "Q", q)]
     assert parse_text(poset_to_text("R", r)) == [("poset", "R", r)]
-    m = MonotoneMap.constant(p, q, "a->b")
+    m = MonotoneMap(p, q, (q.idx("a->b"),) * p.n)
     assert parse_text(map_to_text("f", m))[-1] == ("map", "f", m)
     with pytest.raises(ParseError, match="'a->b'"):
         map_to_text("f", MonotoneMap.identity(q))
     with pytest.raises(ParseError, match=re.escape("'c\\nd'")):
-        map_to_text("f", MonotoneMap.constant(p, r, "c\nd"))
+        map_to_text("f", MonotoneMap(p, r, (r.idx("c\nd"),) * p.n))
 
 
 # names built from the DSL's own tokens, with arbitrary characters mixed in
@@ -334,7 +334,7 @@ def test_text_emitters_refuse_or_round_trip(p, q):
         pass
     else:
         assert parse_text(text) == [("poset", "X", p)]
-    maps = [MonotoneMap.identity(p)] + [MonotoneMap.constant(p, q, b) for b in q.elements[:1]]
+    maps = [MonotoneMap.identity(p)] + [MonotoneMap(p, q, (q.idx(b),) * p.n) for b in q.elements[:1]]
     for m in maps:
         try:
             text = map_to_text("f", m)

@@ -67,7 +67,6 @@ def test_build_takes_transitive_closure():
     assert p.lt("a", "c")
     assert not p.le("c", "a")
     assert p.down_set("c") == ("a", "b", "c")
-    assert p.strict_down_set("c") == ("a", "b")
 
 
 def test_build_rejects_cycles_and_duplicates():
@@ -90,8 +89,6 @@ def test_covers_regenerate_the_order():
 def test_cover_relation_is_minimal():
     d = diamond()
     assert set(d.covers()) == {("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")}
-    assert d.lower_covers("top") == ("l", "r")
-    assert d.upper_covers("bot") == ("l", "r")
 
 
 def test_extrema_and_heights():
@@ -103,8 +100,6 @@ def test_extrema_and_heights():
     assert c.minimum() is None
     assert c.maximum() is None
     assert c.height() == 1
-    assert c.minimal_elements() == ("a", "b")
-    assert c.maximal_elements() == ("c", "d")
 
 
 def test_components_and_connectivity():
@@ -112,7 +107,7 @@ def test_components_and_connectivity():
     assert two.components() == (("a", "b"), ("c",))
     assert not two.is_connected()
     assert diamond().is_connected()
-    assert Poset.empty().components() == ()
+    assert Poset.build([], []).components() == ()
 
 
 def test_op_swaps_the_order():
@@ -136,9 +131,10 @@ def test_op_swaps_the_rows_it_already_has(p):
 def assert_cover_queries_match_the_pair_walk(p):
     covers = pair_walk_covers(p)
     assert p.covers() == covers
-    for a in p.elements:
-        assert p.lower_covers(a) == tuple(lo for lo, hi in covers if hi == a)
-        assert p.upper_covers(a) == tuple(hi for lo, hi in covers if lo == a)
+    lower, upper, _ = p._cover_table()
+    for i, a in enumerate(p.elements):
+        assert tuple(p.elements[j] for j in lower[i]) == tuple(lo for lo, hi in covers if hi == a)
+        assert tuple(p.elements[j] for j in upper[i]) == tuple(hi for lo, hi in covers if lo == a)
     assert p.heights() == pair_walk_heights(p)
 
 
@@ -176,7 +172,7 @@ def test_enumerated_and_empty_posets_hand_over_the_transposed_rows():
     for k in range(1, 4):
         for p in _all_labeled_posets(tuple(f"y{t}" for t in range(k))):
             assert has_transposed_rows(p)
-    assert Poset.empty().above == Poset.empty().below == ()
+    assert Poset.build([], []).above == Poset.build([], []).below == ()
 
 
 @st.composite
@@ -263,10 +259,10 @@ def test_sub_agrees_with_the_pair_walk(case):
 
 def test_max_min_of_subsets():
     c = crown()
-    assert c.max_of(["a", "c"]) == "c"
-    assert c.max_of(["c", "d"]) is None
-    assert c.min_of(["a", "b"]) is None
-    assert c.min_of(["a", "d"]) == "a"
+    assert c.max_of_mask(c.mask(["a", "c"])) == "c"
+    assert c.max_of_mask(c.mask(["c", "d"])) is None
+    assert c.min_of_mask(c.mask(["a", "b"])) is None
+    assert c.min_of_mask(c.mask(["a", "d"])) == "a"
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,13 +341,12 @@ def test_composition_and_identity():
 def test_image_and_injectivity_flags():
     p = Poset.chain(["a", "b"])
     q = Poset.chain(["0", "1"])
-    const = MonotoneMap.constant(p, q, "0")
-    assert const.image() == ("0",)
+    const = MonotoneMap(p, q, (q.idx("0"),) * p.n)
+    assert q.names(const.image_mask()) == ("0",)
     assert not const.is_surjective()
     assert not const.is_injective()
     iso = MonotoneMap.build(p, q, {"a": "0", "b": "1"})
     assert iso.is_iso()
-    assert iso.inverse()("1") == "b"
 
 
 @settings(max_examples=300, deadline=None)
@@ -365,11 +360,6 @@ def test_is_iso_agrees_with_the_pairwise_definition(p, data):
     f = MonotoneMap(q, p, [p.index[a] for a in q.elements])
     reflects = all(q.le(a, b) == p.le(a, b) for a in p.elements for b in p.elements)
     assert f.is_iso() == reflects
-    if reflects:
-        assert f.inverse().then(f) == MonotoneMap.identity(p)
-    else:
-        with pytest.raises(NotMonotone):
-            f.inverse()
 
 
 def test_monotone_maps_match_raw_filtering():
@@ -392,14 +382,9 @@ def test_monotone_maps_match_raw_filtering():
 
 def test_monotone_maps_respect_bounds_and_pins():
     d = diamond()
-    ident = MonotoneMap.identity(d)
-    below = list(monotone_maps(d, d, upper=ident))
-    assert all(f.le(ident) for f in below)
-    above = list(monotone_maps(d, d, lower=ident))
-    assert all(ident.le(f) for f in above)
     pinned = list(monotone_maps(d, d, fixed={"top": "bot"}))
     assert all(f("top") == "bot" for f in pinned)
-    assert pinned == [MonotoneMap.constant(d, d, "bot")]
+    assert pinned == [MonotoneMap(d, d, (d.idx("bot"),) * d.n)]
 
 
 def test_monotone_maps_over_a_base():
@@ -412,7 +397,7 @@ def test_monotone_maps_over_a_base():
 
 
 def test_guard_limits_enumeration():
-    big = Poset.antichain([f"x{i}" for i in range(6)])
+    big = Poset.build([f"x{i}" for i in range(6)], [])
     with pytest.raises(GuardExceeded):
         hom_poset(big, big, guard=1000)
     with pytest.raises(GuardExceeded):
@@ -463,21 +448,21 @@ def test_isomorphisms_enumerates_all_of_them():
 
 def test_find_isomorphism_over_base_on_a_product():
     base = Poset.chain(["u", "v"])
-    fib = Poset.antichain(["0", "1"])
+    fib = Poset.build(["0", "1"], [])
     prod, to_base, _ = product(base, fib)
     # same projection presented twice must match over the base
     iso = find_isomorphism_over_base(to_base, to_base)
     assert iso is not None
     assert all(to_base(iso[e]) == to_base(e) for e in prod.elements)
-    other = MonotoneMap.constant(prod, base, "u")
+    other = MonotoneMap(prod, base, (base.idx("u"),) * prod.n)
     assert find_isomorphism_over_base(other, to_base) is None
 
 
 def test_empty_and_singleton_edge_cases():
-    e = Poset.empty()
+    e = Poset.build([], [])
     assert e.n == 0
     assert list(e) == []
-    one = Poset.antichain(["x"])
+    one = Poset.build(["x"], [])
     assert one.height() == 0
     assert one.minimum() == "x"
     assert len(list(monotone_maps(e, one))) == 1
@@ -598,11 +583,6 @@ def test_bulk_node_counting_matches_the_per_value_search(order, seed, budget):
 @given(dom=posets(max_size=4), cod=posets(max_size=5), data=st.data())
 def test_monotone_maps_agree_with_the_recursive_oracle(dom, cod, data):
     kwargs = {}
-    maps = list(rec_monotone_maps(dom, cod, None))
-    if maps and data.draw(st.booleans()):
-        kwargs["lower"] = data.draw(st.sampled_from(maps))
-    if maps and data.draw(st.booleans()):
-        kwargs["upper"] = data.draw(st.sampled_from(maps))
     if data.draw(st.booleans()):
         base = data.draw(posets(max_size=3))
         over_dom = list(rec_monotone_maps(dom, base, None))
@@ -669,7 +649,7 @@ def twisted_bundle(k, fiber, aut):
 
 
 def crown_fibers():
-    return [Poset.antichain(["x0", "x1"]), Poset.antichain(["x0", "x1", "x2"]), crowns(2, 1, "x")]
+    return [Poset.build(["x0", "x1"], []), Poset.build(["x0", "x1", "x2"], []), crowns(2, 1, "x")]
 
 
 @pytest.mark.parametrize(
@@ -709,4 +689,4 @@ def test_a_shuffled_1500_chain_has_no_search_ceiling():
     assert c.op().covers() == in_index_order(zip(names[1:], names))
     assert find_isomorphism(c, c) == {a: a for a in names}
     first = next(monotone_maps(c, c, None))
-    assert first == MonotoneMap.constant(c, c, c.elements[0])
+    assert first == MonotoneMap(c, c, (0,) * c.n)

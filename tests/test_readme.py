@@ -1,9 +1,14 @@
 """The README's examples run as written."""
 
 import contextlib
+import importlib
+import inspect
 import io
+import pkgutil
 import re
 from pathlib import Path
+
+import finfib
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +21,36 @@ def test_the_library_example_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines()[:2] == ["True", "unknown"]
+
+
+def removed_names():
+    """The backticked names in the first column of the removed-names table."""
+    table = README.read_text().split("| removed name | use instead |\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[1:]  # below the header's rule
+    return [name for row in rows for name in re.findall(r"`([^`]+)`", row.split(" | ", 1)[0])]
+
+
+def test_no_name_in_the_removed_names_table_is_back():
+    modules = [finfib] + [
+        importlib.import_module(f"finfib.{m.name}")
+        for m in pkgutil.iter_modules(finfib.__path__)
+        if m.name != "__main__"  # importing it runs the command line
+    ]
+    found = []
+    names = removed_names()
+    assert len(names) > 30
+    for entry in names:
+        name, _, args = entry.partition("(")
+        keywords = re.findall(r"(\w+)=", args)
+        if keywords:
+            # a removed option of a function that stays
+            params = inspect.signature(getattr(finfib, name)).parameters
+            found += [f"{name}({k}=)" for k in keywords if k in params]
+        elif "." in name:
+            owner, member = name.split(".")
+            (cls,) = {getattr(m, owner) for m in modules if hasattr(m, owner)}
+            if hasattr(cls, member):
+                found.append(name)
+        else:
+            found += [f"{m.__name__}.{name}" for m in modules if hasattr(m, name)]
+    assert found == []

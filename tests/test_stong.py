@@ -24,11 +24,13 @@ from helpers import (
     endomaps_below_identity,
     homotopy_classes,
     is_beat_point_brute,
+    map_le,
     posets,
     rand_poset,
     rescan_reduce,
     seeded,
     shuffling_picker,
+    trace_idempotent,
 )
 
 
@@ -60,10 +62,10 @@ def test_beat_points_match_definition_on_random_posets():
             assert (a in flagged) == is_beat_point_brute(x, a)
         for a, w in bp.down.items():
             assert x.lt(w, a)
-            assert all(x.le(z, w) for z in x.strict_down_set(a))
+            assert all(x.le(z, w) for z in x.elements if x.lt(z, a))
         for a, w in bp.up.items():
             assert x.lt(a, w)
-            assert all(x.le(w, z) for z in x.strict_up_set(a))
+            assert all(x.le(w, z) for z in x.elements if x.lt(a, z))
 
 
 def test_core_trace_replays_as_beat_point_removals():
@@ -85,8 +87,8 @@ def test_core_retraction_is_a_retraction():
     for _ in range(20):
         x = rand_poset(rng, rng.randint(1, 8))
         trace = core(x)
-        assert trace.inclusion().then(trace.retraction) == MonotoneMap.identity(trace.result)
-        idem = trace.idempotent()
+        assert trace.retraction.restrict(trace.result) == MonotoneMap.identity(trace.result)
+        idem = trace_idempotent(trace)
         assert idem.then(idem) == idem
 
 
@@ -130,7 +132,7 @@ def test_descending_endomaps_stabilize_onto_dbp_retracts():
         for f in rng.sample(maps, min(8, len(maps))):
             g = f_infinity(f)
             assert g.then(g) == g
-            assert g.le(MonotoneMap.identity(x))
+            assert map_le(g, MonotoneMap.identity(x))
             # manual stabilization reaches the same map
             h = f
             for _ in range(x.n + 1):
@@ -139,12 +141,12 @@ def test_descending_endomaps_stabilize_onto_dbp_retracts():
                     break
                 h = nxt
             assert g == h
-            assert is_dbp_retract(x, g.image()) is not None
+            assert is_dbp_retract(x, x.names(g.image_mask())) is not None
 
 
 def test_f_infinity_rejects_non_descending_maps():
     two = Poset.chain(["0", "1"])
-    up = MonotoneMap.constant(two, two, "1")
+    up = MonotoneMap(two, two, (two.idx("1"),) * two.n)
     with pytest.raises(NotDescending):
         f_infinity(up)
 
@@ -154,10 +156,10 @@ def test_smallest_dbp_idempotent_is_minimum_below_identity():
     checked = 0
     for _ in range(40):
         x = rand_poset(rng, rng.randint(1, 6))
-        idem = smallest_dbp_retract(x).idempotent()
+        idem = trace_idempotent(smallest_dbp_retract(x))
         below = list(endomaps_below_identity(x))
         assert idem in below
-        assert all(idem.le(f) for f in below)
+        assert all(map_le(idem, f) for f in below)
         checked += 1
     assert checked == 40
 
@@ -200,7 +202,7 @@ def test_contractibility_and_homotopy_equivalence():
     assert is_contractible(n_poset())
     crown = gallery_poset("B5")
     assert not is_contractible(crown)
-    point = Poset.antichain(["z"])
+    point = Poset.build(["z"], [])
     eq, phi = homotopy_equivalent(n_poset(), point)
     assert eq
     assert phi is not None
@@ -265,5 +267,5 @@ def test_a_shuffled_1500_chain_reduces_to_a_point(reduce, end):
     seeded(59).shuffle(order)
     trace = reduce(Poset.build(order, list(zip(names, names[1:]))))
     assert trace.result.elements == (end,)
-    f = trace.idempotent()
+    f = trace_idempotent(trace)
     assert f.then(f) == f
