@@ -347,6 +347,9 @@ def test_image_and_injectivity_flags():
     assert not const.is_injective()
     iso = MonotoneMap.build(p, q, {"a": "0", "b": "1"})
     assert iso.is_iso()
+    # the inverse as the README's removed-names table spells it
+    inv = MonotoneMap(iso.cod, iso.dom, sorted(range(iso.dom.n), key=iso.vals.__getitem__))
+    assert inv("1") == "b"
 
 
 @settings(max_examples=300, deadline=None)
@@ -360,6 +363,11 @@ def test_is_iso_agrees_with_the_pairwise_definition(p, data):
     f = MonotoneMap(q, p, [p.index[a] for a in q.elements])
     reflects = all(q.le(a, b) == p.le(a, b) for a in p.elements for b in p.elements)
     assert f.is_iso() == reflects
+    if reflects:
+        # the inverse as the README's removed-names table spells it
+        inv = MonotoneMap(f.cod, f.dom, sorted(range(f.dom.n), key=f.vals.__getitem__))
+        assert inv.then(f) == MonotoneMap.identity(p)
+        assert f.then(inv) == MonotoneMap.identity(q)
 
 
 def test_monotone_maps_match_raw_filtering():
