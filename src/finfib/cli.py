@@ -54,6 +54,7 @@ from .verdict import decide_hurewicz, is_closed_map, is_open_map, necessary_cond
 _INPUT_ERRORS = (
     ParseError,
     OSError,
+    UnicodeDecodeError,
     json.JSONDecodeError,
     UnknownGalleryId,
     UnknownElement,
@@ -109,26 +110,23 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _poset_summary(p: Poset) -> str:
-    bits = [
-        f"{p.n} element{'s' if p.n != 1 else ''}",
-        f"height {p.height()}" if p.n else "empty",
-        "connected" if p.is_connected() else f"{len(p.components())} components",
-        "minimal" if beat_points(p).is_minimal else "not minimal",
-    ]
-    return ", ".join(bits)
-
-
 def _poset_info(p: Poset) -> dict:
     bp = beat_points(p)
+    comps = p.components()
+    summary = [
+        f"{p.n} element{'s' if p.n != 1 else ''}",
+        f"height {p.height()}" if p.n else "empty",
+        "connected" if len(comps) <= 1 else f"{len(comps)} components",
+        "minimal" if bp.is_minimal else "not minimal",
+    ]
     return {
         "kind": "poset",
-        "summary": _poset_summary(p),
+        "summary": ", ".join(summary),
         "elements": list(p.elements),
         "covers": [list(c) for c in p.covers()],
         "height": p.height(),
-        "connected": p.is_connected(),
-        "components": [list(c) for c in p.components()],
+        "connected": len(comps) <= 1,
+        "components": [list(c) for c in comps],
         "minimal": bp.is_minimal,
         "contractible": is_contractible(p),
         "beat_points": {"down": dict(bp.down), "up": dict(bp.up)},

@@ -77,9 +77,9 @@ class PosetFunctor:
     fibers[lo] -> fibers[hi], contravariant ones fibers[hi] ->
     fibers[lo].  Every pair left out is filled in by composing given
     ones (cover transitions suffice), and a pair no composite reaches
-    raises.  Construction then validates shapes and path independence,
-    so instances are always genuine functors with a transition for
-    every strictly related pair.
+    raises.  The variance and the fiber keys are checked before that,
+    shapes and path independence after it, so instances are always
+    genuine functors with a transition for every strictly related pair.
     """
 
     __slots__ = ("base", "variance", "fibers", "transitions")
@@ -91,6 +91,10 @@ class PosetFunctor:
         fibers: dict[str, Poset],
         transitions: dict[tuple[str, str], MonotoneMap],
     ):
+        if variance not in ("covariant", "contravariant"):
+            raise FunctorialityViolated(f"unknown variance {variance!r}")
+        if set(fibers) != set(base.elements):
+            raise UnknownElement("fibers must be indexed exactly by the base elements")
         filled = dict(transitions)
         # bottom-up over the base, and within each top element nearest lower
         # elements first, so both halves through any point in between exist
@@ -109,10 +113,6 @@ class PosetFunctor:
                     filled[(v, b)] = filled[(v, step)].then(filled[(step, b)])
                 else:
                     filled[(v, b)] = filled[(step, b)].then(filled[(v, step)])
-        if variance not in ("covariant", "contravariant"):
-            raise FunctorialityViolated(f"unknown variance {variance!r}")
-        if set(fibers) != set(base.elements):
-            raise UnknownElement("fibers must be indexed exactly by the base elements")
         self.base = base
         self.variance = variance
         self.fibers = dict(fibers)

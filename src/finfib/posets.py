@@ -23,6 +23,7 @@ from .errors import (
     DuplicateName,
     GuardExceeded,
     NotMonotone,
+    PreconditionViolated,
     SearchBudgetExhausted,
     UnknownElement,
 )
@@ -91,7 +92,7 @@ class Poset:
     isomorphism classes.
     """
 
-    __slots__ = ("elements", "index", "below", "above", "_covers", "_hash")
+    __slots__ = ("elements", "index", "below", "above", "_covers")
 
     def __init__(self, elements: Sequence[str], below: Sequence[int], above: Sequence[int]):
         self.elements = tuple(elements)
@@ -99,7 +100,6 @@ class Poset:
         self.below = tuple(below)
         self.above = tuple(above)
         self._covers = None
-        self._hash = hash((self.elements, self.below))
 
     # -- construction ------------------------------------------------
 
@@ -185,7 +185,7 @@ class Poset:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.elements, self.below))
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements)"
@@ -294,9 +294,6 @@ class Poset:
             out.append(self.names(comp))
         return tuple(out)
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
     # -- derived posets ----------------------------------------------
 
     def op(self) -> "Poset":
@@ -362,13 +359,12 @@ class MonotoneMap:
     property holds by design.
     """
 
-    __slots__ = ("dom", "cod", "vals", "_hash")
+    __slots__ = ("dom", "cod", "vals")
 
     def __init__(self, dom: Poset, cod: Poset, vals: Sequence[int]):
         self.dom = dom
         self.cod = cod
         self.vals = tuple(vals)
-        self._hash = hash((self.dom, self.cod, self.vals))
 
     @classmethod
     def build(cls, dom: Poset, cod: Poset, values: dict[str, str]) -> "MonotoneMap":
@@ -409,7 +405,7 @@ class MonotoneMap:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.dom, self.cod, self.vals))
 
     def __repr__(self) -> str:
         return f"MonotoneMap({self.dom.n}->{self.cod.n} elements)"
@@ -609,8 +605,10 @@ def isomorphisms(
     tie-breaking and no recursion limit on the size.  A budget counts
     attempted assignments; running out raises SearchBudgetExhausted,
     so absence of output from an unbudgeted call is an
-    exhausted-search certificate.
+    exhausted-search certificate.  A negative budget is refused.
     """
+    if budget is not None and budget < 0:
+        raise PreconditionViolated(f"a search budget must be 0 or more, got {budget}")
     if p.n != q.n:
         return
     if p.n == 0:

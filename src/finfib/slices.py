@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import NotAComponent
 from .posets import MonotoneMap, Poset, _bits
-from .stong import BeatPointReport, Picker, ReductionTrace, _reduce, _witnesses
+from .stong import BeatPointReport, Picker, ReductionTrace, _reduce, beat_points
 
 
 class SliceMap:
@@ -113,7 +113,9 @@ def map_beat_points(p: MapLike) -> BeatPointReport:
     down set inside the fiber, and dually for up beat points.
     """
     s = as_slice(p)
-    return BeatPointReport(*_witnesses(s.total, s.map.vals))
+    bp, vals, at = beat_points(s.total), s.map.vals, s.total.index
+    down, up = ({e: w for e, w in d.items() if vals[at[e]] == vals[at[w]]} for d in (bp.down, bp.up))
+    return BeatPointReport(down, up)
 
 
 @dataclass(frozen=True)

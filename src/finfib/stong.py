@@ -29,7 +29,7 @@ class BeatPointReport:
     """Beat points of a space, each with its witness.
 
     ``down[e]`` is max of the strict down set of e, ``up[e]`` the min
-    of the strict up set.
+    of the strict up set; each dict lists its points in index order.
     """
 
     down: dict[str, str]
@@ -55,37 +55,16 @@ class ReductionTrace:
     retraction: MonotoneMap
 
 
-def _beat_candidates(
-    x: Poset, alive: int, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]] = None
-) -> list[tuple[int, str, int]]:
-    """Beat points of the subspace induced on ``alive``.
-
-    Returns (index, kind, witness index) tuples ordered kind-major
-    (order of ``kinds``), index-minor.  With ``fiber_vals`` given, only
-    beat points whose witness has the same value survive; these are
-    the beat points of the map those values describe.
-    """
-    out = []
-    for kind in kinds:
-        rows, co = (x.below, x.above) if kind == "down" else (x.above, x.below)
-        for i in _bits(alive):
-            wi = _extremum(rows, co, rows[i] & alive & ~(1 << i))
-            if wi is not None and (fiber_vals is None or fiber_vals[wi] == fiber_vals[i]):
-                out.append((i, kind, wi))
-    return out
-
-
-def _witnesses(x: Poset, fiber_vals: Optional[Sequence[int]] = None) -> tuple[dict, dict]:
-    """Down and up beat points of x by name, each mapped to its witness."""
+def beat_points(x: Poset) -> BeatPointReport:
+    """Every beat point of x, with the witness ``_reduce`` examines it by."""
     down: dict[str, str] = {}
     up: dict[str, str] = {}
-    for i, kind, wi in _beat_candidates(x, (1 << x.n) - 1, ("down", "up"), fiber_vals):
-        (down if kind == "down" else up)[x.elements[i]] = x.elements[wi]
-    return down, up
-
-
-def beat_points(x: Poset) -> BeatPointReport:
-    return BeatPointReport(*_witnesses(x))
+    for found, rows, co in ((down, x.below, x.above), (up, x.above, x.below)):
+        for i, row in enumerate(rows):
+            wi = _extremum(rows, co, row & ~(1 << i))
+            if wi is not None:
+                found[x.elements[i]] = x.elements[wi]
+    return BeatPointReport(down, up)
 
 
 def _reduce(
@@ -111,7 +90,7 @@ def _reduce(
       maximum, and a j with i outside D keeps D as it is.
 
     The beat points are kept as one bitmask per kind and offered
-    kind-major, index-minor, as ``_beat_candidates`` lists them, so the
+    kind-major, index-minor, as ``beat_points`` lists them, so the
     picker sees what a full rescan would offer.  Each removed point is
     redirected to its witness, and the composite retraction is resolved
     at the end.

@@ -41,7 +41,6 @@ from .slices import (
     MapReduction,
     SliceMap,
     as_slice,
-    map_beat_points,
     restrict_over,
     restrict_over_component,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     smallest_dbp_retract_of_map,
@@ -213,7 +212,10 @@ def _cond_minimal_e_implies_minimal_b(f: _ComponentFacts) -> Optional[dict]:
 
 def _cond_ed_inside_preimage_bd(f: _ComponentFacts) -> Optional[dict]:
     pc = f.pc
-    ed = smallest_dbp_retract(pc.total).result
+    # a down beat point of the map is one of E, and the smallest retract
+    # E_d is reachable from every subspace on the way to it, so reducing
+    # the map's reduced total space gives E_d itself, in E's index order
+    ed = smallest_dbp_retract(f.reduction.reduced.total).result
     bd = smallest_dbp_retract(pc.base).result
     pre = pc.preimage(pc.base.mask(bd.elements))
     # ed keeps the index order of E, so its first stray has the lowest index
@@ -227,14 +229,17 @@ def _cond_ed_inside_preimage_bd(f: _ComponentFacts) -> Optional[dict]:
 
 def _cond_beat_point_dichotomy(f: _ComponentFacts) -> Optional[dict]:
     pc, bp_e, bp_b = f.pc, f.total_beat_points, f.base_beat_points
-    mbp = map_beat_points(pc)
-    for e0 in sorted(bp_e.down, key=pc.total.idx):
-        if pc.map(e0) not in bp_b.down and e0 not in mbp.down:
-            return {"e": e0, "kind": "down"}
-    if not mbp.down:
-        for e0 in sorted(bp_e.up, key=pc.total.idx):
-            if pc.map(e0) not in bp_b.up and e0 not in mbp.up:
-                return {"e": e0, "kind": "up"}
+    # a beat point of E is one of the map when its witness shares its fiber;
+    # the up beat points count only when the map has no down beat point
+    for kind, found, base_found in (("down", bp_e.down, bp_b.down), ("up", bp_e.up, bp_b.up)):
+        map_has_one = False
+        for e0, w in found.items():
+            if pc.map(w) == pc.map(e0):
+                map_has_one = True
+            elif pc.map(e0) not in base_found:
+                return {"e": e0, "kind": kind}
+        if map_has_one:
+            break
     return None
 
 

@@ -31,7 +31,7 @@ from finfib.posets import (
     product,
 )
 from finfib.slices import SliceMap, as_slice
-from finfib.stong import ReductionTrace, _beat_candidates, core
+from finfib.stong import BeatPointReport, ReductionTrace, core, is_dbp_retract, smallest_dbp_retract
 
 
 # -- independent oracles -----------------------------------------------
@@ -143,8 +143,10 @@ def is_beat_point_brute(x, a):
 def _rescan_candidates(x, alive, kinds, fiber_vals=None):
     """Every beat point of the subspace on ``alive``, by a full scan.
 
-    Same contract as ``stong._beat_candidates``: (index, kind, witness
-    index) tuples, kind-major and index-minor, filtered by fiber value.
+    Returns (index, kind, witness index) tuples, kind-major (order of
+    ``kinds``) and index-minor.  With ``fiber_vals`` given, only beat
+    points whose witness has the same value survive; these are the beat
+    points of the map those values describe.
     """
     out = []
     for kind in kinds:
@@ -196,6 +198,26 @@ def rescan_reduce(x, kinds, picker, keep=0, fiber_vals=None):
     result = x.sub(x.names(alive))
     retraction = MonotoneMap(x, result, tuple(result.index[x.elements[cur[k]]] for k in range(x.n)))
     return ReductionTrace(x, result, tuple(removed), retraction)
+
+
+def scan_witnesses(x, fiber_vals=None):
+    """Down and up beat points of x by name, each mapped to its witness.
+
+    ``stong._witnesses``, the second scan engine ``beat_points`` and
+    ``map_beat_points`` once ran, kept verbatim over ``_rescan_candidates``
+    (the contract of the ``stong._beat_candidates`` it called).
+    """
+    down: dict[str, str] = {}
+    up: dict[str, str] = {}
+    for i, kind, wi in _rescan_candidates(x, (1 << x.n) - 1, ("down", "up"), fiber_vals):
+        (down if kind == "down" else up)[x.elements[i]] = x.elements[wi]
+    return down, up
+
+
+def scan_map_beat_points(p):
+    """``slices.map_beat_points`` as one scan with the fiber filter built in."""
+    s = as_slice(p)
+    return BeatPointReport(*scan_witnesses(s.total, s.map.vals))
 
 
 def scan_open_map(p):
@@ -260,6 +282,37 @@ def every_pair_down_fiber_contractible(pc):
                 return {"e": e, "b": b, "reason": "empty"}
             if core(pc.total.sub(pc.total.names(m))).result.n != 1:
                 return {"e": e, "b": b, "reason": "not_contractible"}
+    return None
+
+
+def scan_beat_point_dichotomy(f):
+    """``verdict._cond_beat_point_dichotomy`` with a scan of E for map beat
+    points, kept verbatim as an oracle."""
+    pc, bp_e, bp_b = f.pc, f.total_beat_points, f.base_beat_points
+    mbp = scan_map_beat_points(pc)
+    for e0 in sorted(bp_e.down, key=pc.total.idx):
+        if pc.map(e0) not in bp_b.down and e0 not in mbp.down:
+            return {"e": e0, "kind": "down"}
+    if not mbp.down:
+        for e0 in sorted(bp_e.up, key=pc.total.idx):
+            if pc.map(e0) not in bp_b.up and e0 not in mbp.up:
+                return {"e": e0, "kind": "up"}
+    return None
+
+
+def unshared_ed_inside_preimage_bd(f):
+    """``verdict._cond_ed_inside_preimage_bd`` reducing E from scratch,
+    kept verbatim as an oracle."""
+    pc = f.pc
+    ed = smallest_dbp_retract(pc.total).result
+    bd = smallest_dbp_retract(pc.base).result
+    pre = pc.preimage(pc.base.mask(bd.elements))
+    # ed keeps the index order of E, so its first stray has the lowest index
+    stray = pc.total.mask(ed.elements) & ~pre
+    if stray:
+        return {"stray": pc.total.elements[(stray & -stray).bit_length() - 1]}
+    if is_dbp_retract(pc.total._sub_mask(pre), ed.elements) is None:
+        return {"reason": "not_a_dbp_retract", "subspace": list(pc.total.names(pre))}
     return None
 
 
@@ -622,7 +675,7 @@ def _all_bp_retracts(x: Poset, kind: str, limit: Optional[int]) -> tuple[tuple[s
     frontier = [full]
     while frontier:
         alive = frontier.pop()
-        for i, _, _ in _beat_candidates(x, alive, (kind,)):
+        for i, _, _ in _rescan_candidates(x, alive, (kind,)):
             nxt = alive & ~(1 << i)
             if nxt not in seen:
                 if limit is not None and len(seen) >= limit:
@@ -856,6 +909,18 @@ def posets(draw, names=st.integers(0, 99).map(lambda i: f"x{i}"), max_size=8):
     edges = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     order = draw(st.permutations(elements))
     return Poset.build(order, [pair for pair, edge in zip(slots, edges) if edge])
+
+
+@st.composite
+def maps(draw, max_total=7, max_base=4):
+    """Hypothesis strategy: a random monotone map, plus up to two map down beat points."""
+    total = draw(posets(max_size=max_total).filter(len))
+    base = draw(posets(max_size=max_base).filter(len))
+    rng = seeded(draw(st.integers(0, 2**16)))
+    p = rand_monotone(rng, total, base)
+    for k in range(draw(st.integers(0, 2))):
+        p = insert_map_down_beat_point(rng, p, str(k))
+    return p
 
 
 def shuffling_picker(rng):

@@ -158,6 +158,15 @@ def test_a_negative_budget_is_a_usage_error(capsys):
     assert run(capsys, "check", "hurewicz", "gallery:p1", "--budget", "0")[0] == 0
 
 
+def test_a_document_that_is_not_utf8_is_bad_input(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"elements": []}')
+    for argv in (["info"], ["check", "hurewicz"], ["construct"]):
+        code, out, err = run(capsys, *argv, str(bad))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+
 def test_check_core_and_map_core(capsys):
     code, out, _ = run(capsys, "check", "core", "gallery:B3")
     assert code == 0

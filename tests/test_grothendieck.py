@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfib import grothendieck, verdict
-from finfib.errors import FunctorialityViolated, NotGrothendieckOpfibration
+from finfib.errors import (
+    FunctorialityViolated,
+    NotGrothendieckOpfibration,
+    PreconditionViolated,
+    UnknownElement,
+)
 from finfib.gallery import gallery_map
 from finfib.grothendieck import (
     PosetFunctor,
@@ -398,6 +403,39 @@ def test_bundle_budget_runs_out_gracefully():
     assert rep.status == "undecided"
     assert rep.undecided_at == "0"
     assert rep.failed_at is None
+
+
+def test_a_negative_bundle_budget_is_refused():
+    # the budget counts attempted assignments, so -1 is not an exhausted one
+    with pytest.raises(PreconditionViolated, match="got -1"):
+        is_fiber_bundle(gallery_map("pi_sierpinski"), budget=-1)
+    assert is_fiber_bundle(gallery_map("pi_sierpinski")).status == "bundle"
+
+
+def chain_functor(variance, fibers, transitions):
+    """A functor over the chain a < b < c with the given fibers and transitions."""
+    return PosetFunctor(Poset.chain(["a", "b", "c"]), variance, fibers, transitions)
+
+
+def test_a_functor_checks_its_fibers_before_it_composes():
+    pt = Poset.build(["u"], [])
+    # no fiber for c, so no transition into it either: the fibers are at fault
+    with pytest.raises(UnknownElement, match="fibers must be indexed exactly by the base elements"):
+        chain_functor("covariant", {"a": pt, "b": pt}, {("a", "b"): MonotoneMap.identity(pt)})
+
+
+def test_a_functor_checks_its_variance_before_it_composes():
+    two = Poset.chain(["u", "v"])
+    three = Poset.chain(["x", "y", "z"])
+    fibers = {"a": Poset.build(["o"], []), "b": two, "c": three}
+    up = {
+        ("a", "b"): MonotoneMap(fibers["a"], two, (0,)),
+        ("b", "c"): MonotoneMap(two, three, (0, 1)),
+    }
+    # composing these the contravariant way would mismatch the fibers
+    with pytest.raises(FunctorialityViolated, match="unknown variance 'sideways'"):
+        chain_functor("sideways", fibers, up)
+    assert chain_functor("covariant", fibers, up).transitions[("a", "c")].vals == (0,)
 
 
 def count_lift_scans(monkeypatch):

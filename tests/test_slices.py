@@ -1,6 +1,7 @@
 """Maps as sliced objects: fibers, map beat points, reductions over a base."""
 
 import pytest
+from hypothesis import given, settings
 
 from finfib.errors import NotAComponent
 from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base
@@ -15,7 +16,16 @@ from finfib.slices import (
 )
 from finfib.stong import beat_points
 from finfib.gallery import gallery_map
-from helpers import map_le, rand_monotone, rand_poset, seeded, shuffling_picker, trace_idempotent
+from helpers import (
+    map_le,
+    maps,
+    rand_monotone,
+    rand_poset,
+    scan_map_beat_points,
+    seeded,
+    shuffling_picker,
+    trace_idempotent,
+)
 
 
 def rand_map(rng, max_total=8, max_base=4):
@@ -165,3 +175,11 @@ def test_preimage_is_the_union_of_the_fibers():
         for base_mask in range(1 << s.base.n):
             over = [e for e in s.total.elements if base_mask >> s.base.idx(s(e)) & 1]
             assert s.preimage(base_mask) == s.total.mask(over)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=maps())
+def test_map_beat_points_are_the_scan_with_the_fiber_filter(p):
+    got, want = map_beat_points(p), scan_map_beat_points(p)
+    assert list(got.down.items()) == list(want.down.items())
+    assert list(got.up.items()) == list(want.up.items())

@@ -28,6 +28,7 @@ from helpers import (
     posets,
     rand_poset,
     rescan_reduce,
+    scan_witnesses,
     seeded,
     shuffling_picker,
     trace_idempotent,
@@ -57,6 +58,8 @@ def test_beat_points_match_definition_on_random_posets():
     for _ in range(40):
         x = rand_poset(rng, rng.randint(1, 8))
         bp = beat_points(x)
+        # the same witnesses, in the same order, as a full rescan
+        assert [list(bp.down.items()), list(bp.up.items())] == [list(d.items()) for d in scan_witnesses(x)]
         flagged = set(bp.down) | set(bp.up)
         for a in x.elements:
             assert (a in flagged) == is_beat_point_brute(x, a)

@@ -1,22 +1,24 @@
 """The Hurewicz decision pipeline, its conditions, and its certificates."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finfib.errors import EmptyDomain, PreconditionViolated, SearchBudgetExhausted
 from finfib.gallery import ENTRIES, gallery_map, gallery_poset
 from finfib.grothendieck import classify_grothendieck, is_fiber_bundle
 from finfib.posets import MonotoneMap, Poset, find_isomorphism, product
-from finfib.slices import as_slice, map_core, smallest_dbp_retract_of_map
+from finfib.slices import as_slice, map_core, restrict_over, smallest_dbp_retract_of_map
 from finfib.stong import core, is_dbp_retract, smallest_dbp_retract
 from finfib.verdict import (
     CONDITION_NAMES,
     RetractCertificate,
     _all_labeled_posets,
     _ComponentFacts,
+    _cond_beat_point_dichotomy,
     _cond_down_fiber_contractible,
     _cond_down_fiber_nonempty,
+    _cond_ed_inside_preimage_bd,
     decide_hurewicz,
     is_closed_map,
     is_open_map,
@@ -30,6 +32,7 @@ from helpers import (
     every_pair_down_fiber_contractible,
     fiberwise_down_fiber_nonempty,
     insert_map_down_beat_point,
+    maps,
     matrix_labeled_posets,
     minimal_fiber_pool,
     posets,
@@ -38,10 +41,12 @@ from helpers import (
     rand_functor,
     rand_monotone,
     rand_poset,
+    scan_beat_point_dichotomy,
     scan_closed_map,
     scan_open_map,
     seeded,
     shuffling_picker,
+    unshared_ed_inside_preimage_bd,
 )
 from test_grothendieck import collect_bifibrations
 from test_posets import crowns
@@ -531,3 +536,43 @@ def test_an_undecided_component_classifies_its_reduced_map_once(monkeypatch):
     for u in undecided:
         (c,) = [c for c in u.necessary.conditions if c.name == "reduced_bifibration"]
         assert c.passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=maps())
+# random maps rarely reach the up half of the dichotomy; this one fails there at e0
+@example(
+    p=MonotoneMap.build(
+        Poset.build(["e0", "e1", "e2"], [("e0", "e2"), ("e1", "e2")]),
+        Poset.build(["b0", "b1", "b2", "b3"], [("b0", "b2"), ("b0", "b3"), ("b1", "b3")]),
+        {"e0": "b0", "e1": "b2", "e2": "b2"},
+    )
+)
+def test_beat_point_conditions_agree_with_their_own_scans_and_reductions(p):
+    # the dichotomy reads the map's beat points off E's, and E_d is reduced
+    # from what the map reduction left
+    s = as_slice(p)
+    for c in s.touched_components():
+        f = _ComponentFacts(restrict_over(s, c))
+        assert _cond_beat_point_dichotomy(f) == scan_beat_point_dichotomy(f)
+        assert _cond_ed_inside_preimage_bd(f) == unshared_ed_inside_preimage_bd(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=maps())
+def test_the_map_reduction_is_on_the_way_to_the_smallest_dbp_retract(p):
+    ed = smallest_dbp_retract(as_slice(p).total).result
+    assert ed == smallest_dbp_retract(smallest_dbp_retract_of_map(p).reduced.total).result
+
+
+def test_a_negative_budget_is_refused():
+    # a crown over a base with neither minimum nor maximum reaches the
+    # trivial_over_base search, whose budget counts attempted assignments
+    base = Poset.build(list("abcde"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "e")])
+    _, _, p = product(crowns(2, 1, "f"), base)
+    v = decide_hurewicz(p)
+    assert (v.status, v.certificate.kind) == ("fibration", "trivial_over_base")
+    v = decide_hurewicz(p, budget=0)
+    assert (v.status, v.witness["trivial_search"]) == ("unknown", "budget_exhausted")
+    with pytest.raises(PreconditionViolated, match="got -1"):
+        decide_hurewicz(p, budget=-1)
