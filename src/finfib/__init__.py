@@ -47,7 +47,6 @@ from .stong import (
     f_infinity,
     homotopy_equivalent,
     is_contractible,
-    is_dbp_retract,
     smallest_dbp_retract,
 )
 from .slices import (

@@ -28,6 +28,7 @@ from .documents import (
     poset_from_doc,
     poset_to_doc,
     trace_to_doc,
+    unique_keys,
     verdict_to_doc,
 )
 from .errors import (
@@ -79,7 +80,7 @@ def _load_target(target: str) -> Union[Poset, MonotoneMap]:
         return gallery_entry(target[len("gallery:") :]).build()
     text = Path(target).read_text()
     if text.lstrip().startswith(("{", "[")):
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
         kind = detect_doc_kind(doc)
         if kind == "poset":
             return poset_from_doc(doc)
@@ -330,7 +331,7 @@ def cmd_construct(args) -> int:
     text = Path(args.target).read_text()
     if not text.lstrip().startswith(("{", "[")):
         raise ParseError(f"{args.target}: functor documents are JSON only")
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=unique_keys)
     if detect_doc_kind(doc) != "functor":
         raise ParseError(f"{args.target}: not a functor document")
     functor = functor_from_doc(doc)

@@ -25,7 +25,7 @@ reference.
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import ParseError
 from .gallery import gallery_entry
@@ -267,6 +267,16 @@ def verdict_to_doc(v: Verdict) -> dict:
     }
 
 
+def unique_keys(pairs: Iterable[tuple[str, Doc]]) -> dict:
+    """The pairs as a dict; ParseError on a key that comes twice (json.loads hook)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def detect_doc_kind(doc: Doc) -> str:
     """Classify a parsed JSON object as poset, map, or functor."""
     if not isinstance(doc, dict):
@@ -309,9 +319,9 @@ def _strip_comments(text: str) -> str:
 def _dsl_poset(name: str, body: str) -> Poset:
     points: list[str] = []
     covers: list[tuple[str, str]] = []
-    for clause in _split_top(body, ";"):
-        key, _, rest = clause.partition(":")
-        key = key.strip()
+    parts = (clause.partition(":") for clause in _split_top(body, ";"))
+    clauses = unique_keys((key.strip(), rest) for key, _, rest in parts)
+    for key, rest in clauses.items():
         if key == "points":
             points = _split_top(rest, ",")
         elif key == "covers":
@@ -337,13 +347,13 @@ def _dsl_map(
             raise ParseError(f"map {name}: unknown poset {ref!r}")
         return posets[ref]
 
-    values = {}
+    values = []
     for item in _split_top(body.replace("\n", ";"), ";,"):
         src, arrow, dst = item.partition("->")
         if not arrow:
             raise ParseError(f"map {name}: entry {item!r} must be 'x -> y'")
-        values[src.strip()] = dst.strip()
-    return MonotoneMap.build(resolve(dom_name), resolve(cod_name), values)
+        values.append((src.strip(), dst.strip()))
+    return MonotoneMap.build(resolve(dom_name), resolve(cod_name), unique_keys(values))
 
 
 def parse_text(text: str) -> list[tuple[str, str, Union[Poset, MonotoneMap]]]:
@@ -356,6 +366,8 @@ def parse_text(text: str) -> list[tuple[str, str, Union[Poset, MonotoneMap]]]:
         if clean[consumed : m.start()].strip():
             raise ParseError(f"unparsed text: {clean[consumed:m.start()].strip()!r}")
         kind, name, dom_name, cod_name, body = m.groups()
+        if any((k, n) == (kind, name) for k, n, _ in out):
+            raise ParseError(f"repeated {kind} name {name!r}")
         if kind == "poset":
             if dom_name is not None:
                 raise ParseError(f"poset {name}: unexpected '->' header")
@@ -422,7 +434,8 @@ def map_to_text(name: str, m: MapLike, dom_name: str = "E", cod_name: str = "B")
     # map entries are split at newlines and at the first '->'
     _check_text_names(dom_name, m.dom, ("\n", "->"))
     _check_text_names(cod_name, m.cod, ("\n",))
-    out = [poset_to_text(dom_name, m.dom), poset_to_text(cod_name, m.cod)]
+    # an endomap writes its poset once: the reader refuses a repeated block name
+    out = [poset_to_text(ref, q) for ref, q in {dom_name: m.dom, cod_name: m.cod}.items()]
     for ref in (dom_name, cod_name):
         if ref.startswith("gallery:"):
             raise ParseError(f"poset name {ref!r} would read back as a gallery reference")

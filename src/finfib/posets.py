@@ -679,9 +679,9 @@ def isomorphisms(
         yield {p.elements[i]: q.elements[vals[i]] for i in range(n)}
 
 
-def find_isomorphism(p: Poset, q: Poset, budget: Optional[int] = None) -> Optional[dict[str, str]]:
+def find_isomorphism(p: Poset, q: Poset) -> Optional[dict[str, str]]:
     """First isomorphism p -> q in deterministic search order, or None."""
-    return next(isomorphisms(p, q, budget=budget), None)
+    return next(isomorphisms(p, q), None)
 
 
 def find_isomorphism_over_base(

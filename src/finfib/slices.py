@@ -11,11 +11,11 @@ subspaces reachable that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import NotAComponent
 from .posets import MonotoneMap, Poset, _bits
-from .stong import BeatPointReport, Picker, ReductionTrace, _reduce, beat_points
+from .stong import BeatPointReport, ReductionTrace, _reduce, beat_points
 
 
 class SliceMap:
@@ -130,31 +130,31 @@ class MapReduction:
     trace: ReductionTrace
 
 
-def _map_reduce(p: MapLike, kinds: tuple[str, ...], picker: Optional[Picker]) -> MapReduction:
+def _map_reduce(p: MapLike, kinds: tuple[str, ...]) -> MapReduction:
     s = as_slice(p)
-    trace = _reduce(s.total, kinds, picker, fiber_vals=s.map.vals)
+    trace = _reduce(s.total, kinds, s.map.vals)
     reduced = SliceMap(s.map.restrict(trace.result))
     return MapReduction(reduced, trace)
 
 
-def map_core(p: MapLike, *, picker: Optional[Picker] = None) -> MapReduction:
+def map_core(p: MapLike) -> MapReduction:
     """Reduce a map until it has no beat points (a minimal map).
 
-    Kind-major default policy as for spaces: down beat points of the
-    map first, lowest index first.  Results agree up to isomorphism
-    over the base.
+    Kind-major order as for spaces: down beat points of the map first,
+    lowest index first.  Any other order gives a result isomorphic over
+    the base.
     """
-    return _map_reduce(p, ("down", "up"), picker)
+    return _map_reduce(p, ("down", "up"))
 
 
-def smallest_dbp_retract_of_map(p: MapLike, *, picker: Optional[Picker] = None) -> MapReduction:
+def smallest_dbp_retract_of_map(p: MapLike) -> MapReduction:
     """Greedy removal of down beat points of the map.
 
     Order-independent: the family of subspaces reachable by removing
     down beat points of the map has a minimum, and the greedy sweep
     lands on it.
     """
-    return _map_reduce(p, ("down",), picker)
+    return _map_reduce(p, ("down",))
 
 
 def restrict_over(p: MapLike, base_part: Iterable[str]) -> SliceMap:

@@ -12,16 +12,10 @@ the finite searches implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import CodomainMismatch, InvariantViolated, NotDescending, UnknownElement
+from .errors import CodomainMismatch, InvariantViolated, NotDescending
 from .posets import MonotoneMap, Poset, _bits, _extremum, find_isomorphism
-
-# A picker receives the ordered candidate tuple ((element, kind), ...)
-# and returns one entry; the default policy takes the first, i.e. the
-# lowest-indexed down beat point, falling back to up beat points only
-# when no down beat point is left.
-Picker = Callable[[tuple[tuple[str, str], ...]], tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -67,19 +61,13 @@ def beat_points(x: Poset) -> BeatPointReport:
     return BeatPointReport(down, up)
 
 
-def _reduce(
-    x: Poset,
-    kinds: tuple[str, ...],
-    picker: Optional[Picker],
-    keep: int = 0,
-    fiber_vals: Optional[Sequence[int]] = None,
-) -> ReductionTrace:
+def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]] = None) -> ReductionTrace:
     """Greedy beat-point removal engine shared by all reductions.
 
-    ``keep`` masks elements that must not be removed; ``fiber_vals``
-    switches to beat points of a map.  One scan finds every point's
-    witness per kind (for kind down, the maximum of its alive strict
-    down-set).  The removal of i then re-examines only
+    It removes the lowest-indexed beat point of the first kind that has
+    one; ``fiber_vals`` switches to beat points of a map.  One scan
+    finds every point's witness per kind (for kind down, the maximum of
+    its alive strict down-set).  The removal of i then re-examines only
 
     - the points whose witness was i; any other witness survives;
     - the lonely points j (alive, no witness) just above i, with nothing
@@ -89,15 +77,11 @@ def _reduce(
       of D keeps them all, so only an i maximal in D can give D a
       maximum, and a j with i outside D keeps D as it is.
 
-    The beat points are kept as one bitmask per kind and offered
-    kind-major, index-minor, as ``beat_points`` lists them, so the
-    picker sees what a full rescan would offer.  Each removed point is
-    redirected to its witness, and the composite retraction is resolved
-    at the end.
+    Each removed point is redirected to its witness, and the composite
+    retraction is resolved at the end.
     """
     n = x.n
     alive = (1 << n) - 1
-    removable = alive & ~keep
     ks = range(len(kinds))
     cones = [(x.below, x.above) if kind == "down" else (x.above, x.below) for kind in kinds]
     wit: list[list[Optional[int]]] = [[None] * n for _ in ks]
@@ -121,7 +105,7 @@ def _reduce(
             lonely[k] |= bit
             return
         witnessed[k][w] |= bit
-        if removable & bit and (fiber_vals is None or fiber_vals[w] == fiber_vals[j]):
+        if fiber_vals is None or fiber_vals[w] == fiber_vals[j]:
             cands[k] |= bit
 
     for k in ks:
@@ -129,18 +113,9 @@ def _reduce(
             examine(k, j)
     steps: list[tuple[int, int, int]] = []  # (removed point, kind, witness)
     while any(cands):
-        if picker is None:
-            k = next(k for k in ks if cands[k])
-            i = (cands[k] & -cands[k]).bit_length() - 1
-        else:
-            offered = [(i, k) for k in ks for i in _bits(cands[k])]
-            names = tuple((x.elements[i], kinds[k]) for i, k in offered)
-            choice = picker(names)
-            if choice not in names:
-                raise UnknownElement(f"picker returned {choice!r}, not a candidate")
-            i, k = offered[names.index(choice)]
-        bit = 1 << i
-        alive &= ~bit
+        k = next(k for k in ks if cands[k])
+        i = (cands[k] & -cands[k]).bit_length() - 1
+        alive &= ~(1 << i)
         steps.append((i, k, wit[k][i]))
         for k in ks:
             forget(k, i)
@@ -165,14 +140,14 @@ def _reduce(
     return ReductionTrace(x, result, removed, retraction)
 
 
-def core(x: Poset, *, picker: Optional[Picker] = None) -> ReductionTrace:
+def core(x: Poset) -> ReductionTrace:
     """Reduce to a core by removing beat points.
 
-    Default policy is kind-major: all down beat points are consumed,
-    lowest index among the current ones first, before any up beat
-    point is touched.  Any other policy gives an isomorphic result.
+    The order is kind-major: all down beat points are consumed, lowest
+    index among the current ones first, before any up beat point is
+    touched.  Any other order gives an isomorphic result.
     """
-    return _reduce(x, ("down", "up"), picker)
+    return _reduce(x, ("down", "up"))
 
 
 def is_contractible(x: Poset) -> bool:
@@ -185,7 +160,7 @@ def homotopy_equivalent(x: Poset, y: Poset) -> tuple[bool, Optional[dict[str, st
     return iso is not None, iso
 
 
-def smallest_dbp_retract(x: Poset, *, picker: Optional[Picker] = None) -> ReductionTrace:
+def smallest_dbp_retract(x: Poset) -> ReductionTrace:
     """Greedy removal of down beat points only.
 
     The result is the minimum element of the family of subspaces
@@ -194,19 +169,7 @@ def smallest_dbp_retract(x: Poset, *, picker: Optional[Picker] = None) -> Reduct
     the unique descending idempotent onto it, which is also the minimum
     of the maps below the identity.
     """
-    return _reduce(x, ("down",), picker)
-
-
-def is_dbp_retract(x: Poset, keep: Sequence[str]) -> Optional[ReductionTrace]:
-    """Trace showing ``keep`` is reachable by down beat point removals.
-
-    Greedy is complete here: removing any down beat point outside a
-    subspace reachable this way keeps it reachable, so a stuck state
-    not equal to ``keep`` certifies absence (returns None).
-    """
-    keep_mask = x.mask(keep)
-    trace = _reduce(x, ("down",), None, keep=keep_mask)
-    return trace if trace.result.n == keep_mask.bit_count() else None
+    return _reduce(x, ("down",))
 
 
 def f_infinity(f: MonotoneMap) -> MonotoneMap:

@@ -45,7 +45,7 @@ from .slices import (
     restrict_over_component,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     smallest_dbp_retract_of_map,
 )
-from .stong import BeatPointReport, beat_points, is_contractible, is_dbp_retract, smallest_dbp_retract
+from .stong import BeatPointReport, beat_points, is_contractible, smallest_dbp_retract
 
 
 def is_open_map(p: MapLike) -> tuple[bool, Optional[dict]]:
@@ -220,11 +220,10 @@ def _cond_ed_inside_preimage_bd(f: _ComponentFacts) -> Optional[dict]:
     pre = pc.preimage(pc.base.mask(bd.elements))
     # ed keeps the index order of E, so its first stray has the lowest index
     stray = pc.total.mask(ed.elements) & ~pre
-    if stray:
-        return {"stray": pc.total.elements[(stray & -stray).bit_length() - 1]}
-    if is_dbp_retract(pc.total._sub_mask(pre), ed.elements) is None:
-        return {"reason": "not_a_dbp_retract", "subspace": list(pc.total.names(pre))}
-    return None
+    # no stray: p^-1(B_d) reduces to E_d, as any P between E_d and E does.  The
+    # retraction r: E -> E_d is <= id and fixes E_d, so each y < x in P, for x
+    # minimal in P - E_d, has y = r(y) <= r(x) < x: r(x) witnesses x in P
+    return {"stray": pc.total.elements[(stray & -stray).bit_length() - 1]} if stray else None
 
 
 def _cond_beat_point_dichotomy(f: _ComponentFacts) -> Optional[dict]:

@@ -31,7 +31,7 @@ from finfib.posets import (
     product,
 )
 from finfib.slices import SliceMap, as_slice
-from finfib.stong import BeatPointReport, ReductionTrace, core, is_dbp_retract, smallest_dbp_retract
+from finfib.stong import BeatPointReport, ReductionTrace, core, smallest_dbp_retract
 
 
 # -- independent oracles -----------------------------------------------
@@ -168,8 +168,10 @@ def rescan_reduce(x, kinds, picker, keep=0, fiber_vals=None):
     """Beat-point reduction that rescans every point after each removal.
 
     The quadratic-per-step engine ``stong._reduce`` replaced, kept as
-    an oracle: same arguments, same trace, and the picker sees the
-    same candidate tuple at every step.
+    an oracle: with no picker and no ``keep`` it gives the same trace.
+    A picker receives the candidate tuple ((element, kind), ...),
+    kind-major and index-minor, and returns one entry; ``keep`` masks
+    elements that must not be removed.
     """
     alive = (1 << x.n) - 1
     cur = list(range(x.n))
@@ -198,6 +200,25 @@ def rescan_reduce(x, kinds, picker, keep=0, fiber_vals=None):
     result = x.sub(x.names(alive))
     retraction = MonotoneMap(x, result, tuple(result.index[x.elements[cur[k]]] for k in range(x.n)))
     return ReductionTrace(x, result, tuple(removed), retraction)
+
+
+def rescan_map_reduce(m, kinds, picker):
+    """The map restricted to what ``rescan_reduce`` leaves of its beat points."""
+    s = as_slice(m)
+    trace = rescan_reduce(s.total, kinds, picker, fiber_vals=s.map.vals)
+    return SliceMap(s.map.restrict(trace.result))
+
+
+def is_dbp_retract(x, keep):
+    """Trace showing ``keep`` is reachable by down beat point removals.
+
+    Greedy is complete here: removing any down beat point outside a
+    subspace reachable this way keeps it reachable, so a stuck state
+    not equal to ``keep`` certifies absence (returns None).
+    """
+    keep_mask = x.mask(keep)
+    trace = rescan_reduce(x, ("down",), None, keep=keep_mask)
+    return trace if trace.result.n == keep_mask.bit_count() else None
 
 
 def scan_witnesses(x, fiber_vals=None):

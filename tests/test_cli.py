@@ -268,6 +268,47 @@ def test_malformed_documents_exit_3(capsys, tmp_path, command, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_E_B = "poset E { points: x, y; covers: x < y; }\nposet B { points: a, b; covers: a < b; }\n"
+_FUNCTOR = '"base": {"elements": ["0"]}, "fibers": {"0": {"elements": ["u"]}}, "transitions": {}'
+
+
+@pytest.mark.parametrize(
+    "command, text, repeat",
+    [
+        (["info"], _E_B + "map p : E -> B { x -> a; y -> b; x -> b; }\n", "repeated key 'x'"),
+        (
+            ["info"],
+            "poset E { points: x; points: x, y; covers: x < y; }\n",
+            "repeated key 'points'",
+        ),
+        (
+            ["check", "hurewicz"],
+            "poset E { points: z; }\n" + _E_B + "map p : E -> B { x -> a; y -> b; }\n",
+            "repeated poset name 'E'",
+        ),
+        (
+            ["info"],
+            '{"domain": "gallery:E2", "codomain": "gallery:B2", "values": {"(a,0)": "a", "(a,1)": "a",'
+            ' "(a,2)": "b", "(b,0)": "b", "(a,0)": "b"}}',
+            "repeated key '(a,0)'",
+        ),
+        (
+            ["construct"],
+            '{"variance": "contravariant", "variance": "covariant", ' + _FUNCTOR + "}",
+            "repeated key 'variance'",
+        ),
+    ],
+    ids=["map_entry", "clause", "block_name", "json_map_value", "json_functor_key"],
+)
+def test_a_repeated_key_entry_clause_or_block_is_bad_input(capsys, tmp_path, command, text, repeat):
+    # the repeat used to replace what came before it without a word
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (3, "")
+    assert repeat in err
+
+
 def test_invariant_violation_exits_4(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantViolated("injected")

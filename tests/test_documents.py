@@ -276,7 +276,9 @@ def test_map_text_refuses_poset_names_the_reader_resolves_elsewhere():
     with pytest.raises(ParseError, match="both the domain and the codomain"):
         map_to_text("f", MonotoneMap(p, q, (q.idx("y"),) * p.n), dom_name="P", cod_name="P")
     same = MonotoneMap.identity(p)
-    assert parse_text(map_to_text("f", same, "P", "P"))[-1] == ("map", "f", same)
+    text = map_to_text("f", same, "P", "P")
+    assert text.count("poset P {") == 1  # the reader refuses a repeated block name
+    assert parse_text(text)[-1] == ("map", "f", same)
 
 
 _BLOCK_NAMES = st.lists(

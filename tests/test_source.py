@@ -63,6 +63,63 @@ def test_every_private_definition_is_used():
     assert found == []
 
 
+# defaulted parameters that no package call sets, each with the reason it stays
+OPTION_KEEP = {
+    "main.argv": "perfbench and the tests drive the command line in-process",
+    "map_to_text.dom_name": "README: map_to_text names the domain block",
+    "map_to_text.cod_name": "README: map_to_text names the codomain block",
+    "search_retract_certificate.max_y": "ROADMAP: the planned certify command takes --max-y",
+    "search_retract_certificate.guard": "ROADMAP: the planned certify search takes a bound",
+    "decide_hurewicz.certificate": "ROADMAP: the planned --certificate option feeds it",
+}
+
+
+def _options(fn, bound):
+    """(position, name) of each defaulted parameter; keyword-only ones have position None."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(k - bound if k >= bound else None, a.arg) for k, a in enumerate(positional) if k >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_option_is_set_by_a_package_call_or_kept_for_a_reason():
+    # a defaulted parameter that no call in the package sets, by keyword or
+    # by position, is a knob only tests turn; a call to a class sets the
+    # options of its __init__.  Like the rules above, calls match by name.
+    trees = [tree for _, tree in package_trees()]
+    passed = {}  # callee name -> (most positional arguments, keywords)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = _name_of(call.func)
+            most, keywords = passed.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            most = max(most, float("inf") if starred else len(call.args))
+            keywords = keywords | {kw.arg for kw in call.keywords}
+            passed[name] = most, keywords
+    unset = set()
+    for tree in trees:
+        scopes = [(None, node) for node in tree.body]
+        scopes += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for owner, fn in scopes:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(_name_of(d) == "staticmethod" for d in fn.decorator_list)
+            bound = 1 if owner and not static else 0
+            callee = owner if fn.name == "__init__" else fn.name
+            most, keywords = passed.get(callee, (0, set()))
+            if None in keywords:  # **kwargs
+                continue
+            for position, arg in _options(fn, bound):
+                if arg not in keywords and (position is None or position >= most):
+                    unset.add(f"{owner}.{fn.name}.{arg}" if owner else f"{fn.name}.{arg}")
+    assert sorted(unset - set(OPTION_KEEP)) == []
+    assert sorted(set(OPTION_KEEP) - unset) == []
+
+
 # public names that nothing in the package calls, each with the reason it stays
 PUBLIC_KEEP = {
     "f_infinity": "README: Stong's stabilized iterate of a descending endomap",

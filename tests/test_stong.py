@@ -1,6 +1,6 @@
 """Beat points, cores, descending endomaps, and the rigidity facts."""
 
-import random
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from finfib.stong import (
     f_infinity,
     homotopy_equivalent,
     is_contractible,
-    is_dbp_retract,
     smallest_dbp_retract,
 )
 from finfib.gallery import gallery_poset
@@ -24,6 +23,7 @@ from helpers import (
     endomaps_below_identity,
     homotopy_classes,
     is_beat_point_brute,
+    is_dbp_retract,
     map_le,
     posets,
     rand_poset,
@@ -100,7 +100,7 @@ def test_cores_from_shuffled_orders_are_isomorphic():
     for _ in range(60):
         x = rand_poset(rng, rng.randint(1, 8))
         reference = core(x).result
-        shuffled = core(x, picker=shuffling_picker(rng)).result
+        shuffled = rescan_reduce(x, ("down", "up"), shuffling_picker(rng)).result
         assert find_isomorphism(reference, shuffled) is not None
 
 
@@ -111,12 +111,24 @@ def test_smallest_dbp_retract_is_order_independent():
         reference = set(smallest_dbp_retract(x).result.elements)
         assert not beat_points(smallest_dbp_retract(x).result).down
         for _ in range(5):
-            again = smallest_dbp_retract(x, picker=shuffling_picker(rng))
+            again = rescan_reduce(x, ("down",), shuffling_picker(rng))
             assert set(again.result.elements) == reference
         # the up beat point retract: the down one of the opposite
         dual = smallest_dbp_retract(x.op())
         assert not beat_points(dual.result.op()).up
         assert is_dbp_retract(x.op(), dual.result.elements) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=posets(max_size=7))
+def test_every_subspace_that_holds_the_smallest_dbp_retract_reduces_to_it(x):
+    # the retraction r onto X_d is <= id and fixes X_d, so a minimal point
+    # e of P - X_d is a down beat point of P witnessed by r(e)
+    xd = smallest_dbp_retract(x).result
+    rest = [e for e in x.elements if e not in xd.index]
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            assert is_dbp_retract(x.sub([*xd.elements, *extra]), xd.elements) is not None
 
 
 def test_dbp_retract_membership():
@@ -226,16 +238,6 @@ def test_core_of_gallery_posets():
         assert core(x).result == x
 
 
-def recording_picker(seed, log):
-    rng = random.Random(seed)
-
-    def pick(cands):
-        log.append(cands)
-        return rng.choice(cands)
-
-    return pick
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     x=posets(max_size=10),
@@ -243,16 +245,9 @@ def recording_picker(seed, log):
     data=st.data(),
 )
 def test_worklist_reduction_agrees_with_the_rescan_oracle(x, kinds, data):
-    keep = data.draw(st.just(0) | st.integers(0, (1 << x.n) - 1))
     fiber_vals = data.draw(st.none() | st.lists(st.integers(0, 2), min_size=x.n, max_size=x.n))
-    seed = data.draw(st.integers(0, 2**16))
-    got = _reduce(x, kinds, None, keep, fiber_vals)
-    want = rescan_reduce(x, kinds, None, keep, fiber_vals)
-    assert (got.removed, got.result, got.retraction) == (want.removed, want.result, want.retraction)
-    got_log, want_log = [], []
-    got = _reduce(x, kinds, recording_picker(seed, got_log), keep, fiber_vals)
-    want = rescan_reduce(x, kinds, recording_picker(seed, want_log), keep, fiber_vals)
-    assert got_log == want_log
+    got = _reduce(x, kinds, fiber_vals)
+    want = rescan_reduce(x, kinds, None, fiber_vals=fiber_vals)
     assert (got.removed, got.result, got.retraction) == (want.removed, want.result, want.retraction)
 
 
