@@ -41,7 +41,6 @@ from .errors import (
     GuardExceeded,
     NotMonotone,
     ParseError,
-    SearchBudgetExhausted,
     UnknownElement,
     UnknownGalleryId,
 )
@@ -213,16 +212,13 @@ def _check_groth(args) -> int:
 
 def _check_bundle(args) -> int:
     m = _load_map(args.target)
-    rep = is_fiber_bundle(m, budget=args.budget)
+    rep = is_fiber_bundle(m)
     doc = bundle_to_doc(rep)
     if rep.status == "bundle":
         _emit(args, doc, ["fiber bundle"])
         return 0
-    if rep.status == "not_bundle":
-        _emit(args, doc, [f"not a fiber bundle (fails over {rep.failed_at})"])
-        return 1
-    _emit(args, doc, [f"undecided (budget exhausted over {rep.undecided_at})"])
-    return 2
+    _emit(args, doc, [f"not a fiber bundle (fails over {rep.failed_at})"])
+    return 1
 
 
 def _witness_phrase(w: Optional[dict]) -> str:
@@ -238,7 +234,7 @@ def _witness_phrase(w: Optional[dict]) -> str:
 
 def _check_hurewicz(args) -> int:
     m = _load_map(args.target)
-    verdict = decide_hurewicz(m, budget=args.budget)
+    verdict = decide_hurewicz(m)
     doc = verdict_to_doc(verdict)
     if verdict.status == "fibration":
         kinds = [c.certificate.kind for c in verdict.components if c.certificate]
@@ -386,8 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--verbose", action="store_true", help="more detail")
+    # validated for the callers that pass it; no check runs a search it could bound
     common.add_argument("--budget", type=_budget, default=None, metavar="N",
-                        help="node budget for isomorphism searches")
+                        help="accepted and validated (0 or more), but bounds nothing")
 
     parser = argparse.ArgumentParser(
         prog="finfib",
@@ -434,7 +431,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GuardExceeded, SearchBudgetExhausted) as exc:
+    except GuardExceeded as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 2
     except FinfibError as exc:

@@ -20,7 +20,6 @@ from .errors import (
     FunctorialityViolated,
     NotGrothendieckOpfibration,
     ReconstructionMismatch,
-    SearchBudgetExhausted,
     UnknownElement,
 )
 from .posets import (
@@ -28,11 +27,16 @@ from .posets import (
     Poset,
     _bits,
     _extremum,
-    find_isomorphism_over_base,
+    find_isomorphism_over_base,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     pair_name,
-    product,
+    product,  # noqa: F401 -- perfbench/spans.py wraps it under this module
 )
-from .slices import MapLike, SliceMap, as_slice, restrict_over
+from .slices import (
+    MapLike,
+    SliceMap,
+    as_slice,
+    restrict_over,  # noqa: F401 -- perfbench/spans.py wraps it under this module
+)
 
 
 @dataclass(frozen=True)
@@ -333,41 +337,77 @@ def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:
     return integ, phi
 
 
+def _fiber_pairs(s: SliceMap) -> tuple[list[int], list[int]]:
+    """Each fiber's mask and its number of comparable pairs, by base index."""
+    below = s.total.below
+    masks = [s._fiber_masks.get(bi, 0) for bi in range(s.base.n)]
+    return masks, [sum((below[x] & m).bit_count() for x in _bits(m)) for m in masks]
+
+
+def _transport_is_iso(
+    cart: dict[tuple[int, int], int], masks: list[int], pairs: list[int], vi: int, bi: int
+) -> bool:
+    """Whether the cartesian transport F_b -> F_v of v <= b is an order isomorphism.
+
+    A transport is monotone: x <= y gives alpha(x) <= x <= y, and alpha(y)
+    is the largest point over v below y.  So a bijective one maps the
+    comparable pairs of F_b injectively into those of F_v, and it is an
+    isomorphism exactly when the two counts agree.
+    """
+    src, dst = masks[bi], masks[vi]
+    if src.bit_count() != dst.bit_count() or pairs[bi] != pairs[vi]:
+        return False
+    image = 0
+    for y in _bits(src):
+        image |= 1 << cart[(y, vi)]
+    return image == dst
+
+
 @dataclass(frozen=True)
 class BundleReport:
     """Local triviality over every minimal open set of the base.
 
     ``trivializations[b]`` matches the restriction over U_b with the
     product U_b x fiber(b); ``failed_at`` is the first base point with
-    no such matching (a certified failure, the search is exhaustive),
-    ``undecided_at`` the first point where a budget ran out.
+    no such matching.
     """
 
-    status: str  # 'bundle' | 'not_bundle' | 'undecided'
+    status: str  # 'bundle' | 'not_bundle'
     trivializations: dict[str, dict[str, str]]
     failed_at: Optional[str] = None
-    undecided_at: Optional[str] = None
 
 
-def is_fiber_bundle(p: MapLike, budget: Optional[int] = None) -> BundleReport:
+def is_fiber_bundle(p: MapLike) -> BundleReport:
     """Check local triviality base point by base point, in index order.
 
-    Fibers over one U_b may differ from fiber(b) or sit in it the
-    wrong way; the isomorphism-over-base search is exhaustive, so a
-    miss is a proof.  With a budget, an exhausted search stops the
-    scan and reports undecided.
+    The restriction of p over U_b is isomorphic to U_b x F_b over U_b
+    exactly when every point over U_b has all its cartesian lifts and
+    every transport alpha_{v<=b}: F_b -> F_v, v <= b, is an order
+    isomorphism; the first b where that fails is ``failed_at``.
+    (<=) Send x to (p(x), alpha_{p(x)<=b}^-1(x)).  For u = p(x) <= w =
+    p(y), x <= y holds exactly when x <= alpha_{u<=w}(y), the largest
+    point over u below y, and alpha_{u<=b} = alpha_{u<=w} alpha_{w<=b}
+    turns that into alpha_{u<=b}^-1(x) <= alpha_{w<=b}^-1(y).
+    (=>) In U_b x F_b every lift exists and every transport is the
+    identity, and an isomorphism over U_b carries lifts to lifts.
     """
     s = as_slice(p)
+    total, base, vals = s.total, s.base, s.map.vals
+    failures, cart = _scan_lifts(s, "cartesian")
+    tops = 0  # base points over which some point misses a lift
+    for f in failures:
+        tops |= 1 << vals[total.index[f.e]]
+    masks, pairs = _fiber_pairs(s)
     trivializations: dict[str, dict[str, str]] = {}
-    for b in s.base.elements:
-        rest = restrict_over(s, s.base.down_set(b))
-        prod, to_base, _ = product(rest.base, s.fiber(b))
-        try:
-            iso = find_isomorphism_over_base(rest.map, to_base, budget)
-        except SearchBudgetExhausted:
-            return BundleReport("undecided", trivializations, undecided_at=b)
-        if iso is None:
+    for bi, b in enumerate(base.elements):
+        down = base.below[bi]
+        if down & tops or not all(
+            _transport_is_iso(cart, masks, pairs, vi, bi) for vi in _bits(down & ~(1 << bi))
+        ):
             return BundleReport("not_bundle", trivializations, failed_at=b)
-        trivializations[b] = iso
+        back = {cart[(y, vi)]: y for y in _bits(masks[bi]) for vi in _bits(down)}
+        trivializations[b] = {
+            total.elements[x]: pair_name(base.elements[vals[x]], total.elements[back[x]])
+            for x in _bits(s.preimage(down))
+        }
     return BundleReport("bundle", trivializations)
-

@@ -684,9 +684,7 @@ def find_isomorphism(p: Poset, q: Poset) -> Optional[dict[str, str]]:
     return next(isomorphisms(p, q), None)
 
 
-def find_isomorphism_over_base(
-    p: MonotoneMap, q: MonotoneMap, budget: Optional[int] = None
-) -> Optional[dict[str, str]]:
+def find_isomorphism_over_base(p: MonotoneMap, q: MonotoneMap) -> Optional[dict[str, str]]:
     """Isomorphism h: dom(p) -> dom(q) with q o h = p, or None.
 
     Both maps must share their codomain; the base value of each element
@@ -694,5 +692,4 @@ def find_isomorphism_over_base(
     """
     if p.cod != q.cod:
         raise CodomainMismatch("isomorphism over a base needs a common codomain")
-    gen = isomorphisms(p.dom, q.dom, extra_p=p.vals, extra_q=q.vals, budget=budget)
-    return next(gen, None)
+    return next(isomorphisms(p.dom, q.dom, extra_p=p.vals, extra_q=q.vals), None)

@@ -7,10 +7,11 @@ its smallest such retract p0.  If p0 is not a Grothendieck bifibration
 the map is certainly not a fibration (witnessed by a missing lift).
 If the component has a minimum, bifibration of p0 is also sufficient;
 if it has a maximum and height 1, an explicit retract-of-projection
-certificate is constructed; if p0 is isomorphic over the base to a
-product projection, that is a certificate too.  Otherwise the verdict
-is unknown and a battery of necessary conditions is reported, each
-with a concrete witness when it fails.
+certificate is constructed; if p0's cartesian transports show it
+isomorphic over the base to a product projection, that is a
+certificate too.  Otherwise the verdict is unknown and a battery of
+necessary conditions is reported, each with a concrete witness when
+it fails.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from functools import cached_property
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .errors import EmptyDomain, InvariantViolated, PreconditionViolated, SearchBudgetExhausted
+from .errors import EmptyDomain, InvariantViolated, PreconditionViolated
 from .grothendieck import (
     GrothendieckReport,
-    _scan_lifts,  # noqa: F401 -- perfbench/spans.py wraps it under this module
+    _fiber_pairs,
+    _scan_lifts,
+    _transport_is_iso,
     classify_grothendieck,
 )
 from .posets import (
@@ -32,8 +35,10 @@ from .posets import (
     Poset,
     _bits,
     _extremum,
-    find_isomorphism_over_base,
+    find_isomorphism,
+    find_isomorphism_over_base,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     monotone_maps,
+    pair_name,
     product,
 )
 from .slices import (
@@ -387,24 +392,80 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     return cert
 
 
-def is_trivial_over_base(p: MapLike, budget: Optional[int] = None) -> Optional["Certificate"]:
+def is_trivial_over_base(
+    p: MapLike, transports: Optional[dict[tuple[int, int], int]] = None
+) -> Optional["Certificate"]:
     """Isomorphism over B with the projection B x F -> B, if one exists.
 
-    F is the fiber over the first base element; a size mismatch rules
-    the isomorphism out without searching.  The result is a
-    trivial_over_base certificate about p itself: its ``point`` is that
-    base element and its ``iso`` the isomorphism.
+    F is the fiber over the first base element b0.  Over a connected
+    base, p is isomorphic to B x F over B exactly when it is a
+    Grothendieck fibration whose transports are isomorphisms and whose
+    holonomy is trivial.  So F is carried along a spanning tree of B's
+    Hasse diagram, phi_u alpha_{u<=w} = phi_w on each tree cover u < w,
+    and every other cover must agree with it.  (<=) x -> (p(x),
+    phi_{p(x)}(x)) is an isomorphism, by the argument of
+    ``is_fiber_bundle`` with phi in place of alpha^-1.  (=>) The
+    transports of B x F are identities, so conjugated by an isomorphism
+    h they are h_u^-1 h_w, and phi_v = h_b0^-1 h_v agrees on every
+    cover.  Each further component of the base starts from an
+    isomorphism of its first fiber with F, found by a search the size
+    of one fiber.
+
+    ``transports`` is the cartesian table of p when the caller holds
+    one, which then must be a Grothendieck fibration; without it the
+    lifts are scanned here.  The result is a trivial_over_base
+    certificate about p itself: its ``point`` is b0 and its ``iso`` the
+    isomorphism.
     """
     s = as_slice(p)
-    if s.base.n == 0:
+    total, base = s.total, s.base
+    if base.n == 0:
         return None
-    b0 = s.base.elements[0]
-    fiber = s.fiber(b0)
-    if s.base.n * fiber.n != s.total.n:
+    masks, pairs = _fiber_pairs(s)
+    if base.n * masks[0].bit_count() != total.n:
         return None
-    prod, to_base, _ = product(s.base, fiber)
-    iso = find_isomorphism_over_base(s.map, to_base, budget)
-    return None if iso is None else Certificate("trivial_over_base", b0, iso=iso)
+    if transports is None:
+        failures, transports = _scan_lifts(s, "cartesian")
+        if failures:
+            return None
+    lower, upper, covers = base._cover_table()
+    # phi[v] maps each point over v to its point of F
+    phi: list[Optional[dict[int, int]]] = [None] * base.n
+    for root in range(base.n):
+        if phi[root] is not None:
+            continue
+        if root:
+            iso = find_isomorphism(s.fiber(base.elements[root]), s.fiber(base.elements[0]))
+            if iso is None:
+                return None
+            phi[root] = {total.index[a]: total.index[x] for a, x in iso.items()}
+        else:
+            phi[root] = {x: x for x in _bits(masks[0])}
+        todo = [root]
+        while todo:
+            w = todo.pop()
+            for u in lower[w]:
+                if phi[u] is None:
+                    if not _transport_is_iso(transports, masks, pairs, u, w):
+                        return None
+                    phi[u] = {transports[(x, u)]: y for x, y in phi[w].items()}
+                    todo.append(u)
+            for v in upper[w]:
+                if phi[v] is None:
+                    if not _transport_is_iso(transports, masks, pairs, w, v):
+                        return None
+                    phi[v] = {x: phi[w][transports[(x, w)]] for x in _bits(masks[v])}
+                    todo.append(v)
+    # trivial holonomy: every cover, tree or not, commutes with phi
+    for u, w in covers:
+        phi_u = phi[u]
+        if any(phi_u[transports[(x, u)]] != y for x, y in phi[w].items()):
+            return None
+    iso = {
+        total.elements[x]: pair_name(base.elements[v], total.elements[phi[v][x]])
+        for x, v in enumerate(s.map.vals)
+    }
+    return Certificate("trivial_over_base", base.elements[0], iso=iso)
 
 
 def _all_labeled_posets(names: tuple[str, ...]):
@@ -525,7 +586,7 @@ class Verdict:
         return {"fibration": 0, "not_fibration": 1, "unknown": 2}[self.status]
 
 
-def _decide_component(facts: _ComponentFacts, budget: Optional[int]) -> ComponentVerdict:
+def _decide_component(facts: _ComponentFacts) -> ComponentVerdict:
     pc = facts.pc
     comp = pc.base.elements
     missing = pc.missed()
@@ -553,25 +614,18 @@ def _decide_component(facts: _ComponentFacts, budget: Optional[int]) -> Componen
             "height1_max_retract", pc.base.maximum(), red, retract=projection_retract_height1(rep)
         )
         return ComponentVerdict(comp, "fibration", certificate=cert)
-    trivial_exhausted = False
-    try:
-        triv = is_trivial_over_base(red.reduced, budget)
-    except SearchBudgetExhausted:
-        triv = None
-        trivial_exhausted = True
+    # the report already holds the reduced map's cartesian table
+    triv = is_trivial_over_base(rep.slice_map, rep.cartesian)
     if triv is not None:
         return ComponentVerdict(comp, "fibration", certificate=replace(triv, reduction=red))
     report = _evaluate_conditions([facts])
     witness = {"condition": "undecided", "component": list(comp)}
-    if trivial_exhausted:
-        witness["trivial_search"] = "budget_exhausted"
     return ComponentVerdict(comp, "unknown", witness=witness, necessary=report)
 
 
 def decide_hurewicz(
     p: MapLike,
     *,
-    budget: Optional[int] = None,
     certificate: Optional[RetractCertificate] = None,
 ) -> Verdict:
     """Three-valued Hurewicz decision with certificates and witnesses.
@@ -586,9 +640,7 @@ def decide_hurewicz(
         raise EmptyDomain("the empty map is not analyzed; every lift is vacuous")
     touched = s.touched_components()
     skipped = tuple(c for c in s.base.components() if c not in touched)
-    parts = tuple(
-        _decide_component(_ComponentFacts(restrict_over(s, c)), budget) for c in touched
-    )
+    parts = tuple(_decide_component(_ComponentFacts(restrict_over(s, c))) for c in touched)
     if any(c.status == "not_fibration" for c in parts):
         first = next(c for c in parts if c.status == "not_fibration")
         return Verdict("not_fibration", parts, skipped, witness=first.witness)

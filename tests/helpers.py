@@ -19,18 +19,19 @@ from finfib.errors import (
     SearchBudgetExhausted,
     UnknownElement,
 )
-from finfib.grothendieck import PosetFunctor, grothendieck_construction
+from finfib.grothendieck import BundleReport, PosetFunctor, grothendieck_construction
 from finfib.posets import (
     DEFAULT_GUARD,
     MonotoneMap,
     Poset,
     _bits,
+    find_isomorphism_over_base,
     isomorphisms,
     monotone_maps,
     pair_name,
     product,
 )
-from finfib.slices import SliceMap, as_slice
+from finfib.slices import SliceMap, as_slice, restrict_over
 from finfib.stong import BeatPointReport, ReductionTrace, core, smallest_dbp_retract
 
 
@@ -335,6 +336,41 @@ def unshared_ed_inside_preimage_bd(f):
     if is_dbp_retract(pc.total._sub_mask(pre), ed.elements) is None:
         return {"reason": "not_a_dbp_retract", "subspace": list(pc.total.names(pre))}
     return None
+
+
+def search_fiber_bundle(p):
+    """The isomorphism search ``is_fiber_bundle`` ran before it read the lift table.
+
+    Kept verbatim, less its budget, as an oracle: the search over each
+    U_b is exhaustive, so a miss is a proof.
+    """
+    s = as_slice(p)
+    trivializations = {}
+    for b in s.base.elements:
+        rest = restrict_over(s, s.base.down_set(b))
+        prod, to_base, _ = product(rest.base, s.fiber(b))
+        iso = find_isomorphism_over_base(rest.map, to_base)
+        if iso is None:
+            return BundleReport("not_bundle", trivializations, failed_at=b)
+        trivializations[b] = iso
+    return BundleReport("bundle", trivializations)
+
+
+def search_trivial_over_base(p):
+    """The isomorphism search ``is_trivial_over_base`` ran before it read the lift table.
+
+    Kept verbatim, less its budget, as an oracle: the isomorphism of p
+    with base x fiber(first base point) over the base, or None.
+    """
+    s = as_slice(p)
+    if s.base.n == 0:
+        return None
+    b0 = s.base.elements[0]
+    fiber = s.fiber(b0)
+    if s.base.n * fiber.n != s.total.n:
+        return None
+    prod, to_base, _ = product(s.base, fiber)
+    return find_isomorphism_over_base(s.map, to_base)
 
 
 def hand_built_grothendieck_construction(d):
@@ -920,6 +956,73 @@ def rand_fibration(rng):
     for k in range(rng.randint(0, 3)):
         p = insert_map_down_beat_point(rng, p, str(k))
     return p
+
+
+def crowns(k, copies, prefix):
+    """Disjoint copies of the 2k-point crown: min i below max i and max i+1 mod k."""
+    names, pairs = [], []
+    for c in range(copies):
+        lo = [f"{prefix}{c}m{i}" for i in range(k)]
+        hi = [f"{prefix}{c}M{i}" for i in range(k)]
+        names += lo + hi
+        pairs += [(lo[i], hi[j % k]) for i in range(k) for j in (i, i + 1)]
+    return Poset.build(names, pairs)
+
+
+def twisted_bundle(k, fiber, aut, copies=1):
+    """Bundle over copies of the 2k-point crown with fiber F, twisted by aut on its last cover.
+
+    Going once round the last crown applies aut, so the bundle is
+    trivial over the base exactly when aut is the identity.
+    """
+    base = crowns(k, copies, "b")
+    covers = base.covers()
+    transitions = {c: MonotoneMap.identity(fiber) for c in covers}
+    transitions[covers[-1]] = MonotoneMap.build(fiber, fiber, aut)
+    d = PosetFunctor(base, "covariant", {b: fiber for b in base.elements}, transitions)
+    return grothendieck_construction(d)
+
+
+def crown_cover(d, k):
+    """The connected d-fold cover of the 2k-point crown by the 2dk-point one, i -> i mod k.
+
+    A covering map, so a Hurewicz fibration and a fiber bundle with
+    antichain fibers; for d > 1 its holonomy is a d-cycle, so it is not
+    trivial over the base.
+    """
+    total, base = crowns(d * k, 1, "e"), crowns(k, 1, "b")
+    values = {f"e0{side}{i}": f"b0{side}{i % k}" for side in "mM" for i in range(d * k)}
+    return MonotoneMap.build(total, base, values)
+
+
+def assert_trivializes(p, part, b, iso):
+    """iso is an isomorphism over ``part`` of p restricted there with part x fiber(b).
+
+    Its keys come in the restriction's element order.
+    """
+    rest = restrict_over(p, part)
+    prod, to_base, _ = product(rest.base, as_slice(p).fiber(b))
+    assert list(iso) == list(rest.total.elements)
+    phi = MonotoneMap.build(rest.total, prod, iso)
+    assert phi.is_iso()
+    assert phi.then(to_base) == rest.map
+
+
+def census_unknown():
+    """A 6-point map onto the 4-point fence a < b > c < d that stays unknown.
+
+    It is one of the few maps with |E| = 6 onto a connected,
+    minimum-free base that pass every necessary condition yet get no
+    certificate from the engine; ``search_retract_certificate(max_y=3)``
+    certifies it.
+    """
+    total = Poset.build(
+        ["e5", "e4", "e0", "e2", "e1", "e3"],
+        [("e4", "e5"), ("e0", "e2"), ("e2", "e5"), ("e2", "e3"), ("e1", "e2")],
+    )
+    fence = Poset.build(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
+    values = {"e5": "b", "e4": "a", "e0": "c", "e2": "c", "e1": "c", "e3": "d"}
+    return MonotoneMap.build(total, fence, values)
 
 
 @st.composite

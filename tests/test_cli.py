@@ -9,11 +9,12 @@ import pytest
 
 from finfib import cli
 from finfib.cli import main
-from finfib.documents import functor_to_doc, map_from_doc, poset_from_doc
+from finfib.documents import functor_to_doc, map_from_doc, map_to_doc, poset_from_doc
 from finfib.errors import InvariantViolated
 from finfib.gallery import ENTRIES, gallery_map
 from finfib.grothendieck import classify_grothendieck
-from finfib.posets import find_isomorphism_over_base
+from finfib.posets import Poset, find_isomorphism_over_base, product
+from helpers import crown_cover, crowns
 
 
 def run(capsys, *argv):
@@ -139,23 +140,39 @@ def test_check_bundle(capsys):
     code, out, _ = run(capsys, "check", "bundle", "gallery:p3")
     assert code == 1
     assert out.strip() == "not a fiber bundle (fails over c)"
-    code, out, _ = run(capsys, "check", "bundle", "gallery:pi_sierpinski", "--budget", "0")
-    assert code == 2
-    assert out.strip() == "undecided (budget exhausted over 0)"
 
 
 def test_a_negative_budget_is_a_usage_error(capsys):
-    # the budget counts attempted assignments, so -1 is bad input, not a verdict
+    # the option is still validated, so -1 is bad input, not a verdict
     for which in ("bundle", "hurewicz"):
         code, out, err = run(capsys, "check", which, "gallery:p1", "--budget", "-1")
         assert (code, out) == (3, "")
         assert "argument --budget: budget must be 0 or more, got -1" in err
-    # 0 is a budget: the search that needs one runs out at once
-    assert run(capsys, "check", "bundle", "gallery:p1", "--budget", "0")[:2] == (
-        2,
-        "undecided (budget exhausted over a)\n",
-    )
-    assert run(capsys, "check", "hurewicz", "gallery:p1", "--budget", "0")[0] == 0
+
+
+def test_the_budget_changes_no_byte_of_the_output(capsys, tmp_path):
+    # both checks read triviality off the lift table and search nothing,
+    # so even a budget of 0 leaves every verdict, document and exit code
+    crown_times_fence = tmp_path / "crown_times_fence.json"
+    base = Poset.build(list("abcde"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "e")])
+    crown_times_fence.write_text(json.dumps(map_to_doc(product(crowns(2, 1, "f"), base)[2])))
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(map_to_doc(crown_cover(2, 4))))
+    targets = ["gallery:pi_sierpinski", "gallery:p1", "gallery:p3", str(crown_times_fence), str(cover)]
+    codes = {}
+    for target in targets:
+        for which in ("bundle", "hurewicz"):
+            for extra in ([], ["--json"], ["--verbose"]):
+                plain = run(capsys, "check", which, target, *extra)
+                for budget in ("0", "1", "1000"):
+                    assert run(capsys, "check", which, target, *extra, "--budget", budget) == plain
+                codes[(target, which)] = plain[0]
+    # a crown over a base with neither minimum nor maximum reaches the
+    # trivial_over_base stage, and a cover of the crown goes past it to unknown
+    assert [codes[(t, "hurewicz")] for t in targets] == [0, 0, 2, 0, 2]
+    assert [codes[(t, "bundle")] for t in targets] == [0, 1, 1, 0, 0]
+    doc = json.loads(run(capsys, "check", "hurewicz", str(crown_times_fence), "--json")[1])
+    assert doc["certificate"]["kind"] == "trivial_over_base"
 
 
 def test_a_document_that_is_not_utf8_is_bad_input(capsys, tmp_path):

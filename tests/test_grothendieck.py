@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfib import grothendieck, verdict
-from finfib.errors import (
-    FunctorialityViolated,
-    NotGrothendieckOpfibration,
-    PreconditionViolated,
-    UnknownElement,
-)
+from finfib.errors import FunctorialityViolated, NotGrothendieckOpfibration, UnknownElement
 from finfib.gallery import gallery_map
 from finfib.grothendieck import (
     PosetFunctor,
@@ -19,17 +14,25 @@ from finfib.grothendieck import (
     is_fiber_bundle,
     reconstruct_over_base,
 )
-from finfib.posets import MonotoneMap, Poset, pair_name, product
+from finfib.posets import MonotoneMap, Poset, isomorphisms, pair_name, product
 from finfib.slices import as_slice
 from helpers import (
+    assert_trivializes,
     brute_lift,
+    crown_cover,
     hand_built_grothendieck_construction,
+    insert_map_down_beat_point,
     map_le,
+    maps,
+    minimal_fiber_pool,
     rand_bundle,
+    rand_fibration,
     rand_functor,
     rand_monotone,
     rand_poset,
+    search_fiber_bundle,
     seeded,
+    twisted_bundle,
 )
 
 
@@ -379,14 +382,8 @@ def test_bundle_trivializations_recheck():
     s = as_slice(pi)
     rep = is_fiber_bundle(pi)
     assert rep.status == "bundle"
-    from finfib.slices import restrict_over
-
     for b, iso in rep.trivializations.items():
-        rest = restrict_over(s, s.base.down_set(b))
-        prod, to_base, _ = product(rest.base, s.fiber(b))
-        phi = MonotoneMap.build(rest.total, prod, iso)
-        assert phi.is_iso()
-        assert phi.then(to_base) == rest.map
+        assert_trivializes(s, s.base.down_set(b), b, iso)
 
 
 def test_automorphism_constructions_are_bundles():
@@ -398,18 +395,64 @@ def test_automorphism_constructions_are_bundles():
         assert is_fiber_bundle(proj).status == "bundle"
 
 
-def test_bundle_budget_runs_out_gracefully():
-    rep = is_fiber_bundle(gallery_map("pi_sierpinski"), budget=0)
-    assert rep.status == "undecided"
-    assert rep.undecided_at == "0"
-    assert rep.failed_at is None
+def assert_bundle_check_matches_the_search(p):
+    """Status and failed_at as the search finds them, each trivialization valid."""
+    s = as_slice(p)
+    got, want = is_fiber_bundle(s), search_fiber_bundle(s)
+    assert (got.status, got.failed_at) == (want.status, want.failed_at)
+    assert list(got.trivializations) == list(want.trivializations)
+    for b, iso in got.trivializations.items():
+        assert_trivializes(s, s.base.down_set(b), b, iso)
+    return got
 
 
-def test_a_negative_bundle_budget_is_refused():
-    # the budget counts attempted assignments, so -1 is not an exhausted one
-    with pytest.raises(PreconditionViolated, match="got -1"):
-        is_fiber_bundle(gallery_map("pi_sierpinski"), budget=-1)
-    assert is_fiber_bundle(gallery_map("pi_sierpinski")).status == "bundle"
+@settings(max_examples=200, deadline=None)
+@given(p=maps())
+def test_bundle_check_matches_the_search_on_random_maps(p):
+    # rand_monotone over bases of up to four points, disconnected ones
+    # included, with up to two inserted map beat points
+    assert_bundle_check_matches_the_search(p)
+
+
+def test_bundle_check_matches_the_search_on_generated_maps():
+    rng = seeded(149)
+    statuses = []
+    for k in range(40):
+        dom, cod = rand_poset(rng, rng.randint(1, 7)), rand_poset(rng, rng.randint(1, 4), prefix="b")
+        for p in (
+            rand_monotone(rng, dom, cod),
+            rand_fibration(rng),
+            rand_bundle(rng)[1],
+            insert_map_down_beat_point(rng, rand_bundle(rng)[1], str(k)),
+            grothendieck_construction(rand_functor(rng)),
+            grothendieck_construction(rand_functor(rng, minimal_fiber_pool())),
+        ):
+            statuses.append(assert_bundle_check_matches_the_search(p).status)
+    assert min(statuses.count("bundle"), statuses.count("not_bundle")) >= 40
+
+
+def test_twisted_crowns_and_covers_are_bundles_as_the_search_finds():
+    # the random generators build forest bases, whose holonomy is trivial;
+    # these bundles go round crowns, with every symmetry of each fiber
+    for fiber in minimal_fiber_pool():
+        for aut in isomorphisms(fiber, fiber):
+            for k, copies in ((2, 1), (3, 1), (2, 2)):
+                rep = assert_bundle_check_matches_the_search(twisted_bundle(k, fiber, aut, copies))
+                assert rep.status == "bundle"
+    for d in (2, 3):
+        for k in (2, 3, 4):
+            assert assert_bundle_check_matches_the_search(crown_cover(d, k)).status == "bundle"
+
+
+def test_a_bijective_transport_must_also_reflect_the_order():
+    # x0 < y0 over v lie below the antichain x, y over b: every lift
+    # exists and the transport x -> x0, y -> y0 is a monotone bijection,
+    # but it is no isomorphism, so U_b is not U_b x F_b
+    total = Poset.build(["x0", "y0", "x", "y"], [("x0", "y0"), ("x0", "x"), ("y0", "y")])
+    p = MonotoneMap.build(total, Poset.chain(["v", "b"]), {"x0": "v", "y0": "v", "x": "b", "y": "b"})
+    assert classify_grothendieck(p).is_fibration
+    rep = assert_bundle_check_matches_the_search(p)
+    assert (rep.status, rep.failed_at, list(rep.trivializations)) == ("not_bundle", "b", ["v"])
 
 
 def chain_functor(variance, fibers, transitions):

@@ -17,7 +17,7 @@ from finfib.errors import (
     SearchBudgetExhausted,
     UnknownElement,
 )
-from finfib.grothendieck import PosetFunctor, grothendieck_construction
+from finfib.grothendieck import grothendieck_construction
 from finfib.posets import (
     MonotoneMap,
     Poset,
@@ -35,6 +35,7 @@ from finfib.posets import (
 from finfib.verdict import _all_labeled_posets
 from helpers import (
     brute_iso,
+    crowns,
     height_keyed_joint_labels,
     hom_poset,
     linear_extremum,
@@ -50,6 +51,7 @@ from helpers import (
     rec_monotone_maps,
     seeded,
     transpose,
+    twisted_bundle,
 )
 
 
@@ -605,17 +607,6 @@ def test_monotone_maps_agree_with_the_recursive_oracle(dom, cod, data):
     assert got == run_out(rec_monotone_maps(dom, cod, guard, **kwargs))
 
 
-def crowns(k, copies, prefix):
-    """Disjoint copies of the 2k-point crown: min i below max i and max i+1 mod k."""
-    names, pairs = [], []
-    for c in range(copies):
-        lo = [f"{prefix}{c}m{i}" for i in range(k)]
-        hi = [f"{prefix}{c}M{i}" for i in range(k)]
-        names += lo + hi
-        pairs += [(lo[i], hi[j % k]) for i in range(k) for j in (i, i + 1)]
-    return Poset.build(names, pairs)
-
-
 def test_the_budget_counts_refuted_candidates_where_refinement_cannot_split():
     # every point of both posets gets one colour, so the search tries and
     # refutes many values before it proves there is no isomorphism
@@ -644,16 +635,6 @@ def test_the_search_prunes_with_maximal_lower_and_minimal_upper_neighbours(oppos
             got = run_out(isomorphisms(p, q, budget=budget))
             assert got == run_out(rec_isomorphisms(p, q, budget=budget))
         assert got[1] is None and len(got[0]) == 4
-
-
-def twisted_bundle(k, fiber, aut):
-    """Bundle over the 2k-point crown with fiber F, twisted by aut on its last cover."""
-    base = crowns(k, 1, "b")
-    covers = base.covers()
-    transitions = {c: MonotoneMap.identity(fiber) for c in covers}
-    transitions[covers[-1]] = MonotoneMap.build(fiber, fiber, aut)
-    d = PosetFunctor(base, "covariant", {b: fiber for b in base.elements}, transitions)
-    return grothendieck_construction(d)
 
 
 def crown_fibers():

@@ -71,6 +71,8 @@ OPTION_KEEP = {
     "search_retract_certificate.max_y": "ROADMAP: the planned certify command takes --max-y",
     "search_retract_certificate.guard": "ROADMAP: the planned certify search takes a bound",
     "decide_hurewicz.certificate": "ROADMAP: the planned --certificate option feeds it",
+    "isomorphisms.budget": "ROADMAP: the planned certify search runs its node budget through _backtrack; "
+    "the node-for-node oracle tests pin it",
 }
 
 
@@ -133,6 +135,8 @@ PUBLIC_KEEP = {
     "search_retract_certificate": "ROADMAP: the planned certify command runs this search",
     "retract_certificate_from_doc": "ROADMAP: the planned certify and --certificate read certificates back",
     "restrict_over_component": "perfbench/spans.py wraps it where verdict imports it",
+    "find_isomorphism_over_base": "perfbench/spans.py wraps it where verdict and grothendieck import it; "
+    "the tests use it as the over-base oracle",
 }
 
 
@@ -159,6 +163,7 @@ def test_every_public_definition_is_used_or_kept_for_a_reason():
 MEMBER_KEEP = {
     "GrothendieckReport.alpha": "README: the removed-names table gives .alpha for alpha_functor",
     "Poset.sub": "README: the removed-names table gives p.sub(keep) for sub_poset",
+    "Poset.down_set": "README: the removed-names table gives p.down_set(a) for strict_down_set and the minimal test",
 }
 
 
