@@ -1,10 +1,13 @@
 """Lifts, transport functors, the construction, and bundle detection."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfib import grothendieck, verdict
+from finfib.cli import main
 from finfib.errors import FunctorialityViolated, NotGrothendieckOpfibration, UnknownElement
 from finfib.gallery import gallery_map
 from finfib.grothendieck import (
@@ -393,6 +396,28 @@ def test_automorphism_constructions_are_bundles():
         beta = classify_grothendieck(proj).beta
         assert all(t.is_iso() for t in beta.transitions.values())
         assert is_fiber_bundle(proj).status == "bundle"
+
+
+def test_bundle_budget_runs_out_gracefully(capsys):
+    # the check reads the lift table and searches nothing, so a budget of
+    # 0 has nothing to run out of: the answer is the whole one
+    rep = is_fiber_bundle(gallery_map("pi_sierpinski"))
+    assert (rep.status, rep.failed_at) == ("bundle", None)
+    assert main(["check", "bundle", "gallery:pi_sierpinski", "--budget", "0"]) == 0
+    assert capsys.readouterr().out == "fiber bundle\n"
+    assert main(["check", "bundle", "gallery:pi_sierpinski", "--budget", "0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["failed_at"], doc["undecided_at"]) == ("bundle", None, None)
+    assert list(doc["trivializations"]) == list(rep.trivializations)
+
+
+def test_a_negative_bundle_budget_is_refused(capsys):
+    # --budget is still validated, so -1 is bad input, not a verdict
+    assert main(["check", "bundle", "gallery:pi_sierpinski", "--budget", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: budget must be 0 or more, got -1" in captured.err
+    assert is_fiber_bundle(gallery_map("pi_sierpinski")).status == "bundle"
 
 
 def assert_bundle_check_matches_the_search(p):

@@ -1,9 +1,13 @@
 """The Hurewicz decision pipeline, its conditions, and its certificates."""
 
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finfib.cli import main
+from finfib.documents import map_to_doc
 from finfib.errors import EmptyDomain, PreconditionViolated
 from finfib.gallery import ENTRIES, gallery_map, gallery_poset
 from finfib.grothendieck import classify_grothendieck, grothendieck_construction, is_fiber_bundle
@@ -389,6 +393,24 @@ def test_triviality_matches_the_search_on_generated_maps():
         ):
             trivial.append(assert_triviality_matches_the_search(p) is not None)
     assert min(trivial.count(True), trivial.count(False)) >= 40
+
+
+def test_a_negative_budget_is_refused(capsys, tmp_path):
+    # a crown over a base with neither minimum nor maximum reaches the
+    # trivial_over_base stage; --budget is still validated, so -1 is bad
+    # input, and 0 leaves the holonomy check its whole answer
+    base = Poset.build(list("abcde"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "e")])
+    _, _, p = product(crowns(2, 1, "f"), base)
+    v = decide_hurewicz(p)
+    assert (v.status, v.certificate.kind) == ("fibration", "trivial_over_base")
+    target = tmp_path / "crown_times_fence.json"
+    target.write_text(json.dumps(map_to_doc(p)))
+    assert main(["check", "hurewicz", str(target), "--budget", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: budget must be 0 or more, got -1" in captured.err
+    assert main(["check", "hurewicz", str(target), "--budget", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["kind"] == "trivial_over_base"
 
 
 def test_holonomy_decides_triviality_on_twisted_crowns_and_covers():
