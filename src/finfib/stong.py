@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CodomainMismatch, InvariantViolated, NotDescending
-from .posets import MonotoneMap, Poset, _bits, _extremum, find_isomorphism
+from .posets import MonotoneMap, Poset, _bits, _extremum, _maximal, find_isomorphism
 
 
 @dataclass(frozen=True)
@@ -67,15 +67,15 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
     It removes the lowest-indexed beat point of the first kind that has
     one; ``fiber_vals`` switches to beat points of a map.  One scan
     finds every point's witness per kind (for kind down, the maximum of
-    its alive strict down-set).  The removal of i then re-examines only
+    its alive strict down-set D_j), and each removal re-examines only
+    the points this lemma leaves:
 
-    - the points whose witness was i; any other witness survives;
-    - the lonely points j (alive, no witness) just above i, with nothing
-      alive strictly between: ``rows[j] & co[i] & alive`` is j alone.
-      The alive strict down-set D of a lonely j is empty or has two or
-      more maximal elements.  Removing an i of D that lies below some z
-      of D keeps them all, so only an i maximal in D can give D a
-      maximum, and a j with i outside D keeps D as it is.
+    Removing i changes D_j only for j above i.  If a surviving z of D_j
+    lies above i, the maximal elements of D_j stay the same, so D_j
+    keeps its maximum or its lack of one.  Only the j in which i is
+    maximal, the minimal alive points above i, need a fresh look; they
+    are the points whose witness was i and the witnessless points with
+    nothing alive between i and them.
 
     Each removed point is redirected to its witness, and the composite
     retraction is resolved at the end.
@@ -85,28 +85,16 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
     ks = range(len(kinds))
     cones = [(x.below, x.above) if kind == "down" else (x.above, x.below) for kind in kinds]
     wit: list[list[Optional[int]]] = [[None] * n for _ in ks]
-    witnessed = [[0] * n for _ in ks]  # witnessed[k][w]: points whose witness is w
-    lonely = [0 for _ in ks]  # alive points without a witness
     cands = [0 for _ in ks]
 
-    def forget(k: int, j: int) -> None:
-        bit = 1 << j
-        if wit[k][j] is not None:
-            witnessed[k][wit[k][j]] &= ~bit
-        lonely[k] &= ~bit
-        cands[k] &= ~bit
-
     def examine(k: int, j: int) -> None:
-        forget(k, j)
         bit = 1 << j
         rows, co = cones[k]
         w = wit[k][j] = _extremum(rows, co, rows[j] & alive & ~bit)
-        if w is None:
-            lonely[k] |= bit
-            return
-        witnessed[k][w] |= bit
-        if fiber_vals is None or fiber_vals[w] == fiber_vals[j]:
+        if w is not None and (fiber_vals is None or fiber_vals[w] == fiber_vals[j]):
             cands[k] |= bit
+        else:
+            cands[k] &= ~bit
 
     for k in ks:
         for j in range(n):
@@ -118,18 +106,9 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
         alive &= ~(1 << i)
         steps.append((i, k, wit[k][i]))
         for k in ks:
-            forget(k, i)
+            cands[k] &= ~(1 << i)
             rows, co = cones[k]
-            redo = witnessed[k][i]
-            up = co[i] & lonely[k]
-            if up:
-                between = co[i] & alive
-                while up:
-                    b = up & -up
-                    if rows[b.bit_length() - 1] & between == b:
-                        redo |= b
-                    up ^= b
-            for j in _bits(redo):
+            for j in _bits(_maximal(co, rows, co[i] & alive)):
                 examine(k, j)
     to = list(range(n))
     for i, _, wi in reversed(steps):

@@ -25,7 +25,7 @@ from .errors import EmptyDomain, InvariantViolated, PreconditionViolated
 from .grothendieck import (
     GrothendieckReport,
     _fiber_pairs,
-    _scan_lifts,
+    _scan_lifts,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     _transport_is_iso,
     classify_grothendieck,
 )
@@ -392,9 +392,7 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     return cert
 
 
-def is_trivial_over_base(
-    p: MapLike, transports: Optional[dict[tuple[int, int], int]] = None
-) -> Optional["Certificate"]:
+def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     """Isomorphism over B with the projection B x F -> B, if one exists.
 
     F is the fiber over the first base element b0.  Over a connected
@@ -411,23 +409,21 @@ def is_trivial_over_base(
     isomorphism of its first fiber with F, found by a search the size
     of one fiber.
 
-    ``transports`` is the cartesian table of p when the caller holds
-    one, which then must be a Grothendieck fibration; without it the
-    lifts are scanned here.  The result is a trivial_over_base
-    certificate about p itself: its ``point`` is b0 and its ``iso`` the
-    isomorphism.
+    ``rep`` is the ``classify_grothendieck`` report of p, whose
+    cartesian table gives every transport; a map that is no
+    Grothendieck fibration gets None.  The result is a
+    trivial_over_base certificate about p itself: its ``point`` is b0
+    and its ``iso`` the isomorphism.
     """
-    s = as_slice(p)
+    if not rep.is_fibration:
+        return None
+    s, transports = rep.slice_map, rep.cartesian
     total, base = s.total, s.base
     if base.n == 0:
         return None
     masks, pairs = _fiber_pairs(s)
     if base.n * masks[0].bit_count() != total.n:
         return None
-    if transports is None:
-        failures, transports = _scan_lifts(s, "cartesian")
-        if failures:
-            return None
     lower, upper, covers = base._cover_table()
     # phi[v] maps each point over v to its point of F
     phi: list[Optional[dict[int, int]]] = [None] * base.n
@@ -614,8 +610,7 @@ def _decide_component(facts: _ComponentFacts) -> ComponentVerdict:
             "height1_max_retract", pc.base.maximum(), red, retract=projection_retract_height1(rep)
         )
         return ComponentVerdict(comp, "fibration", certificate=cert)
-    # the report already holds the reduced map's cartesian table
-    triv = is_trivial_over_base(rep.slice_map, rep.cartesian)
+    triv = is_trivial_over_base(rep)
     if triv is not None:
         return ComponentVerdict(comp, "fibration", certificate=replace(triv, reduction=red))
     report = _evaluate_conditions([facts])

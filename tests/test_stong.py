@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finfib.errors import GuardExceeded, NotDescending
-from finfib.posets import MonotoneMap, Poset, find_isomorphism
+from finfib.posets import MonotoneMap, Poset, _bits, _maximal, find_isomorphism, product
 from finfib.stong import (
     _reduce,
     beat_points,
@@ -20,10 +20,12 @@ from finfib.stong import (
 from finfib.gallery import gallery_poset
 from helpers import (
     all_dbp_retracts,
+    crowns,
     endomaps_below_identity,
     homotopy_classes,
     is_beat_point_brute,
     is_dbp_retract,
+    linear_extremum,
     map_le,
     posets,
     rand_poset,
@@ -246,9 +248,47 @@ def test_core_of_gallery_posets():
 )
 def test_worklist_reduction_agrees_with_the_rescan_oracle(x, kinds, data):
     fiber_vals = data.draw(st.none() | st.lists(st.integers(0, 2), min_size=x.n, max_size=x.n))
+    assert_reduce_agrees_with_the_rescan_oracle(x, kinds, fiber_vals)
+
+
+def assert_reduce_agrees_with_the_rescan_oracle(x, kinds, fiber_vals):
     got = _reduce(x, kinds, fiber_vals)
     want = rescan_reduce(x, kinds, None, fiber_vals=fiber_vals)
     assert (got.removed, got.result, got.retraction) == (want.removed, want.result, want.retraction)
+
+
+@pytest.mark.parametrize("k, m", list(itertools.product([1, 2, 3], range(1, 7))))
+def test_worklist_reduction_agrees_with_the_rescan_oracle_on_crown_times_chain(k, m):
+    # the shuffled projection of crown(k) x chain(m) onto the crown: many
+    # witnessless points lie above the beat points the reduction removes
+    prod, to_crown, _ = product(crowns(k, 1, "b"), Poset.chain([f"c{i}" for i in range(m)]))
+    order = list(prod.elements)
+    seeded(10 * k + m).shuffle(order)
+    x = Poset.build(order, prod.covers())
+    vals = [to_crown.vals[prod.idx(a)] for a in x.elements]
+    for kinds in [("down", "up"), ("down",), ("up",)]:
+        for fiber_vals in (None, vals):
+            assert_reduce_agrees_with_the_rescan_oracle(x, kinds, fiber_vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=posets(max_size=10).filter(len), data=st.data())
+def test_removing_a_point_changes_only_the_witnesses_of_the_minimal_points_above_it(x, data):
+    # the lemma _reduce re-examines by: removing i changes the maximum (or
+    # its lack) of an alive strict down-set D_j only where i is maximal in
+    # D_j, so only for the minimal alive points above i; these are the
+    # points i witnessed and the witnessless ones with nothing between
+    i = data.draw(st.integers(0, x.n - 1))
+    after = data.draw(st.integers(0, (1 << x.n) - 1)) & ~(1 << i)
+    alive = after | 1 << i
+    for rows, co in ((x.below, x.above), (x.above, x.below)):
+        before = {j: linear_extremum(rows, rows[j] & alive & ~(1 << j)) for j in _bits(after)}
+        changed = {j for j in _bits(after) if linear_extremum(rows, rows[j] & after & ~(1 << j)) != before[j]}
+        redo = set(_bits(_maximal(co, rows, co[i] & after)))
+        assert changed <= redo
+        witnessed = {j for j, w in before.items() if w == i}
+        lonely = {j for j, w in before.items() if w is None and rows[j] & co[i] & after == 1 << j}
+        assert redo == witnessed | lonely
 
 
 @pytest.mark.parametrize(

@@ -347,9 +347,9 @@ def test_tampered_certificates_fail_with_the_right_reason():
 
 
 def test_trivial_over_base_detection():
-    assert is_trivial_over_base(gallery_map("pi_sierpinski")) is not None
-    assert is_trivial_over_base(gallery_map("p5_minimal_bifib")) is None
-    found = is_trivial_over_base(smallest_dbp_retract_of_map(gallery_map("p1")).reduced)
+    assert is_trivial_over_base(classify_grothendieck(gallery_map("pi_sierpinski"))) is not None
+    assert is_trivial_over_base(classify_grothendieck(gallery_map("p5_minimal_bifib"))) is None
+    found = is_trivial_over_base(classify_grothendieck(smallest_dbp_retract_of_map(gallery_map("p1")).reduced))
     assert found is not None
     assert (found.kind, found.point, found.reduction, found.retract) == ("trivial_over_base", "a", None, None)
     assert found.iso == {"(a,0)": "(a,(a,0))", "(b,0)": "(b,(a,0))"}
@@ -358,12 +358,8 @@ def test_trivial_over_base_detection():
 def assert_triviality_matches_the_search(p):
     """Trivial exactly when the search finds an isomorphism, and the certificate valid."""
     s = as_slice(p)
-    got = is_trivial_over_base(s)
+    got = is_trivial_over_base(classify_grothendieck(s))
     assert (got is None) == (search_trivial_over_base(s) is None)
-    rep = classify_grothendieck(s)
-    if rep.is_fibration:
-        # the decision hands over the table it already holds
-        assert is_trivial_over_base(s, rep.cartesian) == got
     if got is not None:
         assert (got.kind, got.point, got.reduction, got.retract) == (
             "trivial_over_base", s.base.elements[0], None, None,
@@ -457,7 +453,7 @@ def test_double_covers_of_the_crown_are_decided_without_a_search(k):
     (comp,) = v.components
     assert len(comp.necessary.conditions) == 8 and comp.necessary.all_pass
     assert is_fiber_bundle(p).status == "bundle"
-    assert is_trivial_over_base(p) is None
+    assert is_trivial_over_base(classify_grothendieck(p)) is None
 
 
 def test_certificate_search_finds_small_witnesses():
