@@ -38,7 +38,6 @@ from .errors import (
     EmptyDomain,
     FinfibError,
     FunctorialityViolated,
-    GuardExceeded,
     NotMonotone,
     ParseError,
     UnknownElement,
@@ -155,7 +154,7 @@ def cmd_info(args) -> int:
         "codomain": _poset_info(s.base),
         "values": dict(s.map.values),
         "surjective": s.map.is_surjective(),
-        "fibers": {b: list(s.fiber_elements(b)) for b in s.base.elements},
+        "fibers": {b: list(s.total.names(fm)) for b, fm in zip(s.base.elements, s.fiber_masks)},
         "map_beat_points": {"down": dict(mbp.down), "up": dict(mbp.up)},
     }
     lines = [
@@ -221,15 +220,11 @@ def _check_bundle(args) -> int:
     return 1
 
 
-def _witness_phrase(w: Optional[dict]) -> str:
-    if not w:
-        return "undecided"
-    cond = w.get("condition")
-    if cond == "surjective_over_component":
+def _witness_phrase(w: dict) -> str:
+    # a not_fibration witness fails surjectivity or the reduced bifibration
+    if w["condition"] == "surjective_over_component":
         return f"fiber over {w['missing']} is empty"
-    if cond == "reduced_bifibration":
-        return _lift_phrase(w)
-    return str(w)
+    return _lift_phrase(w)
 
 
 def _check_hurewicz(args) -> int:
@@ -431,9 +426,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GuardExceeded as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return 2
     except FinfibError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -60,7 +60,7 @@ class PreconditionViolated(FinfibError):
 class NotGrothendieckOpfibration(FinfibError):
     """Cocartesian transport was requested from a map that lacks it."""
 
-    def __init__(self, msg, witness=None):
+    def __init__(self, msg, witness):
         super().__init__(msg)
         self.witness = witness
 

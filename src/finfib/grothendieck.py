@@ -79,11 +79,13 @@ class PosetFunctor:
     ``fibers[b]`` is the poset at b.  ``transitions`` holds monotone
     maps for strictly related pairs (lo, hi): covariant functors map
     fibers[lo] -> fibers[hi], contravariant ones fibers[hi] ->
-    fibers[lo].  Every pair left out is filled in by composing given
-    ones (cover transitions suffice), and a pair no composite reaches
-    raises.  The variance and the fiber keys are checked before that,
-    shapes and path independence after it, so instances are always
-    genuine functors with a transition for every strictly related pair.
+    fibers[lo].  The variance, the fiber keys and the pair and shape of
+    every given transition are checked first.  One bottom-up pass then
+    composes each strictly related pair through every point strictly
+    between, in index order: a pair left out takes the first composite
+    (cover transitions suffice), every other composite must equal it,
+    and a pair with neither raises.  So instances are always genuine
+    functors with a transition for every strictly related pair.
     """
 
     __slots__ = ("base", "variance", "fibers", "transitions")
@@ -99,53 +101,40 @@ class PosetFunctor:
             raise FunctorialityViolated(f"unknown variance {variance!r}")
         if set(fibers) != set(base.elements):
             raise UnknownElement("fibers must be indexed exactly by the base elements")
+        co = variance == "covariant"
+        for (lo, hi), t in transitions.items():
+            if lo not in base or hi not in base:
+                raise UnknownElement(f"transition pair ({lo!r}, {hi!r}) is not in the base")
+            if not base.lt(lo, hi):
+                raise FunctorialityViolated(f"transition pair ({lo!r}, {hi!r}) is not strictly related")
+            src, dst = (lo, hi) if co else (hi, lo)
+            if t.dom != fibers[src] or t.cod != fibers[dst]:
+                raise FunctorialityViolated(f"transition for ({lo!r}, {hi!r}) has the wrong fibers")
         filled = dict(transitions)
         # bottom-up over the base, and within each top element nearest lower
         # elements first, so both halves through any point in between exist
+        names = base.elements
         for bi in base._linear_extension():
-            b = base.elements[bi]
+            b = names[bi]
             strict = _bits(base.below[bi] & ~(1 << bi))
             for vi in sorted(strict, key=lambda vi: -base.below[vi].bit_count()):
-                v = base.elements[vi]
-                if (v, b) in filled:
-                    continue
-                between = base.above[vi] & base.below[bi] & ~(1 << vi | 1 << bi)
-                if not between:
+                v = names[vi]
+                for mi in _bits(base.above[vi] & base.below[bi] & ~(1 << vi | 1 << bi)):
+                    mid = names[mi]
+                    lower, upper = filled[(v, mid)], filled[(mid, b)]
+                    through = lower.then(upper) if co else upper.then(lower)
+                    if (v, b) not in filled:
+                        filled[(v, b)] = through
+                    elif filled[(v, b)] != through:
+                        raise FunctorialityViolated(
+                            f"transitions do not compose along {v!r} <= {mid!r} <= {b!r}"
+                        )
+                if (v, b) not in filled:
                     raise FunctorialityViolated(f"missing transition for ({v!r}, {b!r})")
-                step = base.elements[(between & -between).bit_length() - 1]
-                if variance == "covariant":
-                    filled[(v, b)] = filled[(v, step)].then(filled[(step, b)])
-                else:
-                    filled[(v, b)] = filled[(step, b)].then(filled[(v, step)])
         self.base = base
         self.variance = variance
         self.fibers = dict(fibers)
         self.transitions = filled
-        self._validate()
-
-    def _validate(self) -> None:
-        for (lo, hi), t in self.transitions.items():
-            if lo not in self.base or hi not in self.base:
-                raise UnknownElement(f"transition pair ({lo!r}, {hi!r}) is not in the base")
-            if not self.base.lt(lo, hi):
-                raise FunctorialityViolated(f"transition pair ({lo!r}, {hi!r}) is not strictly related")
-            src, dst = (lo, hi) if self.variance == "covariant" else (hi, lo)
-            if t.dom != self.fibers[src] or t.cod != self.fibers[dst]:
-                raise FunctorialityViolated(f"transition for ({lo!r}, {hi!r}) has the wrong fibers")
-        # path independence over every strictly ordered triple
-        for lo, hi in self.transitions:
-            for mi in _bits(self.base.below[self.base.idx(hi)] & self.base.above[self.base.idx(lo)]):
-                mid = self.base.elements[mi]
-                if mid == lo or mid == hi:
-                    continue
-                if self.variance == "covariant":
-                    through = self.transitions[(lo, mid)].then(self.transitions[(mid, hi)])
-                else:
-                    through = self.transitions[(mid, hi)].then(self.transitions[(lo, mid)])
-                if through != self.transitions[(lo, hi)]:
-                    raise FunctorialityViolated(
-                        f"transitions do not compose along {lo!r} <= {mid!r} <= {hi!r}"
-                    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PosetFunctor):
@@ -284,8 +273,9 @@ def grothendieck_construction(d: PosetFunctor) -> SliceMap:
 
     Either way the order is the closure of the fiber covers (reversed
     for a contravariant d) and the pairs (src, y) < (dst, t(y)) of
-    every transition t from the fiber over src to the one over dst;
-    names that collide raise DuplicateName.
+    each cover transition t from the fiber over src to the one over
+    dst; functoriality makes every other transition a composite of
+    those.  Names that collide raise DuplicateName.
     """
     co = d.variance == "covariant"
     names: dict[str, list[str]] = {}
@@ -296,9 +286,9 @@ def grothendieck_construction(d: PosetFunctor) -> SliceMap:
         for lo, hi in fib._cover_pairs():
             lo, hi = at[lo], at[hi]
             pairs.append((lo, hi) if co else (hi, lo))
-    for (lo, hi), t in d.transitions.items():
+    for lo, hi in d.base.covers():
         src, dst = (names[lo], names[hi]) if co else (names[hi], names[lo])
-        pairs.extend(zip(src, (dst[v] for v in t.vals)))
+        pairs.extend(zip(src, (dst[v] for v in d.transitions[(lo, hi)].vals)))
     total = Poset.build((x for b in d.base.elements for x in names[b]), pairs)
     owner = tuple(bi for bi, b in enumerate(d.base.elements) for _ in names[b])
     return SliceMap(MonotoneMap(total, d.base if co else d.base.op(), owner))
@@ -337,15 +327,14 @@ def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:
     return integ, phi
 
 
-def _fiber_pairs(s: SliceMap) -> tuple[list[int], list[int]]:
-    """Each fiber's mask and its number of comparable pairs, by base index."""
+def _fiber_pairs(s: SliceMap) -> list[int]:
+    """Each fiber's number of comparable pairs, by base index."""
     below = s.total.below
-    masks = [s._fiber_masks.get(bi, 0) for bi in range(s.base.n)]
-    return masks, [sum((below[x] & m).bit_count() for x in _bits(m)) for m in masks]
+    return [sum((below[x] & m).bit_count() for x in _bits(m)) for m in s.fiber_masks]
 
 
 def _transport_is_iso(
-    cart: dict[tuple[int, int], int], masks: list[int], pairs: list[int], vi: int, bi: int
+    cart: dict[tuple[int, int], int], masks: tuple[int, ...], pairs: list[int], vi: int, bi: int
 ) -> bool:
     """Whether the cartesian transport F_b -> F_v of v <= b is an order isomorphism.
 
@@ -397,7 +386,7 @@ def is_fiber_bundle(p: MapLike) -> BundleReport:
     tops = 0  # base points over which some point misses a lift
     for f in failures:
         tops |= 1 << vals[total.index[f.e]]
-    masks, pairs = _fiber_pairs(s)
+    masks, pairs = s.fiber_masks, _fiber_pairs(s)
     trivializations: dict[str, dict[str, str]] = {}
     for bi, b in enumerate(base.elements):
         down = base.below[bi]

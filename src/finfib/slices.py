@@ -21,19 +21,20 @@ from .stong import BeatPointReport, ReductionTrace, _reduce, beat_points
 class SliceMap:
     """A monotone map bundled with its fiber decomposition.
 
-    Wraps p: E -> B; ``total`` is E, ``base`` is B.  Fibers are cached
+    Wraps p: E -> B; ``total`` is E, ``base`` is B.  ``fiber_masks[bi]``
+    is the mask of the points over base index bi; fibers are cached
     sub-posets.  An empty total space is allowed and flagged, so that
     restrictions to untouched parts of the base stay representable.
     """
 
-    __slots__ = ("map", "_fiber_masks", "_fibers")
+    __slots__ = ("map", "fiber_masks", "_fibers")
 
     def __init__(self, m: MonotoneMap):
         self.map = m
-        masks: dict[int, int] = {}
+        masks = [0] * m.cod.n
         for i, v in enumerate(m.vals):
-            masks[v] = masks.get(v, 0) | 1 << i
-        self._fiber_masks = masks
+            masks[v] |= 1 << i
+        self.fiber_masks = tuple(masks)
         self._fibers: dict[int, Poset] = {}
 
     @property
@@ -62,36 +63,25 @@ class SliceMap:
     def __call__(self, name: str) -> str:
         return self.map(name)
 
-    def fiber_mask(self, b: str) -> int:
-        return self._fiber_masks.get(self.base.idx(b), 0)
-
     def preimage(self, base_mask: int) -> int:
         """Mask of the total-space points over the base points in base_mask."""
         # the fibers are disjoint, so their sum is their union
-        return sum(fm for bi, fm in self._fiber_masks.items() if base_mask >> bi & 1)
-
-    def fiber_elements(self, b: str) -> tuple[str, ...]:
-        return self.total.names(self.fiber_mask(b))
+        return sum(self.fiber_masks[bi] for bi in _bits(base_mask))
 
     def fiber(self, b: str) -> Poset:
         """The fiber over b as a sub-poset of the total space."""
         bi = self.base.idx(b)
         got = self._fibers.get(bi)
         if got is None:
-            got = self.total._sub_mask(self._fiber_masks.get(bi, 0))
-            self._fibers[bi] = got
+            got = self._fibers[bi] = self.total._sub_mask(self.fiber_masks[bi])
         return got
 
-    def touched(self) -> tuple[str, ...]:
-        """Base elements with a nonempty fiber."""
-        return tuple(b for i, b in enumerate(self.base.elements) if self._fiber_masks.get(i))
-
     def missed(self) -> tuple[str, ...]:
-        return tuple(b for i, b in enumerate(self.base.elements) if not self._fiber_masks.get(i))
+        return tuple(b for b, fm in zip(self.base.elements, self.fiber_masks) if not fm)
 
     def touched_components(self) -> tuple[tuple[str, ...], ...]:
         """Base components meeting the image of the map."""
-        hit = set(self.touched())
+        hit = {b for b, fm in zip(self.base.elements, self.fiber_masks) if fm}
         return tuple(c for c in self.base.components() if hit.intersection(c))
 
     def op(self) -> "SliceMap":

@@ -68,7 +68,7 @@ def is_open_map(p: MapLike) -> tuple[bool, Optional[dict]]:
     s = as_slice(p)
     below, vals = s.total.below, s.map.vals
     lower = s.base._cover_table()[0]
-    fib = [s._fiber_masks.get(b, 0) for b in range(s.base.n)]
+    fib = s.fiber_masks
     if all(below[ei] & fib[b] for ei, v in enumerate(vals) for b in lower[v]):
         return True, None
     for ei, e in enumerate(s.total.elements):
@@ -166,14 +166,13 @@ def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
     for ei, e in enumerate(pc.total.elements):
         pe = pc.map.vals[ei]
         for bi in _bits(pc.base.below[pe]):
-            b = pc.base.elements[bi]
-            m = pc.total.below[ei] & pc.fiber_mask(b)
+            m = pc.total.below[ei] & pc.fiber_masks[bi]
             if not m:
-                return {"e": e, "b": b, "reason": "empty"}
+                return {"e": e, "b": pc.base.elements[bi], "reason": "empty"}
             # a set with a maximum (e itself over p(e)) is contractible
             cone = _extremum(pc.total.below, pc.total.above, m) is not None
             if not cone and not is_contractible(pc.total._sub_mask(m)):
-                return {"e": e, "b": b, "reason": "not_contractible"}
+                return {"e": e, "b": pc.base.elements[bi], "reason": "not_contractible"}
     return None
 
 
@@ -183,9 +182,9 @@ def _cond_up_reachability(f: _ComponentFacts) -> Optional[dict]:
     # every fiber above p(e)
     for ei, e in enumerate(pc.total.elements):
         pe = pc.map.vals[ei]
-        lower_same_fiber = pc.total.below[ei] & pc.fiber_mask(pc.base.elements[pe])
+        lower_same_fiber = pc.total.below[ei] & pc.fiber_masks[pe]
         for bi in _bits(pc.base.above[pe] & ~(1 << pe)):
-            target = pc.fiber_mask(pc.base.elements[bi])
+            target = pc.fiber_masks[bi]
             if not any(pc.total.above[j] & target for j in _bits(lower_same_fiber)):
                 return {"e": e, "b": pc.base.elements[bi]}
     return None
@@ -421,7 +420,7 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     total, base = s.total, s.base
     if base.n == 0:
         return None
-    masks, pairs = _fiber_pairs(s)
+    masks, pairs = s.fiber_masks, _fiber_pairs(s)
     if base.n * masks[0].bit_count() != total.n:
         return None
     lower, upper, covers = base._cover_table()

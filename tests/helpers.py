@@ -283,7 +283,7 @@ def fiberwise_down_fiber_nonempty(pc):
     for ei, e in enumerate(pc.total.elements):
         pe = pc.map.vals[ei]
         for bi in _bits(pc.base.below[pe]):
-            if not pc.total.below[ei] & pc.fiber_mask(pc.base.elements[bi]):
+            if not pc.total.below[ei] & pc.fiber_masks[bi]:
                 return {"e": e, "b": pc.base.elements[bi]}
     return None
 
@@ -299,7 +299,7 @@ def every_pair_down_fiber_contractible(pc):
         pe = pc.map.vals[ei]
         for bi in _bits(pc.base.below[pe]):
             b = pc.base.elements[bi]
-            m = pc.total.below[ei] & pc.fiber_mask(b)
+            m = pc.total.below[ei] & pc.fiber_masks[bi]
             if not m:
                 return {"e": e, "b": b, "reason": "empty"}
             if core(pc.total.sub(pc.total.names(m))).result.n != 1:

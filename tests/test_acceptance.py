@@ -105,7 +105,7 @@ def test_criterion_3_p3_stays_unknown():
     assert search_retract_certificate(p3, max_y=3) is None
     s = as_slice(p3)
     shared = set(s.total.down_set("(c,0)")) & set(s.total.down_set("(d,0)"))
-    assert not shared & set(s.fiber_elements("a"))
+    assert not shared & set(s.fiber("a").elements)
 
 
 @report(4)

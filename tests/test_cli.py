@@ -425,6 +425,21 @@ def test_construct_rejects_non_functor_input(capsys, tmp_path):
     assert "construct" in err
 
 
+def test_construct_names_a_reversed_transition_key(capsys, tmp_path):
+    # "b<=a" over a < b is a pair the base does not order that way
+    f = tmp_path / "reversed.json"
+    f.write_text(json.dumps({
+        "base": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+        "variance": "covariant",
+        "fibers": {"a": {"elements": ["u"], "covers": []}, "b": {"elements": ["u"], "covers": []}},
+        "transitions": {"b<=a": {"u": "u"}},
+    }))
+    code, out, err = run(capsys, "construct", str(f))
+    assert code == 3
+    assert out == ""
+    assert "transition pair ('b', 'a') is not strictly related" in err
+
+
 def test_construct_refuses_colliding_pair_names(capsys, tmp_path):
     # base point a with fiber point "b,c" and base point "a,b" with fiber
     # point c both name the pair "(a,b,c)"

@@ -506,6 +506,43 @@ def test_a_functor_checks_its_variance_before_it_composes():
     assert chain_functor("covariant", fibers, up).transitions[("a", "c")].vals == (0,)
 
 
+def test_a_functor_checks_the_shape_of_each_given_transition_before_it_composes():
+    two = Poset.chain(["u", "v"])
+    three = Poset.chain(["x", "y", "z"])
+    fibers = {"a": Poset.build(["o"], []), "b": two, "c": three}
+    # (a, b) lands in the fiber over c, so composing it with (b, c) would mismatch
+    wrong = {
+        ("a", "b"): MonotoneMap(fibers["a"], three, (0,)),
+        ("b", "c"): MonotoneMap(two, three, (0, 1)),
+    }
+    with pytest.raises(FunctorialityViolated, match=r"transition for \('a', 'b'\) has the wrong fibers"):
+        chain_functor("covariant", fibers, wrong)
+
+
+def from_covers(d):
+    """d rebuilt from its cover transitions alone."""
+    covers = {c: d.transitions[c] for c in d.base.covers()}
+    return PosetFunctor(d.base, d.variance, d.fibers, covers)
+
+
+def test_a_functor_is_rebuilt_from_its_cover_transitions():
+    # the one pass fills every other pair with the composite the full
+    # functor holds, for both variances
+    rng = seeded(181)
+    checked = 0
+    for _ in range(45):
+        d = rand_functor(rng)
+        for e in (d, flipped(d)):
+            assert from_covers(e) == e
+            checked += 1
+        rep = classify_grothendieck(rand_fibration(rng))
+        for e in (rep.alpha, rep.beta):
+            assert e is not None
+            assert from_covers(e) == e
+            checked += 1
+    assert checked == 180
+
+
 def count_lift_scans(monkeypatch):
     """Record the side of every ``_scan_lifts`` call, through both bindings."""
     sides = []
