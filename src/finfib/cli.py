@@ -73,12 +73,20 @@ _CERT_NAMES = {
 }
 
 
+def _read_json(target: str, text: str):
+    """Decode JSON with unique keys; a document nested too deeply to decode is bad input."""
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except RecursionError:
+        raise ParseError(f"{target}: JSON nested too deeply to decode") from None
+
+
 def _load_target(target: str) -> Union[Poset, MonotoneMap]:
     if target.startswith("gallery:"):
         return gallery_entry(target[len("gallery:") :]).build()
     text = Path(target).read_text()
     if text.lstrip().startswith(("{", "[")):
-        doc = json.loads(text, object_pairs_hook=unique_keys)
+        doc = _read_json(target, text)
         kind = detect_doc_kind(doc)
         if kind == "poset":
             return poset_from_doc(doc)
@@ -322,7 +330,7 @@ def cmd_construct(args) -> int:
     text = Path(args.target).read_text()
     if not text.lstrip().startswith(("{", "[")):
         raise ParseError(f"{args.target}: functor documents are JSON only")
-    doc = json.loads(text, object_pairs_hook=unique_keys)
+    doc = _read_json(args.target, text)
     if detect_doc_kind(doc) != "functor":
         raise ParseError(f"{args.target}: not a functor document")
     functor = functor_from_doc(doc)

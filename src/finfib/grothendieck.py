@@ -57,22 +57,6 @@ class LiftFailure:
         return d
 
 
-def _lift(s: SliceMap, side: str, ei: int, bi: int, pre: int) -> tuple[Optional[int], Optional[str]]:
-    """Index-level lift of total element ei over base element bi.
-
-    ``pre`` is the preimage of U_b (cartesian) or F_b (cocartesian);
-    the lift is the maximum of U_e (minimum of F_e) inside it, and it
-    must sit over b.  Returns (transport, None) on success, otherwise
-    (stray, reason) with stray the extremum outside the fiber or None.
-    """
-    t = s.total
-    rows, co, ext = (t.below, t.above, "maximum") if side == "cartesian" else (t.above, t.below, "minimum")
-    i = _extremum(rows, co, rows[ei] & pre)
-    if i is None:
-        return None, f"no_{ext}"
-    return i, None if s.map.vals[i] == bi else f"{ext}_outside_fiber"
-
-
 class PosetFunctor:
     """A functor from a poset into finite posets.
 
@@ -158,24 +142,29 @@ def _scan_lifts(
 ) -> tuple[list[LiftFailure], dict[tuple[int, int], int]]:
     """Every lift on one side: all failures and the transport table.
 
-    The table maps index pairs (e, b) to the lift of e over b wherever it
-    exists, for b in U_p(e) (cartesian) or F_p(e) (cocartesian); the
-    trivial lift over p(e) is e itself, recorded without a search.
+    The lift of e over b is the maximum of U_e in p^-1(U_b) (cartesian)
+    or the minimum of F_e in p^-1(F_b) (cocartesian), and it must sit
+    over b.  The table maps index pairs (e, b) to it wherever it exists;
+    the trivial lift over p(e) is e itself, recorded without a search.
     Failures are listed e-major, base-index-minor.
     """
     total, base, vals = s.total, s.base, s.map.vals
-    rows = base.below if side == "cartesian" else base.above
-    pre = [s.preimage(row) for row in rows]
+    if side == "cartesian":
+        rows, co, reach, ext = total.below, total.above, base.below, "maximum"
+    else:
+        rows, co, reach, ext = total.above, total.below, base.above, "minimum"
+    pre = [s.preimage(row) for row in reach]
     failures: list[LiftFailure] = []
     transports: dict[tuple[int, int], int] = {}
     for ei in range(total.n):
         transports[(ei, vals[ei])] = ei
-        for bi in _bits(rows[vals[ei]] & ~(1 << vals[ei])):
-            i, reason = _lift(s, side, ei, bi, pre[bi])
-            if reason is None:
+        for bi in _bits(reach[vals[ei]] & ~(1 << vals[ei])):
+            i = _extremum(rows, co, rows[ei] & pre[bi])
+            if i is not None and vals[i] == bi:
                 transports[(ei, bi)] = i
             else:
                 stray = None if i is None else total.elements[i]
+                reason = f"no_{ext}" if i is None else f"{ext}_outside_fiber"
                 failures.append(LiftFailure(side, total.elements[ei], base.elements[bi], reason, stray))
     return failures, transports
 
@@ -327,29 +316,38 @@ def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:
     return integ, phi
 
 
-def _fiber_pairs(s: SliceMap) -> list[int]:
-    """Each fiber's number of comparable pairs, by base index."""
-    below = s.total.below
-    return [sum((below[x] & m).bit_count() for x in _bits(m)) for m in s.fiber_masks]
+def _defects(s: SliceMap, failures: list[LiftFailure], cart: dict[tuple[int, int], int]) -> int:
+    """Base mask of the points where local triviality breaks.
 
-
-def _transport_is_iso(
-    cart: dict[tuple[int, int], int], masks: tuple[int, ...], pairs: list[int], vi: int, bi: int
-) -> bool:
-    """Whether the cartesian transport F_b -> F_v of v <= b is an order isomorphism.
-
-    A transport is monotone: x <= y gives alpha(x) <= x <= y, and alpha(y)
-    is the largest point over v below y.  So a bijective one maps the
-    comparable pairs of F_b injectively into those of F_v, and it is an
-    isomorphism exactly when the two counts agree.
+    ``failures`` and ``cart`` come from the cartesian ``_scan_lifts`` of
+    s.  A defect is the top p(e) of a failing lift, or the top w of a
+    cover u < w (w not already a defect) whose transport F_w -> F_u is
+    no order isomorphism.  A transport is monotone: x <= y gives
+    alpha(x) <= x <= y, and alpha(y) is the largest point over u below
+    y.  So a bijective one maps the comparable pairs of F_w injectively
+    into those of F_u, and it is an isomorphism exactly when the two
+    counts agree.  Over a U_b with no failing tops the lifts compose:
+    for u <= w <= b and y over b, every point of U_y over U_u lies below
+    alpha_{w<=b}(y), so alpha_{u<=w} alpha_{w<=b} = alpha_{u<=b}.  Hence
+    every alpha_{v<=b} is an isomorphism exactly when the cover
+    transports inside U_b are, that is when U_b holds no defect.
     """
-    src, dst = masks[bi], masks[vi]
-    if src.bit_count() != dst.bit_count() or pairs[bi] != pairs[vi]:
-        return False
-    image = 0
-    for y in _bits(src):
-        image |= 1 << cart[(y, vi)]
-    return image == dst
+    below, vals, masks = s.total.below, s.map.vals, s.fiber_masks
+    pairs = [sum((below[x] & m).bit_count() for x in _bits(m)) for m in masks]
+    defects = 0
+    for f in failures:
+        defects |= 1 << vals[s.total.index[f.e]]
+    for w, lower in enumerate(s.base._cover_table()[0]):
+        src = masks[w]
+        for u in lower:
+            if defects >> w & 1:
+                break
+            # with as many bits in dst as in src, the image bits sum to dst only if none collide
+            dst = masks[u]
+            same = src.bit_count() == dst.bit_count() and pairs[w] == pairs[u]
+            if not same or sum(1 << cart[(y, u)] for y in _bits(src)) != dst:
+                defects |= 1 << w
+    return defects
 
 
 @dataclass(frozen=True)
@@ -372,7 +370,8 @@ def is_fiber_bundle(p: MapLike) -> BundleReport:
     The restriction of p over U_b is isomorphic to U_b x F_b over U_b
     exactly when every point over U_b has all its cartesian lifts and
     every transport alpha_{v<=b}: F_b -> F_v, v <= b, is an order
-    isomorphism; the first b where that fails is ``failed_at``.
+    isomorphism, that is when U_b holds no point of ``_defects``; the
+    first b where that fails is ``failed_at``.
     (<=) Send x to (p(x), alpha_{p(x)<=b}^-1(x)).  For u = p(x) <= w =
     p(y), x <= y holds exactly when x <= alpha_{u<=w}(y), the largest
     point over u below y, and alpha_{u<=b} = alpha_{u<=w} alpha_{w<=b}
@@ -383,18 +382,13 @@ def is_fiber_bundle(p: MapLike) -> BundleReport:
     s = as_slice(p)
     total, base, vals = s.total, s.base, s.map.vals
     failures, cart = _scan_lifts(s, "cartesian")
-    tops = 0  # base points over which some point misses a lift
-    for f in failures:
-        tops |= 1 << vals[total.index[f.e]]
-    masks, pairs = s.fiber_masks, _fiber_pairs(s)
+    defects = _defects(s, failures, cart)
     trivializations: dict[str, dict[str, str]] = {}
     for bi, b in enumerate(base.elements):
         down = base.below[bi]
-        if down & tops or not all(
-            _transport_is_iso(cart, masks, pairs, vi, bi) for vi in _bits(down & ~(1 << bi))
-        ):
+        if down & defects:
             return BundleReport("not_bundle", trivializations, failed_at=b)
-        back = {cart[(y, vi)]: y for y in _bits(masks[bi]) for vi in _bits(down)}
+        back = {cart[(y, vi)]: y for y in _bits(s.fiber_masks[bi]) for vi in _bits(down)}
         trivializations[b] = {
             total.elements[x]: pair_name(base.elements[vals[x]], total.elements[back[x]])
             for x in _bits(s.preimage(down))

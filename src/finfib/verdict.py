@@ -24,9 +24,8 @@ from typing import Optional, Sequence
 from .errors import EmptyDomain, InvariantViolated, PreconditionViolated
 from .grothendieck import (
     GrothendieckReport,
-    _fiber_pairs,
+    _defects,
     _scan_lifts,  # noqa: F401 -- perfbench/spans.py wraps it under this module
-    _transport_is_iso,
     classify_grothendieck,
 )
 from .posets import (
@@ -165,11 +164,12 @@ def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
     pc = f.pc
     for ei, e in enumerate(pc.total.elements):
         pe = pc.map.vals[ei]
-        for bi in _bits(pc.base.below[pe]):
+        # over p(e) itself the set has the maximum e, so it never fails there
+        for bi in _bits(pc.base.below[pe] & ~(1 << pe)):
             m = pc.total.below[ei] & pc.fiber_masks[bi]
             if not m:
                 return {"e": e, "b": pc.base.elements[bi], "reason": "empty"}
-            # a set with a maximum (e itself over p(e)) is contractible
+            # a set with a maximum is contractible
             cone = _extremum(pc.total.below, pc.total.above, m) is not None
             if not cone and not is_contractible(pc.total._sub_mask(m)):
                 return {"e": e, "b": pc.base.elements[bi], "reason": "not_contractible"}
@@ -312,7 +312,8 @@ def verify_retract_certificate(
     """Re-check a retract certificate from scratch.
 
     Returns (True, None) or (False, reason), the reason naming the
-    shape constraint or the first violated identity.
+    shape constraint, the first map that is not monotone (checked on
+    its domain's covers) or the first violated identity.
     """
     sl = as_slice(p)
     prod, to_x, _ = product(cert.x, cert.y)
@@ -324,6 +325,10 @@ def verify_retract_certificate(
         return False, "j must map the base into x"
     if cert.s.dom != cert.x or cert.s.cod != sl.base:
         return False, "s must map x onto the base"
+    for name, f in (("i", cert.i), ("r", cert.r), ("j", cert.j), ("s", cert.s)):
+        rows = f.cod.below
+        if any(not rows[f.vals[hi]] >> f.vals[lo] & 1 for lo, hi in f.dom._cover_pairs()):
+            return False, f"{name} is not monotone"
     if cert.i.then(cert.r) != MonotoneMap.identity(sl.total):
         return False, "r i = Id_E fails"
     if cert.j.then(cert.s) != MonotoneMap.identity(sl.base):
@@ -344,8 +349,8 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     first pushes (b, e) up into the fiber of the maximum (cocartesian
     transport), then back down into the fiber of b (cartesian
     transport).  Height 1 makes that composite monotone; preconditions
-    are checked up front and every claimed identity is validated on the
-    result.
+    are checked up front, and the result is verified, monotonicity and
+    every claimed identity included.
     """
     s = rep.slice_map
     if s.is_empty:
@@ -374,9 +379,7 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
         if not total.below[mid] >> ei & 1:
             raise InvariantViolated("cocartesian transport to the maximum is not above its source")
         r_vals[k] = cart[(mid, bi)]
-    r = MonotoneMap.build(
-        prod, total, {prod.elements[k]: total.elements[r_vals[k]] for k in range(prod.n)}
-    )
+    r = MonotoneMap(prod, total, r_vals)
     # downward transport never leaves the minimal open of its argument
     for ei in range(total.n):
         for bi in _bits(base.below[vals[ei]]):
@@ -397,16 +400,17 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     F is the fiber over the first base element b0.  Over a connected
     base, p is isomorphic to B x F over B exactly when it is a
     Grothendieck fibration whose transports are isomorphisms and whose
-    holonomy is trivial.  So F is carried along a spanning tree of B's
-    Hasse diagram, phi_u alpha_{u<=w} = phi_w on each tree cover u < w,
-    and every other cover must agree with it.  (<=) x -> (p(x),
+    holonomy is trivial.  The transports are isomorphisms when the base
+    holds no ``_defects``.  Then F is carried along a spanning tree of
+    B's Hasse diagram, phi_u alpha_{u<=w} = phi_w on each tree cover
+    u < w, and every other cover must agree with it.  (<=) x -> (p(x),
     phi_{p(x)}(x)) is an isomorphism, by the argument of
     ``is_fiber_bundle`` with phi in place of alpha^-1.  (=>) The
     transports of B x F are identities, so conjugated by an isomorphism
     h they are h_u^-1 h_w, and phi_v = h_b0^-1 h_v agrees on every
     cover.  Each further component of the base starts from an
     isomorphism of its first fiber with F, found by a search the size
-    of one fiber.
+    of one fiber that fails at once when the sizes differ.
 
     ``rep`` is the ``classify_grothendieck`` report of p, whose
     cartesian table gives every transport; a map that is no
@@ -414,14 +418,9 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     trivial_over_base certificate about p itself: its ``point`` is b0
     and its ``iso`` the isomorphism.
     """
-    if not rep.is_fibration:
-        return None
     s, transports = rep.slice_map, rep.cartesian
-    total, base = s.total, s.base
-    if base.n == 0:
-        return None
-    masks, pairs = s.fiber_masks, _fiber_pairs(s)
-    if base.n * masks[0].bit_count() != total.n:
+    total, base, masks = s.total, s.base, s.fiber_masks
+    if not rep.is_fibration or base.n == 0 or _defects(s, [], transports):
         return None
     lower, upper, covers = base._cover_table()
     # phi[v] maps each point over v to its point of F
@@ -441,14 +440,10 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
             w = todo.pop()
             for u in lower[w]:
                 if phi[u] is None:
-                    if not _transport_is_iso(transports, masks, pairs, u, w):
-                        return None
                     phi[u] = {transports[(x, u)]: y for x, y in phi[w].items()}
                     todo.append(u)
             for v in upper[w]:
                 if phi[v] is None:
-                    if not _transport_is_iso(transports, masks, pairs, w, v):
-                        return None
                     phi[v] = {x: phi[w][transports[(x, w)]] for x in _bits(masks[v])}
                     todo.append(v)
     # trivial holonomy: every cover, tree or not, commutes with phi

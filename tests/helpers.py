@@ -307,6 +307,23 @@ def every_pair_down_fiber_contractible(pc):
     return None
 
 
+def elementwise_up_reachability(pc):
+    """First (e, b) with p(e) < b and no e' <= e over p(e) below a point over b, or None.
+
+    Every triple is tried through ``Poset.le`` and the map's names, with
+    no masks and no short cut.
+    """
+    total, base, p = pc.total, pc.base, pc.map
+    for e in total.elements:
+        for b in base.elements:
+            if not base.lt(p(e), b):
+                continue
+            lower = [x for x in total.elements if total.le(x, e) and p(x) == p(e)]
+            if not any(total.le(x, y) and p(y) == b for x in lower for y in total.elements):
+                return {"e": e, "b": b}
+    return None
+
+
 def scan_beat_point_dichotomy(f):
     """``verdict._cond_beat_point_dichotomy`` with a scan of E for map beat
     points, kept verbatim as an oracle."""

@@ -326,6 +326,19 @@ def test_a_repeated_key_entry_clause_or_block_is_bad_input(capsys, tmp_path, com
     assert repeat in err
 
 
+@pytest.mark.parametrize("command", [["info"], ["check", "bundle"], ["construct"]])
+@pytest.mark.parametrize("brackets", ["[]", "{}"])
+def test_a_document_nested_too_deeply_to_decode_is_bad_input(capsys, tmp_path, command, brackets):
+    # the decoder gives up on 100,000 levels with a RecursionError; that is
+    # the document's fault, while one from the engine still exits 4
+    deep = tmp_path / "deep.json"
+    opening = "[" if brackets == "[]" else '{"a": '
+    deep.write_text(opening * 100_000 + "0" + brackets[1] * 100_000)
+    code, out, err = run(capsys, *command, str(deep))
+    assert (code, out) == (3, "")
+    assert err == f"error: {deep}: JSON nested too deeply to decode\n"
+
+
 def test_invariant_violation_exits_4(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantViolated("injected")

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 
 from finfib.cli import main
 from finfib.documents import map_to_doc
-from finfib.errors import EmptyDomain, PreconditionViolated
+from finfib.errors import EmptyDomain, InvariantViolated, PreconditionViolated
 from finfib.gallery import ENTRIES, gallery_map, gallery_poset
-from finfib.grothendieck import classify_grothendieck, grothendieck_construction, is_fiber_bundle
+from finfib.grothendieck import (
+    PosetFunctor,
+    classify_grothendieck,
+    grothendieck_construction,
+    is_fiber_bundle,
+)
 from finfib.posets import MonotoneMap, Poset, find_isomorphism, isomorphisms, product
 from finfib.slices import as_slice, map_core, restrict_over, smallest_dbp_retract_of_map
 from finfib.stong import core, smallest_dbp_retract
@@ -23,6 +28,7 @@ from finfib.verdict import (
     _cond_down_fiber_contractible,
     _cond_down_fiber_nonempty,
     _cond_ed_inside_preimage_bd,
+    _cond_up_reachability,
     decide_hurewicz,
     is_closed_map,
     is_open_map,
@@ -37,6 +43,7 @@ from helpers import (
     census_unknown,
     crown_cover,
     crowns,
+    elementwise_up_reachability,
     every_pair_down_fiber_contractible,
     fiberwise_down_fiber_nonempty,
     insert_map_down_beat_point,
@@ -60,7 +67,7 @@ from helpers import (
     twisted_bundle,
     unshared_ed_inside_preimage_bd,
 )
-from test_grothendieck import collect_bifibrations
+from test_grothendieck import assert_bundle_check_matches_the_search, collect_bifibrations
 
 
 def test_open_and_closed_on_gallery_maps():
@@ -346,6 +353,36 @@ def test_tampered_certificates_fail_with_the_right_reason():
     assert not ok and "i must map" in reason
 
 
+def test_a_retract_that_is_not_monotone_does_not_verify():
+    # X = B and Y = E with the section i(e) = (p(e), e); r sends every
+    # (b, e) off the section to the first point over b.  All four
+    # identities hold, but r is not monotone, so it proves nothing
+    p = as_slice(gallery_map("p3"))
+    total, base, vals = p.total, p.base, p.map.vals
+    prod, _, _ = product(base, total)
+    i = MonotoneMap(total, prod, [vals[e] * total.n + e for e in range(total.n)])
+    first = [(m & -m).bit_length() - 1 for m in p.fiber_masks]
+    pairs = (divmod(k, total.n) for k in range(prod.n))
+    r = MonotoneMap(prod, total, [e if vals[e] == b else first[b] for b, e in pairs])
+    ident = MonotoneMap.identity(base)
+    cert = RetractCertificate(base, total, i, r, ident, ident)
+    assert verify_retract_certificate(p, cert) == (False, "r is not monotone")
+    assert decide_hurewicz(p, certificate=cert).status == "unknown"
+
+
+def test_a_faulty_retract_construction_is_an_internal_error():
+    # pushing (a,0) up to (c,1), not to its cocartesian lift (c,0), keeps
+    # every identity but breaks the monotonicity of r: a fault of the
+    # engine, so InvariantViolated (exit 4), not NotMonotone (bad input)
+    vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    _, p, _ = product(vee, Poset.chain(["0", "1"]))
+    rep = classify_grothendieck(p)
+    total = as_slice(p).total
+    rep.cocartesian[(total.idx("(a,0)"), vee.idx("c"))] = total.idx("(c,1)")
+    with pytest.raises(InvariantViolated, match="r is not monotone"):
+        projection_retract_height1(rep)
+
+
 def test_trivial_over_base_detection():
     assert is_trivial_over_base(classify_grothendieck(gallery_map("pi_sierpinski"))) is not None
     assert is_trivial_over_base(classify_grothendieck(gallery_map("p5_minimal_bifib"))) is None
@@ -422,6 +459,29 @@ def test_holonomy_decides_triviality_on_twisted_crowns_and_covers():
     for d in (2, 3):
         for k in (2, 3, 4):
             assert assert_triviality_matches_the_search(crown_cover(d, k)) is None
+
+
+@pytest.mark.parametrize("twist", ["collapse", "swap"])
+def test_the_cover_the_spanning_tree_leaves_out_is_checked_too(twist):
+    # alpha is the identity on every cover of crown(3) but one, so one of
+    # these maps carries the odd transport on the cover the spanning tree
+    # of is_trivial_over_base leaves out: a collapse of the chain x < y,
+    # no isomorphism, or the swap of the antichain x, y, an isomorphism
+    # with nontrivial holonomy
+    base = crowns(3, 1, "b")
+    fiber = Poset.chain(["x", "y"]) if twist == "collapse" else Poset.build(["x", "y"], [])
+    values = {"x": "x", "y": "x"} if twist == "collapse" else {"x": "y", "y": "x"}
+    odd = MonotoneMap.build(fiber, fiber, values)
+    for cover in base.covers():
+        transitions = {c: MonotoneMap.identity(fiber) for c in base.covers()}
+        transitions[cover] = odd
+        d = PosetFunctor(base, "contravariant", {b: fiber for b in base.elements}, transitions)
+        p = grothendieck_construction(d).op()
+        assert p.base == base and classify_grothendieck(p).is_fibration
+        bundle = assert_bundle_check_matches_the_search(p)
+        want = ("not_bundle", cover[1]) if twist == "collapse" else ("bundle", None)
+        assert (bundle.status, bundle.failed_at) == want
+        assert assert_triviality_matches_the_search(p) is None
 
 
 def test_a_disconnected_base_matches_each_first_fiber_by_search():
@@ -591,6 +651,15 @@ def test_down_fiber_contractible_skips_only_passing_pairs(total, base, seed):
         return
     s = as_slice(rand_monotone(seeded(seed), total, base))
     assert _cond_down_fiber_contractible(_ComponentFacts(s)) == every_pair_down_fiber_contractible(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=maps())
+@example(p=gallery_map("p2"))
+def test_up_reachability_matches_the_elementwise_scan(p):
+    # about one random map in five fails the condition; p2 fails it at ((a,2), b)
+    s = as_slice(p)
+    assert _cond_up_reachability(_ComponentFacts(s)) == elementwise_up_reachability(s)
 
 
 def test_down_fiber_contractible_names_a_two_point_fiber():
