@@ -376,14 +376,23 @@ class MonotoneMap:
         extra = set(values) - set(dom.elements)
         if extra:
             raise UnknownElement(f"values assigned to unknown elements {sorted(extra)}")
-        for lo, hi in dom._cover_pairs():
-            a, b = vals[lo], vals[hi]
-            if not cod.below[b] >> a & 1:
-                raise NotMonotone(
-                    f"{dom.elements[lo]!r} <= {dom.elements[hi]!r} in the domain but "
-                    f"{cod.elements[a]!r} <= {cod.elements[b]!r} fails in the codomain"
-                )
-        return cls(dom, cod, vals)
+        f = cls(dom, cod, vals)
+        bad = f._disorder()
+        if bad is not None:
+            lo, hi = bad
+            raise NotMonotone(
+                f"{dom.elements[lo]!r} <= {dom.elements[hi]!r} in the domain but "
+                f"{cod.elements[vals[lo]]!r} <= {cod.elements[vals[hi]]!r} fails in the codomain"
+            )
+        return f
+
+    def _disorder(self) -> Optional[tuple[int, int]]:
+        """The first cover (lo, hi) of the domain whose images are out of order, or None."""
+        rows, vals = self.cod.below, self.vals
+        for lo, hi in self.dom._cover_pairs():
+            if not rows[vals[hi]] >> vals[lo] & 1:
+                return lo, hi
+        return None
 
     @classmethod
     def identity(cls, p: Poset) -> "MonotoneMap":
@@ -432,9 +441,8 @@ class MonotoneMap:
         """Bijective with monotone inverse, i.e. a homeomorphism."""
         if self.dom.n != self.cod.n or not self.is_injective():
             return False
-        # the inverse is monotone when it keeps every cover of the codomain
         inv = sorted(range(self.dom.n), key=self.vals.__getitem__)
-        return all(self.dom.below[inv[hi]] >> inv[lo] & 1 for lo, hi in self.cod._cover_pairs())
+        return MonotoneMap(self.cod, self.dom, inv)._disorder() is None
 
     def restrict(self, sub_dom: Poset) -> "MonotoneMap":
         """Restriction to a subposet of the domain (same names)."""

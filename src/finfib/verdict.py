@@ -306,9 +306,7 @@ class RetractCertificate:
     s: MonotoneMap
 
 
-def verify_retract_certificate(
-    p: MapLike, cert: RetractCertificate
-) -> tuple[bool, Optional[str]]:
+def verify_retract_certificate(p: MapLike, cert: RetractCertificate) -> tuple[bool, Optional[str]]:
     """Re-check a retract certificate from scratch.
 
     Returns (True, None) or (False, reason), the reason naming the
@@ -325,19 +323,41 @@ def verify_retract_certificate(
         return False, "j must map the base into x"
     if cert.s.dom != cert.x or cert.s.cod != sl.base:
         return False, "s must map x onto the base"
+    fault = _retract_fault(sl, cert, to_x)
+    return fault is None, fault
+
+
+def _retract_fault(sl: SliceMap, cert: RetractCertificate, to_x: MonotoneMap) -> Optional[str]:
+    """The first map of a well-shaped certificate that is not monotone, or its first failing identity."""
     for name, f in (("i", cert.i), ("r", cert.r), ("j", cert.j), ("s", cert.s)):
-        rows = f.cod.below
-        if any(not rows[f.vals[hi]] >> f.vals[lo] & 1 for lo, hi in f.dom._cover_pairs()):
-            return False, f"{name} is not monotone"
+        if f._disorder() is not None:
+            return f"{name} is not monotone"
     if cert.i.then(cert.r) != MonotoneMap.identity(sl.total):
-        return False, "r i = Id_E fails"
+        return "r i = Id_E fails"
     if cert.j.then(cert.s) != MonotoneMap.identity(sl.base):
-        return False, "s j = Id_B fails"
+        return "s j = Id_B fails"
     if cert.i.then(to_x) != sl.map.then(cert.j):
-        return False, "pi_X i = j p fails"
+        return "pi_X i = j p fails"
     if cert.r.then(sl.map) != to_x.then(cert.s):
-        return False, "p r = s pi_X fails"
-    return True, None
+        return "p r = s pi_X fails"
+    return None
+
+
+def _retract_over_base(
+    sl: SliceMap, g: MonotoneMap, prod: Poset, to_x: MonotoneMap, r_vals: Sequence[int]
+) -> RetractCertificate:
+    """The checked certificate X = B, Y = cod(g), j = s = Id, i = (p, g), r = r_vals.
+
+    ``prod`` is the caller's B x Y and ``to_x`` its projection; a fault is InvariantViolated.
+    """
+    # product elements are base-major: index (b, y) -> b * |Y| + y
+    i = MonotoneMap(sl.total, prod, tuple(v * g.cod.n + y for v, y in zip(sl.map.vals, g.vals)))
+    ident = MonotoneMap.identity(sl.base)
+    cert = RetractCertificate(sl.base, g.cod, i, MonotoneMap(prod, sl.total, r_vals), ident, ident)
+    fault = _retract_fault(sl, cert, to_x)
+    if fault is not None:
+        raise InvariantViolated(f"constructed retract certificate fails: {fault}")
+    return cert
 
 
 def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
@@ -364,34 +384,13 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
         raise PreconditionViolated("map is not a Grothendieck bifibration")
 
     cart, cocart = rep.cartesian, rep.cocartesian
-    total, base, vals = s.total, s.base, s.map.vals
-    b0i = base.idx(b0)
-    prod, _, _ = product(base, total)
-    # product elements are base-major: index (bi, ei) -> bi * total.n + ei
-    i = MonotoneMap(total, prod, tuple(vals[ei] * total.n + ei for ei in range(total.n)))
-    r_vals = [0] * prod.n
-    for k in range(prod.n):
-        bi, ei = divmod(k, total.n)
-        if vals[ei] == bi:
-            r_vals[k] = ei
-            continue
-        mid = cocart[(ei, b0i)]
-        if not total.below[mid] >> ei & 1:
-            raise InvariantViolated("cocartesian transport to the maximum is not above its source")
-        r_vals[k] = cart[(mid, bi)]
-    r = MonotoneMap(prod, total, r_vals)
-    # downward transport never leaves the minimal open of its argument
-    for ei in range(total.n):
-        for bi in _bits(base.below[vals[ei]]):
-            if not total.below[ei] >> cart[(ei, bi)] & 1:
-                raise InvariantViolated("cartesian transport left the minimal open of its source")
-    cert = RetractCertificate(
-        base, total, i, r, MonotoneMap.identity(base), MonotoneMap.identity(base)
-    )
-    ok, reason = verify_retract_certificate(s, cert)
-    if not ok:
-        raise InvariantViolated(f"constructed retract certificate fails: {reason}")
-    return cert
+    total, vals, b0i = s.total, s.map.vals, s.base.idx(b0)
+    prod, to_x, _ = product(s.base, total)
+    r_vals = [
+        ei if v == bi else cart[(cocart[(ei, b0i)], bi)]
+        for bi in range(s.base.n) for ei, v in enumerate(vals)
+    ]
+    return _retract_over_base(s, MonotoneMap.identity(total), prod, to_x, r_vals)
 
 
 def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
@@ -510,16 +509,8 @@ def search_retract_certificate(
                     continue
                 pins = {prod.elements[v]: s.total.elements[ei] for ei, v in enumerate(i_vals)}
                 r = next(monotone_maps(prod, s.total, guard, over=(to_x, s.map), fixed=pins), None)
-                if r is None:
-                    continue
-                i = MonotoneMap(s.total, prod, i_vals)
-                cert = RetractCertificate(
-                    s.base, y, i, r, MonotoneMap.identity(s.base), MonotoneMap.identity(s.base)
-                )
-                ok, reason = verify_retract_certificate(s, cert)
-                if not ok:
-                    raise InvariantViolated(f"found retract certificate fails: {reason}")
-                return cert
+                if r is not None:
+                    return _retract_over_base(s, g, prod, to_x, r.vals)
     return None
 
 

@@ -324,6 +324,23 @@ def test_monotone_map_build_validates():
     assert m.values == {"a": "0", "b": "1"}
 
 
+@settings(max_examples=200, deadline=None)
+@given(posets(max_size=6), posets(max_size=6).filter(len), st.data())
+def test_build_refuses_exactly_the_maps_that_break_some_pair(dom, cod, data):
+    values = {x: data.draw(st.sampled_from(cod.elements)) for x in dom}
+    broken = [(x, y) for x in dom for y in dom if dom.le(x, y) and not cod.le(values[x], values[y])]
+    if not broken:
+        assert MonotoneMap.build(dom, cod, values).values == values
+        return
+    with pytest.raises(NotMonotone) as info:
+        MonotoneMap.build(dom, cod, values)
+    # the message names the first cover, in covers() order, out of order
+    lo, hi = next((x, y) for x, y in dom.covers() if not cod.le(values[x], values[y]))
+    assert str(info.value) == (
+        f"{lo!r} <= {hi!r} in the domain but {values[lo]!r} <= {values[hi]!r} fails in the codomain"
+    )
+
+
 def test_composition_and_identity():
     rng = seeded(7)
     p = rand_poset(rng, 4, prefix="p")

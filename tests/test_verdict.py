@@ -370,17 +370,41 @@ def test_a_retract_that_is_not_monotone_does_not_verify():
     assert decide_hurewicz(p, certificate=cert).status == "unknown"
 
 
-def test_a_faulty_retract_construction_is_an_internal_error():
-    # pushing (a,0) up to (c,1), not to its cocartesian lift (c,0), keeps
-    # every identity but breaks the monotonicity of r: a fault of the
-    # engine, so InvariantViolated (exit 4), not NotMonotone (bad input)
+def _vee_times_chain2():
+    """The projection V x chain(2) -> V over the V-shaped base a, b < c."""
     vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
     _, p, _ = product(vee, Poset.chain(["0", "1"]))
+    return vee, p
+
+
+@pytest.mark.parametrize(
+    "table, source, over, target",
+    [("cocartesian", "(a,0)", "c", "(c,1)"), ("cartesian", "(c,1)", "a", "(b,1)")],
+    ids=["cocartesian", "cartesian"],
+)
+def test_a_faulty_retract_construction_is_an_internal_error(table, source, over, target):
+    # pushing (a,0) up to (c,1), not to its cocartesian lift (c,0), keeps
+    # every identity but breaks the monotonicity of r; so does pulling
+    # (c,1) down over a to (b,1), which still lies below it.  A fault of
+    # the engine, so InvariantViolated (exit 4), not NotMonotone (bad input)
+    vee, p = _vee_times_chain2()
     rep = classify_grothendieck(p)
     total = as_slice(p).total
-    rep.cocartesian[(total.idx("(a,0)"), vee.idx("c"))] = total.idx("(c,1)")
+    getattr(rep, table)[(total.idx(source), vee.idx(over))] = total.idx(target)
     with pytest.raises(InvariantViolated, match="r is not monotone"):
         projection_retract_height1(rep)
+
+
+def test_each_height1_certificate_builds_its_product_once(monkeypatch):
+    import finfib.verdict as verdict
+
+    calls = []
+    build = verdict.product
+    monkeypatch.setattr(verdict, "product", lambda x, y: calls.append((x, y)) or build(x, y))
+    vee, p = _vee_times_chain2()
+    projection_retract_height1(classify_grothendieck(p))
+    # the certificate is checked on the B x E it was built on
+    assert calls == [(vee, as_slice(p).total)]
 
 
 def test_trivial_over_base_detection():
