@@ -18,6 +18,7 @@ from typing import Optional, Union
 from .documents import (
     bundle_to_doc,
     detect_doc_kind,
+    dumps,
     functor_from_doc,
     groth_to_doc,
     map_from_doc,
@@ -111,7 +112,7 @@ def _load_map(target: str) -> MonotoneMap:
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(dumps(doc))
     else:
         for line in text_lines:
             print(line)
@@ -340,11 +341,11 @@ def cmd_construct(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "total.json").write_text(json.dumps(total_doc, indent=2) + "\n")
-        (out / "projection.json").write_text(json.dumps(proj_doc, indent=2) + "\n")
+        (out / "total.json").write_text(dumps(total_doc) + "\n")
+        (out / "projection.json").write_text(dumps(proj_doc) + "\n")
         print(f"wrote {out / 'total.json'} and {out / 'projection.json'}")
     else:
-        print(json.dumps({"total": total_doc, "projection": proj_doc}, indent=2))
+        print(dumps({"total": total_doc, "projection": proj_doc}))
     return 0
 
 
@@ -363,7 +364,7 @@ def cmd_gallery(args) -> int:
         "expected": entry.expected,
         "document": poset_to_doc(built) if entry.kind == "poset" else map_to_doc(built),
     }
-    print(json.dumps(doc, indent=2))
+    print(dumps(doc))
     return 0
 
 

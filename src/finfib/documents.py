@@ -1,7 +1,8 @@
 """Document formats: canonical JSON plus a small text DSL.
 
 JSON is the machine format; every analysis result serializes to plain
-dicts ready for json.dumps.  The text DSL covers posets and maps only
+dicts, which ``dumps`` writes byte for byte as ``json.dumps(doc,
+indent=2)`` does, only faster.  The text DSL covers posets and maps only
 and exists for hand-written fixtures:
 
     # a comment
@@ -24,7 +25,9 @@ reference.
 
 from __future__ import annotations
 
+import json
 import re
+from itertools import chain, repeat
 from typing import Iterable, Optional, Union
 
 from .errors import ParseError
@@ -36,6 +39,66 @@ from .stong import ReductionTrace
 from .verdict import Certificate, NecessaryReport, RetractCertificate, Verdict
 
 Doc = Union[dict, list, str, int, bool, None]
+
+_encode = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _flat(value: Doc, nl: str) -> Optional[str]:
+    """JSON text of value at line prefix nl, or None for a container to open.
+
+    An object of strings, or a list of strings or of non-empty such lists, is one join.
+    """
+    if isinstance(value, str):
+        return _encode(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # a number, or TypeError for what JSON cannot hold
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    try:
+        if isinstance(value, dict):
+            body = sep.join([_encode(k) + ": " + _encode(v) for k, v in value.items()])
+            return "{" + inner + body + nl + "}"
+        rows = map(_encode, value)
+        if all(isinstance(v, (list, tuple)) and v for v in value):
+            deep = sep + "  "
+            rows = ["[" + deep[1:] + deep.join(map(_encode, v)) + inner + "]" for v in value]
+        return "[" + inner + sep.join(rows) + nl + "]"
+    except TypeError:
+        return None
+
+
+def dumps(doc: Doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, on an explicit stack of open containers."""
+    out: list[str] = []
+    stack = [(iter((("", doc),)), "\n", "", None)]  # items, their line prefix, closing text, id
+    while stack:
+        items, nl, close, _ = stack[-1]
+        for lead, value in items:
+            out.append(lead)
+            text = _flat(value, nl)
+            if text is not None:
+                out.append(text)
+                continue
+            mark, inner = id(value), nl + "  "
+            if any(mark == frame[3] for frame in stack):
+                raise ValueError("Circular reference detected")
+            leads, brackets = chain((inner,), repeat("," + inner)), "[]"
+            if isinstance(value, dict):
+                # the stdlib writes (or refuses) other keys: '{"1": 0}'[1:-2] == '"1": '
+                keys = (_encode(k) + ": " if type(k) is str else json.dumps({k: 0})[1:-2] for k in value)
+                value, leads, brackets = value.values(), map(str.__add__, leads, keys), "{}"
+            out.append(brackets[0])
+            stack.append((zip(leads, value), inner, nl + brackets[1], mark))
+            break
+        else:
+            stack.pop()
+            out.append(close)
+    return "".join(out)
 
 
 def poset_to_doc(p: Poset) -> dict:

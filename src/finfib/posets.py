@@ -122,8 +122,8 @@ class Poset:
             seen.add(name)
         index = {e: i for i, e in enumerate(names)}
         n = len(names)
-        up_adj = [0] * n
-        dn_adj = [0] * n
+        up: list[list[int]] = [[] for _ in range(n)]
+        up_adj, indeg = [0] * n, [0] * n  # up_adj drops repeated pairs
         for lo, hi in pairs:
             if lo not in index:
                 raise UnknownElement(f"unknown element {lo!r} in relation pair")
@@ -132,29 +132,25 @@ class Poset:
             if lo == hi:
                 raise CycleDetected(f"element {lo!r} declared below itself")
             i, j = index[lo], index[hi]
-            up_adj[i] |= 1 << j
-            dn_adj[j] |= 1 << i
-        # Kahn order; leftovers mean a cycle.
-        indeg = [dn_adj[i].bit_count() for i in range(n)]
-        queue = [i for i in range(n) if indeg[i] == 0]
-        topo = []
-        while queue:
-            i = queue.pop()
-            topo.append(i)
-            for j in _bits(up_adj[i]):
+            if not up_adj[i] >> j & 1:
+                up_adj[i] |= 1 << j
+                up[i].append(j)
+                indeg[j] += 1
+        # Kahn order, read as it grows, pushing each complete down-set up; leftovers mean a cycle
+        below, above = [1 << i for i in range(n)], [1 << i for i in range(n)]
+        topo = [i for i in range(n) if not indeg[i]]
+        for i in topo:
+            for j in up[i]:
+                below[j] |= below[i]
                 indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
+                if not indeg[j]:
+                    topo.append(j)
         if len(topo) != n:
             stuck = min(i for i in range(n) if indeg[i] > 0)
             raise CycleDetected(f"relation has a cycle through {names[stuck]!r}")
-        below, above = [0] * n, [0] * n
-        for rows, adj, order in ((below, dn_adj, topo), (above, up_adj, topo[::-1])):
-            for i in order:
-                row = 1 << i
-                for j in _bits(adj[i]):
-                    row |= rows[j]
-                rows[i] = row
+        for i in reversed(topo):
+            for j in up[i]:
+                above[i] |= above[j]
         return cls(names, below, above)
 
     @classmethod
@@ -342,8 +338,9 @@ def product(p: Poset, q: Poset) -> tuple[Poset, "MonotoneMap", "MonotoneMap"]:
     nq = q.n
 
     def rows(p_rows: Sequence[int], q_rows: Sequence[int]) -> list[int]:
-        # the row of (x, y) is y's row copied into the block of each a in x's row
-        return [sum(q_row << a * nq for a in _bits(p_row)) for p_row in p_rows for q_row in q_rows]
+        # (x, y)'s row is y's row times sum(2 ** (a |Q|)) over a in x's row: disjoint copies
+        spread = [sum(1 << a * nq for a in _bits(p_row)) for p_row in p_rows]
+        return [q_row * s for s in spread for q_row in q_rows]
 
     prod = Poset(names, rows(p.below, q.below), rows(p.above, q.above))
     to_p = MonotoneMap(prod, p, tuple(i for i in range(p.n) for _ in range(nq)))
@@ -387,8 +384,26 @@ class MonotoneMap:
         return f
 
     def _disorder(self) -> Optional[tuple[int, int]]:
-        """The first cover (lo, hi) of the domain whose images are out of order, or None."""
+        """The first cover (lo, hi) of the domain whose images are out of order, or None.
+
+        Lemma: p is monotone iff U_e lies in D[p(e)] = p^-1(U_{p(e)}) for every
+        e, as that says p(x) <= p(e) for each x <= e.  D[b] joins the fiber of b
+        and D[c] for the maximal image points c < b (one climb each, b by rising
+        |U_b|).  Only a map failing this test builds the domain's cover table.
+        """
         rows, vals = self.cod.below, self.vals
+        pre = [0] * self.cod.n  # the fibers, each grown into D[b] in turn
+        for e, v in enumerate(vals):
+            pre[v] |= 1 << e
+        image = sum(1 << b for b, f in enumerate(pre) if f)
+        for b in sorted(_bits(image), key=lambda b: rows[b].bit_count()):
+            rest = rows[b] & image ^ 1 << b
+            while rest:
+                c = _climb(rows, self.cod.above, rest)
+                pre[b] |= pre[c]
+                rest &= ~rows[c]
+        if all(row & pre[v] == row for row, v in zip(self.dom.below, vals)):
+            return None
         for lo, hi in self.dom._cover_pairs():
             if not rows[vals[hi]] >> vals[lo] & 1:
                 return lo, hi

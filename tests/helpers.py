@@ -132,6 +132,51 @@ def pair_walk_sub(p, keep):
     return Poset(tuple(p.elements[i] for i in kept), below, above)
 
 
+def closure_rows(n, pairs):
+    """Reflexive-transitive closure of index pairs (lo, hi), as below rows.
+
+    Warshall's algorithm on a boolean matrix, no bitmask shortcuts.
+    """
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for lo, hi in pairs:
+        le[lo][hi] = True
+    for k in range(n):
+        for i in range(n):
+            if le[i][k]:
+                for j in range(n):
+                    le[i][j] = le[i][j] or le[k][j]
+    return tuple(sum(1 << i for i in range(n) if le[i][j]) for j in range(n))
+
+
+def shift_sum_product_rows(p, q):
+    """Below and above rows of p x q, one shifted copy of q's row per point of p's row.
+
+    ``product`` before it spread p's rows by one multiplication, kept as an oracle.
+    """
+    def rows(p_rows, q_rows):
+        return tuple(sum(q_row << a * q.n for a in _bits(p_row)) for p_row in p_rows for q_row in q_rows)
+
+    return rows(p.below, q.below), rows(p.above, q.above)
+
+
+def all_pairs_monotone(dom, cod, values):
+    """Whether x <= y in dom gives values[x] <= values[y] in cod, over every pair."""
+    return all(cod.le(values[x], values[y]) for x in dom for y in dom if dom.le(x, y))
+
+
+def cover_scan_disorder(f):
+    """The first cover (lo, hi) of f's domain, in covers() order, whose images are out of order.
+
+    ``MonotoneMap._disorder`` before its mask test, kept as an oracle;
+    None for a monotone map.
+    """
+    rows = f.cod.below
+    for lo, hi in f.dom._cover_pairs():
+        if not rows[f.vals[hi]] >> f.vals[lo] & 1:
+            return lo, hi
+    return None
+
+
 def is_beat_point_brute(x, a):
     """Beat point test straight from the definition, via down/up sets."""
     down = [z for z in x.elements if x.lt(z, a)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from finfib.documents import (
     certificate_to_doc,
     detect_doc_kind,
+    dumps,
     functor_from_doc,
     functor_to_doc,
     map_from_doc,
@@ -186,6 +187,63 @@ def test_certificate_docs_write_each_kind_s_fields_in_order():
         assert list(doc) == ["kind", *keys]
         assert doc["kind"] == kind
         assert json.loads(json.dumps(doc)) == doc
+
+
+_STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\U0001f600", "caf\xe9\n\t", "\u2028"])
+_HUGE = st.integers(min_value=10**30) | st.integers(max_value=-(10**30))
+_SCALARS = _STRINGS | st.integers() | _HUGE | st.booleans() | st.none()
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4)
+    # the shapes the emitter writes by one join: cover lists and value maps
+    | st.lists(st.lists(_STRINGS, max_size=3) | st.lists(_STRINGS, max_size=3).map(tuple), max_size=4)
+    | st.dictionaries(_STRINGS, _STRINGS, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_DOCS)
+def test_dumps_writes_what_the_stdlib_writes(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_dumps_writes_floats_and_non_string_keys_as_the_stdlib_does():
+    doc = {1: 1.5, None: float("inf"), True: [float("nan"), -0.0], 2.5: {"x": -1e300}, False: ()}
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+def _nested(depth):
+    doc = []
+    for _ in range(depth - 1):
+        doc = [doc]
+    return doc
+
+
+def _nested_text(depth):
+    opening = "".join("[\n" + "  " * k for k in range(1, depth))
+    return opening + "[]" + "".join("\n" + "  " * k + "]" for k in reversed(range(depth - 1)))
+
+
+def test_a_deeply_nested_list_emits_without_recursion():
+    assert _nested_text(40) == json.dumps(_nested(40), indent=2)
+    # three times the default recursion limit; the text grows with the
+    # square of the depth, so this is 18 MB
+    assert dumps(_nested(3_000)) == _nested_text(3_000)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[object()], {"a": {1, 2}}, {"a": ["b", b"c"]}, [["a"], ["b", 1j]], {(1, 2): "x"}, {"a": {frozenset(): 1}}],
+)
+def test_dumps_refuses_what_the_stdlib_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps(doc)
+    assert str(got.value) == str(want.value)
 
 
 def test_necessary_doc_contains_every_condition():

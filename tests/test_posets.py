@@ -34,7 +34,10 @@ from finfib.posets import (
 )
 from finfib.verdict import _all_labeled_posets
 from helpers import (
+    all_pairs_monotone,
     brute_iso,
+    closure_rows,
+    cover_scan_disorder,
     crowns,
     height_keyed_joint_labels,
     hom_poset,
@@ -50,6 +53,7 @@ from helpers import (
     rec_isomorphisms,
     rec_monotone_maps,
     seeded,
+    shift_sum_product_rows,
     transpose,
     twisted_bundle,
 )
@@ -69,6 +73,59 @@ def test_build_takes_transitive_closure():
     assert p.lt("a", "c")
     assert not p.le("c", "a")
     assert p.down_set("c") == ("a", "b", "c")
+
+
+@st.composite
+def generating_pairs(draw, max_size=9):
+    """(elements, pairs, index pairs): an acyclic relation with repeated and non-cover pairs."""
+    n = draw(st.integers(0, max_size))
+    names = [f"x{i}" for i in range(n)]
+    rank = draw(st.permutations(range(n)))  # a linear extension, so no cycle
+    pairs = []
+    if n > 1:
+        slot = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: rank[t[0]] < rank[t[1]])
+        pairs = draw(st.lists(slot, max_size=3 * n))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))  # repeated pairs
+    return draw(st.permutations(names)), [(names[i], names[j]) for i, j in pairs], pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=generating_pairs())
+def test_build_closes_generating_pairs_like_warshall(case):
+    elements, pairs, index_pairs = case
+    p = Poset.build(elements, pairs)
+    # Warshall runs on the drawn indices; the poset lists its elements shuffled
+    closed = closure_rows(len(elements), index_pairs)
+    at = [int(e[1:]) for e in p.elements]
+    assert p.below == tuple(sum(1 << k for k, j in enumerate(at) if closed[at[i]] >> j & 1) for i in range(p.n))
+    assert p.above == transpose(p.below)
+
+
+@pytest.mark.parametrize(
+    "elements, pairs, error, message",
+    [
+        (["a", "a"], [("a", "z")], DuplicateName, "duplicate element name 'a'"),
+        (["a", "a", "b"], [("b", "b")], DuplicateName, "duplicate element name 'a'"),
+        (["a", 1], [], UnknownElement, "element names must be strings, got 1"),
+        (["a", "b"], [("z", "a"), ("a", "y")], UnknownElement, "unknown element 'z' in relation pair"),
+        (["a", "b"], [("a", "y"), ("z", "a")], UnknownElement, "unknown element 'y' in relation pair"),
+        (["a", "b"], [("a", "a"), ("a", "z")], CycleDetected, "element 'a' declared below itself"),
+        (["a", "b"], [("a", "z"), ("a", "a")], UnknownElement, "unknown element 'z' in relation pair"),
+        (["a", "b"], [("a", "b"), ("b", "a"), ("b", "b")], CycleDetected, "element 'b' declared below itself"),
+        (["a", "b"], [("a", "b"), ("b", "a"), ("a", "z")], UnknownElement, "unknown element 'z' in relation pair"),
+        (["x", "a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "b")], CycleDetected,
+         "relation has a cycle through 'b'"),
+        # the first listed element left over by the topological sort, which
+        # need not lie on the cycle itself
+        (["d", "b", "c", "x"], [("b", "c"), ("c", "b"), ("c", "d")], CycleDetected,
+         "relation has a cycle through 'd'"),
+    ],
+)
+def test_build_errors_keep_their_precedence_and_messages(elements, pairs, error, message):
+    with pytest.raises(error) as info:
+        Poset.build(elements, pairs)
+    assert str(info.value) == message
 
 
 def test_build_rejects_cycles_and_duplicates():
@@ -312,6 +369,13 @@ def test_product_order_is_componentwise():
             assert prod.le(pair_name(x1, y1), pair_name(x2, y2)) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=posets(max_size=6), q=posets(max_size=5))
+def test_product_rows_match_the_shift_sum(p, q):
+    prod, _, _ = product(p, q)
+    assert (prod.below, prod.above) == shift_sum_product_rows(p, q)
+
+
 def test_monotone_map_build_validates():
     p = Poset.chain(["a", "b"])
     q = Poset.chain(["0", "1"])
@@ -324,18 +388,41 @@ def test_monotone_map_build_validates():
     assert m.values == {"a": "0", "b": "1"}
 
 
-@settings(max_examples=200, deadline=None)
-@given(posets(max_size=6), posets(max_size=6).filter(len), st.data())
-def test_build_refuses_exactly_the_maps_that_break_some_pair(dom, cod, data):
-    values = {x: data.draw(st.sampled_from(cod.elements)) for x in dom}
-    broken = [(x, y) for x in dom for y in dom if dom.le(x, y) and not cod.le(values[x], values[y])]
-    if not broken:
-        assert MonotoneMap.build(dom, cod, values).values == values
+@st.composite
+def values_to_check(draw):
+    """(dom, cod, values) with cod a poset or a product of one.
+
+    The values are random, or monotone and then changed at a few points.
+    """
+    dom = draw(posets(max_size=7))
+    cod = draw(posets(max_size=6).filter(len))
+    if draw(st.booleans()):
+        cod = product(cod, draw(posets(max_size=3).filter(len)))[0]
+    if draw(st.booleans()):
+        return dom, cod, {x: draw(st.sampled_from(cod.elements)) for x in dom}
+    values = rand_monotone(seeded(draw(st.integers(0, 2**16))), dom, cod).values
+    for x in draw(st.lists(st.sampled_from(dom.elements), max_size=2)) if dom.n else ():
+        values[x] = draw(st.sampled_from(cod.elements))
+    return dom, cod, values
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=values_to_check())
+def test_build_refuses_exactly_the_maps_that_break_some_pair(case):
+    dom, cod, values = case
+    f = MonotoneMap(dom, cod, [cod.index[values[x]] for x in dom.elements])
+    # the mask test and the cover scan it falls back on agree on every map
+    assert f._disorder() == cover_scan_disorder(f)
+    if all_pairs_monotone(dom, cod, values):
+        # a monotone map is accepted without the domain's cover table
+        fresh = Poset(dom.elements, dom.below, dom.above)
+        assert MonotoneMap.build(fresh, cod, values) == f
+        assert fresh._covers is None
         return
     with pytest.raises(NotMonotone) as info:
         MonotoneMap.build(dom, cod, values)
     # the message names the first cover, in covers() order, out of order
-    lo, hi = next((x, y) for x, y in dom.covers() if not cod.le(values[x], values[y]))
+    lo, hi = (dom.elements[i] for i in cover_scan_disorder(f))
     assert str(info.value) == (
         f"{lo!r} <= {hi!r} in the domain but {values[lo]!r} <= {values[hi]!r} fails in the codomain"
     )

@@ -402,9 +402,10 @@ def test_each_height1_certificate_builds_its_product_once(monkeypatch):
     build = verdict.product
     monkeypatch.setattr(verdict, "product", lambda x, y: calls.append((x, y)) or build(x, y))
     vee, p = _vee_times_chain2()
-    projection_retract_height1(classify_grothendieck(p))
-    # the certificate is checked on the B x E it was built on
+    cert = projection_retract_height1(classify_grothendieck(p))
+    # the certificate is checked on the B x E it was built on, without its cover table
     assert calls == [(vee, as_slice(p).total)]
+    assert cert.r.dom._covers is None
 
 
 def test_trivial_over_base_detection():
