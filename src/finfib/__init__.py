@@ -15,7 +15,6 @@ from .errors import (
     EmptyDomain,
     FinfibError,
     FunctorialityViolated,
-    GuardExceeded,
     InvariantViolated,
     NotAComponent,
     NotDescending,
@@ -29,13 +28,11 @@ from .errors import (
     UnknownGalleryId,
 )
 from .posets import (
-    DEFAULT_GUARD,
     MonotoneMap,
     Poset,
     find_isomorphism,
     find_isomorphism_over_base,
     isomorphisms,
-    monotone_maps,
     pair_name,
     product,
 )
@@ -83,8 +80,6 @@ from .verdict import (
     is_trivial_over_base,
     necessary_conditions,
     projection_retract_height1,
-    search_retract_certificate,
-    verify_retract_certificate,
 )
 from .gallery import (
     ENTRIES,

@@ -70,7 +70,6 @@ _CERT_NAMES = {
     "minimum_base_bifibration": "minimum-base bifibration",
     "height1_max_retract": "height-1-maximum retract",
     "trivial_over_base": "trivial over base",
-    "explicit_retract": "explicit retract",
 }
 
 

@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Union
 from .errors import ParseError
 from .gallery import gallery_entry
 from .grothendieck import BundleReport, GrothendieckReport, LiftFailure, PosetFunctor
-from .posets import MonotoneMap, Poset, product
+from .posets import MonotoneMap, Poset
 from .slices import MapLike, MapReduction, as_slice
 from .stong import ReductionTrace
 from .verdict import Certificate, NecessaryReport, RetractCertificate, Verdict
@@ -47,7 +47,10 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 def _flat(value: Doc, nl: str) -> Optional[str]:
     """JSON text of value at line prefix nl, or None for a container to open.
 
-    An object of strings, or a list of strings or of non-empty such lists, is one join.
+    An object of strings, true, false and null, or a list of strings or
+    of non-empty such lists, is one join.  A constant is told by
+    identity before its text is looked up: 1 == True, and the two hash
+    alike, so the lookup alone would write 1 as true.
     """
     if isinstance(value, str):
         return _encode(value)
@@ -61,7 +64,10 @@ def _flat(value: Doc, nl: str) -> Optional[str]:
     sep = "," + inner
     try:
         if isinstance(value, dict):
-            body = sep.join([_encode(k) + ": " + _encode(v) for k, v in value.items()])
+            body = sep.join([
+                _encode(k) + ": " + (_CONSTANTS[v] if v is None or v is True or v is False else _encode(v))
+                for k, v in value.items()
+            ])
             return "{" + inner + body + nl + "}"
         rows = map(_encode, value)
         if all(isinstance(v, (list, tuple)) and v for v in value):
@@ -271,26 +277,6 @@ def retract_certificate_to_doc(cert: RetractCertificate) -> dict:
         "j": dict(cert.j.values),
         "s": dict(cert.s.values),
     }
-
-
-def retract_certificate_from_doc(doc: Doc, p: MapLike) -> RetractCertificate:
-    if not isinstance(doc, dict):
-        raise ParseError("retract certificate must be an object")
-    for key in ("x", "y", "i", "r", "j", "s"):
-        if key not in doc:
-            raise ParseError(f"retract certificate needs a {key!r} field")
-    sl = as_slice(p)
-    x = poset_from_doc(doc["x"])
-    y = poset_from_doc(doc["y"])
-    prod, _, _ = product(x, y)
-    return RetractCertificate(
-        x,
-        y,
-        MonotoneMap.build(sl.total, prod, _element_map(doc["i"], "'i'")),
-        MonotoneMap.build(prod, sl.total, _element_map(doc["r"], "'r'")),
-        MonotoneMap.build(sl.base, x, _element_map(doc["j"], "'j'")),
-        MonotoneMap.build(x, sl.base, _element_map(doc["s"], "'s'")),
-    )
 
 
 _POINT_KEYS = {

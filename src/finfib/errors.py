@@ -29,20 +29,12 @@ class CodomainMismatch(FinfibError):
     """Maps that should share a domain or codomain do not."""
 
 
-class GuardExceeded(FinfibError):
-    """An enumeration would exceed the configured guard.
-
-    The offending bound is kept so callers can report what tripped.
-    """
-
-    def __init__(self, bound, guard):
-        super().__init__(f"enumeration bound {bound} exceeds guard {guard}")
-        self.bound = bound
-        self.guard = guard
-
-
 class SearchBudgetExhausted(FinfibError):
-    """An isomorphism search ran out of its node budget before finishing."""
+    """An isomorphism search stopped short of its end.
+
+    No search stops short any more, so nothing raises it; the
+    benchmark's tracer still binds it.
+    """
 
 
 class NotDescending(FinfibError):

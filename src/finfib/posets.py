@@ -14,21 +14,15 @@ derived posets generate deterministic composite names such as "(a,0)".
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CodomainMismatch,
     CycleDetected,
     DuplicateName,
-    GuardExceeded,
     NotMonotone,
-    PreconditionViolated,
-    SearchBudgetExhausted,
     UnknownElement,
 )
-
-DEFAULT_GUARD = 100_000
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -468,107 +462,34 @@ class MonotoneMap:
         return MonotoneMap(self.dom.op(), self.cod.op(), self.vals)
 
 
-# -- enumeration of monotone maps -------------------------------------
+# -- isomorphism search ------------------------------------------------
 
 
-def _backtrack(
-    order: Sequence[int],
-    cand: Callable[[int, list[int]], tuple[int, int]],
-    budget: Optional[int] = None,
-) -> Iterator[list[int]]:
+def _backtrack(order: Sequence[int], cand: Callable[[int, list[int]], int]) -> Iterator[list[int]]:
     """Depth-first search over value assignments, on an explicit stack.
 
     Position k of the non-empty ``order`` assigns element ``order[k]``;
-    ``cand(k, vals)`` returns the bitmasks ``(tried, ok)`` of values for
-    it, given the values already assigned in ``vals`` (indexed by
-    element), and ``ok`` is the consistent part of ``tried``.  Values
-    are tried in rising index order, and each one counts against the
-    budget.  The search jumps straight to the next consistent value;
-    the inconsistent values it skips are counted in bulk, with the same
-    total, and have no other effect, so the budget runs out at the same
-    point of the search.  The same ``vals`` list is yielded for every
-    complete assignment, so callers copy what they keep.
+    ``cand(k, vals)`` returns the bitmask of values consistent with the
+    values already assigned in ``vals`` (indexed by element), and they
+    are tried in rising index order.  The same ``vals`` list is yielded
+    for every complete assignment, so callers copy what they keep.
     """
     vals = [-1] * len(order)
     last = len(order) - 1
-    limit = math.inf if budget is None else budget
     stack = [cand(0, vals)]
-    nodes = 0
     while stack:
-        tried, ok = stack[-1]
-        low = tried & ok
-        low &= -low
-        # low and the refuted values below it; all of tried when low is 0
-        spent = tried & ((low << 1) - 1)
-        nodes += spent.bit_count()
-        if nodes > limit:
-            raise SearchBudgetExhausted(f"isomorphism search exceeded budget of {budget} nodes")
-        if not low:
+        ok = stack[-1]
+        if not ok:
             stack.pop()
             continue
-        stack[-1] = (tried ^ spent, ok)
+        low = ok & -ok
+        stack[-1] = ok ^ low
         k = len(stack) - 1
         vals[order[k]] = low.bit_length() - 1
         if k == last:
             yield vals
         else:
             stack.append(cand(k + 1, vals))
-
-
-def monotone_maps(
-    dom: Poset,
-    cod: Poset,
-    guard: Optional[int] = DEFAULT_GUARD,
-    *,
-    over: Optional[tuple[MonotoneMap, MonotoneMap]] = None,
-    fixed: Optional[dict[str, str]] = None,
-) -> Iterator[MonotoneMap]:
-    """Enumerate monotone maps dom -> cod, optionally constrained.
-
-    ``over=(p, q)`` keeps only maps f with q o f = p, for p out of dom
-    and q out of cod into a common base; ``fixed`` pins given elements.
-    The guard limits the product of candidate-set sizes and is checked
-    before any search happens.
-    """
-    cand = [(1 << cod.n) - 1] * dom.n
-    if over is not None:
-        p, q = over
-        if p.dom != dom or q.dom != cod or p.cod != q.cod:
-            raise CodomainMismatch("'over' needs p: dom -> B and q: cod -> B")
-        fibers: dict[int, int] = {}
-        for i, v in enumerate(q.vals):
-            fibers[v] = fibers.get(v, 0) | 1 << i
-        for i in range(dom.n):
-            cand[i] &= fibers.get(p.vals[i], 0)
-    if fixed:
-        for name, target in fixed.items():
-            cand[dom.idx(name)] &= 1 << cod.idx(target)
-    if dom.n == 0:
-        yield MonotoneMap(dom, cod, ())
-        return
-    bound = math.prod(m.bit_count() for m in cand)
-    if guard is not None and bound > guard:
-        raise GuardExceeded(bound, guard)
-    if bound == 0:
-        return
-    # in a linear extension the lower covers of an element, whose
-    # values bound its own from below, are assigned before it
-    order = dom._linear_extension()
-    lower = dom._cover_table()[0]
-    above = cod.above
-
-    def candidates(k: int, vals: list[int]) -> tuple[int, int]:
-        i = order[k]
-        m = cand[i]
-        for j in lower[i]:
-            m &= above[vals[j]]
-        return m, m
-
-    for vals in _backtrack(order, candidates):
-        yield MonotoneMap(dom, cod, vals)
-
-
-# -- isomorphism search ------------------------------------------------
 
 
 def _joint_labels(
@@ -619,19 +540,14 @@ def isomorphisms(
     *,
     extra_p: Optional[Sequence[object]] = None,
     extra_q: Optional[Sequence[object]] = None,
-    budget: Optional[int] = None,
 ) -> Iterator[dict[str, str]]:
     """Yield order isomorphisms p -> q as name dictionaries.
 
     Candidates are pruned by colour refinement and searched by
     backtracking on an explicit stack, with deterministic index-order
-    tie-breaking and no recursion limit on the size.  A budget counts
-    attempted assignments; running out raises SearchBudgetExhausted,
-    so absence of output from an unbudgeted call is an
-    exhausted-search certificate.  A negative budget is refused.
+    tie-breaking and no recursion limit on the size.  The search is
+    exhaustive, so absence of output is a proof that none exists.
     """
-    if budget is not None and budget < 0:
-        raise PreconditionViolated(f"a search budget must be 0 or more, got {budget}")
     if p.n != q.n:
         return
     if p.n == 0:
@@ -687,18 +603,18 @@ def isomorphisms(
     apart_of = [full ^ (ups[j] | downs[j]) for j in range(n)] if any(aparts) else []
     used = [0] * n  # values taken by the positions before each depth
 
-    def candidates(k: int, vals: list[int]) -> tuple[int, int]:
+    def candidates(k: int, vals: list[int]) -> int:
         if k:
             used[k] = used[k - 1] | 1 << vals[order[k - 1]]
-        tried = ok = classes[k] & ~used[k]
+        ok = classes[k] & ~used[k]
         for m, table in ((lows[k], ups), (highs[k], downs), (aparts[k], apart_of)):
             while m and ok:
                 b = m & -m
                 ok &= table[vals[b.bit_length() - 1]]
                 m ^= b
-        return tried, ok
+        return ok
 
-    for vals in _backtrack(order, candidates, budget):
+    for vals in _backtrack(order, candidates):
         yield {p.elements[i]: q.elements[vals[i]] for i in range(n)}
 
 

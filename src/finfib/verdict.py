@@ -6,19 +6,18 @@ Hurewicz property in both directions, so the map is first reduced to
 its smallest such retract p0.  If p0 is not a Grothendieck bifibration
 the map is certainly not a fibration (witnessed by a missing lift).
 If the component has a minimum, bifibration of p0 is also sufficient;
-if it has a maximum and height 1, an explicit retract-of-projection
-certificate is constructed; if p0's cartesian transports show it
-isomorphic over the base to a product projection, that is a
-certificate too.  Otherwise the verdict is unknown and a battery of
-necessary conditions is reported, each with a concrete witness when
-it fails.
+if it has a maximum and height 1, p0 is presented as a retract of the
+projection B x E -> B, built from its transport tables and checked;
+if p0's cartesian transports show it isomorphic over the base to a
+product projection, that is a certificate too.  Otherwise the verdict
+is unknown and a battery of necessary conditions is reported, each
+with a concrete witness when it fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .errors import EmptyDomain, InvariantViolated, PreconditionViolated
@@ -29,14 +28,12 @@ from .grothendieck import (
     classify_grothendieck,
 )
 from .posets import (
-    DEFAULT_GUARD,
     MonotoneMap,
     Poset,
     _bits,
     _extremum,
     find_isomorphism,
     find_isomorphism_over_base,  # noqa: F401 -- perfbench/spans.py wraps it under this module
-    monotone_maps,
     pair_name,
     product,
 )
@@ -306,27 +303,6 @@ class RetractCertificate:
     s: MonotoneMap
 
 
-def verify_retract_certificate(p: MapLike, cert: RetractCertificate) -> tuple[bool, Optional[str]]:
-    """Re-check a retract certificate from scratch.
-
-    Returns (True, None) or (False, reason), the reason naming the
-    shape constraint, the first map that is not monotone (checked on
-    its domain's covers) or the first violated identity.
-    """
-    sl = as_slice(p)
-    prod, to_x, _ = product(cert.x, cert.y)
-    if cert.i.dom != sl.total or cert.i.cod != prod:
-        return False, "i must map the total space into x times y"
-    if cert.r.dom != prod or cert.r.cod != sl.total:
-        return False, "r must map x times y onto the total space"
-    if cert.j.dom != sl.base or cert.j.cod != cert.x:
-        return False, "j must map the base into x"
-    if cert.s.dom != cert.x or cert.s.cod != sl.base:
-        return False, "s must map x onto the base"
-    fault = _retract_fault(sl, cert, to_x)
-    return fault is None, fault
-
-
 def _retract_fault(sl: SliceMap, cert: RetractCertificate, to_x: MonotoneMap) -> Optional[str]:
     """The first map of a well-shaped certificate that is not monotone, or its first failing identity."""
     for name, f in (("i", cert.i), ("r", cert.r), ("j", cert.j), ("s", cert.s)):
@@ -343,23 +319,6 @@ def _retract_fault(sl: SliceMap, cert: RetractCertificate, to_x: MonotoneMap) ->
     return None
 
 
-def _retract_over_base(
-    sl: SliceMap, g: MonotoneMap, prod: Poset, to_x: MonotoneMap, r_vals: Sequence[int]
-) -> RetractCertificate:
-    """The checked certificate X = B, Y = cod(g), j = s = Id, i = (p, g), r = r_vals.
-
-    ``prod`` is the caller's B x Y and ``to_x`` its projection; a fault is InvariantViolated.
-    """
-    # product elements are base-major: index (b, y) -> b * |Y| + y
-    i = MonotoneMap(sl.total, prod, tuple(v * g.cod.n + y for v, y in zip(sl.map.vals, g.vals)))
-    ident = MonotoneMap.identity(sl.base)
-    cert = RetractCertificate(sl.base, g.cod, i, MonotoneMap(prod, sl.total, r_vals), ident, ident)
-    fault = _retract_fault(sl, cert, to_x)
-    if fault is not None:
-        raise InvariantViolated(f"constructed retract certificate fails: {fault}")
-    return cert
-
-
 def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     """Constructive retract certificate over a height <= 1 base with maximum.
 
@@ -369,8 +328,9 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     first pushes (b, e) up into the fiber of the maximum (cocartesian
     transport), then back down into the fiber of b (cartesian
     transport).  Height 1 makes that composite monotone; preconditions
-    are checked up front, and the result is verified, monotonicity and
-    every claimed identity included.
+    are checked up front, and the result is checked on the B x E it was
+    built on, monotonicity and every claimed identity included; a fault
+    there is InvariantViolated.
     """
     s = rep.slice_map
     if s.is_empty:
@@ -386,11 +346,18 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     cart, cocart = rep.cartesian, rep.cocartesian
     total, vals, b0i = s.total, s.map.vals, s.base.idx(b0)
     prod, to_x, _ = product(s.base, total)
+    # product elements are base-major: index (b, e) -> b * |E| + e
+    i = MonotoneMap(total, prod, tuple(v * total.n + ei for ei, v in enumerate(vals)))
     r_vals = [
         ei if v == bi else cart[(cocart[(ei, b0i)], bi)]
         for bi in range(s.base.n) for ei, v in enumerate(vals)
     ]
-    return _retract_over_base(s, MonotoneMap.identity(total), prod, to_x, r_vals)
+    ident = MonotoneMap.identity(s.base)
+    cert = RetractCertificate(s.base, total, i, MonotoneMap(prod, total, r_vals), ident, ident)
+    fault = _retract_fault(s, cert, to_x)
+    if fault is not None:
+        raise InvariantViolated(f"constructed retract certificate fails: {fault}")
+    return cert
 
 
 def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
@@ -457,63 +424,6 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     return Certificate("trivial_over_base", base.elements[0], iso=iso)
 
 
-def _all_labeled_posets(names: tuple[str, ...]):
-    """Every partial order on the given labeled elements.
-
-    Each element's up-set runs over the subsets of the others, counted
-    in binary with the lowest other index as the top bit, and element 0
-    varies slowest: the order of a scan over the relation pairs (i, j),
-    i != j, row-major and absent before present.
-    """
-    n = len(names)
-    ups = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        ups.append([
-            (1 << i) | sum(1 << j for t, j in enumerate(others) if v >> (n - 2 - t) & 1)
-            for v in range(1 << (n - 1))
-        ])
-    for above in iproduct(*ups):
-        # an order: whatever lies strictly above i has its up-set inside
-        # i's strict up-set (transitive, and never back down to i)
-        strict = [row & ~(1 << i) for i, row in enumerate(above)]
-        if any(above[j] & ~strict[i] for i in range(n) for j in _bits(strict[i])):
-            continue
-        below = [0] * n
-        for i, row in enumerate(above):
-            for j in _bits(row):
-                below[j] |= 1 << i
-        yield Poset(names, below, above)
-
-
-def search_retract_certificate(
-    p: MapLike, max_y: int = 3, guard: Optional[int] = DEFAULT_GUARD
-) -> Optional[RetractCertificate]:
-    """Bounded exhaustive search for a retract certificate with X = B.
-
-    Enumerates every labeled poset Y with at most max_y elements,
-    every monotone g: E -> Y making i = (p, g) injective, and every
-    fiber-preserving monotone r with r i = Id.  The X side is pinned
-    to the base with j = s = Id, the shape every certificate this
-    engine emits has; None is an exhausted-search result for that
-    shape, not a proof that wilder certificates cannot exist.
-    """
-    s = as_slice(p)
-    for k in range(1, max_y + 1):
-        names = tuple(f"y{t}" for t in range(k))
-        for y in _all_labeled_posets(names):
-            prod, to_x, _ = product(s.base, y)
-            for g in monotone_maps(s.total, y, guard):
-                i_vals = tuple(s.map.vals[ei] * y.n + g.vals[ei] for ei in range(s.total.n))
-                if len(set(i_vals)) < s.total.n:
-                    continue
-                pins = {prod.elements[v]: s.total.elements[ei] for ei, v in enumerate(i_vals)}
-                r = next(monotone_maps(prod, s.total, guard, over=(to_x, s.map), fixed=pins), None)
-                if r is not None:
-                    return _retract_over_base(s, g, prod, to_x, r.vals)
-    return None
-
-
 @dataclass(frozen=True)
 class Certificate:
     """A machine-checkable reason a verdict is Fibration.
@@ -523,12 +433,12 @@ class Certificate:
     (trivial_over_base); ``reduction`` is the down-beat-point reduction
     p0 the certificate speaks about (None when it speaks about the map
     itself, as from ``is_trivial_over_base``), ``iso`` the isomorphism
-    of p0 with B x F over B, and ``retract`` presents p0 (or, for
-    explicit_retract, the map itself) as a retract of a projection.  A
-    field the kind does not use is None.
+    of p0 with B x F over B, and ``retract`` presents p0 as a retract
+    of the projection B x E -> B.  A field the kind does not use is
+    None.
     """
 
-    kind: str  # minimum_base_bifibration | height1_max_retract | trivial_over_base | explicit_retract
+    kind: str  # minimum_base_bifibration | height1_max_retract | trivial_over_base
     point: Optional[str] = None
     reduction: Optional[MapReduction] = None
     iso: Optional[dict] = None
@@ -551,9 +461,8 @@ class Verdict:
     Overall status is not_fibration if any component fails, else
     unknown if any component is undecided, else fibration.  The
     top-level certificate is the single component's certificate when
-    there is exactly one analyzed component, or the explicit retract
-    certificate that upgraded an unknown; multi-component fibrations
-    carry their certificates per component.
+    there is exactly one analyzed component; multi-component
+    fibrations carry their certificates per component.
     """
 
     status: str
@@ -603,17 +512,12 @@ def _decide_component(facts: _ComponentFacts) -> ComponentVerdict:
     return ComponentVerdict(comp, "unknown", witness=witness, necessary=report)
 
 
-def decide_hurewicz(
-    p: MapLike,
-    *,
-    certificate: Optional[RetractCertificate] = None,
-) -> Verdict:
+def decide_hurewicz(p: MapLike) -> Verdict:
     """Three-valued Hurewicz decision with certificates and witnesses.
 
     Components of the base with empty preimage are skipped (nothing to
-    lift into them).  A caller-supplied retract certificate is only
-    consulted to upgrade an otherwise unknown verdict; it can never
-    mask a refutation.
+    lift into them).  The first failing component gives the witness of
+    not_fibration, else the first undecided one that of unknown.
     """
     s = as_slice(p)
     if s.is_empty:
@@ -625,11 +529,6 @@ def decide_hurewicz(
         first = next(c for c in parts if c.status == "not_fibration")
         return Verdict("not_fibration", parts, skipped, witness=first.witness)
     if any(c.status == "unknown" for c in parts):
-        if certificate is not None:
-            ok, _ = verify_retract_certificate(s, certificate)
-            if ok:
-                cert = Certificate("explicit_retract", retract=certificate)
-                return Verdict("fibration", parts, skipped, certificate=cert)
         first = next(c for c in parts if c.status == "unknown")
         return Verdict("unknown", parts, skipped, witness=first.witness)
     top = parts[0].certificate if len(parts) == 1 else None

@@ -12,27 +12,32 @@ from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from finfib.errors import (
-    CodomainMismatch,
-    FunctorialityViolated,
-    GuardExceeded,
-    SearchBudgetExhausted,
-    UnknownElement,
-)
+from finfib.documents import poset_from_doc
+from finfib.errors import CodomainMismatch, FunctorialityViolated, UnknownElement
 from finfib.grothendieck import BundleReport, PosetFunctor, grothendieck_construction
 from finfib.posets import (
-    DEFAULT_GUARD,
     MonotoneMap,
     Poset,
     _bits,
     find_isomorphism_over_base,
     isomorphisms,
-    monotone_maps,
     pair_name,
     product,
 )
 from finfib.slices import SliceMap, as_slice, restrict_over
 from finfib.stong import BeatPointReport, ReductionTrace, core, smallest_dbp_retract
+from finfib.verdict import RetractCertificate, _retract_fault
+
+DEFAULT_GUARD = 100_000
+
+
+class GuardExceeded(Exception):
+    """An oracle enumeration would exceed its guard, checked before any work."""
+
+    def __init__(self, bound, guard):
+        super().__init__(f"enumeration bound {bound} exceeds guard {guard}")
+        self.bound = bound
+        self.guard = guard
 
 
 # -- independent oracles -----------------------------------------------
@@ -496,8 +501,9 @@ def transpose(rows):
 def matrix_labeled_posets(names):
     """Every partial order on the labeled elements, by filtering relation sets.
 
-    The k x k matrix scan ``verdict._all_labeled_posets`` replaced; it
-    yields the same posets in the same order.
+    The relation pairs (i, j), i != j, are scanned row-major, absent
+    before present, so the order is fixed: ``search_retract_certificate``
+    returns the first certificate it meets.
     """
     n = len(names)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -537,9 +543,8 @@ def _linear_extension(p):
 def rec_enumerate_monotone(dom, cod, cand, guard):
     """Yield value tuples of monotone maps with per-element candidate masks.
 
-    The recursive enumerator ``posets.monotone_maps`` replaced, kept
-    as an oracle.  The guard is checked against the product
-    of candidate set sizes before any work happens.
+    The enumerator behind ``rec_monotone_maps``.  The guard is checked
+    against the product of candidate set sizes before any work happens.
     """
     if dom.n == 0:
         yield ()
@@ -576,10 +581,12 @@ def rec_enumerate_monotone(dom, cod, cand, guard):
     yield from rec(0)
 
 
-def rec_monotone_maps(dom, cod, guard=100_000, *, upper=None, over=None, fixed=None):
-    """``posets.monotone_maps`` as it was over ``rec_enumerate_monotone``.
+def rec_monotone_maps(dom, cod, guard=DEFAULT_GUARD, *, upper=None, over=None, fixed=None):
+    """Enumerate monotone maps dom -> cod, optionally constrained.
 
-    ``upper`` bounds the maps pointwise from above (f <= upper).
+    ``upper`` bounds the maps pointwise from above (f <= upper);
+    ``over=(p, q)`` keeps only maps f with q o f = p, for p out of dom
+    and q out of cod into a common base; ``fixed`` pins given elements.
     """
     full = (1 << cod.n) - 1
     cand = [full] * dom.n
@@ -698,11 +705,13 @@ def height_keyed_joint_labels(p, q, extra_p, extra_q):
         ]
 
 
-def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, budget=None):
+def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, visit=None):
     """The recursive isomorphism search ``posets.isomorphisms`` replaced.
 
-    Kept verbatim as an oracle: same yield sequence, and the budget
-    runs out at the same attempted assignment.
+    Kept as an oracle: same yield sequence.  ``visit(prefix, values)``,
+    if given, sees each node of the search before its children: the
+    (p, q) name pairs assigned so far and the q names consistent with
+    them for the next element, in the order they are tried.
     """
     if p.n != q.n:
         return
@@ -719,7 +728,6 @@ def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, budget=None):
     order = sorted(range(p.n), key=lambda i: (len(by_label.get(lab_p[i], ())), i))
     assigned = [-1] * p.n
     used = 0
-    nodes = [0]
 
     def rec(k):
         nonlocal used
@@ -727,14 +735,10 @@ def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, budget=None):
             yield {p.elements[i]: q.elements[assigned[i]] for i in range(p.n)}
             return
         i = order[k]
+        consistent = []
         for j in by_label.get(lab_p[i], ()):
             if used >> j & 1:
                 continue
-            nodes[0] += 1
-            if budget is not None and nodes[0] > budget:
-                raise SearchBudgetExhausted(
-                    f"isomorphism search exceeded budget of {budget} nodes"
-                )
             ok = True
             for k2 in range(k):
                 i2 = order[k2]
@@ -744,8 +748,12 @@ def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, budget=None):
                 ) != (q.below[j2] >> j & 1):
                     ok = False
                     break
-            if not ok:
-                continue
+            if ok:
+                consistent.append(j)
+        if visit is not None:
+            prefix = tuple((p.elements[i2], q.elements[assigned[i2]]) for i2 in order[:k])
+            visit(prefix, tuple(q.elements[j] for j in consistent))
+        for j in consistent:
             assigned[i] = j
             used |= 1 << j
             yield from rec(k + 1)
@@ -753,36 +761,6 @@ def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, budget=None):
             assigned[i] = -1
 
     yield from rec(0)
-
-
-def per_value_backtrack(order, cand, budget=None):
-    """The explicit-stack search ``posets._backtrack`` replaced.
-
-    Kept verbatim as an oracle: it steps through the tried values one at
-    a time, counting each against the budget before testing it for
-    consistency, where the replacement counts the refuted ones in bulk.
-    """
-    vals = [-1] * len(order)
-    stack = [cand(0, vals)]
-    nodes = 0
-    while stack:
-        k = len(stack) - 1
-        tried, ok = stack[k]
-        if not tried:
-            stack.pop()
-            continue
-        low = tried & -tried
-        stack[k] = (tried ^ low, ok)
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise SearchBudgetExhausted(f"isomorphism search exceeded budget of {budget} nodes")
-        if not ok & low:
-            continue
-        vals[order[k]] = low.bit_length() - 1
-        if k + 1 == len(order):
-            yield vals
-        else:
-            stack.append(cand(k + 1, vals))
 
 
 # -- retract families, descending endomaps and hom-posets --------------
@@ -883,7 +861,64 @@ def hom_poset(dom: Poset, cod: Poset, guard: Optional[int] = DEFAULT_GUARD) -> H
 
     The guard bounds |cod| ** |dom|, checked before enumerating.
     """
-    return HomPoset(dom, cod, list(monotone_maps(dom, cod, guard)))
+    return HomPoset(dom, cod, list(rec_monotone_maps(dom, cod, guard)))
+
+
+# -- retract certificates --------------------------------------------
+
+
+def verify_retract_certificate(p, cert):
+    """Re-check a retract certificate from scratch.
+
+    Returns (True, None) or (False, reason), the reason naming the
+    shape constraint, the first map that is not monotone or the first
+    violated identity, the last two by the builder's own check.
+    """
+    sl = as_slice(p)
+    prod, to_x, _ = product(cert.x, cert.y)
+    if cert.i.dom != sl.total or cert.i.cod != prod:
+        return False, "i must map the total space into x times y"
+    if cert.r.dom != prod or cert.r.cod != sl.total:
+        return False, "r must map x times y onto the total space"
+    if cert.j.dom != sl.base or cert.j.cod != cert.x:
+        return False, "j must map the base into x"
+    if cert.s.dom != cert.x or cert.s.cod != sl.base:
+        return False, "s must map x onto the base"
+    fault = _retract_fault(sl, cert, to_x)
+    return fault is None, fault
+
+
+def retract_certificate_from_doc(doc, p):
+    """The certificate a ``documents.retract_certificate_to_doc`` document names, for the map p."""
+    sl = as_slice(p)
+    x, y = poset_from_doc(doc["x"]), poset_from_doc(doc["y"])
+    prod = product(x, y)[0]
+    sides = zip("irjs", ((sl.total, prod), (prod, sl.total), (sl.base, x), (x, sl.base)))
+    return RetractCertificate(x, y, *(MonotoneMap.build(dom, cod, doc[f]) for f, (dom, cod) in sides))
+
+
+def search_retract_certificate(p, max_y=3, guard=DEFAULT_GUARD):
+    """Bounded exhaustive search for a retract certificate with X = B.
+
+    Every labeled poset Y with at most max_y elements, every monotone
+    g: E -> Y making i = (p, g) injective, and every fiber-preserving
+    monotone r with r i = Id, in that order; j = s = Id.  None
+    exhausts this shape only, not wilder certificates.
+    """
+    s = as_slice(p)
+    ident = MonotoneMap.identity(s.base)
+    for k in range(1, max_y + 1):
+        for y in matrix_labeled_posets(tuple(f"y{t}" for t in range(k))):
+            prod, to_x, _ = product(s.base, y)
+            for g in rec_monotone_maps(s.total, y, guard):
+                i_vals = tuple(v * y.n + w for v, w in zip(s.map.vals, g.vals))
+                if len(set(i_vals)) < s.total.n:
+                    continue
+                pins = {prod.elements[v]: s.total.elements[ei] for ei, v in enumerate(i_vals)}
+                r = next(rec_monotone_maps(prod, s.total, guard, over=(to_x, s.map), fixed=pins), None)
+                if r is not None:
+                    return RetractCertificate(s.base, y, MonotoneMap(s.total, prod, i_vals), r, ident, ident)
+    return None
 
 
 # -- random instance generators ----------------------------------------

@@ -24,15 +24,14 @@ from finfib.stong import (
     is_contractible,
     smallest_dbp_retract,
 )
-from finfib.errors import GuardExceeded
 from finfib.verdict import (
     decide_hurewicz,
     is_closed_map,
     is_open_map,
     necessary_conditions,
-    search_retract_certificate,
 )
 from helpers import (
+    GuardExceeded,
     all_dbp_retracts,
     endomaps_below_identity,
     homotopy_classes,
@@ -46,6 +45,7 @@ from helpers import (
     rand_poset,
     rescan_map_reduce,
     rescan_reduce,
+    search_retract_certificate,
     seeded,
     shuffling_picker,
     trace_idempotent,

@@ -21,7 +21,6 @@ from finfib.documents import (
     poset_from_doc,
     poset_to_doc,
     poset_to_text,
-    retract_certificate_from_doc,
     retract_certificate_to_doc,
     verdict_to_doc,
 )
@@ -30,14 +29,16 @@ from finfib.gallery import gallery_map, gallery_poset
 from finfib.grothendieck import PosetFunctor, classify_grothendieck, grothendieck_construction
 from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base, product
 from finfib.slices import smallest_dbp_retract_of_map
-from finfib.verdict import (
-    decide_hurewicz,
-    necessary_conditions,
-    projection_retract_height1,
-    search_retract_certificate,
+from finfib.verdict import decide_hurewicz, necessary_conditions, projection_retract_height1
+from helpers import (
+    posets,
+    rand_functor,
+    rand_monotone,
+    rand_poset,
+    retract_certificate_from_doc,
+    seeded,
     verify_retract_certificate,
 )
-from helpers import census_unknown, posets, rand_functor, rand_monotone, rand_poset, seeded
 
 
 def test_poset_doc_round_trip():
@@ -133,21 +134,6 @@ def test_retract_certificate_doc_round_trip():
     assert back.i == cert.i and back.r == cert.r
 
 
-@pytest.mark.parametrize("field", ["i", "r", "j", "s"])
-def test_retract_certificate_doc_refuses_malformed_maps(field):
-    vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    _, p, _ = product(vee, Poset.chain(["0", "1"]))
-    cert = projection_retract_height1(classify_grothendieck(p))
-    doc = json.loads(json.dumps(retract_certificate_to_doc(cert)))
-    good = doc[field]
-    for bad in ({k: [v] for k, v in good.items()}, list(good.items()), "x", None, 3):
-        with pytest.raises(ParseError, match=f"'{field}' must be an object mapping elements"):
-            retract_certificate_from_doc({**doc, field: bad}, p)
-    back = retract_certificate_from_doc(doc, p)
-    assert (back.i, back.r, back.j, back.s) == (cert.i, cert.r, cert.j, cert.s)
-    assert verify_retract_certificate(p, back)[0]
-
-
 def test_verdict_doc_shapes():
     doc = verdict_to_doc(decide_hurewicz(gallery_map("p1")))
     assert doc["status"] == "fibration"
@@ -170,20 +156,13 @@ def test_certificate_docs_write_each_kind_s_fields_in_order():
     fib = Poset.chain(["0", "1"])
     vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
     fence = Poset.build(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
-    census = census_unknown()
     cases = [
-        (gallery_map("p1"), {}, "minimum_base_bifibration", ["minimum", "reduction"]),
-        (product(vee, fib)[1], {}, "height1_max_retract", ["maximum", "reduction", "retract"]),
-        (product(fence, fib)[1], {}, "trivial_over_base", ["fiber_of", "iso", "reduction"]),
-        (
-            census,
-            {"certificate": search_retract_certificate(census, max_y=3)},
-            "explicit_retract",
-            ["retract"],
-        ),
+        (gallery_map("p1"), "minimum_base_bifibration", ["minimum", "reduction"]),
+        (product(vee, fib)[1], "height1_max_retract", ["maximum", "reduction", "retract"]),
+        (product(fence, fib)[1], "trivial_over_base", ["fiber_of", "iso", "reduction"]),
     ]
-    for m, kwargs, kind, keys in cases:
-        doc = certificate_to_doc(decide_hurewicz(m, **kwargs).certificate)
+    for m, kind, keys in cases:
+        doc = certificate_to_doc(decide_hurewicz(m).certificate)
         assert list(doc) == ["kind", *keys]
         assert doc["kind"] == kind
         assert json.loads(json.dumps(doc)) == doc
@@ -211,7 +190,15 @@ def test_dumps_writes_what_the_stdlib_writes(doc):
 
 
 def test_dumps_writes_floats_and_non_string_keys_as_the_stdlib_does():
-    doc = {1: 1.5, None: float("inf"), True: [float("nan"), -0.0], 2.5: {"x": -1e300}, False: ()}
+    doc = {
+        1: 1.5,
+        None: float("inf"),
+        True: [float("nan"), -0.0],
+        2.5: {"x": -1e300},
+        False: (),
+        # 1 == True and 0 == False, with equal hashes: no constant table may write them
+        "mixed": {"n": 1, "t": True, "z": 0, "f": False, "x": None},
+    }
     assert dumps(doc) == json.dumps(doc, indent=2)
 
 

@@ -1,7 +1,6 @@
 """Core poset machinery: order queries, products, map enumeration, isos."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,29 +10,25 @@ from finfib.errors import (
     CodomainMismatch,
     CycleDetected,
     DuplicateName,
-    FinfibError,
-    GuardExceeded,
     NotMonotone,
-    SearchBudgetExhausted,
     UnknownElement,
 )
+import finfib.posets
 from finfib.grothendieck import grothendieck_construction
 from finfib.posets import (
     MonotoneMap,
     Poset,
-    _backtrack,
     _extremum,
     _joint_labels,
     _maximal,
     find_isomorphism,
     find_isomorphism_over_base,
     isomorphisms,
-    monotone_maps,
     pair_name,
     product,
 )
-from finfib.verdict import _all_labeled_posets
 from helpers import (
+    GuardExceeded,
     all_pairs_monotone,
     brute_iso,
     closure_rows,
@@ -42,10 +37,10 @@ from helpers import (
     height_keyed_joint_labels,
     hom_poset,
     linear_extremum,
+    matrix_labeled_posets,
     pair_walk_covers,
     pair_walk_heights,
     pair_walk_sub,
-    per_value_backtrack,
     posets,
     rand_functor,
     rand_monotone,
@@ -228,9 +223,10 @@ def test_every_constructor_hands_over_the_transposed_rows(p, q, data):
 
 
 def test_enumerated_and_empty_posets_hand_over_the_transposed_rows():
+    # every order on up to three labeled points, rebuilt from its covers
     for k in range(1, 4):
-        for p in _all_labeled_posets(tuple(f"y{t}" for t in range(k))):
-            assert has_transposed_rows(p)
+        for p in matrix_labeled_posets(tuple(f"y{t}" for t in range(k))):
+            assert has_transposed_rows(Poset.build(p.elements, p.covers()))
     assert Poset.build([], []).above == Poset.build([], []).below == ()
 
 
@@ -477,12 +473,12 @@ def test_is_iso_agrees_with_the_pairwise_definition(p, data):
 
 
 def test_monotone_maps_match_raw_filtering():
-    """Check the enumerator against brute-force filtering of all functions."""
+    """Check the enumerating oracle against brute-force filtering of all functions."""
     rng = seeded(13)
     for _ in range(12):
         dom = rand_poset(rng, rng.randint(1, 3), prefix="d")
         cod = rand_poset(rng, rng.randint(1, 3), prefix="c")
-        got = {m.vals for m in monotone_maps(dom, cod)}
+        got = {m.vals for m in rec_monotone_maps(dom, cod)}
         want = set()
         for vals in itertools.product(range(cod.n), repeat=dom.n):
             if all(
@@ -496,7 +492,7 @@ def test_monotone_maps_match_raw_filtering():
 
 def test_monotone_maps_respect_bounds_and_pins():
     d = diamond()
-    pinned = list(monotone_maps(d, d, fixed={"top": "bot"}))
+    pinned = list(rec_monotone_maps(d, d, fixed={"top": "bot"}))
     assert all(f("top") == "bot" for f in pinned)
     assert pinned == [MonotoneMap(d, d, (d.idx("bot"),) * d.n)]
 
@@ -506,7 +502,7 @@ def test_monotone_maps_over_a_base():
     dom = Poset.chain(["a", "b"])
     p = MonotoneMap.build(dom, base, {"a": "u", "b": "v"})
     q = MonotoneMap.identity(base)
-    over = list(monotone_maps(dom, base, over=(p, q)))
+    over = list(rec_monotone_maps(dom, base, over=(p, q)))
     assert over == [p]
 
 
@@ -515,7 +511,7 @@ def test_guard_limits_enumeration():
     with pytest.raises(GuardExceeded):
         hom_poset(big, big, guard=1000)
     with pytest.raises(GuardExceeded):
-        list(monotone_maps(big, big, 1000))
+        list(rec_monotone_maps(big, big, 1000))
 
 
 def test_hom_poset_of_the_chain():
@@ -579,19 +575,6 @@ def test_empty_and_singleton_edge_cases():
     one = Poset.build(["x"], [])
     assert one.height() == 0
     assert one.minimum() == "x"
-    assert len(list(monotone_maps(e, one))) == 1
-    assert len(list(monotone_maps(one, e))) == 0
-
-
-def run_out(gen, cap=200):
-    """What a search yields (at most ``cap`` items), and the error that stopped it."""
-    out = []
-    try:
-        for x in itertools.islice(gen, cap):
-            out.append(x.vals if isinstance(x, MonotoneMap) else x)
-    except FinfibError as exc:
-        return out, f"{type(exc).__name__}: {exc}"
-    return out, None
 
 
 def draw_search_pair(p, data, labels):
@@ -621,22 +604,49 @@ def draw_search_pair(p, data, labels):
     return q, extra_p, extra_q
 
 
+def search_nodes(p, q, cap=200, **labels):
+    """The isomorphisms the search yields (at most ``cap``) and the nodes it visits.
+
+    A node is the (p, q) name pairs assigned so far and the q names of
+    the candidate mask for the next element, as ``rec_isomorphisms``
+    reports its nodes to ``visit``.
+    """
+    nodes = []
+    search = finfib.posets._backtrack
+
+    def watched(order, cand):
+        def candidates(k, vals):
+            ok = cand(k, vals)
+            nodes.append((tuple((p.elements[i], q.elements[vals[i]]) for i in order[:k]), q.names(ok)))
+            return ok
+
+        return search(order, candidates)
+
+    finfib.posets._backtrack = watched
+    try:
+        found = list(itertools.islice(isomorphisms(p, q, **labels), cap))
+    finally:
+        finfib.posets._backtrack = search
+    return found, nodes
+
+
+def agrees_node_for_node(p, q, cap=200, **labels):
+    """Compare yields and visited nodes with the recursive oracle; return the yields.
+
+    Each candidate mask must hold exactly the values consistent with the
+    assignment so far: a constraint the search drops or adds by mistake
+    changes some mask even where it changes no yield.
+    """
+    want_nodes = []
+    oracle = rec_isomorphisms(p, q, visit=lambda *node: want_nodes.append(node), **labels)
+    got = search_nodes(p, q, cap, **labels)
+    assert got == (list(itertools.islice(oracle, cap)), want_nodes)
+    return got[0]
+
+
 def agrees_with_the_recursive_oracle(p, data, labels):
     q, extra_p, extra_q = draw_search_pair(p, data, labels)
-    budget = data.draw(st.sampled_from([None, 1, 5, 20, 1000]))
-    kwargs = {"extra_p": extra_p, "extra_q": extra_q, "budget": budget}
-    assert run_out(isomorphisms(p, q, **kwargs)) == run_out(rec_isomorphisms(p, q, **kwargs))
-
-
-def agrees_at_every_budget(p, q, cap=200, **kwargs):
-    """Compare with the oracle at budgets 0, 1, ... until the search completes."""
-    budget = 0
-    while True:
-        got = run_out(isomorphisms(p, q, budget=budget, **kwargs), cap)
-        assert got == run_out(rec_isomorphisms(p, q, budget=budget, **kwargs), cap)
-        if got[1] is None:
-            return got
-        budget += 1
+    agrees_node_for_node(p, q, extra_p=extra_p, extra_q=extra_q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -652,74 +662,14 @@ def test_isomorphism_search_agrees_with_the_recursive_oracle_on_four_labels(p, d
     agrees_with_the_recursive_oracle(p, data, labels=4)
 
 
-@settings(max_examples=150, deadline=None)
-@given(p=posets(max_size=6), data=st.data())
-def test_isomorphism_search_spends_the_oracle_budget_node_for_node(p, data):
-    # a constraint the search drops or adds by mistake often changes
-    # only how many values it refutes, which only some budgets see
-    q, extra_p, extra_q = draw_search_pair(p, data, labels=4)
-    agrees_at_every_budget(p, q, cap=20, extra_p=extra_p, extra_q=extra_q)
-
-
-def run_backtrack(search, order, seed, budget):
-    """Value lists a search over seeded random (tried, ok) tables yields, and its error.
-
-    The tables depend on the position and on the values assigned so
-    far; about half of them have ok == tried, the rest a random part.
-    """
-
-    def cand(k, vals):
-        rng = random.Random(f"{seed}:{k}:{[vals[i] for i in order[:k]]}")
-        tried = rng.getrandbits(5)
-        return tried, tried if rng.random() < 0.5 else tried & rng.getrandbits(5)
-
-    out = []
-    try:
-        for vals in search(order, cand, budget):
-            out.append(list(vals))
-    except SearchBudgetExhausted as exc:
-        return out, str(exc)
-    return out, None
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    order=st.integers(1, 4).flatmap(lambda n: st.permutations(range(n))),
-    seed=st.integers(0, 2**16),
-    budget=st.sampled_from([None, 0, 1, 5, 50]),
-)
-def test_bulk_node_counting_matches_the_per_value_search(order, seed, budget):
-    got = run_backtrack(_backtrack, order, seed, budget)
-    assert got == run_backtrack(per_value_backtrack, order, seed, budget)
-
-
-@settings(max_examples=300, deadline=None)
-@given(dom=posets(max_size=4), cod=posets(max_size=5), data=st.data())
-def test_monotone_maps_agree_with_the_recursive_oracle(dom, cod, data):
-    kwargs = {}
-    if data.draw(st.booleans()):
-        base = data.draw(posets(max_size=3))
-        over_dom = list(rec_monotone_maps(dom, base, None))
-        over_cod = list(rec_monotone_maps(cod, base, None))
-        if over_dom and over_cod:
-            kwargs["over"] = (data.draw(st.sampled_from(over_dom)), data.draw(st.sampled_from(over_cod)))
-    if cod.n and data.draw(st.booleans()):
-        pinned = data.draw(st.lists(st.sampled_from(dom.elements), unique=True)) if dom.n else []
-        kwargs["fixed"] = {a: data.draw(st.sampled_from(cod.elements)) for a in pinned}
-    guard = data.draw(st.none() | st.integers(0, 40))
-    got = run_out(monotone_maps(dom, cod, guard, **kwargs))
-    assert got == run_out(rec_monotone_maps(dom, cod, guard, **kwargs))
-
-
 def test_the_budget_counts_refuted_candidates_where_refinement_cannot_split():
     # every point of both posets gets one colour, so the search tries and
-    # refutes many values before it proves there is no isomorphism
+    # refutes many values before it proves there is no isomorphism.  The
+    # name dates from the node budget; each node's candidates are now
+    # compared with the values the oracle has not refuted
     one, two = crowns(4, 1, "a"), crowns(2, 2, "b")
-    assert run_out(isomorphisms(one, two)) == ([], None)
-    for budget in range(220):
-        got = run_out(isomorphisms(one, two, budget=budget))
-        assert got == run_out(rec_isomorphisms(one, two, budget=budget))
-    assert got[1] is None
+    assert agrees_node_for_node(one, two) == []
+    assert len(search_nodes(one, two)[1]) > 20
 
 
 @pytest.mark.parametrize("opposite", [False, True])
@@ -727,18 +677,15 @@ def test_the_search_prunes_with_maximal_lower_and_minimal_upper_neighbours(oppos
     # the crown's points share one colour on each level of the chain, so
     # the search meets earlier neighbours that refinement cannot tell
     # apart; checking only minimal earlier lower neighbours (or maximal
-    # upper ones) instead of the maximal (minimal) ones refutes values
-    # later and moves the point where the budget runs out
+    # upper ones) instead of the maximal (minimal) ones leaves values in
+    # a candidate mask that the oracle refutes
     prod, _, _ = product(crowns(2, 1, "a"), Poset.chain(["c0", "c1", "c2"]))
     p = prod.op() if opposite else prod
     for seed in range(3):
         order = list(p.elements)
         seeded(seed).shuffle(order)
         q = Poset.build(order, p.covers())
-        for budget in range(401):
-            got = run_out(isomorphisms(p, q, budget=budget))
-            assert got == run_out(rec_isomorphisms(p, q, budget=budget))
-        assert got[1] is None and len(got[0]) == 4
+        assert len(agrees_node_for_node(p, q)) == 4
 
 
 def crown_fibers():
@@ -752,7 +699,9 @@ def crown_fibers():
 def test_bundle_searches_agree_with_the_recursive_oracle_at_every_budget(k, fiber, twist):
     # labels are base values, as in the search over the base, so the
     # colour classes over incomparable base points are mutually apart
-    # and the search drops their constraints
+    # and the search drops their constraints.  The name dates from when
+    # both searches took a node budget, which sampled the nodes; the
+    # comparison is now node for node
     fib = crown_fibers()[fiber]
     aut = list(isomorphisms(fib, fib))[twist]
     s = twisted_bundle(k, fib, aut)
@@ -763,9 +712,7 @@ def test_bundle_searches_agree_with_the_recursive_oracle_at_every_budget(k, fibe
     copy = Poset.build([ren[a] for a in order], [(ren[a], ren[b]) for a, b in s.total.covers()])
     copy_vals = [s.map.vals[s.total.index[a]] for a in order]
     for q, extra_q in ((prod, to_base.vals), (copy, copy_vals)):
-        kwargs = {"extra_p": s.map.vals, "extra_q": extra_q}
-        got = agrees_at_every_budget(s.total, q, **kwargs)
-        assert got == run_out(isomorphisms(s.total, q, **kwargs))
+        agrees_node_for_node(s.total, q, extra_p=s.map.vals, extra_q=extra_q)
 
 
 def test_a_shuffled_1500_chain_has_no_search_ceiling():
@@ -781,5 +728,3 @@ def test_a_shuffled_1500_chain_has_no_search_ceiling():
     assert c.heights() == tuple(int(a[1:]) for a in c.elements)
     assert c.op().covers() == in_index_order(zip(names[1:], names))
     assert find_isomorphism(c, c) == {a: a for a in names}
-    first = next(monotone_maps(c, c, None))
-    assert first == MonotoneMap(c, c, (0,) * c.n)

@@ -1,5 +1,7 @@
 """The README's examples run as written."""
 
+import ast
+import builtins
 import contextlib
 import importlib
 import inspect
@@ -23,19 +25,28 @@ def test_the_library_example_prints_what_its_comments_say():
     assert out.getvalue().splitlines()[:2] == ["True", "unknown"]
 
 
-def removed_names():
-    """The backticked names in the first column of the removed-names table."""
+def removed_rows():
+    """The (removed name, use instead) cells of each row of the removed-names table."""
     table = README.read_text().split("| removed name | use instead |\n", 1)[1].split("\n\n", 1)[0]
     rows = table.splitlines()[1:]  # below the header's rule
-    return [name for row in rows for name in re.findall(r"`([^`]+)`", row.split(" | ", 1)[0])]
+    return [row.strip("| ").split(" | ", 1) for row in rows]
 
 
-def test_no_name_in_the_removed_names_table_is_back():
-    modules = [finfib] + [
+def removed_names():
+    """The backticked names in the first column of the removed-names table."""
+    return [name for removed, _ in removed_rows() for name in re.findall(r"`([^`]+)`", removed)]
+
+
+def package_modules():
+    return [finfib] + [
         importlib.import_module(f"finfib.{m.name}")
         for m in pkgutil.iter_modules(finfib.__path__)
         if m.name != "__main__"  # importing it runs the command line
     ]
+
+
+def test_no_name_in_the_removed_names_table_is_back():
+    modules = package_modules()
     found = []
     names = removed_names()
     assert len(names) > 30
@@ -53,4 +64,31 @@ def test_no_name_in_the_removed_names_table_is_back():
                 found.append(name)
         else:
             found += [f"{m.__name__}.{name}" for m in modules if hasattr(m, name)]
+    assert found == []
+
+
+def test_every_keyword_call_the_removed_names_table_suggests_is_live():
+    # a replacement must not send the reader to an option or a function
+    # the package no longer has; builtins such as sorted(key=) pass
+    modules = package_modules()
+    found = []
+    for _, instead in removed_rows():
+        for code in re.findall(r"`([^`]+)`", instead):
+            try:
+                tree = ast.parse(code, mode="eval")
+            except SyntaxError:
+                continue  # a statement such as rep = ..., or prose
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call) or not call.keywords:
+                    continue
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if hasattr(builtins, name):
+                    continue
+                live = {getattr(m, name) for m in modules if callable(getattr(m, name, None))}
+                if len(live) != 1:
+                    found.append(f"{code}: {name} is no finfib function")
+                    continue
+                params = inspect.signature(live.pop()).parameters
+                found += [f"{code}: {name}({kw.arg}=)" for kw in call.keywords if kw.arg not in params]
     assert found == []

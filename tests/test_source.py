@@ -15,6 +15,15 @@ def package_trees():
         yield path.name, ast.parse(path.read_text(), filename=str(path))
 
 
+def load_spans():
+    """The benchmark's ``perfbench/spans.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements, so engine checks must raise
     # InvariantViolated instead
@@ -68,11 +77,6 @@ OPTION_KEEP = {
     "main.argv": "perfbench and the tests drive the command line in-process",
     "map_to_text.dom_name": "README: map_to_text names the domain block",
     "map_to_text.cod_name": "README: map_to_text names the codomain block",
-    "search_retract_certificate.max_y": "ROADMAP: the planned certify command takes --max-y",
-    "search_retract_certificate.guard": "ROADMAP: the planned certify search takes a bound",
-    "decide_hurewicz.certificate": "ROADMAP: the planned --certificate option feeds it",
-    "isomorphisms.budget": "ROADMAP: the planned certify search runs its node budget through _backtrack; "
-    "the node-for-node oracle tests pin it",
 }
 
 
@@ -132,8 +136,7 @@ PUBLIC_KEEP = {
     "gallery_ids": "the gallery's lookup by id",
     "gallery_map": "the gallery's lookup by id; the README's Library example",
     "gallery_poset": "the gallery's lookup by id",
-    "search_retract_certificate": "ROADMAP: the planned certify command runs this search",
-    "retract_certificate_from_doc": "ROADMAP: the planned certify and --certificate read certificates back",
+    "SearchBudgetExhausted": "perfbench/spans.py binds it in Tracer.__init__; goes with ROADMAP item 1",
     "restrict_over_component": "perfbench/spans.py wraps it where verdict imports it",
     "find_isomorphism_over_base": "perfbench/spans.py wraps it where verdict and grothendieck import it; "
     "the tests use it as the over-base oracle",
@@ -257,13 +260,34 @@ def test_every_shared_member_name_was_checked_by_hand():
     assert sorted(set(SHARED_MEMBERS) - shared) == []
 
 
+def test_every_import_is_used_or_a_benchmark_patch_site():
+    # no linter runs on the package: an import its module never reads is
+    # left over, unless it carries "# noqa: F401" and perfbench/spans.py
+    # wraps it under that module.  The __init__ imports are the exports.
+    sites = {site for sites in load_spans().SPANS.values() for site in sites}
+    found = []
+    for name, tree in package_trees():
+        if name == "__init__.py":
+            continue
+        lines = (Path(finfib.__file__).parent / name).read_text().splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                kept = "# noqa: F401" in lines[alias.lineno - 1] and (name[:-3], bound) in sites
+                if bound not in read and not kept:
+                    found.append(f"{name}:{alias.lineno} {bound}")
+    assert found == []
+
+
 def test_every_benchmark_patch_site_resolves():
     # perfbench wraps these names from outside the package; a renamed or
-    # dropped binding would only show up in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    # dropped binding would only show up in a traced benchmark run, and
+    # so would a name the tracer binds when it is made
+    spans = load_spans()
+    spans.Tracer()
     missing = []
     for span, sites in spans.SPANS.items():
         for module, attr in sites:

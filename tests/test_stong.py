@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finfib.errors import GuardExceeded, NotDescending
+from finfib.errors import NotDescending
 from finfib.posets import MonotoneMap, Poset, _bits, _maximal, find_isomorphism, product
 from finfib.stong import (
     _reduce,

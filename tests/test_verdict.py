@@ -22,7 +22,6 @@ from finfib.stong import core, smallest_dbp_retract
 from finfib.verdict import (
     CONDITION_NAMES,
     RetractCertificate,
-    _all_labeled_posets,
     _ComponentFacts,
     _cond_beat_point_dichotomy,
     _cond_down_fiber_contractible,
@@ -35,8 +34,6 @@ from finfib.verdict import (
     is_trivial_over_base,
     necessary_conditions,
     projection_retract_height1,
-    search_retract_certificate,
-    verify_retract_certificate,
 )
 from helpers import (
     assert_trivializes,
@@ -49,7 +46,6 @@ from helpers import (
     insert_map_down_beat_point,
     is_dbp_retract,
     maps,
-    matrix_labeled_posets,
     minimal_fiber_pool,
     posets,
     rand_bundle,
@@ -61,11 +57,13 @@ from helpers import (
     scan_beat_point_dichotomy,
     scan_closed_map,
     scan_open_map,
+    search_retract_certificate,
     search_trivial_over_base,
     seeded,
     shuffling_picker,
     twisted_bundle,
     unshared_ed_inside_preimage_bd,
+    verify_retract_certificate,
 )
 from test_grothendieck import assert_bundle_check_matches_the_search, collect_bifibrations
 
@@ -367,7 +365,6 @@ def test_a_retract_that_is_not_monotone_does_not_verify():
     ident = MonotoneMap.identity(base)
     cert = RetractCertificate(base, total, i, r, ident, ident)
     assert verify_retract_certificate(p, cert) == (False, "r is not monotone")
-    assert decide_hurewicz(p, certificate=cert).status == "unknown"
 
 
 def _vee_times_chain2():
@@ -547,46 +544,18 @@ def test_certificate_search_finds_small_witnesses():
     assert cert is not None
     assert verify_retract_certificate(p1red, cert)[0]
     assert cert.y.n <= 2
-
-
-def test_labeled_posets_match_the_matrix_scan():
-    # the retract search returns the first certificate it meets, so the
-    # posets must come in the old order, not just as the same set
-    counts = []
-    for k in range(5):
-        names = tuple(f"y{t}" for t in range(k))
-        got = list(_all_labeled_posets(names))
-        assert got == list(matrix_labeled_posets(names))
-        counts.append(len(got))
-    assert counts == [1, 1, 3, 19, 219]
+    # the engine alone finds no certificate for the census map, the search does
+    m = census_unknown()
+    v = decide_hurewicz(m)
+    assert v.witness == {"condition": "undecided", "component": ["a", "b", "c", "d"]}
+    assert v.components[0].necessary.all_pass
+    cert = search_retract_certificate(m, max_y=3)
+    assert cert is not None and verify_retract_certificate(m, cert)[0]
 
 
 def test_certificate_search_exhausts_on_the_undecided_example():
     cert = search_retract_certificate(gallery_map("p3"), max_y=2)
     assert cert is None
-
-
-def test_explicit_certificate_upgrades_unknown_only():
-    m = census_unknown()
-    cert = search_retract_certificate(m, max_y=3)
-    assert cert is not None and verify_retract_certificate(m, cert)[0]
-
-    # the engine alone finds no certificate and stays unknown ...
-    v = decide_hurewicz(m)
-    assert v.status == "unknown"
-    assert v.witness == {"condition": "undecided", "component": ["a", "b", "c", "d"]}
-    assert v.components[0].necessary.all_pass
-    # ... unless the caller supplies the certificate
-    v = decide_hurewicz(m, certificate=cert)
-    assert v.status == "fibration"
-    assert v.certificate.kind == "explicit_retract"
-
-    # a certificate for a different map does not rescue p3
-    v = decide_hurewicz(gallery_map("p3"), certificate=cert)
-    assert v.status == "unknown"
-    # and can never mask a refutation
-    v = decide_hurewicz(gallery_map("p2"), certificate=cert)
-    assert v.status == "not_fibration"
 
 
 def test_unknown_verdicts_carry_the_necessary_report():
