@@ -15,12 +15,9 @@ and exists for hand-written fixtures:
     }
 
 Element names may contain commas and parentheses; separators split
-only at top level.  The emitters refuse, with ParseError, any element
-or block name the reader would not give back unchanged, and so does
-``functor_to_doc`` for base names its "lo<=hi" transition keys would
-not carry back.  Map domains and codomains
-name a poset defined earlier in the same text or use a "gallery:ID"
-reference.
+only at top level.  Map domains and codomains name a poset defined
+earlier in the same text or use a "gallery:ID" reference.  The DSL
+and functor documents are read only; nothing writes them.
 """
 
 from __future__ import annotations
@@ -169,27 +166,6 @@ def map_from_doc(doc: Doc) -> MonotoneMap:
 
 
 _PAIR_KEY = re.compile(r"^(.*?)<=(.*)$")
-
-
-def _pair_key(lo: str, hi: str) -> str:
-    """Transition key "lo<=hi"; ParseError if the reader would not split it back."""
-    key = f"{lo}<={hi}"
-    m = _PAIR_KEY.match(key)
-    for name, back in zip((lo, hi), m.groups() if m else ("", "")):
-        if back.strip() != name:
-            raise ParseError(f"base element {name!r} cannot be written in the transition key {key!r}")
-    return key
-
-
-def functor_to_doc(d: PosetFunctor) -> dict:
-    return {
-        "base": poset_to_doc(d.base),
-        "variance": d.variance,
-        "fibers": {b: poset_to_doc(f) for b, f in d.fibers.items()},
-        "transitions": {
-            _pair_key(lo, hi): dict(t.values) for (lo, hi), t in sorted(d.transitions.items())
-        },
-    }
 
 
 def functor_from_doc(doc: Doc) -> PosetFunctor:
@@ -435,65 +411,3 @@ def parse_text(text: str) -> list[tuple[str, str, Union[Poset, MonotoneMap]]]:
         raise ParseError("no poset or map blocks found")
     return out
 
-
-def _check_text_names(name: str, p: Poset, reserved: tuple[str, ...] = ()) -> None:
-    """Raise ParseError unless ``parse_text`` reads every element back.
-
-    A name must come back whole from the reader's top-level split even
-    with another name after it, which also rules out an unclosed
-    parenthesis; '#' starts a comment and '}' ends the block anywhere.
-    ``reserved`` lists further substrings the enclosing block cannot carry.
-    """
-    if not p.n:
-        raise ParseError(f"poset {name}: the text format has no empty poset")
-    for e in p.elements:
-        if _split_top(e + ",x", ",;<") != [e, "x"] or any(t in e for t in ("#", "}") + reserved):
-            raise ParseError(f"poset {name}: element {e!r} cannot be written in the text format")
-
-
-def _block_header(
-    kind: str, name: str, dom_name: Optional[str] = None, cod_name: Optional[str] = None
-) -> str:
-    """The block's header line; ParseError unless ``parse_text`` reads it back.
-
-    The reader takes the first match, which must span the whole block;
-    element names hold no '}', so an empty body stands for any body.
-    """
-    header = f"{kind} {name}" + ("" if dom_name is None else f" : {dom_name} -> {cod_name}")
-    block = header + " {}"
-    m = _BLOCK.match(block)
-    parts = (name, dom_name, cod_name)
-    if m is None or m.end() != len(block) or m.group(2, 3, 4) != parts or "#" in header:
-        raise ParseError(f"{kind} name {name!r} cannot be written in the text format")
-    return header + " {"
-
-
-def poset_to_text(name: str, p: Poset) -> str:
-    lines = [_block_header("poset", name)]
-    _check_text_names(name, p)
-    lines.append("  points: " + ", ".join(p.elements) + ";")
-    covers = p.covers()
-    if covers:
-        lines.append("  covers: " + ", ".join(f"{lo} < {hi}" for lo, hi in covers) + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def map_to_text(name: str, m: MapLike, dom_name: str = "E", cod_name: str = "B") -> str:
-    m = as_slice(m).map
-    # map entries are split at newlines and at the first '->'
-    _check_text_names(dom_name, m.dom, ("\n", "->"))
-    _check_text_names(cod_name, m.cod, ("\n",))
-    # an endomap writes its poset once: the reader refuses a repeated block name
-    out = [poset_to_text(ref, q) for ref, q in {dom_name: m.dom, cod_name: m.cod}.items()]
-    for ref in (dom_name, cod_name):
-        if ref.startswith("gallery:"):
-            raise ParseError(f"poset name {ref!r} would read back as a gallery reference")
-    if dom_name == cod_name and m.dom != m.cod:
-        raise ParseError(f"poset name {dom_name!r} cannot name both the domain and the codomain")
-    lines = [_block_header("map", name, dom_name, cod_name)]
-    for e in m.dom.elements:
-        lines.append(f"  {e} -> {m(e)};")
-    lines.append("}")
-    out.append("\n".join(lines) + "\n")
-    return "\n".join(out)

@@ -33,8 +33,8 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _climb(rows: Sequence[int], co: Sequence[int], m: int) -> int:
-    """A maximal element of the non-empty mask m (minimal with rows = above).
+def _climb(co: Sequence[int], m: int) -> int:
+    """A maximal element of the non-empty mask m, climbing co = above (minimal with co = below).
 
     Each probe leaves the points of m strictly beyond it.  Probing the
     lowest and the highest index in turn ends within two probes when the
@@ -53,7 +53,7 @@ def _extremum(rows: Sequence[int], co: Sequence[int], m: int) -> Optional[int]:
     """The maximum of mask m (minimum with rows = above), or None."""
     if not m:
         return None
-    w = _climb(rows, co, m)
+    w = _climb(co, m)
     return None if m & ~rows[w] else w
 
 
@@ -65,7 +65,7 @@ def _maximal(rows: Sequence[int], co: Sequence[int], m: int) -> int:
     """
     out = 0
     while m:
-        w = _climb(rows, co, m)
+        w = _climb(co, m)
         out |= 1 << w
         m &= ~rows[w]
     return out
@@ -393,7 +393,7 @@ class MonotoneMap:
         for b in sorted(_bits(image), key=lambda b: rows[b].bit_count()):
             rest = rows[b] & image ^ 1 << b
             while rest:
-                c = _climb(rows, self.cod.above, rest)
+                c = _climb(self.cod.above, rest)
                 pre[b] |= pre[c]
                 rest &= ~rows[c]
         if all(row & pre[v] == row for row, v in zip(self.dom.below, vals)):

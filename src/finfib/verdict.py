@@ -32,7 +32,6 @@ from .posets import (
     Poset,
     _bits,
     _extremum,
-    find_isomorphism,
     find_isomorphism_over_base,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     pair_name,
     product,
@@ -361,7 +360,7 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
 
 
 def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
-    """Isomorphism over B with the projection B x F -> B, if one exists.
+    """Isomorphism over the connected base B with the projection B x F -> B, if one exists.
 
     F is the fiber over the first base element b0.  Over a connected
     base, p is isomorphic to B x F over B exactly when it is a
@@ -374,44 +373,35 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     ``is_fiber_bundle`` with phi in place of alpha^-1.  (=>) The
     transports of B x F are identities, so conjugated by an isomorphism
     h they are h_u^-1 h_w, and phi_v = h_b0^-1 h_v agrees on every
-    cover.  Each further component of the base starts from an
-    isomorphism of its first fiber with F, found by a search the size
-    of one fiber that fails at once when the sizes differ.
+    cover.
 
     ``rep`` is the ``classify_grothendieck`` report of p, whose
-    cartesian table gives every transport; a map that is no
-    Grothendieck fibration gets None.  The result is a
-    trivial_over_base certificate about p itself: its ``point`` is b0
-    and its ``iso`` the isomorphism.
+    cartesian table gives every transport; a base that is not connected
+    is PreconditionViolated, and a map that is no Grothendieck fibration
+    gets None.  The result is a trivial_over_base certificate about p
+    itself: its ``point`` is b0 and its ``iso`` the isomorphism.
     """
     s, transports = rep.slice_map, rep.cartesian
     total, base, masks = s.total, s.base, s.fiber_masks
-    if not rep.is_fibration or base.n == 0 or _defects(s, [], transports):
+    if len(base.components()) != 1:
+        raise PreconditionViolated("base is not connected")
+    if not rep.is_fibration or _defects(s, [], transports):
         return None
     lower, upper, covers = base._cover_table()
     # phi[v] maps each point over v to its point of F
     phi: list[Optional[dict[int, int]]] = [None] * base.n
-    for root in range(base.n):
-        if phi[root] is not None:
-            continue
-        if root:
-            iso = find_isomorphism(s.fiber(base.elements[root]), s.fiber(base.elements[0]))
-            if iso is None:
-                return None
-            phi[root] = {total.index[a]: total.index[x] for a, x in iso.items()}
-        else:
-            phi[root] = {x: x for x in _bits(masks[0])}
-        todo = [root]
-        while todo:
-            w = todo.pop()
-            for u in lower[w]:
-                if phi[u] is None:
-                    phi[u] = {transports[(x, u)]: y for x, y in phi[w].items()}
-                    todo.append(u)
-            for v in upper[w]:
-                if phi[v] is None:
-                    phi[v] = {x: phi[w][transports[(x, w)]] for x in _bits(masks[v])}
-                    todo.append(v)
+    phi[0] = {x: x for x in _bits(masks[0])}
+    todo = [0]
+    while todo:
+        w = todo.pop()
+        for u in lower[w]:
+            if phi[u] is None:
+                phi[u] = {transports[(x, u)]: y for x, y in phi[w].items()}
+                todo.append(u)
+        for v in upper[w]:
+            if phi[v] is None:
+                phi[v] = {x: phi[w][transports[(x, w)]] for x in _bits(masks[v])}
+                todo.append(v)
     # trivial holonomy: every cover, tree or not, commutes with phi
     for u, w in covers:
         phi_u = phi[u]

@@ -12,7 +12,7 @@ from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from finfib.documents import poset_from_doc
+from finfib.documents import poset_from_doc, poset_to_doc
 from finfib.errors import CodomainMismatch, FunctorialityViolated, UnknownElement
 from finfib.grothendieck import BundleReport, PosetFunctor, grothendieck_construction
 from finfib.posets import (
@@ -993,6 +993,20 @@ def rand_functor(rng, fiber_pool=None, max_base=5, max_fiber=4):
     return PosetFunctor(base, "covariant", fibers, transitions)
 
 
+def functor_to_doc(d):
+    """The functor document of d, with transitions keyed "lo<=hi".
+
+    ``functor_from_doc`` reads it back when no base name holds "<=" or
+    starts or ends with a space.
+    """
+    return {
+        "base": poset_to_doc(d.base),
+        "variance": d.variance,
+        "fibers": {b: poset_to_doc(f) for b, f in d.fibers.items()},
+        "transitions": {f"{lo}<={hi}": dict(t.values) for (lo, hi), t in sorted(d.transitions.items())},
+    }
+
+
 def minimal_fiber_pool():
     """Small spaces with no beat points: point, antichains, a crown."""
     return [
@@ -1123,9 +1137,9 @@ def census_unknown():
 
 
 @st.composite
-def posets(draw, names=st.integers(0, 99).map(lambda i: f"x{i}"), max_size=8):
+def posets(draw, max_size=8):
     """Hypothesis strategy: a random order on distinct drawn names, shuffled."""
-    elements = draw(st.lists(names, unique=True, max_size=max_size))
+    elements = draw(st.lists(st.integers(0, 99).map(lambda i: f"x{i}"), unique=True, max_size=max_size))
     slots = list(itertools.combinations(elements, 2))
     edges = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
     order = draw(st.permutations(elements))

@@ -9,12 +9,12 @@ import pytest
 
 from finfib import cli
 from finfib.cli import main
-from finfib.documents import functor_to_doc, map_from_doc, map_to_doc, poset_from_doc
+from finfib.documents import map_from_doc, map_to_doc, poset_from_doc
 from finfib.errors import InvariantViolated
 from finfib.gallery import ENTRIES, gallery_map
 from finfib.grothendieck import classify_grothendieck
 from finfib.posets import Poset, find_isomorphism_over_base, product
-from helpers import crown_cover, crowns
+from helpers import crown_cover, crowns, functor_to_doc
 
 
 def run(capsys, *argv):

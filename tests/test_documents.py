@@ -12,26 +12,23 @@ from finfib.documents import (
     detect_doc_kind,
     dumps,
     functor_from_doc,
-    functor_to_doc,
     map_from_doc,
     map_to_doc,
-    map_to_text,
     necessary_to_doc,
     parse_text,
     poset_from_doc,
     poset_to_doc,
-    poset_to_text,
     retract_certificate_to_doc,
     verdict_to_doc,
 )
-from finfib.errors import ParseError, UnknownGalleryId
+from finfib.errors import FinfibError, ParseError, UnknownGalleryId
 from finfib.gallery import gallery_map, gallery_poset
-from finfib.grothendieck import PosetFunctor, classify_grothendieck, grothendieck_construction
+from finfib.grothendieck import classify_grothendieck, grothendieck_construction
 from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base, product
 from finfib.slices import smallest_dbp_retract_of_map
 from finfib.verdict import decide_hurewicz, necessary_conditions, projection_retract_height1
 from helpers import (
-    posets,
+    functor_to_doc,
     rand_functor,
     rand_monotone,
     rand_poset,
@@ -85,43 +82,21 @@ def test_functor_doc_round_trip():
         assert functor_from_doc(json.loads(json.dumps(doc))) == d
 
 
-def test_functor_doc_keys_use_the_pair_form():
-    d = rand_functor(seeded(199))
-    doc = functor_to_doc(d)
-    for key in doc["transitions"]:
-        assert "<=" in key
-
-
-def two_point_functor(lo, hi):
-    """Constant one-point functor over the chain lo < hi."""
-    point = Poset.build(["0"], [])
-    base = Poset.build([lo, hi], [(lo, hi)])
-    ident = MonotoneMap.identity(point)
-    return PosetFunctor(base, "covariant", {lo: point, hi: point}, {(lo, hi): ident})
-
-
-@pytest.mark.parametrize(
-    "lo, hi, bad", [("a<=x", "c", "a<=x"), (" a", "c", " a"), ("c", "a ", "a "), ("a\nb", "c", "a\nb")]
-)
-def test_functor_doc_names_the_base_element_its_keys_cannot_carry(lo, hi, bad):
-    with pytest.raises(ParseError, match=re.escape(f"base element {bad!r}")):
-        functor_to_doc(two_point_functor(lo, hi))
-
-
-_KEY_NAMES = st.lists(st.sampled_from(["a", "<", "=", "<=", " ", "\n"]), min_size=1, max_size=4).map("".join)
-
-
-@settings(max_examples=200, deadline=None)
-@given(lo=_KEY_NAMES, hi=_KEY_NAMES)
-def test_functor_doc_refuses_or_round_trips(lo, hi):
-    if lo == hi:
-        return
-    d = two_point_functor(lo, hi)
-    try:
-        doc = functor_to_doc(d)
-    except ParseError:
-        return
-    assert functor_from_doc(json.loads(json.dumps(doc))) == d
+def test_a_transition_key_splits_at_its_first_sign_and_trims_both_names():
+    point = {"elements": ["0"], "covers": []}
+    doc = {
+        "base": {"elements": ["a", "x<=c"], "covers": [["a", "x<=c"]]},
+        "variance": "covariant",
+        "fibers": {"a": point, "x<=c": point},
+        "transitions": {" a <= x<=c ": {"0": "0"}},
+    }
+    assert list(functor_from_doc(doc).transitions) == [("a", "x<=c")]
+    # so a base name holding "<=" cannot stand left of the sign
+    doc["base"] = {"elements": ["a<=x", "c"], "covers": [["a<=x", "c"]]}
+    doc["fibers"] = {"a<=x": point, "c": point}
+    doc["transitions"] = {"a<=x<=c": {"0": "0"}}
+    with pytest.raises(ParseError, match=re.escape("transition 'a<=x<=c' names an unknown base element")):
+        functor_from_doc(doc)
 
 
 def test_retract_certificate_doc_round_trip():
@@ -246,19 +221,6 @@ def test_detect_doc_kind():
     assert detect_doc_kind(functor_to_doc(rand_functor(seeded(211)))) == "functor"
 
 
-def test_text_round_trip_for_posets_and_maps():
-    rng = seeded(223)
-    for _ in range(10):
-        p = rand_poset(rng, rng.randint(1, 6))
-        blocks = parse_text(poset_to_text("X", p))
-        assert blocks == [("poset", "X", p)]
-        dom = rand_poset(rng, rng.randint(1, 5), prefix="e")
-        cod = rand_poset(rng, rng.randint(1, 3), prefix="b")
-        m = rand_monotone(rng, dom, cod)
-        parsed = parse_text(map_to_text("f", m))
-        assert ("map", "f", m) in parsed
-
-
 def test_text_format_accepts_comments_and_commas():
     text = """
     # a two point chain and a map onto it
@@ -283,111 +245,74 @@ def test_text_format_rejects_garbage():
         parse_text("")
 
 
+_P1_TEXT = """
+poset E1 { points: (a,0), (b,0), (a,1); covers: (a,0) < (b,0), (a,0) < (a,1); }
+poset B1 { points: a, b; covers: a < b; }
+map p1 : E1 -> B1 { (a,0) -> a; (b,0) -> b; (a,1) -> a; }
+"""
+
+
 def test_parenthesized_names_survive_the_text_format():
     p1 = gallery_map("p1")
-    parsed = parse_text(map_to_text("p1", p1))
-    assert ("map", "p1", p1) in parsed
+    assert parse_text(_P1_TEXT) == [("poset", "E1", p1.dom), ("poset", "B1", p1.cod), ("map", "p1", p1)]
 
 
-@pytest.mark.parametrize("bad", ["a<b", "a;b", "a}b", "a,b", "(a", " a", "a#b"])
-def test_text_emitters_name_the_element_they_cannot_write(bad):
-    p = Poset.build(["(x,y)", bad, "c<d"], [])
-    for emit in (lambda: poset_to_text("X", p), lambda: map_to_text("f", MonotoneMap.identity(p))):
-        with pytest.raises(ParseError, match=re.escape(f"element {bad!r}")):
-            emit()
-
-
-@pytest.mark.parametrize("bad", ["my poset", "X{", "a#b", ""])
-def test_text_emitters_name_the_block_they_cannot_write(bad):
-    p = Poset.build(["x"], [])
-    f = MonotoneMap.identity(p)
-    for kind, emit in (
-        ("poset", lambda: poset_to_text(bad, p)),
-        ("map", lambda: map_to_text(bad, f)),
-        ("poset", lambda: map_to_text("f", f, dom_name=bad)),
-        ("poset", lambda: map_to_text("f", f, cod_name=bad)),
-    ):
-        with pytest.raises(ParseError, match=re.escape(f"{kind} name {bad!r}")):
-            emit()
-
-
-def test_map_text_refuses_poset_names_the_reader_resolves_elsewhere():
-    p, q = Poset.build(["x"], []), Poset.build(["y"], [])
-    # a poset header would read as a map header
-    with pytest.raises(ParseError, match=re.escape("poset name 'a:b->c'")):
-        poset_to_text("a:b->c", p)
-    with pytest.raises(ParseError, match="gallery reference"):
-        map_to_text("f", MonotoneMap.identity(p), dom_name="gallery:E1")
-    with pytest.raises(ParseError, match="both the domain and the codomain"):
-        map_to_text("f", MonotoneMap(p, q, (q.idx("y"),) * p.n), dom_name="P", cod_name="P")
-    same = MonotoneMap.identity(p)
-    text = map_to_text("f", same, "P", "P")
-    assert text.count("poset P {") == 1  # the reader refuses a repeated block name
-    assert parse_text(text)[-1] == ("map", "f", same)
-
-
-_BLOCK_NAMES = st.lists(
-    st.sampled_from(["a", ":", "->", "{", "}", "#", " ", "gallery:"]) | st.characters(), max_size=4
-).map("".join)
-
-
-@settings(max_examples=300, deadline=None)
-@given(name=_BLOCK_NAMES, dom_name=_BLOCK_NAMES, cod_name=_BLOCK_NAMES)
-def test_text_block_names_refuse_or_round_trip(name, dom_name, cod_name):
-    p, q = Poset.build(["x", "y"], [("x", "y")]), Poset.build(["b"], [])
-    try:
-        text = poset_to_text(name, p)
-    except ParseError:
-        pass
-    else:
-        assert parse_text(text) == [("poset", name, p)]
-    m = MonotoneMap(p, q, (q.idx("b"),) * p.n)
-    try:
-        text = map_to_text(name, m, dom_name, cod_name)
-    except ParseError:
-        return
-    assert parse_text(text) == [("poset", dom_name, p), ("poset", cod_name, q), ("map", name, m)]
-
-
-def test_map_text_refuses_what_splits_a_map_entry():
-    # entries split at the first '->' and at newlines; poset blocks do not
-    p = Poset.build(["x"], [])
-    q = Poset.build(["a->b", "c"], [])
+def test_poset_blocks_read_arrows_and_newlines_inside_point_names():
+    # map entries split at newlines and at their first '->'; poset blocks do not
+    q = Poset.build(["a->b", "c"], [("c", "a->b")])
     r = Poset.build(["c\nd"], [])
-    assert parse_text(poset_to_text("Q", q)) == [("poset", "Q", q)]
-    assert parse_text(poset_to_text("R", r)) == [("poset", "R", r)]
-    m = MonotoneMap(p, q, (q.idx("a->b"),) * p.n)
-    assert parse_text(map_to_text("f", m))[-1] == ("map", "f", m)
-    with pytest.raises(ParseError, match="'a->b'"):
-        map_to_text("f", MonotoneMap.identity(q))
-    with pytest.raises(ParseError, match=re.escape("'c\\nd'")):
-        map_to_text("f", MonotoneMap(p, r, (r.idx("c\nd"),) * p.n))
+    text = "poset Q { points: a->b, c; covers: c < a->b; }\nposet R { points: c\nd; }\n"
+    assert parse_text(text) == [("poset", "Q", q), ("poset", "R", r)]
+    # an arrow after the first one belongs to the image point
+    p = Poset.build(["x"], [])
+    m = parse_text(text + "poset P { points: x; }\nmap f : P -> Q { x -> a->b; }")[-1]
+    assert m == ("map", "f", MonotoneMap(p, q, (q.idx("a->b"),)))
 
 
-# names built from the DSL's own tokens, with arbitrary characters mixed in
-_DSL_NAMES = st.lists(
-    st.sampled_from(["a", "b", "(", ")", ",", ";", "<", "->", "#", "{", "}", " ", "\n"])
+def test_a_map_may_name_one_block_as_its_domain_and_codomain():
+    p = Poset.chain(["x", "y"])
+    text = "poset P { points: x, y; covers: x < y; }\nmap f : P -> P { x -> x; y -> y; }"
+    assert parse_text(text) == [("poset", "P", p), ("map", "f", MonotoneMap.identity(p))]
+
+
+def test_map_sides_may_be_gallery_references():
+    p1 = gallery_map("p1")
+    text = "map p1 : gallery:E1 -> gallery:B1 { (a,0) -> a; (b,0) -> b; (a,1) -> a; }"
+    assert parse_text(text) == [("map", "p1", p1)]
+    local = _P1_TEXT.replace("map p1 : E1 -> B1", "map q : E1 -> gallery:B1")
+    assert parse_text(local)[-1] == ("map", "q", p1)
+    with pytest.raises(ParseError, match="is not a poset entry"):
+        parse_text(text.replace("gallery:B1", "gallery:p1"))
+    with pytest.raises(UnknownGalleryId):
+        parse_text(text.replace("gallery:B1", "gallery:nope"))
+
+
+# blocks of the DSL with clauses drawn from its names, or from its own
+# tokens and arbitrary characters, and such fill between the blocks
+_FILL = st.lists(
+    st.sampled_from(["a", "b", "(a,b)", ",", ";", "<", "->", ":", "(", ")", "#", "{", "}", "\n", " ", "gallery:B1"])
     | st.characters(),
-    max_size=4,
+    max_size=6,
 ).map("".join)
+_NAMES = st.sampled_from(["a", "b", "(a,b)"])
+_POSETS = st.sampled_from(["X", "Y", "gallery:B1", "gallery:E1"])
+_POINTS = st.lists(_NAMES, min_size=1, max_size=3).map(", ".join) | _FILL
+_COVERS = st.lists(st.tuples(_NAMES, _NAMES).map(" < ".join), max_size=3).map(", ".join) | _FILL
+_ENTRIES = st.lists(st.tuples(_NAMES, _NAMES).map(" -> ".join), max_size=3).map("; ".join) | _FILL
+_BLOCKS = st.builds("poset {} {{ points: {}; covers: {}; }}".format, _POSETS, _POINTS, _COVERS) | st.builds(
+    "map {} : {} -> {} {{ {} }}".format, st.sampled_from(["f", "g"]), _POSETS, _POSETS, _ENTRIES
+)
+_DSL_TEXTS = st.lists(_BLOCKS | _FILL, max_size=4).map("\n".join)
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=posets(names=_DSL_NAMES, max_size=5), q=posets(names=_DSL_NAMES, max_size=3))
-def test_text_emitters_refuse_or_round_trip(p, q):
+@given(text=_DSL_TEXTS)
+def test_a_text_of_dsl_tokens_parses_or_raises_a_finfib_error(text):
     try:
-        text = poset_to_text("X", p)
-    except ParseError:
-        pass
-    else:
-        assert parse_text(text) == [("poset", "X", p)]
-    maps = [MonotoneMap.identity(p)] + [MonotoneMap(p, q, (q.idx(b),) * p.n) for b in q.elements[:1]]
-    for m in maps:
-        try:
-            text = map_to_text("f", m)
-        except ParseError:
-            continue
-        assert parse_text(text)[-1] == ("map", "f", m)
+        blocks = parse_text(text)
+    except FinfibError:
+        return
+    assert blocks and {kind for kind, _, _ in blocks} <= {"poset", "map"}
 
 
 def test_functor_doc_feeds_the_construction():

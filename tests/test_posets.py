@@ -662,11 +662,11 @@ def test_isomorphism_search_agrees_with_the_recursive_oracle_on_four_labels(p, d
     agrees_with_the_recursive_oracle(p, data, labels=4)
 
 
-def test_the_budget_counts_refuted_candidates_where_refinement_cannot_split():
+def test_refuted_candidates_agree_node_for_node_where_refinement_cannot_split():
     # every point of both posets gets one colour, so the search tries and
-    # refutes many values before it proves there is no isomorphism.  The
-    # name dates from the node budget; each node's candidates are now
-    # compared with the values the oracle has not refuted
+    # refutes many values before it proves there is no isomorphism; each
+    # node's candidates are compared with the values the oracle has not
+    # refuted
     one, two = crowns(4, 1, "a"), crowns(2, 2, "b")
     assert agrees_node_for_node(one, two) == []
     assert len(search_nodes(one, two)[1]) > 20
@@ -696,12 +696,10 @@ def crown_fibers():
     "k, fiber, twist",
     [(2, 0, 1), (2, 1, 3), (2, 2, 1), (2, 2, 3), (3, 0, 1)],
 )
-def test_bundle_searches_agree_with_the_recursive_oracle_at_every_budget(k, fiber, twist):
+def test_bundle_searches_agree_with_the_recursive_oracle_node_for_node(k, fiber, twist):
     # labels are base values, as in the search over the base, so the
     # colour classes over incomparable base points are mutually apart
-    # and the search drops their constraints.  The name dates from when
-    # both searches took a node budget, which sampled the nodes; the
-    # comparison is now node for node
+    # and the search drops their constraints
     fib = crown_fibers()[fiber]
     aut = list(isomorphisms(fib, fib))[twist]
     s = twisted_bundle(k, fib, aut)

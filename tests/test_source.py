@@ -75,8 +75,6 @@ def test_every_private_definition_is_used():
 # defaulted parameters that no package call sets, each with the reason it stays
 OPTION_KEEP = {
     "main.argv": "perfbench and the tests drive the command line in-process",
-    "map_to_text.dom_name": "README: map_to_text names the domain block",
-    "map_to_text.cod_name": "README: map_to_text names the codomain block",
 }
 
 
@@ -131,8 +129,6 @@ PUBLIC_KEEP = {
     "f_infinity": "README: Stong's stabilized iterate of a descending endomap",
     "homotopy_equivalent": "README: homotopy equivalence via core isomorphism",
     "reconstruct_over_base": "README: the round trip that rebuilds a map from its covariant transport",
-    "functor_to_doc": "README: JSON round trips for every object, the functor documents construct reads",
-    "map_to_text": "README: the text emitters and the names they refuse",
     "gallery_ids": "the gallery's lookup by id",
     "gallery_map": "the gallery's lookup by id; the README's Library example",
     "gallery_poset": "the gallery's lookup by id",

@@ -415,16 +415,29 @@ def test_trivial_over_base_detection():
 
 
 def assert_triviality_matches_the_search(p):
-    """Trivial exactly when the search finds an isomorphism, and the certificate valid."""
+    """Each base component's certificate or None, in order, checked against the search.
+
+    Over each component the map is trivial exactly when the search finds
+    an isomorphism, and then the certificate is valid; a disconnected
+    base is refused as a whole.
+    """
     s = as_slice(p)
-    got = is_trivial_over_base(classify_grothendieck(s))
-    assert (got is None) == (search_trivial_over_base(s) is None)
-    if got is not None:
-        assert (got.kind, got.point, got.reduction, got.retract) == (
-            "trivial_over_base", s.base.elements[0], None, None,
-        )
-        assert_trivializes(s, s.base.elements, got.point, got.iso)
-    return got
+    parts = s.base.components()
+    if len(parts) != 1:
+        with pytest.raises(PreconditionViolated, match="base is not connected"):
+            is_trivial_over_base(classify_grothendieck(s))
+    found = []
+    for part in parts:
+        rest = restrict_over(s, part)
+        got = is_trivial_over_base(classify_grothendieck(rest))
+        assert (got is None) == (search_trivial_over_base(rest) is None)
+        if got is not None:
+            assert (got.kind, got.point, got.reduction, got.retract) == (
+                "trivial_over_base", rest.base.elements[0], None, None,
+            )
+            assert_trivializes(rest, rest.base.elements, got.point, got.iso)
+        found.append(got)
+    return found
 
 
 @settings(max_examples=200, deadline=None)
@@ -446,7 +459,7 @@ def test_triviality_matches_the_search_on_generated_maps():
             grothendieck_construction(rand_functor(rng)),
             grothendieck_construction(rand_functor(rng, minimal_fiber_pool())),
         ):
-            trivial.append(assert_triviality_matches_the_search(p) is not None)
+            trivial += [got is not None for got in assert_triviality_matches_the_search(p)]
     assert min(trivial.count(True), trivial.count(False)) >= 40
 
 
@@ -470,17 +483,16 @@ def test_a_negative_budget_is_refused(capsys, tmp_path):
 
 def test_holonomy_decides_triviality_on_twisted_crowns_and_covers():
     # a bundle round a crown is trivial exactly when its twist is the
-    # identity; a second crown makes the base disconnected, and its first
-    # fiber is matched to the first fiber by a fiber-sized search
+    # identity; over two crowns only the second is twisted
     for fiber in minimal_fiber_pool():
         for aut in isomorphisms(fiber, fiber):
             identity = all(a == x for a, x in aut.items())
             for k, copies in ((2, 1), (3, 1), (2, 2)):
-                got = assert_triviality_matches_the_search(twisted_bundle(k, fiber, aut, copies))
-                assert (got is not None) == identity
+                found = assert_triviality_matches_the_search(twisted_bundle(k, fiber, aut, copies))
+                assert [got is not None for got in found] == [True] * (copies - 1) + [identity]
     for d in (2, 3):
         for k in (2, 3, 4):
-            assert assert_triviality_matches_the_search(crown_cover(d, k)) is None
+            assert assert_triviality_matches_the_search(crown_cover(d, k)) == [None]
 
 
 @pytest.mark.parametrize("twist", ["collapse", "swap"])
@@ -503,24 +515,13 @@ def test_the_cover_the_spanning_tree_leaves_out_is_checked_too(twist):
         bundle = assert_bundle_check_matches_the_search(p)
         want = ("not_bundle", cover[1]) if twist == "collapse" else ("bundle", None)
         assert (bundle.status, bundle.failed_at) == want
-        assert assert_triviality_matches_the_search(p) is None
+        assert assert_triviality_matches_the_search(p) == [None]
 
 
-def test_a_disconnected_base_matches_each_first_fiber_by_search():
-    # the fiber over c lists its points against their order, so only a
-    # search, not the index order, matches it with the fiber over a
-    total = Poset.build(["x0", "x1", "y1", "y0"], [("x0", "x1"), ("y0", "y1")])
-    base = Poset.build(["a", "c"], [])
-    values = {"x0": "a", "x1": "a", "y0": "c", "y1": "c"}
-    got = assert_triviality_matches_the_search(MonotoneMap.build(total, base, values))
-    assert got.iso == {"x0": "(a,x0)", "x1": "(a,x1)", "y1": "(c,x1)", "y0": "(c,x0)"}
-    # the same sizes with an antichain over c are not trivial
-    total = Poset.build(["x0", "x1", "y1", "y0"], [("x0", "x1")])
-    assert assert_triviality_matches_the_search(MonotoneMap.build(total, base, values)) is None
-    # nor is a fibration whose one transport is a bijection but no isomorphism
+def test_a_fibration_whose_transport_is_a_bijection_but_no_isomorphism_is_not_trivial():
     total = Poset.build(["x0", "y0", "x", "y"], [("x0", "y0"), ("x0", "x"), ("y0", "y")])
     p = MonotoneMap.build(total, Poset.chain(["v", "b"]), {"x0": "v", "y0": "v", "x": "b", "y": "b"})
-    assert assert_triviality_matches_the_search(p) is None
+    assert assert_triviality_matches_the_search(p) == [None]
 
 
 @pytest.mark.parametrize("k", [16, 100])
