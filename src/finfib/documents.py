@@ -373,13 +373,16 @@ def _dsl_map(
             raise ParseError(f"map {name}: unknown poset {ref!r}")
         return posets[ref]
 
+    dom = resolve(dom_name)
     values = []
     for item in _split_top(body.replace("\n", ";"), ";,"):
-        src, arrow, dst = item.partition("->")
+        src, arrow, dst = (part.strip() for part in item.partition("->"))
         if not arrow:
             raise ParseError(f"map {name}: entry {item!r} must be 'x -> y'")
-        values.append((src.strip(), dst.strip()))
-    return MonotoneMap.build(resolve(dom_name), resolve(cod_name), unique_keys(values))
+        if src not in dom and "->" in dst:
+            raise ParseError(f"map {name}: entry {item!r} has no domain point {src!r}; a source cannot contain '->'")
+        values.append((src, dst))
+    return MonotoneMap.build(dom, resolve(cod_name), unique_keys(values))
 
 
 def parse_text(text: str) -> list[tuple[str, str, Union[Poset, MonotoneMap]]]:

@@ -147,25 +147,77 @@ def _scan_lifts(
     over b.  The table maps index pairs (e, b) to it wherever it exists;
     the trivial lift over p(e) is e itself, recorded without a search.
     Failures are listed e-major, base-index-minor.
+
+    Lifts compose, so one search per lower cover c of p(e) settles
+    every b <= c that it reaches (dually with minima and upper covers).
+    If i = max(U_e in p^-1(U_c)) exists, over c or stray, then for every
+    b <= p(i) the set U_e in p^-1(U_b) lies in U_e in p^-1(U_c), hence
+    in U_i, and it holds all of U_i in p^-1(U_b) because i <= e.  The
+    two sets are equal, so e's entry over b, a failure and its stray
+    included, is i's.  Base points below p(e) that no cover's i reaches
+    are searched directly.  Visiting the points by rising |U_e| (|F_e|
+    cocartesian), which grows strictly along the order, completes i's
+    row before e's begins.  When no cover of the base lies above another
+    base point, nothing is copied and index order serves.
     """
-    total, base, vals = s.total, s.base, s.map.vals
+    total, base, vals, fibers = s.total, s.base, s.map.vals, s.fiber_masks
     if side == "cartesian":
         rows, co, reach, ext = total.below, total.above, base.below, "maximum"
     else:
         rows, co, reach, ext = total.above, total.below, base.above, "minimum"
-    pre = [s.preimage(row) for row in reach]
-    failures: list[LiftFailure] = []
+    strict = [row ^ 1 << b for b, row in enumerate(reach)]
+    pre: list[int] = []  # pre[b]: the points over reach[b]
+    deep: list[int] = []  # deep[b]: strict[b] less the covers of b
+    for b, row in enumerate(strict):
+        m, d = fibers[b], 0
+        for a in _bits(row):
+            m |= fibers[a]
+            d |= strict[a]
+        pre.append(m)
+        deep.append(d)
+    order = range(total.n)
+    if any(deep):
+        order = sorted(order, key=[row.bit_count() for row in rows].__getitem__)
     transports: dict[tuple[int, int], int] = {}
-    for ei in range(total.n):
-        transports[(ei, vals[ei])] = ei
-        for bi in _bits(reach[vals[ei]] & ~(1 << vals[ei])):
-            i = _extremum(rows, co, rows[ei] & pre[bi])
-            if i is not None and vals[i] == bi:
-                transports[(ei, bi)] = i
+    miss: dict[tuple[int, int], Optional[int]] = {}  # (e, b) -> stray extremum or None
+    for ei in order:
+        v = vals[ei]
+        transports[(ei, v)] = ei
+        row, rest = rows[ei], deep[v]
+        for c in _bits(strict[v] ^ rest):  # v's covers
+            i = _extremum(rows, co, row & pre[c])
+            if i is None:
+                miss[(ei, c)] = None
+                continue
+            if vals[i] == c:
+                transports[(ei, c)] = i
             else:
-                stray = None if i is None else total.elements[i]
-                reason = f"no_{ext}" if i is None else f"{ext}_outside_fiber"
-                failures.append(LiftFailure(side, total.elements[ei], base.elements[bi], reason, stray))
+                miss[(ei, c)] = i
+            copy = reach[vals[i]] & rest
+            if copy:
+                rest ^= copy
+                for bi in _bits(copy):
+                    t = transports.get((i, bi))
+                    if t is None:
+                        miss[(ei, bi)] = miss[(i, bi)]
+                    else:
+                        transports[(ei, bi)] = t
+        if rest:
+            for bi in _bits(rest):
+                i = _extremum(rows, co, row & pre[bi])
+                if i is not None and vals[i] == bi:
+                    transports[(ei, bi)] = i
+                else:
+                    miss[(ei, bi)] = i
+    names, bnames = total.elements, base.elements
+    none, outside = f"no_{ext}", f"{ext}_outside_fiber"
+    failures = []
+    for ei, bi in sorted(miss):
+        i = miss[(ei, bi)]
+        if i is None:
+            failures.append(LiftFailure(side, names[ei], bnames[bi], none))
+        else:
+            failures.append(LiftFailure(side, names[ei], bnames[bi], outside, names[i]))
     return failures, transports
 
 

@@ -10,15 +10,17 @@ import itertools
 import random
 from typing import Iterator, Optional, Sequence
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from finfib.documents import poset_from_doc, poset_to_doc
 from finfib.errors import CodomainMismatch, FunctorialityViolated, UnknownElement
-from finfib.grothendieck import BundleReport, PosetFunctor, grothendieck_construction
+from finfib.grothendieck import BundleReport, LiftFailure, PosetFunctor, grothendieck_construction
 from finfib.posets import (
     MonotoneMap,
     Poset,
     _bits,
+    _extremum,
     find_isomorphism_over_base,
     isomorphisms,
     pair_name,
@@ -62,6 +64,33 @@ def brute_lift(p, e, b, side):
     if s.map(ext[0]) != b:
         return None, "stray"
     return ext[0], None
+
+
+def pairwise_scan_lifts(s, side):
+    """``grothendieck._scan_lifts`` with one extremum search per pair (e, b < p(e)).
+
+    The scan before lifts were composed along base covers, kept
+    verbatim as an oracle: same failures in the same order, same table.
+    """
+    total, base, vals = s.total, s.base, s.map.vals
+    if side == "cartesian":
+        rows, co, reach, ext = total.below, total.above, base.below, "maximum"
+    else:
+        rows, co, reach, ext = total.above, total.below, base.above, "minimum"
+    pre = [s.preimage(row) for row in reach]
+    failures = []
+    transports = {}
+    for ei in range(total.n):
+        transports[(ei, vals[ei])] = ei
+        for bi in _bits(reach[vals[ei]] & ~(1 << vals[ei])):
+            i = _extremum(rows, co, rows[ei] & pre[bi])
+            if i is not None and vals[i] == bi:
+                transports[(ei, bi)] = i
+            else:
+                stray = None if i is None else total.elements[i]
+                reason = f"no_{ext}" if i is None else f"{ext}_outside_fiber"
+                failures.append(LiftFailure(side, total.elements[ei], base.elements[bi], reason, stray))
+    return failures, transports
 
 
 def brute_iso(p, q):
@@ -1156,6 +1185,35 @@ def maps(draw, max_total=7, max_base=4):
     for k in range(draw(st.integers(0, 2))):
         p = insert_map_down_beat_point(rng, p, str(k))
     return p
+
+
+@st.composite
+def deep_maps(draw):
+    """Hypothesis strategy: a map with shuffled elements onto a base of height >= 2.
+
+    The base is a chain, a random poset with a minimum adjoined, or a
+    forest; the map is a random monotone one, mostly no fibration, or
+    the projection of base x fiber with up to two map beat points.
+    """
+    rng = seeded(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(("chain", "based", "forest")))
+    k = draw(st.integers(3, 6))
+    if kind == "chain":
+        names = [f"b{i}" for i in range(k)]
+        base = Poset.build(rng.sample(names, k), list(zip(names, names[1:])))
+    elif kind == "based":
+        base = based_poset(rng, k - 1)
+    else:
+        base = forest_base(rng, k)
+    assume(base.height() >= 2)
+    if draw(st.booleans()):
+        total = rand_poset(rng, draw(st.integers(1, 10)), prob=draw(st.sampled_from((0.2, 0.4, 0.6))))
+        return rand_monotone(rng, total, base)
+    _, p, _ = product(base, rand_poset(rng, draw(st.integers(1, 3)), prefix="f"))
+    for j in range(draw(st.integers(0, 2))):
+        p = insert_map_down_beat_point(rng, p, str(j))
+    total = Poset.build(rng.sample(p.dom.elements, p.dom.n), p.dom.covers())
+    return MonotoneMap.build(total, base, p.values)
 
 
 def shuffling_picker(rng):

@@ -21,6 +21,7 @@ from finfib.documents import (
     retract_certificate_to_doc,
     verdict_to_doc,
 )
+from finfib.cli import main
 from finfib.errors import FinfibError, ParseError, UnknownGalleryId
 from finfib.gallery import gallery_map, gallery_poset
 from finfib.grothendieck import classify_grothendieck, grothendieck_construction
@@ -267,6 +268,19 @@ def test_poset_blocks_read_arrows_and_newlines_inside_point_names():
     p = Poset.build(["x"], [])
     m = parse_text(text + "poset P { points: x; }\nmap f : P -> Q { x -> a->b; }")[-1]
     assert m == ("map", "f", MonotoneMap(p, q, (q.idx("a->b"),)))
+
+
+def test_a_map_entry_whose_source_holds_an_arrow_is_refused_by_name(tmp_path, capsys):
+    # the entry splits at its first '->', so a source point named 'a->b'
+    # reads as the unknown point 'a' with an arrow left on its right side
+    text = "poset Q { points: a->b, c; }\nposet P { points: z; }\nmap f : Q -> P { a->b -> z; c -> z; }\n"
+    why = "map f: entry 'a->b -> z' has no domain point 'a'; a source cannot contain '->'"
+    with pytest.raises(ParseError, match=re.escape(why)):
+        parse_text(text)
+    path = tmp_path / "arrow.txt"
+    path.write_text(text)
+    assert main(["info", str(path)]) == 3
+    assert why in capsys.readouterr().err
 
 
 def test_a_map_may_name_one_block_as_its_domain_and_codomain():

@@ -23,11 +23,13 @@ from helpers import (
     assert_trivializes,
     brute_lift,
     crown_cover,
+    deep_maps,
     hand_built_grothendieck_construction,
     insert_map_down_beat_point,
     map_le,
     maps,
     minimal_fiber_pool,
+    pairwise_scan_lifts,
     rand_bundle,
     rand_fibration,
     rand_functor,
@@ -587,3 +589,34 @@ def test_report_tables_hold_every_lift_the_trivial_ones_included():
                         if got is not None:
                             want[(ei, bi)] = s.total.idx(got)
             assert table == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=deep_maps())
+def test_lifts_composed_along_base_covers_match_the_pairwise_scan(p):
+    s = as_slice(p)
+    for side in ("cartesian", "cocartesian"):
+        failures, table = grothendieck._scan_lifts(s, side)
+        want_failures, want_table = pairwise_scan_lifts(s, side)
+        assert [f.as_dict() for f in failures] == [f.as_dict() for f in want_failures]
+        assert table == want_table
+
+
+def test_one_extremum_search_per_lower_cover(monkeypatch):
+    # over the chain c0 < ... < c5 each point above c0 searches its one
+    # lower cover and copies the rest of its row: 10 searches, not 30
+    chain = Poset.chain([f"c{i}" for i in range(6)])
+    _, p, _ = product(chain, Poset.build(["a", "b"], []))
+    s = as_slice(p)
+    calls = []
+    search = grothendieck._extremum
+
+    def counted(rows, co, m):
+        calls.append(m)
+        return search(rows, co, m)
+
+    monkeypatch.setattr(grothendieck, "_extremum", counted)
+    for side in ("cartesian", "cocartesian"):
+        calls.clear()
+        failures, table = grothendieck._scan_lifts(s, side)
+        assert (failures, len(table), len(calls)) == ([], 42, 10)
