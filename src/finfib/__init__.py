@@ -85,9 +85,6 @@ from .gallery import (
     ENTRIES,
     GalleryEntry,
     gallery_entry,
-    gallery_ids,
-    gallery_map,
-    gallery_poset,
 )
 from . import documents
 

@@ -45,7 +45,7 @@ from .errors import (
     UnknownGalleryId,
 )
 from .gallery import ENTRIES, gallery_entry
-from .grothendieck import classify_grothendieck, grothendieck_construction, is_fiber_bundle
+from .grothendieck import PosetFunctor, classify_grothendieck, grothendieck_construction, is_fiber_bundle
 from .posets import MonotoneMap, Poset
 from .slices import as_slice, map_beat_points, map_core
 from .stong import beat_points, core, is_contractible
@@ -73,40 +73,44 @@ _CERT_NAMES = {
 }
 
 
-def _read_json(target: str, text: str):
-    """Decode JSON with unique keys; a document nested too deeply to decode is bad input."""
-    try:
-        return json.loads(text, object_pairs_hook=unique_keys)
-    except RecursionError:
-        raise ParseError(f"{target}: JSON nested too deeply to decode") from None
+def _load_target(target: str, kinds: tuple[str, ...]) -> Union[Poset, MonotoneMap, PosetFunctor]:
+    """The poset, map or functor a target names, refused unless its kind is one of kinds.
 
-
-def _load_target(target: str) -> Union[Poset, MonotoneMap]:
+    A target is a gallery:ID reference, a JSON document or a DSL text; a
+    gallery entry or document of the wrong kind is refused unbuilt.
+    """
     if target.startswith("gallery:"):
-        return gallery_entry(target[len("gallery:") :]).build()
-    text = Path(target).read_text()
-    if text.lstrip().startswith(("{", "[")):
-        doc = _read_json(target, text)
+        entry = gallery_entry(target[len("gallery:") :])
+        kind, build = entry.kind, entry.build
+    elif (text := Path(target).read_text()).lstrip().startswith(("{", "[")):
+        try:
+            doc = json.loads(text, object_pairs_hook=unique_keys)
+        except RecursionError:
+            raise ParseError(f"{target}: JSON nested too deeply to decode") from None
+        except ValueError as exc:
+            if isinstance(exc, json.JSONDecodeError):
+                raise
+            raise ParseError(f"{target}: {exc}") from None  # a number too long to convert
         kind = detect_doc_kind(doc)
-        if kind == "poset":
-            return poset_from_doc(doc)
-        if kind == "map":
-            return map_from_doc(doc)
+        read = {"poset": poset_from_doc, "map": map_from_doc, "functor": functor_from_doc}[kind]
+        build = functools.partial(read, doc)
+    else:
+        objects = parse_text(text)
+        maps = [obj for kind, _, obj in objects if kind == "map"]
+        if len(maps) == 1:
+            kind, obj = "map", maps[0]
+        elif not maps and len(objects) == 1:
+            kind, obj = "poset", objects[0][2]
+        else:
+            raise ParseError(f"{target}: expected exactly one map (or a single poset)")
+        build = lambda: obj
+    if kind in kinds:
+        return build()
+    if kind == "functor":
         raise ParseError(f"{target}: a functor document only works with 'construct'")
-    objects = parse_text(text)
-    maps = [obj for kind, _, obj in objects if kind == "map"]
-    if len(maps) == 1:
-        return maps[0]
-    if not maps and len(objects) == 1:
-        return objects[0][2]
-    raise ParseError(f"{target}: expected exactly one map (or a single poset)")
-
-
-def _load_map(target: str) -> MonotoneMap:
-    obj = _load_target(target)
-    if isinstance(obj, Poset):
-        raise ParseError(f"{target}: names a poset where a map is required")
-    return obj
+    if "functor" in kinds:
+        raise ParseError(f"{target}: not a functor document")
+    raise ParseError(f"{target}: names a poset where a map is required")
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -141,7 +145,7 @@ def _poset_info(p: Poset) -> dict:
 
 
 def cmd_info(args) -> int:
-    obj = _load_target(args.target)
+    obj = _load_target(args.target, ("poset", "map"))
     if isinstance(obj, Poset):
         doc = _poset_info(obj)
         lines = [doc["summary"]]
@@ -179,7 +183,7 @@ def cmd_info(args) -> int:
 
 
 def _check_openness(args, closed: bool) -> int:
-    m = _load_map(args.target)
+    m = _load_target(args.target, ("map",))
     ok, witness = is_closed_map(m) if closed else is_open_map(m)
     prop = "closed" if closed else "open"
     if ok:
@@ -195,7 +199,7 @@ def _lift_phrase(w: dict) -> str:
 
 
 def _check_groth(args) -> int:
-    m = _load_map(args.target)
+    m = _load_target(args.target, ("map",))
     rep = classify_grothendieck(m)
     doc = groth_to_doc(rep)
     lines = []
@@ -218,7 +222,7 @@ def _check_groth(args) -> int:
 
 
 def _check_bundle(args) -> int:
-    m = _load_map(args.target)
+    m = _load_target(args.target, ("map",))
     rep = is_fiber_bundle(m)
     doc = bundle_to_doc(rep)
     if rep.status == "bundle":
@@ -236,7 +240,7 @@ def _witness_phrase(w: dict) -> str:
 
 
 def _check_hurewicz(args) -> int:
-    m = _load_map(args.target)
+    m = _load_target(args.target, ("map",))
     verdict = decide_hurewicz(m)
     doc = verdict_to_doc(verdict)
     if verdict.status == "fibration":
@@ -265,7 +269,7 @@ def _check_hurewicz(args) -> int:
 
 
 def _check_core(args) -> int:
-    obj = _load_target(args.target)
+    obj = _load_target(args.target, ("poset", "map"))
     space = obj if isinstance(obj, Poset) else as_slice(obj).total
     trace = core(space)
     doc = trace_to_doc(trace)
@@ -279,7 +283,7 @@ def _check_core(args) -> int:
 
 
 def _check_map_core(args) -> int:
-    m = _load_map(args.target)
+    m = _load_target(args.target, ("map",))
     red = map_core(m)
     doc = map_reduction_to_doc(red)
     lines = [
@@ -291,7 +295,7 @@ def _check_map_core(args) -> int:
 
 
 def _check_necessary(args) -> int:
-    m = _load_map(args.target)
+    m = _load_target(args.target, ("map",))
     report = necessary_conditions(m)
     doc = necessary_to_doc(report)
     doc["all_pass"] = report.all_pass
@@ -327,13 +331,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    text = Path(args.target).read_text()
-    if not text.lstrip().startswith(("{", "[")):
-        raise ParseError(f"{args.target}: functor documents are JSON only")
-    doc = _read_json(args.target, text)
-    if detect_doc_kind(doc) != "functor":
-        raise ParseError(f"{args.target}: not a functor document")
-    functor = functor_from_doc(doc)
+    functor = _load_target(args.target, ("functor",))
     integrated = grothendieck_construction(functor)
     total_doc = poset_to_doc(integrated.total)
     proj_doc = map_to_doc(integrated)

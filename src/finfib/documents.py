@@ -185,7 +185,7 @@ def functor_from_doc(doc: Doc) -> PosetFunctor:
     transitions_doc = doc.get("transitions", {})
     if not isinstance(transitions_doc, dict):
         raise ParseError("'transitions' must map 'b<=b2' keys to element mappings")
-    transitions = {}
+    transitions, keys = {}, {}
     for key, mapping in transitions_doc.items():
         m = _PAIR_KEY.match(key)
         if not m:
@@ -193,6 +193,9 @@ def functor_from_doc(doc: Doc) -> PosetFunctor:
         lo, hi = m.group(1).strip(), m.group(2).strip()
         if lo not in fibers or hi not in fibers:
             raise ParseError(f"transition {key!r} names an unknown base element")
+        if (lo, hi) in keys:
+            raise ParseError(f"transition keys {keys[lo, hi]!r} and {key!r} name the same pair")
+        keys[lo, hi] = key
         src, dst = (lo, hi) if variance == "covariant" else (hi, lo)
         mapping = _element_map(mapping, f"transition {key!r}")
         transitions[(lo, hi)] = MonotoneMap.build(fibers[src], fibers[dst], mapping)

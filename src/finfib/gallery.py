@@ -23,10 +23,7 @@ class GalleryEntry:
     kind: str  # poset | map
     note: str
     expected: dict
-    make: Callable[[], GalleryObject]
-
-    def build(self) -> GalleryObject:
-        return self.make()
+    build: Callable[[], GalleryObject]
 
 
 def _b1() -> Poset:
@@ -140,7 +137,7 @@ def _p5() -> MonotoneMap:
     return MonotoneMap.build(e5, _b5(), {x: x[1] for x in e5.elements})
 
 
-def _poset_entry(id: str, note: str, make, size, height, minimal, contractible) -> GalleryEntry:
+def _poset_entry(id: str, note: str, build, size, height, minimal, contractible) -> GalleryEntry:
     expected = {
         "size": size,
         "height": height,
@@ -148,7 +145,7 @@ def _poset_entry(id: str, note: str, make, size, height, minimal, contractible) 
         "minimal": minimal,
         "contractible": contractible,
     }
-    return GalleryEntry(id, "poset", note, expected, make)
+    return GalleryEntry(id, "poset", note, expected, build)
 
 
 ENTRIES: tuple[GalleryEntry, ...] = (
@@ -273,26 +270,9 @@ ENTRIES: tuple[GalleryEntry, ...] = (
 _BY_ID = {entry.id: entry for entry in ENTRIES}
 
 
-def gallery_ids() -> tuple[str, ...]:
-    return tuple(entry.id for entry in ENTRIES)
-
-
 def gallery_entry(id: str) -> GalleryEntry:
     try:
         return _BY_ID[id]
     except KeyError:
         raise UnknownGalleryId(f"no gallery entry named {id!r}") from None
 
-
-def gallery_map(id: str) -> MonotoneMap:
-    entry = gallery_entry(id)
-    if entry.kind != "map":
-        raise UnknownGalleryId(f"gallery entry {id!r} is a poset, not a map")
-    return entry.build()
-
-
-def gallery_poset(id: str) -> Poset:
-    entry = gallery_entry(id)
-    if entry.kind == "poset":
-        return entry.build()
-    raise UnknownGalleryId(f"gallery entry {id!r} is a map, not a poset")

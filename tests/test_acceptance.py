@@ -8,7 +8,7 @@ meant to finish well inside a minute.
 
 import itertools
 
-from finfib.gallery import ENTRIES, gallery_map
+from finfib.gallery import ENTRIES, gallery_entry
 from finfib.grothendieck import (
     classify_grothendieck,
     grothendieck_construction,
@@ -73,13 +73,13 @@ def report(n):
 @report(1)
 def test_criterion_1_p1_verdict_and_openness():
     """p1 is a fibration via the minimum-base certificate, open, not closed; its opposite fails."""
-    p1 = gallery_map("p1")
+    p1 = gallery_entry("p1").build()
     v = decide_hurewicz(p1)
     assert v.status == "fibration"
     assert [c.certificate.kind for c in v.components] == ["minimum_base_bifibration"]
     assert is_open_map(p1)[0]
     assert not is_closed_map(p1)[0]
-    p1op = gallery_map("p1op")
+    p1op = gallery_entry("p1op").build()
     assert decide_hurewicz(p1op).status == "not_fibration"
     assert "open_map" in necessary_conditions(p1op).failing()
 
@@ -87,7 +87,7 @@ def test_criterion_1_p1_verdict_and_openness():
 @report(2)
 def test_criterion_2_p2_witness():
     """p2 is refuted by the missing cocartesian lift at ((a,2), b)."""
-    p2 = gallery_map("p2")
+    p2 = gallery_entry("p2").build()
     v = decide_hurewicz(p2)
     assert v.status == "not_fibration"
     w = v.witness
@@ -98,7 +98,7 @@ def test_criterion_2_p2_witness():
 @report(3)
 def test_criterion_3_p3_stays_unknown():
     """p3 is a bifibration passing every necessary condition, yet undecided."""
-    p3 = gallery_map("p3")
+    p3 = gallery_entry("p3").build()
     assert classify_grothendieck(p3).is_bifibration
     assert necessary_conditions(p3).all_pass
     assert decide_hurewicz(p3).status == "unknown"
@@ -111,7 +111,7 @@ def test_criterion_3_p3_stays_unknown():
 @report(4)
 def test_criterion_4_sierpinski_projection_fiber_retracts():
     """The projection over the two point space is a fibration although one-sided fiber retracts disagree."""
-    pi = gallery_map("pi_sierpinski")
+    pi = gallery_entry("pi_sierpinski").build()
     assert classify_grothendieck(pi).is_bifibration
     assert decide_hurewicz(pi).status == "fibration"
     s = as_slice(pi)
@@ -130,7 +130,7 @@ def test_criterion_4_sierpinski_projection_fiber_retracts():
 @report(5)
 def test_criterion_5_minimal_bifibration_is_not_a_bundle():
     """p5: minimal bifibration, contractible fibers all fiberwise equivalent, still not a bundle."""
-    p5 = gallery_map("p5_minimal_bifib")
+    p5 = gallery_entry("p5_minimal_bifib").build()
     assert classify_grothendieck(p5).is_bifibration
     assert map_beat_points(p5).is_minimal
     assert is_fiber_bundle(p5).status == "not_bundle"

@@ -11,7 +11,7 @@ from finfib import cli
 from finfib.cli import main
 from finfib.documents import map_from_doc, map_to_doc, poset_from_doc
 from finfib.errors import InvariantViolated
-from finfib.gallery import ENTRIES, gallery_map
+from finfib.gallery import ENTRIES, gallery_entry
 from finfib.grothendieck import classify_grothendieck
 from finfib.posets import Poset, find_isomorphism_over_base, product
 from helpers import crown_cover, crowns, functor_to_doc
@@ -39,6 +39,14 @@ def test_check_hurewicz_unknown(capsys):
     code, out, _ = run(capsys, "check", "hurewicz", "gallery:p3")
     assert code == 2
     assert out.strip() == "unknown"
+
+
+def test_check_hurewicz_names_an_empty_fiber(capsys, tmp_path):
+    # x -> 1 misses 0, so the map fails surjectivity over its component
+    path = tmp_path / "miss.json"
+    path.write_text(json.dumps({"domain": {"elements": ["x"]}, "codomain": "gallery:S", "values": {"x": "1"}}))
+    code, out, _ = run(capsys, "check", "hurewicz", str(path))
+    assert (code, out) == (1, "not a fibration (witness: fiber over 0 is empty)\n")
 
 
 def test_check_hurewicz_verbose_and_json(capsys):
@@ -233,7 +241,7 @@ def test_file_inputs_text_and_json(capsys, tmp_path):
     assert code == 0
     jf = tmp_path / "m.json"
     jf.write_text(json.dumps({"domain": "gallery:E2", "codomain": "gallery:B2",
-                              "values": gallery_map("p2").values}))
+                              "values": gallery_entry("p2").build().values}))
     code, out, _ = run(capsys, "check", "hurewicz", str(jf))
     assert code == 1
 
@@ -339,6 +347,84 @@ def test_a_document_nested_too_deeply_to_decode_is_bad_input(capsys, tmp_path, c
     assert err == f"error: {deep}: JSON nested too deeply to decode\n"
 
 
+@pytest.mark.parametrize("command", [["info"], ["check", "groth"], ["construct"]])
+def test_a_number_too_long_to_convert_is_bad_input(capsys, tmp_path, command):
+    # the decoder refuses a 5,000-digit integer with a ValueError, which
+    # used to reach the catch-all and exit 4
+    big = tmp_path / "big.json"
+    big.write_text('{"elements": ' + "1" * 5000 + "}")
+    code, out, err = run(capsys, *command, str(big))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {big}: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+
+
+_E1_TO_B1 = {"domain": "gallery:E1", "codomain": "gallery:B1"}
+_CHAIN_FUNCTOR = {"base": {"elements": ["a", "b"], "covers": [["a", "b"]]}, "variance": "covariant"}
+_ONE_POINT_FIBERS = {"fibers": {"a": {"elements": ["u"]}, "b": {"elements": ["u"]}}}
+
+# each refusal of the readers: (command, the target's text or document, or
+# a gallery reference, and the error line after "error: "; {path} is the file)
+_REFUSALS = {
+    "poset_not_an_object": (["info"], {"domain": ["x"], "codomain": "gallery:B1", "values": {}},
+                            "poset document must be an object"),
+    "poset_without_elements": (["info"], {"domain": {"covers": []}, "codomain": "gallery:B1", "values": {}},
+                               "poset document needs an 'elements' list"),
+    "elements_not_a_list": (["info"], {"elements": "ab"}, "'elements' must be a list of strings"),
+    "covers_not_a_list": (["info"], {"elements": ["a"], "covers": {}}, "'covers' must be a list of pairs"),
+    "poset_by_bare_name": (["info"], {"domain": "E1", "codomain": "gallery:B1", "values": {}},
+                           "domain: expected a poset object or 'gallery:ID'"),
+    "map_entry_as_poset": (["info"], {"domain": "gallery:p1", "codomain": "gallery:B1", "values": {}},
+                           "domain: 'gallery:p1' is not a poset entry"),
+    "map_without_codomain": (["info"], {"domain": "gallery:E1", "values": {}},
+                             "map document needs a 'codomain' field"),
+    "values_off_the_domain": (["check", "groth"],
+                              {**_E1_TO_B1, "values": {"(a,0)": "a", "(a,1)": "a", "(b,0)": "b", "z": "a"}},
+                              "values assigned to unknown elements ['z']"),
+    "functor_without_variance": (["construct"], {"base": "gallery:B1", **_ONE_POINT_FIBERS},
+                                 "functor document needs a 'variance' field"),
+    "unknown_variance": (["construct"], {**_CHAIN_FUNCTOR, "variance": "both", **_ONE_POINT_FIBERS},
+                         "'variance' must be 'covariant' or 'contravariant'"),
+    "fibers_not_an_object": (["construct"], {**_CHAIN_FUNCTOR, "fibers": []},
+                             "'fibers' must map base elements to posets"),
+    "transition_key_without_le": (["construct"], {**_CHAIN_FUNCTOR, **_ONE_POINT_FIBERS,
+                                                  "transitions": {"ab": {"u": "u"}}},
+                                  "transition key 'ab' must look like 'b<=b2'"),
+    "document_not_an_object": (["info"], "[1]", "document must be a JSON object"),
+    "document_of_no_kind": (["info"], {"points": []}, "document is none of poset, map, or functor"),
+    "functor_outside_construct": (["check", "groth"], {**_CHAIN_FUNCTOR, **_ONE_POINT_FIBERS},
+                                  "{path}: a functor document only works with 'construct'"),
+    "map_document_to_construct": (["construct"], {**_E1_TO_B1, "values": {}}, "{path}: not a functor document"),
+    "gallery_map_to_construct": (["construct"], "gallery:p1", "gallery:p1: not a functor document"),
+    "dsl_to_construct": (["construct"], "poset E { points: x; }", "{path}: not a functor document"),
+    "gallery_poset_as_map": (["check", "hurewicz"], "gallery:B1",
+                             "gallery:B1: names a poset where a map is required"),
+    "dsl_poset_as_map": (["check", "hurewicz"], "poset E { points: x; }",
+                         "{path}: names a poset where a map is required"),
+    "dsl_two_maps": (["info"], _E_B + "map p : E -> B { x -> a; y -> b; }\nmap q : E -> B { x -> a; y -> a; }",
+                     "{path}: expected exactly one map (or a single poset)"),
+    "dsl_unknown_clause": (["info"], "poset E { points: x; pts: y; }", "poset E: unknown clause 'pts'"),
+    "dsl_poset_with_arrow": (["info"], "poset E : A -> B { points: x; }", "poset E: unexpected '->' header"),
+    "dsl_map_without_header": (["info"], _E_B + "map p { x -> a; }", "map p: missing ': DOM -> COD' header"),
+}
+
+
+@pytest.mark.parametrize("command, target, line", _REFUSALS.values(), ids=_REFUSALS.keys())
+def test_each_reader_refusal_exits_3_with_its_error_line(capsys, tmp_path, command, target, line):
+    path = target
+    if not (isinstance(target, str) and target.startswith("gallery:")):
+        path = tmp_path / "target"
+        path.write_text(target if isinstance(target, str) else json.dumps(target))
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out, err) == (3, "", "error: " + line.replace("{path}", str(path)) + "\n")
+
+
+def test_a_dsl_target_holding_one_poset_is_that_poset(capsys, tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("poset E { points: x, y; covers: x < y; }")
+    code, out, _ = run(capsys, "info", str(path))
+    assert (code, out) == (0, "2 elements, height 1, connected, not minimal\n")
+
+
 def test_invariant_violation_exits_4(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InvariantViolated("injected")
@@ -381,7 +467,7 @@ def test_usage_errors_exit_3(capsys):
 
 
 def test_construct_round_trips_p3(capsys, tmp_path):
-    p3 = gallery_map("p3")
+    p3 = gallery_entry("p3").build()
     doc = functor_to_doc(classify_grothendieck(p3).beta)
     f = tmp_path / "beta.json"
     f.write_text(json.dumps(doc))
@@ -451,6 +537,21 @@ def test_construct_names_a_reversed_transition_key(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "transition pair ('b', 'a') is not strictly related" in err
+
+
+def test_construct_refuses_a_transition_pair_given_twice(capsys, tmp_path):
+    # each side of a key is trimmed, so both keys name ('a', 'b'); the
+    # later mapping used to replace the earlier without a word
+    f = tmp_path / "twice.json"
+    f.write_text(json.dumps({
+        "base": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+        "variance": "covariant",
+        "fibers": {"a": {"elements": ["u", "v"]}, "b": {"elements": ["u", "v"]}},
+        "transitions": {"a<=b": {"u": "u", "v": "v"}, "a <= b": {"u": "v", "v": "u"}},
+    }))
+    code, out, err = run(capsys, "construct", str(f))
+    assert (code, out) == (3, "")
+    assert err == "error: transition keys 'a<=b' and 'a <= b' name the same pair\n"
 
 
 def test_construct_refuses_colliding_pair_names(capsys, tmp_path):

@@ -23,7 +23,7 @@ from finfib.documents import (
 )
 from finfib.cli import main
 from finfib.errors import FinfibError, ParseError, UnknownGalleryId
-from finfib.gallery import gallery_map, gallery_poset
+from finfib.gallery import gallery_entry
 from finfib.grothendieck import classify_grothendieck, grothendieck_construction
 from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base, product
 from finfib.slices import smallest_dbp_retract_of_map
@@ -64,9 +64,9 @@ def test_map_doc_resolves_gallery_references():
     doc = {
         "domain": "gallery:E1",
         "codomain": "gallery:B1",
-        "values": gallery_map("p1").values,
+        "values": gallery_entry("p1").build().values,
     }
-    assert map_from_doc(doc) == gallery_map("p1")
+    assert map_from_doc(doc) == gallery_entry("p1").build()
     with pytest.raises(UnknownGalleryId):
         map_from_doc({**doc, "domain": "gallery:nope"})
 
@@ -101,7 +101,7 @@ def test_a_transition_key_splits_at_its_first_sign_and_trims_both_names():
 
 
 def test_retract_certificate_doc_round_trip():
-    red = smallest_dbp_retract_of_map(gallery_map("pi_sierpinski")).reduced
+    red = smallest_dbp_retract_of_map(gallery_entry("pi_sierpinski").build()).reduced
     cert = projection_retract_height1(classify_grothendieck(red))
     doc = retract_certificate_to_doc(cert)
     back = retract_certificate_from_doc(json.loads(json.dumps(doc)), red)
@@ -111,17 +111,17 @@ def test_retract_certificate_doc_round_trip():
 
 
 def test_verdict_doc_shapes():
-    doc = verdict_to_doc(decide_hurewicz(gallery_map("p1")))
+    doc = verdict_to_doc(decide_hurewicz(gallery_entry("p1").build()))
     assert doc["status"] == "fibration"
     assert doc["certificate"]["kind"] == "minimum_base_bifibration"
     assert doc["certificate"]["minimum"] == "a"
     assert doc["components"][0]["base_component"] == ["a", "b"]
 
-    doc = verdict_to_doc(decide_hurewicz(gallery_map("p2")))
+    doc = verdict_to_doc(decide_hurewicz(gallery_entry("p2").build()))
     assert doc["status"] == "not_fibration"
     assert doc["witness"]["e"] == "(a,2)"
 
-    doc = verdict_to_doc(decide_hurewicz(gallery_map("p3")))
+    doc = verdict_to_doc(decide_hurewicz(gallery_entry("p3").build()))
     assert doc["status"] == "unknown"
     necessary = doc["components"][0]["necessary"]
     assert all(v["passed"] for v in necessary.values())
@@ -133,7 +133,7 @@ def test_certificate_docs_write_each_kind_s_fields_in_order():
     vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
     fence = Poset.build(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
     cases = [
-        (gallery_map("p1"), "minimum_base_bifibration", ["minimum", "reduction"]),
+        (gallery_entry("p1").build(), "minimum_base_bifibration", ["minimum", "reduction"]),
         (product(vee, fib)[1], "height1_max_retract", ["maximum", "reduction", "retract"]),
         (product(fence, fib)[1], "trivial_over_base", ["fiber_of", "iso", "reduction"]),
     ]
@@ -210,15 +210,15 @@ def test_dumps_refuses_what_the_stdlib_refuses(doc):
 
 
 def test_necessary_doc_contains_every_condition():
-    doc = necessary_to_doc(necessary_conditions(gallery_map("p2")))
+    doc = necessary_to_doc(necessary_conditions(gallery_entry("p2").build()))
     assert not doc["up_reachability"]["passed"]
     assert doc["up_reachability"]["witness"]["e"] == "(a,2)"
     assert doc["open_map"]["passed"]
 
 
 def test_detect_doc_kind():
-    assert detect_doc_kind(poset_to_doc(gallery_poset("B1"))) == "poset"
-    assert detect_doc_kind(map_to_doc(gallery_map("p1"))) == "map"
+    assert detect_doc_kind(poset_to_doc(gallery_entry("B1").build())) == "poset"
+    assert detect_doc_kind(map_to_doc(gallery_entry("p1").build())) == "map"
     assert detect_doc_kind(functor_to_doc(rand_functor(seeded(211)))) == "functor"
 
 
@@ -235,6 +235,14 @@ def test_text_format_accepts_comments_and_commas():
     m = blocks[2][2]
     assert m("x") == "a"
     assert m.dom.le("x", "z")
+
+
+@pytest.mark.parametrize("read, what", [(map_from_doc, "map"), (functor_from_doc, "functor")])
+def test_a_document_that_is_no_object_is_refused_by_its_reader(read, what):
+    # the command line sends only objects here (detect_doc_kind refuses
+    # the rest), so these refusals guard library callers
+    with pytest.raises(ParseError, match=f"^{what} document must be an object$"):
+        read(["domain", "codomain", "values", "base", "variance", "fibers"])
 
 
 def test_text_format_rejects_garbage():
@@ -254,7 +262,7 @@ map p1 : E1 -> B1 { (a,0) -> a; (b,0) -> b; (a,1) -> a; }
 
 
 def test_parenthesized_names_survive_the_text_format():
-    p1 = gallery_map("p1")
+    p1 = gallery_entry("p1").build()
     assert parse_text(_P1_TEXT) == [("poset", "E1", p1.dom), ("poset", "B1", p1.cod), ("map", "p1", p1)]
 
 
@@ -290,7 +298,7 @@ def test_a_map_may_name_one_block_as_its_domain_and_codomain():
 
 
 def test_map_sides_may_be_gallery_references():
-    p1 = gallery_map("p1")
+    p1 = gallery_entry("p1").build()
     text = "map p1 : gallery:E1 -> gallery:B1 { (a,0) -> a; (b,0) -> b; (a,1) -> a; }"
     assert parse_text(text) == [("map", "p1", p1)]
     local = _P1_TEXT.replace("map p1 : E1 -> B1", "map q : E1 -> gallery:B1")

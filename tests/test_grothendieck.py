@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from finfib import grothendieck, verdict
 from finfib.cli import main
 from finfib.errors import FunctorialityViolated, NotGrothendieckOpfibration, UnknownElement
-from finfib.gallery import gallery_map
+from finfib.gallery import gallery_entry
 from finfib.grothendieck import (
     PosetFunctor,
     classify_grothendieck,
@@ -42,7 +42,7 @@ from helpers import (
 
 
 def all_gallery_maps():
-    return [gallery_map(i) for i in ("p1", "p1op", "p2", "p3", "pi_sierpinski", "p5_minimal_bifib")]
+    return [gallery_entry(i).build() for i in ("p1", "p1op", "p2", "p3", "pi_sierpinski", "p5_minimal_bifib")]
 
 
 def assert_lifts_match_brute_force(m):
@@ -79,7 +79,7 @@ def test_lifts_agree_with_brute_force_on_random_maps():
 
 
 def test_trivial_lift_is_the_element_itself():
-    p3 = gallery_map("p3")
+    p3 = gallery_entry("p3").build()
     rep = classify_grothendieck(p3)
     for ei, bi in enumerate(p3.vals):
         assert rep.cartesian[(ei, bi)] == ei
@@ -87,19 +87,19 @@ def test_trivial_lift_is_the_element_itself():
 
 
 def test_classification_of_gallery_maps():
-    rep = classify_grothendieck(gallery_map("p1"))
+    rep = classify_grothendieck(gallery_entry("p1").build())
     assert rep.is_fibration and not rep.is_opfibration
     assert rep.opfibration_failure.side == "cocartesian"
-    rep = classify_grothendieck(gallery_map("p1op"))
+    rep = classify_grothendieck(gallery_entry("p1op").build())
     assert not rep.is_fibration and rep.is_opfibration
     fail = rep.fibration_failure
     assert (fail.e, fail.b, fail.reason) == ("(a,1)", "b", "no_maximum")
-    rep = classify_grothendieck(gallery_map("p2"))
+    rep = classify_grothendieck(gallery_entry("p2").build())
     assert rep.is_fibration and not rep.is_opfibration
     fail = rep.opfibration_failure
     assert (fail.e, fail.b, fail.reason) == ("(a,2)", "b", "no_minimum")
-    assert classify_grothendieck(gallery_map("p3")).is_bifibration
-    assert classify_grothendieck(gallery_map("p5_minimal_bifib")).is_bifibration
+    assert classify_grothendieck(gallery_entry("p3").build()).is_bifibration
+    assert classify_grothendieck(gallery_entry("p5_minimal_bifib").build()).is_bifibration
 
 
 def test_reported_failure_is_the_first_in_index_order():
@@ -142,13 +142,13 @@ def test_reported_failure_is_the_first_in_index_order():
 
 
 def test_transport_functors_require_their_side():
-    assert classify_grothendieck(gallery_map("p1op")).alpha is None
-    rep = classify_grothendieck(gallery_map("p1"))
+    assert classify_grothendieck(gallery_entry("p1op").build()).alpha is None
+    rep = classify_grothendieck(gallery_entry("p1").build())
     assert rep.beta is None
     f = rep.opfibration_failure
     msg = f"no cocartesian lift of {f.e!r} over {f.b!r} ({f.reason})"
     with pytest.raises(NotGrothendieckOpfibration) as err:
-        reconstruct_over_base(gallery_map("p1"))
+        reconstruct_over_base(gallery_entry("p1").build())
     assert str(err.value) == msg
     assert err.value.witness == f
 
@@ -377,13 +377,13 @@ def test_bundle_status_of_gallery_maps():
         "p5_minimal_bifib": ("not_bundle", "c"),
     }
     for pid, (status, failed_at) in expect.items():
-        rep = is_fiber_bundle(gallery_map(pid))
+        rep = is_fiber_bundle(gallery_entry(pid).build())
         assert rep.status == status
         assert rep.failed_at == failed_at
 
 
 def test_bundle_trivializations_recheck():
-    pi = gallery_map("pi_sierpinski")
+    pi = gallery_entry("pi_sierpinski").build()
     s = as_slice(pi)
     rep = is_fiber_bundle(pi)
     assert rep.status == "bundle"
@@ -403,7 +403,7 @@ def test_automorphism_constructions_are_bundles():
 def test_bundle_budget_runs_out_gracefully(capsys):
     # the check reads the lift table and searches nothing, so a budget of
     # 0 has nothing to run out of: the answer is the whole one
-    rep = is_fiber_bundle(gallery_map("pi_sierpinski"))
+    rep = is_fiber_bundle(gallery_entry("pi_sierpinski").build())
     assert (rep.status, rep.failed_at) == ("bundle", None)
     assert main(["check", "bundle", "gallery:pi_sierpinski", "--budget", "0"]) == 0
     assert capsys.readouterr().out == "fiber bundle\n"
@@ -419,7 +419,7 @@ def test_a_negative_bundle_budget_is_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --budget: budget must be 0 or more, got -1" in captured.err
-    assert is_fiber_bundle(gallery_map("pi_sierpinski")).status == "bundle"
+    assert is_fiber_bundle(gallery_entry("pi_sierpinski").build()).status == "bundle"
 
 
 def assert_bundle_check_matches_the_search(p):

@@ -15,7 +15,7 @@ from finfib.slices import (
     smallest_dbp_retract_of_map,
 )
 from finfib.stong import beat_points
-from finfib.gallery import gallery_map
+from finfib.gallery import gallery_entry
 from helpers import (
     map_le,
     maps,
@@ -80,9 +80,9 @@ def test_map_beat_points_need_the_witness_in_the_fiber():
 
 
 def test_map_beat_points_of_gallery_maps():
-    assert map_beat_points(gallery_map("p2")).down == {}
-    assert map_beat_points(gallery_map("p5_minimal_bifib")).is_minimal
-    assert not map_beat_points(gallery_map("p1")).is_minimal
+    assert map_beat_points(gallery_entry("p2").build()).down == {}
+    assert map_beat_points(gallery_entry("p5_minimal_bifib").build()).is_minimal
+    assert not map_beat_points(gallery_entry("p1").build()).is_minimal
 
 
 def test_smallest_dbp_retract_of_map_is_order_independent():
@@ -135,7 +135,7 @@ def test_map_cores_from_shuffled_orders_are_isomorphic_over_the_base():
 
 
 def test_map_dbp_retract_membership():
-    p1 = gallery_map("p1")
+    p1 = gallery_entry("p1").build()
     # (a,1) is the only down beat point of the map
     assert map_beat_points(p1).down == {"(a,1)": "(a,0)"}
     red = smallest_dbp_retract_of_map(p1)
@@ -146,7 +146,7 @@ def test_map_dbp_retract_membership():
 
 
 def test_restrict_over_takes_the_preimage():
-    p3 = gallery_map("p3")
+    p3 = gallery_entry("p3").build()
     down = restrict_over(p3, ["a"])
     assert down.base.elements == ("a",)
     assert set(down.total.elements) == {"(a,0)", "(a,1)", "(a,2)"}

@@ -129,9 +129,6 @@ PUBLIC_KEEP = {
     "f_infinity": "README: Stong's stabilized iterate of a descending endomap",
     "homotopy_equivalent": "README: homotopy equivalence via core isomorphism",
     "reconstruct_over_base": "README: the round trip that rebuilds a map from its covariant transport",
-    "gallery_ids": "the gallery's lookup by id",
-    "gallery_map": "the gallery's lookup by id; the README's Library example",
-    "gallery_poset": "the gallery's lookup by id",
     "SearchBudgetExhausted": "perfbench/spans.py binds it in Tracer.__init__; goes with ROADMAP item 1",
     "restrict_over_component": "perfbench/spans.py wraps it where verdict imports it",
     "find_isomorphism_over_base": "perfbench/spans.py wraps it where verdict and grothendieck import it; "
@@ -207,7 +204,6 @@ def test_every_public_member_is_used_or_kept_for_a_reason():
 SHARED_MEMBERS = {
     "Poset.build": "documents.poset_from_doc and the gallery build posets",
     "MonotoneMap.build": "documents.map_from_doc and functor_from_doc build maps",
-    "GalleryEntry.build": "cli._load_target builds gallery:ID targets",
     "Poset.op": "grothendieck_construction of a contravariant functor projects to d.base.op()",
     "MonotoneMap.op": "SliceMap.op and the gallery's p1op entry",
     "SliceMap.op": "verdict.is_closed_map tests openness of the opposite map",

@@ -17,7 +17,7 @@ from finfib.stong import (
     is_contractible,
     smallest_dbp_retract,
 )
-from finfib.gallery import gallery_poset
+from finfib.gallery import gallery_entry
 from helpers import (
     all_dbp_retracts,
     crowns,
@@ -48,9 +48,9 @@ def test_beat_points_on_known_spaces():
     assert bp.down == {"d": "c"}
     assert bp.up == {"a": "b"}
     assert not bp.is_minimal
-    crown = gallery_poset("B5")
+    crown = gallery_entry("B5").build()
     assert beat_points(crown).is_minimal
-    b3 = gallery_poset("B3")
+    b3 = gallery_entry("B3").build()
     assert beat_points(b3).down == {}
     assert beat_points(b3).up == {"c": "e", "d": "e"}
 
@@ -215,9 +215,9 @@ def test_one_sided_rigidity_needs_only_one_sided_minimality():
 
 
 def test_contractibility_and_homotopy_equivalence():
-    assert is_contractible(gallery_poset("B3"))
+    assert is_contractible(gallery_entry("B3").build())
     assert is_contractible(n_poset())
-    crown = gallery_poset("B5")
+    crown = gallery_entry("B5").build()
     assert not is_contractible(crown)
     point = Poset.build(["z"], [])
     eq, phi = homotopy_equivalent(n_poset(), point)
@@ -234,9 +234,9 @@ def test_contractibility_and_homotopy_equivalence():
 
 def test_core_of_gallery_posets():
     for pid, size in [("B1", 1), ("B3", 1), ("B4", 1), ("E3", 1), ("S", 1)]:
-        assert core(gallery_poset(pid)).result.n == size
+        assert core(gallery_entry(pid).build()).result.n == size
     for pid in ["B5", "E5"]:
-        x = gallery_poset(pid)
+        x = gallery_entry(pid).build()
         assert core(x).result == x
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from finfib.cli import main
 from finfib.documents import map_to_doc
 from finfib.errors import EmptyDomain, InvariantViolated, PreconditionViolated
-from finfib.gallery import ENTRIES, gallery_map, gallery_poset
+from finfib.gallery import ENTRIES, gallery_entry
 from finfib.grothendieck import (
     PosetFunctor,
     classify_grothendieck,
@@ -78,7 +78,7 @@ def test_open_and_closed_on_gallery_maps():
         "p5_minimal_bifib": (True, True),
     }
     for pid, (op, cl) in expect.items():
-        m = gallery_map(pid)
+        m = gallery_entry(pid).build()
         assert is_open_map(m)[0] == op
         assert is_closed_map(m)[0] == cl
 
@@ -112,17 +112,27 @@ def test_openness_witness_is_a_real_violation():
     assert opens >= 5
 
 
+def test_a_minimal_total_space_over_a_base_with_a_beat_point_names_it():
+    # the crown a, b < c, d is minimal; the chain 0 < 1 under it is not,
+    # and 1 is its down beat point
+    crown = Poset.build(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    m = MonotoneMap.build(crown, Poset.chain(["0", "1"]), {"a": "0", "b": "0", "c": "1", "d": "1"})
+    (cond,) = [c for c in necessary_conditions(m).conditions if c.name == "minimalE_implies_minimalB"]
+    assert not cond.passed
+    assert cond.witness == {"base_beat_point": "1", "kind": "down", "component": ["0", "1"]}
+
+
 def test_necessary_conditions_on_gallery_maps():
-    assert necessary_conditions(gallery_map("p1")).all_pass
-    assert necessary_conditions(gallery_map("p3")).all_pass
-    assert necessary_conditions(gallery_map("pi_sierpinski")).all_pass
-    assert necessary_conditions(gallery_map("p5_minimal_bifib")).all_pass
-    rep = necessary_conditions(gallery_map("p2"))
+    assert necessary_conditions(gallery_entry("p1").build()).all_pass
+    assert necessary_conditions(gallery_entry("p3").build()).all_pass
+    assert necessary_conditions(gallery_entry("pi_sierpinski").build()).all_pass
+    assert necessary_conditions(gallery_entry("p5_minimal_bifib").build()).all_pass
+    rep = necessary_conditions(gallery_entry("p2").build())
     assert rep.failing() == ("up_reachability", "reduced_bifibration")
     (up,) = [c for c in rep.conditions if c.name == "up_reachability"]
     assert up.witness["e"] == "(a,2)"
     assert up.witness["b"] == "b"
-    rep = necessary_conditions(gallery_map("p1op"))
+    rep = necessary_conditions(gallery_entry("p1op").build())
     assert rep.failing() == (
         "open_map",
         "down_fiber_nonempty",
@@ -146,7 +156,7 @@ def test_condition_names_keep_their_order():
 
 
 def test_condition_report_shape():
-    rep = necessary_conditions(gallery_map("p2"))
+    rep = necessary_conditions(gallery_entry("p2").build())
     assert tuple(c.name for c in rep.conditions) == CONDITION_NAMES
     for c in rep.conditions:
         assert c.passed == (c.witness is None)
@@ -215,25 +225,25 @@ def test_core_of_a_bundle_is_a_bundle_with_core_fiber():
 
 
 def test_verdicts_on_gallery_maps():
-    v = decide_hurewicz(gallery_map("p1"))
+    v = decide_hurewicz(gallery_entry("p1").build())
     assert v.status == "fibration"
     assert v.certificate.kind == "minimum_base_bifibration"
     assert v.certificate.point == "a"
     assert v.exit_code == 0
 
-    v = decide_hurewicz(gallery_map("p1op"))
+    v = decide_hurewicz(gallery_entry("p1op").build())
     assert v.status == "not_fibration"
     assert v.exit_code == 1
     w = v.witness
     assert (w["side"], w["e"], w["b"]) == ("cartesian", "(a,1)", "b")
     assert w["condition"] == "reduced_bifibration"
 
-    v = decide_hurewicz(gallery_map("p2"))
+    v = decide_hurewicz(gallery_entry("p2").build())
     assert v.status == "not_fibration"
     w = v.witness
     assert (w["side"], w["e"], w["b"], w["reason"]) == ("cocartesian", "(a,2)", "b", "no_minimum")
 
-    v = decide_hurewicz(gallery_map("p3"))
+    v = decide_hurewicz(gallery_entry("p3").build())
     assert v.status == "unknown"
     assert v.exit_code == 2
     assert v.witness["condition"] == "undecided"
@@ -241,11 +251,11 @@ def test_verdicts_on_gallery_maps():
     assert comp.necessary is not None
     assert comp.necessary.all_pass
 
-    v = decide_hurewicz(gallery_map("pi_sierpinski"))
+    v = decide_hurewicz(gallery_entry("pi_sierpinski").build())
     assert v.status == "fibration"
     assert v.certificate.point == "0"
 
-    v = decide_hurewicz(gallery_map("p5_minimal_bifib"))
+    v = decide_hurewicz(gallery_entry("p5_minimal_bifib").build())
     assert v.status == "unknown"
     assert v.components[0].necessary.all_pass
 
@@ -308,20 +318,20 @@ def test_up_beat_points_of_the_map_are_not_safe_to_remove():
 
 
 def test_height1_retract_certificate_on_reduced_maps():
-    pi = gallery_map("pi_sierpinski")
+    pi = gallery_entry("pi_sierpinski").build()
     red = smallest_dbp_retract_of_map(pi).reduced
     cert = projection_retract_height1(classify_grothendieck(red))
     ok, reason = verify_retract_certificate(red, cert)
     assert ok, reason
     assert cert.x == red.base
 
-    p1red = smallest_dbp_retract_of_map(gallery_map("p1")).reduced
+    p1red = smallest_dbp_retract_of_map(gallery_entry("p1").build()).reduced
     cert = projection_retract_height1(classify_grothendieck(p1red))
     assert verify_retract_certificate(p1red, cert)[0]
 
 
 def test_height1_retract_certificate_preconditions():
-    crown = gallery_poset("B5")
+    crown = gallery_entry("B5").build()
     _, to_crown, _ = product(crown, Poset.chain(["0", "1"]))
     with pytest.raises(PreconditionViolated):
         projection_retract_height1(classify_grothendieck(to_crown))  # no maximum
@@ -329,14 +339,14 @@ def test_height1_retract_certificate_preconditions():
     with pytest.raises(PreconditionViolated):
         projection_retract_height1(classify_grothendieck(MonotoneMap.identity(tall)))  # height 2
     with pytest.raises(PreconditionViolated):
-        projection_retract_height1(classify_grothendieck(gallery_map("p1op")))  # not a bifibration
+        projection_retract_height1(classify_grothendieck(gallery_entry("p1op").build()))  # not a bifibration
     empty = MonotoneMap.build(Poset.build([], []), Poset.chain(["u", "v"]), {})
     with pytest.raises(PreconditionViolated):
         projection_retract_height1(classify_grothendieck(empty))
 
 
 def test_tampered_certificates_fail_with_the_right_reason():
-    pi = gallery_map("pi_sierpinski")
+    pi = gallery_entry("pi_sierpinski").build()
     red = smallest_dbp_retract_of_map(pi).reduced
     cert = projection_retract_height1(classify_grothendieck(red))
     # r squashed to a constant: r i = Id_E breaks first
@@ -355,7 +365,7 @@ def test_a_retract_that_is_not_monotone_does_not_verify():
     # X = B and Y = E with the section i(e) = (p(e), e); r sends every
     # (b, e) off the section to the first point over b.  All four
     # identities hold, but r is not monotone, so it proves nothing
-    p = as_slice(gallery_map("p3"))
+    p = as_slice(gallery_entry("p3").build())
     total, base, vals = p.total, p.base, p.map.vals
     prod, _, _ = product(base, total)
     i = MonotoneMap(total, prod, [vals[e] * total.n + e for e in range(total.n)])
@@ -365,6 +375,23 @@ def test_a_retract_that_is_not_monotone_does_not_verify():
     ident = MonotoneMap.identity(base)
     cert = RetractCertificate(base, total, i, r, ident, ident)
     assert verify_retract_certificate(p, cert) == (False, "r is not monotone")
+
+
+@pytest.mark.parametrize("fault", ["s j = Id_B fails", "pi_X i = j p fails", "p r = s pi_X fails"])
+def test_each_failing_retract_identity_is_named(fault):
+    # X = B and Y = E, and r projects onto E, so r i = Id_E holds.  A
+    # constant j and s break s j = Id_B; a section over one base point
+    # breaks pi_X i = j p; the true section leaves p r = s pi_X to break,
+    # since r forgets the base point of every pair off the section
+    p = as_slice(gallery_entry("p1").build())
+    total, base = p.total, p.base
+    prod, _, _ = product(base, total)
+    over = [0] * total.n if fault == "pi_X i = j p fails" else p.map.vals
+    i = MonotoneMap(total, prod, [b * total.n + e for e, b in enumerate(over)])
+    r = MonotoneMap(prod, total, [k % total.n for k in range(prod.n)])
+    js = MonotoneMap(base, base, [0] * base.n if fault == "s j = Id_B fails" else range(base.n))
+    cert = RetractCertificate(base, total, i, r, js, js)
+    assert verify_retract_certificate(p, cert) == (False, fault)
 
 
 def _vee_times_chain2():
@@ -406,9 +433,9 @@ def test_each_height1_certificate_builds_its_product_once(monkeypatch):
 
 
 def test_trivial_over_base_detection():
-    assert is_trivial_over_base(classify_grothendieck(gallery_map("pi_sierpinski"))) is not None
-    assert is_trivial_over_base(classify_grothendieck(gallery_map("p5_minimal_bifib"))) is None
-    found = is_trivial_over_base(classify_grothendieck(smallest_dbp_retract_of_map(gallery_map("p1")).reduced))
+    assert is_trivial_over_base(classify_grothendieck(gallery_entry("pi_sierpinski").build())) is not None
+    assert is_trivial_over_base(classify_grothendieck(gallery_entry("p5_minimal_bifib").build())) is None
+    found = is_trivial_over_base(classify_grothendieck(smallest_dbp_retract_of_map(gallery_entry("p1").build()).reduced))
     assert found is not None
     assert (found.kind, found.point, found.reduction, found.retract) == ("trivial_over_base", "a", None, None)
     assert found.iso == {"(a,0)": "(a,(a,0))", "(b,0)": "(b,(a,0))"}
@@ -540,7 +567,7 @@ def test_double_covers_of_the_crown_are_decided_without_a_search(k):
 
 
 def test_certificate_search_finds_small_witnesses():
-    p1red = smallest_dbp_retract_of_map(gallery_map("p1")).reduced
+    p1red = smallest_dbp_retract_of_map(gallery_entry("p1").build()).reduced
     cert = search_retract_certificate(p1red)
     assert cert is not None
     assert verify_retract_certificate(p1red, cert)[0]
@@ -555,18 +582,18 @@ def test_certificate_search_finds_small_witnesses():
 
 
 def test_certificate_search_exhausts_on_the_undecided_example():
-    cert = search_retract_certificate(gallery_map("p3"), max_y=2)
+    cert = search_retract_certificate(gallery_entry("p3").build(), max_y=2)
     assert cert is None
 
 
 def test_unknown_verdicts_carry_the_necessary_report():
     for pid in ("p3", "p5_minimal_bifib"):
-        v = decide_hurewicz(gallery_map(pid))
+        v = decide_hurewicz(gallery_entry(pid).build())
         (comp,) = v.components
         assert comp.status == "unknown"
         assert tuple(c.name for c in comp.necessary.conditions) == CONDITION_NAMES
         # the verdict reuses its own reduction instead of rerunning it
-        assert comp.necessary == necessary_conditions(gallery_map(pid))
+        assert comp.necessary == necessary_conditions(gallery_entry(pid).build())
 
 
 def test_verdict_on_random_bifibrations_never_contradicts_conditions():
@@ -603,7 +630,7 @@ def openness_inputs():
         m = rand_monotone(rng, dom, cod)
         maps += [m, insert_map_down_beat_point(rng, m, str(k))]
     maps += [rand_fibration(rng) for _ in range(30)]
-    return maps + [gallery_map(e.id) for e in ENTRIES if e.kind == "map"]
+    return maps + [gallery_entry(e.id).build() for e in ENTRIES if e.kind == "map"]
 
 
 def test_openness_returns_the_point_by_point_scan_verdict_and_witness():
@@ -617,7 +644,7 @@ def test_openness_returns_the_point_by_point_scan_verdict_and_witness():
         ):
             assert got == want
             fails[kind] += not want[0]
-    assert is_open_map(gallery_map("p1op")) == (False, {"e": "(a,1)", "missing": "b"})
+    assert is_open_map(gallery_entry("p1op").build()) == (False, {"e": "(a,1)", "missing": "b"})
     assert min(fails.values()) >= 20
 
 
@@ -650,7 +677,7 @@ def test_down_fiber_contractible_skips_only_passing_pairs(total, base, seed):
 
 @settings(max_examples=300, deadline=None)
 @given(p=maps())
-@example(p=gallery_map("p2"))
+@example(p=gallery_entry("p2").build())
 def test_up_reachability_matches_the_elementwise_scan(p):
     # about one random map in five fails the condition; p2 fails it at ((a,2), b)
     s = as_slice(p)
@@ -674,7 +701,7 @@ def test_conditions_compute_openness_and_beat_points_once_per_component(monkeypa
     open_map, beat = verdict.is_open_map, verdict.beat_points
     monkeypatch.setattr(verdict, "is_open_map", lambda p: seen.append(("open", p)) or open_map(p))
     monkeypatch.setattr(verdict, "beat_points", lambda x: seen.append(("beat", x)) or beat(x))
-    rep = necessary_conditions(gallery_map(pid))
+    rep = necessary_conditions(gallery_entry(pid).build())
     # every condition ran and both openness conditions read the one scan
     assert rep.all_pass
     assert [kind for kind, _ in seen].count("open") == 1
@@ -688,7 +715,7 @@ def test_an_undecided_component_classifies_its_reduced_map_once(monkeypatch):
     seen = []
     classify = verdict.classify_grothendieck
     monkeypatch.setattr(verdict, "classify_grothendieck", lambda p: seen.append(p) or classify(p))
-    v = decide_hurewicz(gallery_map("p3"))
+    v = decide_hurewicz(gallery_entry("p3").build())
     # the decision and the reduced_bifibration condition share one report
     undecided = [c for c in v.components if c.status == "unknown"]
     assert undecided and len(seen) == len(undecided)
