@@ -55,7 +55,6 @@ _INPUT_ERRORS = (
     ParseError,
     OSError,
     UnicodeDecodeError,
-    json.JSONDecodeError,
     UnknownGalleryId,
     UnknownElement,
     DuplicateName,
@@ -87,10 +86,8 @@ def _load_target(target: str, kinds: tuple[str, ...]) -> Union[Poset, MonotoneMa
             doc = json.loads(text, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ParseError(f"{target}: JSON nested too deeply to decode") from None
-        except ValueError as exc:
-            if isinstance(exc, json.JSONDecodeError):
-                raise
-            raise ParseError(f"{target}: {exc}") from None  # a number too long to convert
+        except ValueError as exc:  # malformed, or a number too long to convert
+            raise ParseError(f"{target}: {str(exc).partition('; use sys.set_int_max_str_digits()')[0]}") from None
         kind = detect_doc_kind(doc)
         read = {"poset": poset_from_doc, "map": map_from_doc, "functor": functor_from_doc}[kind]
         build = functools.partial(read, doc)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     FinfibError,
@@ -39,8 +39,7 @@ from .slices import (
 )
 
 
-@dataclass(frozen=True)
-class LiftFailure:
+class LiftFailure(NamedTuple):
     """One failing lift request: its side, element, base point and reason."""
 
     side: str  # 'cartesian' | 'cocartesian'

@@ -49,15 +49,34 @@ class ReductionTrace:
     retraction: MonotoneMap
 
 
+def _witness_table(rows: Sequence[int], alive: int) -> list[Optional[int]]:
+    """Each alive point's witness (the maximum of its alive strict down-set), by row lookup.
+
+    With rows = above it is the minimum of the strict up-set.  D_j, the
+    alive points strictly below j, has a maximum w exactly when
+    rows[w] & alive == D_j, and the rows restricted to alive are
+    distinct, by antisymmetry; so one dict from restricted rows to
+    points answers each point with one lookup.  With every point alive
+    the rows themselves are the keys.  Dead points read None.
+    """
+    if alive == (1 << len(rows)) - 1:
+        look = {row: w for w, row in enumerate(rows)}
+        return [look.get(row ^ (1 << j)) for j, row in enumerate(rows)]
+    keys = {w: rows[w] & alive for w in _bits(alive)}
+    look = {key: w for w, key in keys.items()}
+    wit: list[Optional[int]] = [None] * len(rows)
+    for j, key in keys.items():
+        wit[j] = look.get(key ^ (1 << j))
+    return wit
+
+
 def beat_points(x: Poset) -> BeatPointReport:
     """Every beat point of x, with the witness ``_reduce`` examines it by."""
-    down: dict[str, str] = {}
-    up: dict[str, str] = {}
-    for found, rows, co in ((down, x.below, x.above), (up, x.above, x.below)):
-        for i, row in enumerate(rows):
-            wi = _extremum(rows, co, row & ~(1 << i))
-            if wi is not None:
-                found[x.elements[i]] = x.elements[wi]
+    everything = (1 << x.n) - 1
+    down, up = (
+        {x.elements[j]: x.elements[w] for j, w in enumerate(_witness_table(rows, everything)) if w is not None}
+        for rows in (x.below, x.above)
+    )
     return BeatPointReport(down, up)
 
 
@@ -65,10 +84,11 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
     """Greedy beat-point removal engine shared by all reductions.
 
     It removes the lowest-indexed beat point of the first kind that has
-    one; ``fiber_vals`` switches to beat points of a map.  One scan
-    finds every point's witness per kind (for kind down, the maximum of
-    its alive strict down-set D_j), and each removal re-examines only
-    the points this lemma leaves:
+    one; ``fiber_vals`` switches to beat points of a map, whose witness
+    must share the fiber.  Per kind it keeps every alive point's witness
+    (for kind down, the maximum of its alive strict down-set D_j) and
+    the mask of candidates, and each removal re-examines only the points
+    this lemma leaves:
 
     Removing i changes D_j only for j above i.  If a surviving z of D_j
     lies above i, the maximal elements of D_j stay the same, so D_j
@@ -77,39 +97,53 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
     are the points whose witness was i and the witnessless points with
     nothing alive between i and them.
 
+    Three more lemmas find the witnesses without climbing the order:
+
+    1. Row lookup.  D_j has a maximum w exactly when rows[w] & alive ==
+       D_j, so ``_witness_table`` reads every witness off one dict.
+    2. Hand-over.  If i was j's witness, then D_j without i is D_i, so
+       j's new witness is i's own, or none.  Of the points above i only
+       the witnessless ones are searched again.
+    3. Kind by kind.  A kind's table is built, at the alive set of that
+       moment, only once every earlier kind has no candidates left.
+       Nothing reads it before, so the picks are those of a table kept
+       from the start.
+
     Each removed point is redirected to its witness, and the composite
     retraction is resolved at the end.
     """
     n = x.n
     alive = (1 << n) - 1
-    ks = range(len(kinds))
     cones = [(x.below, x.above) if kind == "down" else (x.above, x.below) for kind in kinds]
-    wit: list[list[Optional[int]]] = [[None] * n for _ in ks]
-    cands = [0 for _ in ks]
-
-    def examine(k: int, j: int) -> None:
-        bit = 1 << j
-        rows, co = cones[k]
-        w = wit[k][j] = _extremum(rows, co, rows[j] & alive & ~bit)
-        if w is not None and (fiber_vals is None or fiber_vals[w] == fiber_vals[j]):
-            cands[k] |= bit
-        else:
-            cands[k] &= ~bit
-
-    for k in ks:
-        for j in range(n):
-            examine(k, j)
+    vals = fiber_vals or [0] * n  # a space is a map to a point
+    wit: list[list[Optional[int]]] = []  # one table per kind scanned so far
+    cands: list[int] = []
     steps: list[tuple[int, int, int]] = []  # (removed point, kind, witness)
-    while any(cands):
-        k = next(k for k in ks if cands[k])
-        i = (cands[k] & -cands[k]).bit_length() - 1
-        alive &= ~(1 << i)
+    while True:
+        for k, c in enumerate(cands):
+            if c:
+                break
+        else:
+            if len(wit) == len(kinds):
+                break
+            table = _witness_table(cones[len(wit)][0], alive)
+            wit.append(table)
+            cands.append(sum(1 << j for j, w in enumerate(table) if w is not None and vals[w] == vals[j]))
+            continue
+        bit = c & -c
+        i = bit.bit_length() - 1
+        alive ^= bit
         steps.append((i, k, wit[k][i]))
-        for k in ks:
-            cands[k] &= ~(1 << i)
+        for k, table in enumerate(wit):
             rows, co = cones[k]
+            c = cands[k] & ~bit
             for j in _bits(_maximal(co, rows, co[i] & alive)):
-                examine(k, j)
+                w = table[j] = table[i] if table[j] == i else _extremum(rows, co, rows[j] & alive & ~(1 << j))
+                if w is not None and vals[w] == vals[j]:
+                    c |= 1 << j
+                else:
+                    c &= ~(1 << j)
+            cands[k] = c
     to = list(range(n))
     for i, _, wi in reversed(steps):
         to[i] = to[wi]

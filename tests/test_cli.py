@@ -355,7 +355,8 @@ def test_a_number_too_long_to_convert_is_bad_input(capsys, tmp_path, command):
     big.write_text('{"elements": ' + "1" * 5000 + "}")
     code, out, err = run(capsys, *command, str(big))
     assert (code, out) == (3, "")
-    assert err.startswith(f"error: {big}: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+    limit = "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"
+    assert err == f"error: {big}: {limit}\n"
 
 
 _E1_TO_B1 = {"domain": "gallery:E1", "codomain": "gallery:B1"}
@@ -389,6 +390,11 @@ _REFUSALS = {
     "transition_key_without_le": (["construct"], {**_CHAIN_FUNCTOR, **_ONE_POINT_FIBERS,
                                                   "transitions": {"ab": {"u": "u"}}},
                                   "transition key 'ab' must look like 'b<=b2'"),
+    "malformed_json": (["info"], "{not json",
+                       "{path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "json_too_deep": (["info"], "[" * 100_000 + "]" * 100_000, "{path}: JSON nested too deeply to decode"),
+    "number_too_long": (["info"], '{"elements": ' + "1" * 5000 + "}",
+                        "{path}: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits"),
     "document_not_an_object": (["info"], "[1]", "document must be a JSON object"),
     "document_of_no_kind": (["info"], {"points": []}, "document is none of poset, map, or functor"),
     "functor_outside_construct": (["check", "groth"], {**_CHAIN_FUNCTOR, **_ONE_POINT_FIBERS},

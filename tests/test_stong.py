@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finfib import stong
 from finfib.errors import NotDescending
 from finfib.posets import MonotoneMap, Poset, _bits, _maximal, find_isomorphism, product
 from finfib.stong import (
     _reduce,
+    _witness_table,
     beat_points,
     core,
     f_infinity,
@@ -289,6 +291,70 @@ def test_removing_a_point_changes_only_the_witnesses_of_the_minimal_points_above
         witnessed = {j for j, w in before.items() if w == i}
         lonely = {j for j, w in before.items() if w is None and rows[j] & co[i] & after == 1 << j}
         assert redo == witnessed | lonely
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=posets(max_size=10), data=st.data())
+def test_a_row_lookup_finds_every_witness_at_any_alive_set(x, data):
+    # lemma 1 of _reduce: D_j has a maximum w exactly when rows[w] & alive
+    # is D_j, so one dict of restricted rows answers every alive point
+    everything = (1 << x.n) - 1
+    alive = data.draw(st.just(everything) | st.integers(0, everything))
+    for rows in (x.below, x.above):
+        want = [linear_extremum(rows, rows[j] & alive & ~(1 << j)) if alive >> j & 1 else None for j in range(x.n)]
+        assert _witness_table(rows, alive) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=posets(max_size=10).filter(len), data=st.data())
+def test_removing_a_witness_hands_its_own_witness_on(x, data):
+    # lemma 2 of _reduce: if i was the witness of j, then D_j without i is
+    # D_i, so j's witness after removing i is i's witness, or none
+    i = data.draw(st.integers(0, x.n - 1))
+    alive = data.draw(st.integers(0, (1 << x.n) - 1)) | 1 << i
+    after = alive & ~(1 << i)
+    for rows in (x.below, x.above):
+        w_i = linear_extremum(rows, rows[i] & alive & ~(1 << i))
+        for j in _bits(after):
+            if linear_extremum(rows, rows[j] & alive & ~(1 << j)) == i:
+                assert linear_extremum(rows, rows[j] & after & ~(1 << j)) == w_i
+
+
+def test_core_on_a_shuffled_chain_hands_witnesses_over_without_a_search(monkeypatch):
+    # every removal hands the removed point's witness to the point above
+    # it, so the reduction finds the minimal points above once per
+    # removal and never searches for an extremum
+    calls = {"_extremum": 0, "_maximal": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(stong, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(stong, name, counted)
+    names = [f"c{i}" for i in range(200)]
+    order = names[:]
+    seeded(61).shuffle(order)
+    trace = core(Poset.build(order, list(zip(names, names[1:]))))
+    assert trace.result.elements == ("c0",)
+    assert calls == {"_extremum": 0, "_maximal": 199}
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_up_scan_after_down_removals_agrees_with_the_rescan_oracle(n, seed):
+    # in a shuffled fence f0 < f1 > f2 < f3 ... < f(n-1) the top end is the
+    # one down beat point; removing the down beat points makes new up beat
+    # points and removing those new down ones, so the up table is built
+    # after some down removals and then kept alongside the down table
+    names = [f"f{i}" for i in range(n)]
+    order = names[:]
+    seeded(seed).shuffle(order)
+    zigzag = [(names[i], names[i + 1]) if i % 2 == 0 else (names[i + 1], names[i]) for i in range(n - 1)]
+    x = Poset.build(order, zigzag)
+    kinds_removed = [kind for _, kind in _reduce(x, ("down", "up"), None).removed]
+    assert kinds_removed[0] == "down" and "up" in kinds_removed
+    for fiber_vals in (None, [i % 2 for i in range(n)], [int(e[1:]) // 3 for e in x.elements]):
+        assert_reduce_agrees_with_the_rescan_oracle(x, ("down", "up"), fiber_vals)
 
 
 @pytest.mark.parametrize(
