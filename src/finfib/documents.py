@@ -121,9 +121,12 @@ def poset_from_doc(doc: Doc) -> Poset:
         raise ParseError("'covers' must be a list of pairs")
     pairs = []
     for c in covers:
-        if not (isinstance(c, (list, tuple)) and len(c) == 2 and all(isinstance(x, str) for x in c)):
-            raise ParseError(f"cover {c!r} is not a pair of names")
-        pairs.append((c[0], c[1]))
+        if isinstance(c, (list, tuple)) and len(c) == 2:
+            lo, hi = c
+            if isinstance(lo, str) and isinstance(hi, str):
+                pairs.append((lo, hi))
+                continue
+        raise ParseError(f"cover {c!r} is not a pair of names")
     return Poset.build(elements, pairs)
 
 

@@ -136,16 +136,18 @@ class PosetFunctor:
         return f"PosetFunctor({self.variance} over {self.base!r})"
 
 
-def _scan_lifts(
-    s: SliceMap, side: str
-) -> tuple[list[LiftFailure], dict[tuple[int, int], int]]:
-    """Every lift on one side: all failures and the transport table.
+def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[int, int]]]:
+    """Every lift on one side: all failures and the transport rows.
 
     The lift of e over b is the maximum of U_e in p^-1(U_b) (cartesian)
     or the minimum of F_e in p^-1(F_b) (cocartesian), and it must sit
-    over b.  The table maps index pairs (e, b) to it wherever it exists;
-    the trivial lift over p(e) is e itself, recorded without a search.
-    Failures are listed e-major, base-index-minor.
+    over b.  ``rows[e]`` maps each base index b of U_{p(e)} (F_{p(e)}
+    cocartesian) over which e has a lift to it, so no entry means no
+    lift; the trivial lift over p(e) is e itself, recorded without a
+    search.  The failing b of e are kept apart, as a base mask, and a
+    stray extremum only where it exists; failures are listed from the
+    masks, e-major, base-index-minor.  The table holds one entry per
+    lift, never |E|.|B| cells.
 
     Lifts compose, so one search per lower cover c of p(e) settles
     every b <= c that it reaches (dually with minima and upper covers).
@@ -153,74 +155,99 @@ def _scan_lifts(
     b <= p(i) the set U_e in p^-1(U_b) lies in U_e in p^-1(U_c), hence
     in U_i, and it holds all of U_i in p^-1(U_b) because i <= e.  The
     two sets are equal, so e's entry over b, a failure and its stray
-    included, is i's.  Base points below p(e) that no cover's i reaches
-    are searched directly.  Visiting the points by rising |U_e| (|F_e|
-    cocartesian), which grows strictly along the order, completes i's
-    row before e's begins.  When no cover of the base lies above another
-    base point, nothing is copied and index order serves.
+    included, is i's.  Every b of i's row and mask lies in U_{p(i)}, so
+    e takes i's whole row and mask: its row begins as a copy of the
+    first such row, later covers' rows are merged into it, and where
+    two overlap they agree.  Base points below p(e) that no cover's i
+    reaches are searched directly.  Visiting the points by rising |U_e|
+    (|F_e| cocartesian), which grows strictly along the order, completes
+    i's row before e's begins.  When no cover of the base lies above
+    another base point, nothing is copied and index order serves.
     """
     total, base, vals, fibers = s.total, s.base, s.map.vals, s.fiber_masks
     if side == "cartesian":
-        rows, co, reach, ext = total.below, total.above, base.below, "maximum"
+        ups, co, reach, ext = total.below, total.above, base.below, "maximum"
     else:
-        rows, co, reach, ext = total.above, total.below, base.above, "minimum"
+        ups, co, reach, ext = total.above, total.below, base.above, "minimum"
     strict = [row ^ 1 << b for b, row in enumerate(reach)]
-    pre: list[int] = []  # pre[b]: the points over reach[b]
+    inner = 0  # the base points another one reaches: only these are searched over
+    for row in strict:
+        inner |= row
+    pre: list[int] = []  # pre[b]: the points over reach[b], for b in inner
     deep: list[int] = []  # deep[b]: strict[b] less the covers of b
+    covers: list[tuple[int, ...]] = []  # covers[b]: b's lower covers (upper, cocartesian)
     for b, row in enumerate(strict):
-        m, d = fibers[b], 0
+        searched = inner >> b & 1
+        m, d = fibers[b] if searched else 0, 0
         for a in _bits(row):
-            m |= fibers[a]
             d |= strict[a]
+            if searched:
+                m |= fibers[a]
         pre.append(m)
         deep.append(d)
+        covers.append(tuple(_bits(row ^ d)))
     order = range(total.n)
     if any(deep):
-        order = sorted(order, key=[row.bit_count() for row in rows].__getitem__)
-    transports: dict[tuple[int, int], int] = {}
-    miss: dict[tuple[int, int], Optional[int]] = {}  # (e, b) -> stray extremum or None
+        order = sorted(order, key=[row.bit_count() for row in ups].__getitem__)
+    rows: list[dict[int, int]] = [None] * total.n  # filled in visiting order
+    bad: dict[int, int] = {}  # e -> the mask of base points e has no lift over, if any
+    strays: dict[int, dict[int, int]] = {}  # e -> {b: the stray extremum of a failing b}
     for ei in order:
         v = vals[ei]
-        transports[(ei, v)] = ei
-        row, rest = rows[ei], deep[v]
-        for c in _bits(strict[v] ^ rest):  # v's covers
-            i = _extremum(rows, co, row & pre[c])
+        up = ups[ei]
+        rest = deep[v]
+        row = {}
+        fail = 0
+        for c in covers[v]:
+            i = _extremum(ups, co, up & pre[c])
             if i is None:
-                miss[(ei, c)] = None
+                fail |= 1 << c
                 continue
-            if vals[i] == c:
-                transports[(ei, c)] = i
-            else:
-                miss[(ei, c)] = i
             copy = reach[vals[i]] & rest
             if copy:
                 rest ^= copy
-                for bi in _bits(copy):
-                    t = transports.get((i, bi))
-                    if t is None:
-                        miss[(ei, bi)] = miss[(i, bi)]
-                    else:
-                        transports[(ei, bi)] = t
+                row.update(rows[i])  # a whole copy while the row is empty
+                if i in bad:
+                    fail |= bad[i]
+                    if i in strays:
+                        strays.setdefault(ei, {}).update(strays[i])
+            if vals[i] == c:
+                row[c] = i
+            else:
+                fail |= 1 << c
+                strays.setdefault(ei, {})[c] = i
         if rest:
             for bi in _bits(rest):
-                i = _extremum(rows, co, row & pre[bi])
+                i = _extremum(ups, co, up & pre[bi])
                 if i is not None and vals[i] == bi:
-                    transports[(ei, bi)] = i
+                    row[bi] = i
                 else:
-                    miss[(ei, bi)] = i
+                    fail |= 1 << bi
+                    if i is not None:
+                        strays.setdefault(ei, {})[bi] = i
+        row[v] = ei
+        rows[ei] = row
+        if fail:
+            bad[ei] = fail
     names, bnames = total.elements, base.elements
     none, outside = f"no_{ext}", f"{ext}_outside_fiber"
     failures = []
-    for ei, bi in sorted(miss):
-        i = miss[(ei, bi)]
-        if i is None:
-            failures.append(LiftFailure(side, names[ei], bnames[bi], none))
-        else:
-            failures.append(LiftFailure(side, names[ei], bnames[bi], outside, names[i]))
-    return failures, transports
+    for ei in sorted(bad):
+        e, m = names[ei], bad[ei]
+        stray = strays.get(ei)
+        while m:  # the bits of m in rising order, without a generator per point
+            low = m & -m
+            m ^= low
+            bi = low.bit_length() - 1
+            i = None if stray is None else stray.get(bi)
+            if i is None:
+                failures.append(LiftFailure(side, e, bnames[bi], none))
+            else:
+                failures.append(LiftFailure(side, e, bnames[bi], outside, names[i]))
+    return failures, rows
 
 
-def _transport_functor(s: SliceMap, side: str, transports: dict[tuple[int, int], int]) -> PosetFunctor:
+def _transport_functor(s: SliceMap, side: str, transports: list[dict[int, int]]) -> PosetFunctor:
     """Package one side's transports as a functor on the base.
 
     Cartesian transports form a contravariant functor (alpha), the
@@ -236,7 +263,7 @@ def _transport_functor(s: SliceMap, side: str, transports: dict[tuple[int, int],
             # cartesian transport runs down from b to v, cocartesian up from v to b
             src, dst, to = (b, v, vi) if side == "cartesian" else (v, b, bi)
             src, dst = fibers[src], fibers[dst]
-            lifts = (transports[(total.index[x], to)] for x in src.elements)
+            lifts = (transports[total.index[x]][to] for x in src.elements)
             tvals = tuple(dst.index[total.elements[k]] for k in lifts)
             transitions[(v, b)] = MonotoneMap(src, dst, tvals)
     variance = "contravariant" if side == "cartesian" else "covariant"
@@ -249,7 +276,9 @@ class GrothendieckReport:
 
     ``failures`` lists every failing lift, e-major, cartesian before
     cocartesian for one e, base-index-minor.  ``cartesian`` and
-    ``cocartesian`` hold the two transport tables ``_scan_lifts`` built.
+    ``cocartesian`` hold the two transport tables ``_scan_lifts`` built,
+    one row per point of the total space: ``cartesian[e][b]`` is the
+    index of e's lift over b, and a b with no entry has no lift.
     ``alpha`` (contravariant transport) is present iff the map is a
     Grothendieck fibration, ``beta`` (covariant) iff an opfibration;
     both are built from the tables on first access.
@@ -261,8 +290,8 @@ class GrothendieckReport:
     opfibration_failure: Optional[LiftFailure] = None
     failures: tuple[LiftFailure, ...] = ()
     slice_map: Optional[SliceMap] = field(default=None, compare=False, repr=False)
-    cartesian: dict[tuple[int, int], int] = field(default_factory=dict, compare=False, repr=False)
-    cocartesian: dict[tuple[int, int], int] = field(default_factory=dict, compare=False, repr=False)
+    cartesian: list[dict[int, int]] = field(default_factory=list, compare=False, repr=False)
+    cocartesian: list[dict[int, int]] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def is_bifibration(self) -> bool:
@@ -285,15 +314,25 @@ def classify_grothendieck(p: MapLike) -> GrothendieckReport:
     """Decide fibration and opfibration status by checking every lift.
 
     Witnesses are the first failing (element, base point) pair in
-    index order on each failing side.
+    index order on each failing side.  Both sides list their failures
+    e-major, and e fails on a side over the points of its reach that
+    its row lacks, so the two lists merge by counting, point by point.
     """
     s = as_slice(p)
     cart, cart_table = _scan_lifts(s, "cartesian")
     cocart, cocart_table = _scan_lifts(s, "cocartesian")
-    failures = tuple(sorted(cart + cocart, key=lambda f: s.total.idx(f.e)))
+    failures = cart + cocart
+    if cart and cocart:
+        failures, i, j = [], 0, 0
+        for ei, v in enumerate(s.map.vals):
+            k = i + s.base.below[v].bit_count() - len(cart_table[ei])
+            m = j + s.base.above[v].bit_count() - len(cocart_table[ei])
+            failures += cart[i:k]
+            failures += cocart[j:m]
+            i, j = k, m
     return GrothendieckReport(
         not cart, not cocart, cart[0] if cart else None, cocart[0] if cocart else None,
-        failures, s, cart_table, cocart_table,
+        tuple(failures), s, cart_table, cocart_table,
     )
 
 
@@ -367,7 +406,7 @@ def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:
     return integ, phi
 
 
-def _defects(s: SliceMap, failures: list[LiftFailure], cart: dict[tuple[int, int], int]) -> int:
+def _defects(s: SliceMap, failures: list[LiftFailure], cart: list[dict[int, int]]) -> int:
     """Base mask of the points where local triviality breaks.
 
     ``failures`` and ``cart`` come from the cartesian ``_scan_lifts`` of
@@ -396,7 +435,7 @@ def _defects(s: SliceMap, failures: list[LiftFailure], cart: dict[tuple[int, int
             # with as many bits in dst as in src, the image bits sum to dst only if none collide
             dst = masks[u]
             same = src.bit_count() == dst.bit_count() and pairs[w] == pairs[u]
-            if not same or sum(1 << cart[(y, u)] for y in _bits(src)) != dst:
+            if not same or sum(1 << cart[y][u] for y in _bits(src)) != dst:
                 defects |= 1 << w
     return defects
 
@@ -439,7 +478,7 @@ def is_fiber_bundle(p: MapLike) -> BundleReport:
         down = base.below[bi]
         if down & defects:
             return BundleReport("not_bundle", trivializations, failed_at=b)
-        back = {cart[(y, vi)]: y for y in _bits(s.fiber_masks[bi]) for vi in _bits(down)}
+        back = {cart[y][vi]: y for y in _bits(s.fiber_masks[bi]) for vi in _bits(down)}
         trivializations[b] = {
             total.elements[x]: pair_name(base.elements[vals[x]], total.elements[back[x]])
             for x in _bits(s.preimage(down))

@@ -157,31 +157,51 @@ def _cond_down_fiber_nonempty(f: _ComponentFacts) -> Optional[dict]:
 
 
 def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
+    """First e and b < p(e) with U_e in F_b empty or not contractible.
+
+    A point, or any set with a maximum, is contractible; any other set
+    is reduced once, however many e share it.  The maximum is found by
+    climbing.  The row lookup of ``stong._witness_table`` would also
+    answer it (U_e in F_b has a maximum w exactly when it equals U_w in
+    F_{p(w)}), but its set of cut rows holds n masks as wide as E and
+    makes ``necessary_conditions`` no faster.
+    """
     pc = f.pc
+    below, above, fib = pc.total.below, pc.total.above, pc.fiber_masks
+    contractible: dict[int, bool] = {}
     for ei, e in enumerate(pc.total.elements):
         pe = pc.map.vals[ei]
         # over p(e) itself the set has the maximum e, so it never fails there
         for bi in _bits(pc.base.below[pe] & ~(1 << pe)):
-            m = pc.total.below[ei] & pc.fiber_masks[bi]
+            m = below[ei] & fib[bi]
             if not m:
                 return {"e": e, "b": pc.base.elements[bi], "reason": "empty"}
-            # a set with a maximum is contractible
-            cone = _extremum(pc.total.below, pc.total.above, m) is not None
-            if not cone and not is_contractible(pc.total._sub_mask(m)):
+            if not m & (m - 1) or _extremum(below, above, m) is not None:
+                continue
+            if m not in contractible:
+                contractible[m] = is_contractible(pc.total._sub_mask(m))
+            if not contractible[m]:
                 return {"e": e, "b": pc.base.elements[bi], "reason": "not_contractible"}
     return None
 
 
 def _cond_up_reachability(f: _ComponentFacts) -> Optional[dict]:
     pc = f.pc
-    # some e' <= e in the fiber of p(e) must have closure meeting
-    # every fiber above p(e)
+    below, above, vals, fib = pc.total.below, pc.total.above, pc.map.vals, pc.fiber_masks
+    # every fiber above p(e) must meet the closure of some e' <= e in the
+    # fiber of p(e); those closures together are the closures of the
+    # minimal points of that fiber below e
+    lows = [0] * pc.base.n  # lows[b]: the minimal points of the fiber over b
+    for j, v in enumerate(vals):
+        if below[j] & fib[v] == 1 << j:
+            lows[v] |= 1 << j
     for ei, e in enumerate(pc.total.elements):
-        pe = pc.map.vals[ei]
-        lower_same_fiber = pc.total.below[ei] & pc.fiber_masks[pe]
+        pe = vals[ei]
+        reach = 0
+        for j in _bits(below[ei] & lows[pe]):
+            reach |= above[j]
         for bi in _bits(pc.base.above[pe] & ~(1 << pe)):
-            target = pc.fiber_masks[bi]
-            if not any(pc.total.above[j] & target for j in _bits(lower_same_fiber)):
+            if not reach & fib[bi]:
                 return {"e": e, "b": pc.base.elements[bi]}
     return None
 
@@ -348,7 +368,7 @@ def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     # product elements are base-major: index (b, e) -> b * |E| + e
     i = MonotoneMap(total, prod, tuple(v * total.n + ei for ei, v in enumerate(vals)))
     r_vals = [
-        ei if v == bi else cart[(cocart[(ei, b0i)], bi)]
+        ei if v == bi else cart[cocart[ei][b0i]][bi]
         for bi in range(s.base.n) for ei, v in enumerate(vals)
     ]
     ident = MonotoneMap.identity(s.base)
@@ -396,16 +416,16 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
         w = todo.pop()
         for u in lower[w]:
             if phi[u] is None:
-                phi[u] = {transports[(x, u)]: y for x, y in phi[w].items()}
+                phi[u] = {transports[x][u]: y for x, y in phi[w].items()}
                 todo.append(u)
         for v in upper[w]:
             if phi[v] is None:
-                phi[v] = {x: phi[w][transports[(x, w)]] for x in _bits(masks[v])}
+                phi[v] = {x: phi[w][transports[x][w]] for x in _bits(masks[v])}
                 todo.append(v)
     # trivial holonomy: every cover, tree or not, commutes with phi
     for u, w in covers:
         phi_u = phi[u]
-        if any(phi_u[transports[(x, u)]] != y for x, y in phi[w].items()):
+        if any(phi_u[transports[x][u]] != y for x, y in phi[w].items()):
             return None
     iso = {
         total.elements[x]: pair_name(base.elements[v], total.elements[phi[v][x]])

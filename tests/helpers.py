@@ -93,6 +93,11 @@ def pairwise_scan_lifts(s, side):
     return failures, transports
 
 
+def table_pairs(rows):
+    """A lift table's rows, one dict per point, as ``pairwise_scan_lifts``' {(e, b): lift}."""
+    return {(ei, bi): i for ei, row in enumerate(rows) for bi, i in row.items()}
+
+
 def brute_iso(p, q):
     """Isomorphism by scanning all permutations; usable up to n = 7."""
     if p.n != q.n:

@@ -37,6 +37,7 @@ from helpers import (
     rand_poset,
     search_fiber_bundle,
     seeded,
+    table_pairs,
     twisted_bundle,
 )
 
@@ -61,7 +62,7 @@ def assert_lifts_match_brute_force(m):
 
 def lift_name(s, table, ei, bi):
     """The table's lift of element ei over base point bi, by name, or None."""
-    got = table.get((ei, bi))
+    got = table[ei].get(bi)
     return None if got is None else s.total.elements[got]
 
 
@@ -82,8 +83,8 @@ def test_trivial_lift_is_the_element_itself():
     p3 = gallery_entry("p3").build()
     rep = classify_grothendieck(p3)
     for ei, bi in enumerate(p3.vals):
-        assert rep.cartesian[(ei, bi)] == ei
-        assert rep.cocartesian[(ei, bi)] == ei
+        assert rep.cartesian[ei][bi] == ei
+        assert rep.cocartesian[ei][bi] == ei
 
 
 def test_classification_of_gallery_maps():
@@ -588,7 +589,8 @@ def test_report_tables_hold_every_lift_the_trivial_ones_included():
                         got, _ = brute_lift(s, e, s.base.elements[bi], side)
                         if got is not None:
                             want[(ei, bi)] = s.total.idx(got)
-            assert table == want
+            assert len(table) == s.total.n
+            assert table_pairs(table) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -599,7 +601,28 @@ def test_lifts_composed_along_base_covers_match_the_pairwise_scan(p):
         failures, table = grothendieck._scan_lifts(s, side)
         want_failures, want_table = pairwise_scan_lifts(s, side)
         assert [f.as_dict() for f in failures] == [f.as_dict() for f in want_failures]
-        assert table == want_table
+        assert len(table) == s.total.n
+        assert table_pairs(table) == want_table
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=deep_maps())
+def test_a_row_and_its_failures_partition_the_reach_of_its_point(p):
+    # rows[e] holds the base points e lifts to, the failures those it does
+    # not, and together they are U_p(e) (F_p(e) cocartesian), each once
+    s = as_slice(p)
+    for side, reach in (("cartesian", s.base.below), ("cocartesian", s.base.above)):
+        failures, rows = grothendieck._scan_lifts(s, side)
+        failing = [0] * s.total.n
+        for f in failures:
+            ei, bit = s.total.idx(f.e), 1 << s.base.idx(f.b)
+            assert not failing[ei] & bit
+            failing[ei] |= bit
+        assert len(rows) == s.total.n
+        for ei, row in enumerate(rows):
+            held = sum(1 << bi for bi in row)
+            assert held & failing[ei] == 0
+            assert held | failing[ei] == reach[s.map.vals[ei]]
 
 
 def test_one_extremum_search_per_lower_cover(monkeypatch):
@@ -619,4 +642,4 @@ def test_one_extremum_search_per_lower_cover(monkeypatch):
     for side in ("cartesian", "cocartesian"):
         calls.clear()
         failures, table = grothendieck._scan_lifts(s, side)
-        assert (failures, len(table), len(calls)) == ([], 42, 10)
+        assert (failures, sum(map(len, table)), len(calls)) == ([], 42, 10)

@@ -414,7 +414,7 @@ def test_a_faulty_retract_construction_is_an_internal_error(table, source, over,
     vee, p = _vee_times_chain2()
     rep = classify_grothendieck(p)
     total = as_slice(p).total
-    getattr(rep, table)[(total.idx(source), vee.idx(over))] = total.idx(target)
+    getattr(rep, table)[total.idx(source)][vee.idx(over)] = total.idx(target)
     with pytest.raises(InvariantViolated, match="r is not monotone"):
         projection_retract_height1(rep)
 
