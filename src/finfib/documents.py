@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import ParseError
 from .gallery import gallery_entry
-from .grothendieck import BundleReport, GrothendieckReport, LiftFailure, PosetFunctor
+from .grothendieck import BundleReport, GrothendieckReport, PosetFunctor
 from .posets import MonotoneMap, Poset
 from .slices import MapLike, MapReduction, as_slice
 from .stong import ReductionTrace
@@ -205,17 +205,13 @@ def functor_from_doc(doc: Doc) -> PosetFunctor:
     return PosetFunctor(base, variance, fibers, transitions)
 
 
-def lift_failure_to_doc(f: Optional[LiftFailure]) -> Optional[dict]:
-    return None if f is None else f.as_dict()
-
-
 def groth_to_doc(rep: GrothendieckReport) -> dict:
     return {
         "fibration": rep.is_fibration,
         "opfibration": rep.is_opfibration,
         "bifibration": rep.is_bifibration,
-        "fibration_failure": lift_failure_to_doc(rep.fibration_failure),
-        "opfibration_failure": lift_failure_to_doc(rep.opfibration_failure),
+        "fibration_failure": rep.fibration_failure and rep.fibration_failure.as_dict(),
+        "opfibration_failure": rep.opfibration_failure and rep.opfibration_failure.as_dict(),
     }
 
 

@@ -11,6 +11,7 @@ isomorphism over the base.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -26,7 +27,6 @@ from .posets import (
     MonotoneMap,
     Poset,
     _bits,
-    _extremum,
     find_isomorphism_over_base,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     pair_name,
     product,  # noqa: F401 -- perfbench/spans.py wraps it under this module
@@ -136,39 +136,52 @@ class PosetFunctor:
         return f"PosetFunctor({self.variance} over {self.base!r})"
 
 
+def _closed_extremum(size: list[int], d: int) -> Optional[int]:
+    """The maximum of a down-closed mask d, or None; ``size[k]`` holds the w with |U_w| = k.
+
+    A down-closed D has a maximum exactly when it holds a point x with
+    |U_x| = |D|, and that x is the maximum: U_x lies in D and has its
+    size, so U_x = D, and two such points have equal rows, so they are
+    one.  With the sizes |F_w| and an up-closed d it is the minimum.
+    """
+    x = d & size[d.bit_count()]
+    return x.bit_length() - 1 if x else None
+
+
 def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[int, int]]]:
     """Every lift on one side: all failures and the transport rows.
 
-    The lift of e over b is the maximum of U_e in p^-1(U_b) (cartesian)
-    or the minimum of F_e in p^-1(F_b) (cocartesian), and it must sit
-    over b.  ``rows[e]`` maps each base index b of U_{p(e)} (F_{p(e)}
-    cocartesian) over which e has a lift to it, so no entry means no
-    lift; the trivial lift over p(e) is e itself, recorded without a
-    search.  The failing b of e are kept apart, as a base mask, and a
-    stray extremum only where it exists; failures are listed from the
-    masks, e-major, base-index-minor.  The table holds one entry per
-    lift, never |E|.|B| cells.
+    The lift of e over b is the maximum of the down-closed U_e in
+    p^-1(U_b) (cartesian) or the minimum of the up-closed F_e in
+    p^-1(F_b) (cocartesian), one ``_closed_extremum`` lookup, and it
+    must sit over b.  ``rows[e]`` maps each base index b of U_{p(e)}
+    (F_{p(e)} cocartesian) over which e has a lift to it, the trivial
+    lift e over p(e) included without a search, so the failures are
+    the points a row lacks.  Once the rows are done they are read off
+    the short rows, e-major, base-index-minor, with one more lookup for
+    each stray extremum.  The table holds one entry per lift, never
+    |E|.|B| cells.
 
     Lifts compose, so one search per lower cover c of p(e) settles
     every b <= c that it reaches (dually with minima and upper covers).
     If i = max(U_e in p^-1(U_c)) exists, over c or stray, then for every
     b <= p(i) the set U_e in p^-1(U_b) lies in U_e in p^-1(U_c), hence
     in U_i, and it holds all of U_i in p^-1(U_b) because i <= e.  The
-    two sets are equal, so e's entry over b, a failure and its stray
-    included, is i's.  Every b of i's row and mask lies in U_{p(i)}, so
-    e takes i's whole row and mask: its row begins as a copy of the
-    first such row, later covers' rows are merged into it, and where
-    two overlap they agree.  Base points below p(e) that no cover's i
-    reaches are searched directly.  Visiting the points by rising |U_e|
-    (|F_e| cocartesian), which grows strictly along the order, completes
-    i's row before e's begins.  When no cover of the base lies above
-    another base point, nothing is copied and index order serves.
+    two sets are equal, so e's entry over b is i's, and e has none where
+    i has none.  Every b of i's row lies in U_{p(i)}, so e takes i's
+    whole row: its row begins as a copy of the first such row, later
+    covers' rows are merged into it, and where two overlap they agree.
+    Base points below p(e) that no cover's i reaches are searched
+    directly.  Visiting the points by rising |U_e| (|F_e| cocartesian),
+    which grows strictly along the order, completes i's row before e's
+    begins.  When no cover of the base lies above another base point,
+    nothing is copied and index order serves.
     """
     total, base, vals, fibers = s.total, s.base, s.map.vals, s.fiber_masks
     if side == "cartesian":
-        ups, co, reach, ext = total.below, total.above, base.below, "maximum"
+        ups, reach, ext = total.below, base.below, "maximum"
     else:
-        ups, co, reach, ext = total.above, total.below, base.above, "minimum"
+        ups, reach, ext = total.above, base.above, "minimum"
     strict = [row ^ 1 << b for b, row in enumerate(reach)]
     inner = 0  # the base points another one reaches: only these are searched over
     for row in strict:
@@ -186,60 +199,49 @@ def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[in
         pre.append(m)
         deep.append(d)
         covers.append(tuple(_bits(row ^ d)))
+    counts = [row.bit_count() for row in ups]
+    size = [0] * (total.n + 1)  # size[k]: the points w with |U_w| = k (|F_w| cocartesian)
+    for w, k in enumerate(counts):
+        size[k] |= 1 << w
     order = range(total.n)
     if any(deep):
-        order = sorted(order, key=[row.bit_count() for row in ups].__getitem__)
+        order = sorted(order, key=counts.__getitem__)
     rows: list[dict[int, int]] = [None] * total.n  # filled in visiting order
-    bad: dict[int, int] = {}  # e -> the mask of base points e has no lift over, if any
-    strays: dict[int, dict[int, int]] = {}  # e -> {b: the stray extremum of a failing b}
     for ei in order:
         v = vals[ei]
         up = ups[ei]
         rest = deep[v]
         row = {}
-        fail = 0
         for c in covers[v]:
-            i = _extremum(ups, co, up & pre[c])
+            i = _closed_extremum(size, up & pre[c])
             if i is None:
-                fail |= 1 << c
                 continue
             copy = reach[vals[i]] & rest
             if copy:
                 rest ^= copy
                 row.update(rows[i])  # a whole copy while the row is empty
-                if i in bad:
-                    fail |= bad[i]
-                    if i in strays:
-                        strays.setdefault(ei, {}).update(strays[i])
             if vals[i] == c:
                 row[c] = i
-            else:
-                fail |= 1 << c
-                strays.setdefault(ei, {})[c] = i
         if rest:
             for bi in _bits(rest):
-                i = _extremum(ups, co, up & pre[bi])
+                i = _closed_extremum(size, up & pre[bi])
                 if i is not None and vals[i] == bi:
                     row[bi] = i
-                else:
-                    fail |= 1 << bi
-                    if i is not None:
-                        strays.setdefault(ei, {})[bi] = i
         row[v] = ei
         rows[ei] = row
-        if fail:
-            bad[ei] = fail
     names, bnames = total.elements, base.elements
     none, outside = f"no_{ext}", f"{ext}_outside_fiber"
+    full = [m.bit_count() for m in reach]
     failures = []
-    for ei in sorted(bad):
-        e, m = names[ei], bad[ei]
-        stray = strays.get(ei)
-        while m:  # the bits of m in rising order, without a generator per point
-            low = m & -m
-            m ^= low
-            bi = low.bit_length() - 1
-            i = None if stray is None else stray.get(bi)
+    for ei, row in enumerate(rows):
+        if len(row) == full[vals[ei]]:
+            continue
+        m = reach[vals[ei]]
+        for bi in row:
+            m ^= 1 << bi
+        e, up = names[ei], ups[ei]
+        for bi in _bits(m):
+            i = _closed_extremum(size, up & pre[bi])
             if i is None:
                 failures.append(LiftFailure(side, e, bnames[bi], none))
             else:
@@ -278,9 +280,9 @@ class GrothendieckReport:
     cocartesian for one e, base-index-minor.  ``cartesian`` and
     ``cocartesian`` hold the two transport tables ``_scan_lifts`` built,
     one row per point of the total space: ``cartesian[e][b]`` is the
-    index of e's lift over b, and a b with no entry has no lift.
-    ``alpha`` (contravariant transport) is present iff the map is a
-    Grothendieck fibration, ``beta`` (covariant) iff an opfibration;
+    index of e's lift over b, and a b of e's reach with no entry has no
+    lift.  ``alpha`` (contravariant transport) is present iff the map is
+    a Grothendieck fibration, ``beta`` (covariant) iff an opfibration;
     both are built from the tables on first access.
     """
 
@@ -315,21 +317,13 @@ def classify_grothendieck(p: MapLike) -> GrothendieckReport:
 
     Witnesses are the first failing (element, base point) pair in
     index order on each failing side.  Both sides list their failures
-    e-major, and e fails on a side over the points of its reach that
-    its row lacks, so the two lists merge by counting, point by point.
+    e-major, and a stable merge on the point's index keeps the
+    cartesian ones first for each e.
     """
     s = as_slice(p)
     cart, cart_table = _scan_lifts(s, "cartesian")
     cocart, cocart_table = _scan_lifts(s, "cocartesian")
-    failures = cart + cocart
-    if cart and cocart:
-        failures, i, j = [], 0, 0
-        for ei, v in enumerate(s.map.vals):
-            k = i + s.base.below[v].bit_count() - len(cart_table[ei])
-            m = j + s.base.above[v].bit_count() - len(cocart_table[ei])
-            failures += cart[i:k]
-            failures += cocart[j:m]
-            i, j = k, m
+    failures = heapq.merge(cart, cocart, key=lambda f: s.total.index[f.e])
     return GrothendieckReport(
         not cart, not cocart, cart[0] if cart else None, cocart[0] if cocart else None,
         tuple(failures), s, cart_table, cocart_table,
@@ -406,27 +400,30 @@ def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:
     return integ, phi
 
 
-def _defects(s: SliceMap, failures: list[LiftFailure], cart: list[dict[int, int]]) -> int:
+def _defects(s: SliceMap, cart: list[dict[int, int]]) -> int:
     """Base mask of the points where local triviality breaks.
 
-    ``failures`` and ``cart`` come from the cartesian ``_scan_lifts`` of
-    s.  A defect is the top p(e) of a failing lift, or the top w of a
-    cover u < w (w not already a defect) whose transport F_w -> F_u is
-    no order isomorphism.  A transport is monotone: x <= y gives
-    alpha(x) <= x <= y, and alpha(y) is the largest point over u below
-    y.  So a bijective one maps the comparable pairs of F_w injectively
-    into those of F_u, and it is an isomorphism exactly when the two
-    counts agree.  Over a U_b with no failing tops the lifts compose:
-    for u <= w <= b and y over b, every point of U_y over U_u lies below
-    alpha_{w<=b}(y), so alpha_{u<=w} alpha_{w<=b} = alpha_{u<=b}.  Hence
-    every alpha_{v<=b} is an isomorphism exactly when the cover
-    transports inside U_b are, that is when U_b holds no defect.
+    ``cart`` is the cartesian table ``_scan_lifts`` built for s.  A
+    defect is the top p(e) of a failing lift, read off a row shorter
+    than U_{p(e)}, or the top w of a cover u < w (w not already a
+    defect) whose transport F_w -> F_u is no order isomorphism.  A
+    transport is monotone: x <= y gives alpha(x) <= x <= y, and
+    alpha(y) is the largest point over u below y.  So a bijective one
+    maps the comparable pairs of F_w injectively into those of F_u, and
+    it is an isomorphism exactly when the two counts agree.  Over a U_b
+    with no failing tops the lifts compose: for u <= w <= b and y over
+    b, every point of U_y over U_u lies below alpha_{w<=b}(y), so
+    alpha_{u<=w} alpha_{w<=b} = alpha_{u<=b}.  Hence every alpha_{v<=b}
+    is an isomorphism exactly when the cover transports inside U_b are,
+    that is when U_b holds no defect.
     """
     below, vals, masks = s.total.below, s.map.vals, s.fiber_masks
     pairs = [sum((below[x] & m).bit_count() for x in _bits(m)) for m in masks]
+    full = [m.bit_count() for m in s.base.below]
     defects = 0
-    for f in failures:
-        defects |= 1 << vals[s.total.index[f.e]]
+    for row, v in zip(cart, vals):
+        if len(row) < full[v]:
+            defects |= 1 << v
     for w, lower in enumerate(s.base._cover_table()[0]):
         src = masks[w]
         for u in lower:
@@ -471,8 +468,8 @@ def is_fiber_bundle(p: MapLike) -> BundleReport:
     """
     s = as_slice(p)
     total, base, vals = s.total, s.base, s.map.vals
-    failures, cart = _scan_lifts(s, "cartesian")
-    defects = _defects(s, failures, cart)
+    _, cart = _scan_lifts(s, "cartesian")
+    defects = _defects(s, cart)
     trivializations: dict[str, dict[str, str]] = {}
     for bi, b in enumerate(base.elements):
         down = base.below[bi]

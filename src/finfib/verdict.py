@@ -405,7 +405,7 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     total, base, masks = s.total, s.base, s.fiber_masks
     if len(base.components()) != 1:
         raise PreconditionViolated("base is not connected")
-    if not rep.is_fibration or _defects(s, [], transports):
+    if not rep.is_fibration or _defects(s, transports):
         return None
     lower, upper, covers = base._cover_table()
     # phi[v] maps each point over v to its point of F

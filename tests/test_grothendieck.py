@@ -26,10 +26,12 @@ from helpers import (
     deep_maps,
     hand_built_grothendieck_construction,
     insert_map_down_beat_point,
+    linear_extremum,
     map_le,
     maps,
     minimal_fiber_pool,
     pairwise_scan_lifts,
+    posets,
     rand_bundle,
     rand_fibration,
     rand_functor,
@@ -632,14 +634,30 @@ def test_one_extremum_search_per_lower_cover(monkeypatch):
     _, p, _ = product(chain, Poset.build(["a", "b"], []))
     s = as_slice(p)
     calls = []
-    search = grothendieck._extremum
+    search = grothendieck._closed_extremum
 
-    def counted(rows, co, m):
-        calls.append(m)
-        return search(rows, co, m)
+    def counted(size, d):
+        calls.append(d)
+        return search(size, d)
 
-    monkeypatch.setattr(grothendieck, "_extremum", counted)
+    monkeypatch.setattr(grothendieck, "_closed_extremum", counted)
     for side in ("cartesian", "cocartesian"):
         calls.clear()
         failures, table = grothendieck._scan_lifts(s, side)
         assert (failures, sum(map(len, table)), len(calls)) == ([], 42, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=posets(max_size=8), data=st.data())
+def test_the_size_class_lookup_finds_the_extremum_of_a_closed_mask(p, data):
+    # a union of rows is closed, and its extremum is the one point of it
+    # whose row is as large as the whole union; the empty union has none
+    for rows in (p.below, p.above):
+        size = [0] * (p.n + 1)
+        for w, row in enumerate(rows):
+            size[row.bit_count()] |= 1 << w
+        picked = data.draw(st.lists(st.integers(0, p.n - 1), max_size=3) if p.n else st.just([]))
+        d = 0
+        for i in picked:
+            d |= rows[i]
+        assert grothendieck._closed_extremum(size, d) == linear_extremum(rows, d)
