@@ -330,8 +330,8 @@ def cmd_check(args) -> int:
 def cmd_construct(args) -> int:
     functor = _load_target(args.target, ("functor",))
     integrated = grothendieck_construction(functor)
-    total_doc = poset_to_doc(integrated.total)
     proj_doc = map_to_doc(integrated)
+    total_doc = proj_doc["domain"]
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

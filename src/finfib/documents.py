@@ -76,11 +76,19 @@ def _flat(value: Doc, nl: str) -> Optional[str]:
 
 
 def dumps(doc: Doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, on an explicit stack of open containers."""
+    """``json.dumps(doc, indent=2)``, byte for byte, on an explicit stack of open containers.
+
+    A container met again once it is closed is not walked twice: its
+    text is copied with its old line prefix swapped for the new one.
+    That is exact, as every newline in the text starts a line at least
+    that deep (strings hold none; ``_encode`` escapes them).  Only
+    closed containers are copied, so a circular one still raises.
+    """
     out: list[str] = []
-    stack = [(iter((("", doc),)), "\n", "", None)]  # items, their line prefix, closing text, id
+    done: dict[int, tuple[int, int, str]] = {}  # id -> start and end in out, line prefix
+    stack = [(iter((("", doc),)), "\n", "", None, 0)]  # items, their line prefix, closing text, id, start
     while stack:
-        items, nl, close, _ = stack[-1]
+        items, nl, close, _, _ = stack[-1]
         for lead, value in items:
             out.append(lead)
             text = _flat(value, nl)
@@ -88,6 +96,10 @@ def dumps(doc: Doc) -> str:
                 out.append(text)
                 continue
             mark, inner = id(value), nl + "  "
+            if mark in done:
+                start, end, was = done[mark]
+                out.append("".join(out[start:end]).replace(was, nl))
+                continue
             if any(mark == frame[3] for frame in stack):
                 raise ValueError("Circular reference detected")
             leads, brackets = chain((inner,), repeat("," + inner)), "[]"
@@ -95,12 +107,13 @@ def dumps(doc: Doc) -> str:
                 # the stdlib writes (or refuses) other keys: '{"1": 0}'[1:-2] == '"1": '
                 keys = (_encode(k) + ": " if type(k) is str else json.dumps({k: 0})[1:-2] for k in value)
                 value, leads, brackets = value.values(), map(str.__add__, leads, keys), "{}"
+            stack.append((zip(leads, value), inner, nl + brackets[1], mark, len(out)))
             out.append(brackets[0])
-            stack.append((zip(leads, value), inner, nl + brackets[1], mark))
             break
         else:
-            stack.pop()
+            _, nl, close, mark, start = stack.pop()
             out.append(close)
+            done[mark] = (start, len(out), nl[:-2])
     return "".join(out)
 
 
@@ -275,22 +288,24 @@ def certificate_to_doc(cert: Certificate) -> dict:
 
 
 def verdict_to_doc(v: Verdict) -> dict:
-    components = []
-    for c in v.components:
-        components.append(
-            {
-                "base_component": list(c.component),
-                "status": c.status,
-                "certificate": certificate_to_doc(c.certificate) if c.certificate else None,
-                "witness": c.witness,
-                "necessary": necessary_to_doc(c.necessary) if c.necessary else None,
-            }
-        )
+    # a certificate the verdict repeats at the top is one shared document
+    certs = {id(c.certificate): certificate_to_doc(c.certificate) for c in v.components if c.certificate}
+    components = [
+        {
+            "base_component": list(c.component),
+            "status": c.status,
+            "certificate": certs.get(id(c.certificate)),
+            "witness": c.witness,
+            "necessary": necessary_to_doc(c.necessary) if c.necessary else None,
+        }
+        for c in v.components
+    ]
+    top = v.certificate
     return {
         "status": v.status,
         "components": components,
         "skipped_components": [list(c) for c in v.skipped_components],
-        "certificate": certificate_to_doc(v.certificate) if v.certificate else None,
+        "certificate": certs.get(id(top)) or (certificate_to_doc(top) if top else None),
         "witness": v.witness,
     }
 

@@ -119,6 +119,22 @@ class _ComponentFacts:
     Each fact is computed on first use and then shared, so openness,
     the beat points of E and B and the reduced map's lift report are
     found at most once per component, by the decision or a condition.
+
+    The lift conditions read that report first.  When the reduced map
+    p0 is a Grothendieck fibration, p is open and every U_e meets each
+    fiber below p(e) in a contractible set; when p0 is an opfibration,
+    up_reachability holds.  Only otherwise is E scanned.  Proof:
+
+    (i) A cartesian lift of e over b < p(e) is the maximum of U_e in
+    p^-1(b).  So U_e meets that fiber in a contractible set, and
+    p(U_e) = U_{p(e)}.
+    (ii) A cocartesian lift of e over b > p(e) lies in F_e and over b,
+    and e is a point of its own fiber below e.
+    (iii) Adding back a map down beat point x, with witness w over
+    p(x), changes none of the three verdicts.  p(U_x) = p(U_w).  Any
+    set U_e in F_b that holds x also holds w, and in it x is a down
+    beat point with witness w.  A closure F_x lies inside F_w, with
+    w <= x.  So what p0 passes by (i) and (ii), p passes too.
     """
 
     def __init__(self, pc: SliceMap):
@@ -134,7 +150,7 @@ class _ComponentFacts:
 
     @cached_property
     def open_miss(self) -> Optional[dict]:
-        return is_open_map(self.pc)[1]
+        return None if self.report.is_fibration else is_open_map(self.pc)[1]
 
     @cached_property
     def total_beat_points(self) -> BeatPointReport:
@@ -159,13 +175,12 @@ def _cond_down_fiber_nonempty(f: _ComponentFacts) -> Optional[dict]:
 def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
     """First e and b < p(e) with U_e in F_b empty or not contractible.
 
-    A point, or any set with a maximum, is contractible; any other set
-    is reduced once, however many e share it.  The maximum is found by
-    climbing.  The row lookup of ``stong._witness_table`` would also
-    answer it (U_e in F_b has a maximum w exactly when it equals U_w in
-    F_{p(w)}), but its set of cut rows holds n masks as wide as E and
-    makes ``necessary_conditions`` no faster.
+    None at once when p0 is a fibration (see ``_ComponentFacts``).  A
+    point, or any set with a maximum, is contractible; any other set is
+    reduced once, however many e share it.
     """
+    if f.report.is_fibration:
+        return None
     pc = f.pc
     below, above, fib = pc.total.below, pc.total.above, pc.fiber_masks
     contractible: dict[int, bool] = {}
@@ -186,6 +201,8 @@ def _cond_down_fiber_contractible(f: _ComponentFacts) -> Optional[dict]:
 
 
 def _cond_up_reachability(f: _ComponentFacts) -> Optional[dict]:
+    if f.report.is_opfibration:
+        return None
     pc = f.pc
     below, above, vals, fib = pc.total.below, pc.total.above, pc.map.vals, pc.fiber_masks
     # every fiber above p(e) must meet the closure of some e' <= e in the

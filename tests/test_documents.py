@@ -178,6 +178,18 @@ def test_dumps_writes_floats_and_non_string_keys_as_the_stdlib_does():
     assert dumps(doc) == json.dumps(doc, indent=2)
 
 
+def test_dumps_copies_a_shared_container_at_its_new_depth_and_refuses_a_cycle():
+    cert = {"kind": "k", "reduction": {"removed": [["x", "y"]], "base": ["a", 1]}}
+    row = [1, [2, "three"]]
+    doc = {"components": [{"certificate": cert}], "certificate": cert, "rows": [row, row, [row]]}
+    assert dumps(doc) == json.dumps(doc, indent=2)
+    assert dumps([row, row]) == json.dumps([row, row], indent=2)
+    cycle = {"a": [1]}
+    cycle["a"].append({"back": cycle})
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        dumps({"first": cycle["a"], "cycle": cycle})
+
+
 def _nested(depth):
     doc = []
     for _ in range(depth - 1):

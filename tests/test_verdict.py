@@ -27,6 +27,7 @@ from finfib.verdict import (
     _cond_down_fiber_contractible,
     _cond_down_fiber_nonempty,
     _cond_ed_inside_preimage_bd,
+    _cond_open_map,
     _cond_up_reachability,
     decide_hurewicz,
     is_closed_map,
@@ -693,20 +694,63 @@ def test_down_fiber_contractible_names_a_two_point_fiber():
     assert _cond_down_fiber_contractible(_ComponentFacts(s)) == want
 
 
-@pytest.mark.parametrize("pid", ["p3", "p5_minimal_bifib"])
-def test_conditions_compute_openness_and_beat_points_once_per_component(monkeypatch, pid):
+def count_openness_and_beat_scans(monkeypatch, p):
+    """necessary_conditions(p) and the arguments of its openness and beat-point scans."""
     import finfib.verdict as verdict
 
     seen = []
     open_map, beat = verdict.is_open_map, verdict.beat_points
     monkeypatch.setattr(verdict, "is_open_map", lambda p: seen.append(("open", p)) or open_map(p))
     monkeypatch.setattr(verdict, "beat_points", lambda x: seen.append(("beat", x)) or beat(x))
-    rep = necessary_conditions(gallery_entry(pid).build())
-    # every condition ran and both openness conditions read the one scan
-    assert rep.all_pass
-    assert [kind for kind, _ in seen].count("open") == 1
-    beat_args = [x for kind, x in seen if kind == "beat"]
+    rep = necessary_conditions(p)
+    return rep, [x for kind, x in seen if kind == "open"], [x for kind, x in seen if kind == "beat"]
+
+
+@pytest.mark.parametrize("pid", ["p3", "p5_minimal_bifib", "p1op"])
+def test_conditions_compute_openness_and_beat_points_once_per_component(monkeypatch, pid):
+    rep, opens, beat_args = count_openness_and_beat_scans(monkeypatch, gallery_entry(pid).build())
+    # the reduced maps of p3 and p5 are fibrations, so openness is read off
+    # their lifts; p1op's is none, and both openness conditions read one scan
+    assert rep.all_pass == (pid != "p1op")
+    assert len(opens) == (1 if pid == "p1op" else 0)
     assert len(beat_args) == len(set(beat_args)) == 2
+
+
+def test_a_fibration_that_is_no_opfibration_scans_only_up_reachability(monkeypatch):
+    # p2 reduces to a fibration: openness passes unscanned, while the
+    # scan of up_reachability runs and fails at ((a,2), b)
+    rep, opens, _ = count_openness_and_beat_scans(monkeypatch, gallery_entry("p2").build())
+    assert opens == []
+    by_name = {c.name: c for c in rep.conditions}
+    assert by_name["open_map"].passed and by_name["down_fiber_contractible"].passed
+    assert by_name["up_reachability"].witness == {"e": "(a,2)", "b": "b", "component": ["a", "b"]}
+
+
+def test_lift_conditions_read_off_the_reduced_report_match_their_oracles():
+    # maps with map down beat points added back over a bundle or a fibration:
+    # each lift condition equals its scan, whether read off p0's report or
+    # not, and most of these components do read it
+    read = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16), bundle=st.booleans(), inserts=st.integers(1, 3))
+    def matches(seed, bundle, inserts):
+        rng = seeded(seed)
+        p = rand_bundle(rng)[1] if bundle else rand_fibration(rng)
+        for k in range(inserts):
+            p = insert_map_down_beat_point(rng, p, f"i{k}")
+        s = as_slice(p)
+        for c in s.touched_components():
+            pc = restrict_over(s, c)
+            f = _ComponentFacts(pc)
+            assert _cond_open_map(f) == scan_open_map(pc)[1]
+            assert _cond_down_fiber_nonempty(f) == fiberwise_down_fiber_nonempty(pc)
+            assert _cond_down_fiber_contractible(f) == every_pair_down_fiber_contractible(pc)
+            assert _cond_up_reachability(f) == elementwise_up_reachability(pc)
+            read.append(f.report.is_bifibration)
+
+    matches()
+    assert sum(read) > 0.9 * len(read)
 
 
 def test_an_undecided_component_classifies_its_reduced_map_once(monkeypatch):
