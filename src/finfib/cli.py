@@ -8,11 +8,12 @@ fibration, 1 = property fails / not a fibration, 2 = undecided,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Union
 
 from .documents import (
@@ -367,65 +368,153 @@ def _budget(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ParseError(f"argument --budget: invalid int value: {text!r}") from None
     if n < 0:
-        raise argparse.ArgumentTypeError(f"budget must be 0 or more, got {n}")
+        raise ParseError(f"argument --budget: budget must be 0 or more, got {n}")
     return n
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: argparse looks sys.stdout/sys.stderr up
-    # when it prints, not when it is built
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--verbose", action="store_true", help="more detail")
-    # validated for the callers that pass it; no check runs a search it could bound
-    common.add_argument("--budget", type=_budget, default=None, metavar="N",
-                        help="accepted and validated (0 or more), but bounds nothing")
+# command -> (what runs it, its positionals, its options that take a value,
+# each with its metavar); every command also takes -h/--help, --json,
+# --verbose and --budget N, which is validated but bounds nothing
+_COMMANDS = {
+    "info": (cmd_info, ("target",), {}),
+    "check": (cmd_check, ("which", "target"), {}),
+    "construct": (cmd_construct, ("target",), {"--out": "DIR"}),
+    "gallery": (cmd_gallery, ("action",), {}),
+}
+# the positionals that have choices -> each choice and the positionals it adds
+_CHOICES = {
+    "command": {name: entry[1] for name, entry in _COMMANDS.items()},
+    "which": dict.fromkeys(sorted(_CHECKS), ()),
+    "action": {"list": (), "emit": ("id",)},
+}
+_COMMON = ("--help", "--json", "--verbose", "--budget")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: such a token is a positional
 
-    parser = argparse.ArgumentParser(
-        prog="finfib",
-        description="Fibration analysis for monotone maps between finite T0 spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_info = sub.add_parser("info", parents=[common], help="summarize a poset or map")
-    p_info.add_argument("target", help="file path or gallery:ID")
-    p_info.set_defaults(func=cmd_info)
+def _help() -> str:
+    """The one help text, built from the command table."""
+    lines = ["usage: finfib COMMAND ... [--json] [--verbose] [--budget N]", "", "commands:"]
+    for name, (_, positionals, values) in _COMMANDS.items():
+        words = [name, *map(str.upper, positionals), *(f"[{o} {metavar}]" for o, metavar in values.items())]
+        lines.append("  finfib " + " ".join(words))
+    lines.append("")
+    for positional in ("which", "action"):
+        choices = [" ".join([choice, *map(str.upper, more)]) for choice, more in _CHOICES[positional].items()]
+        lines.append(f"{positional.upper()} is one of: {', '.join(choices)}")
+    lines += [
+        "TARGET is a file path (JSON or the text DSL) or gallery:ID.",
+        "",
+        "Every command takes --json (machine-readable output), --verbose (more",
+        "detail) and --budget N (0 or more; validated, but it bounds nothing).",
+        "Options may follow the command anywhere, a long option may be cut to",
+        "a unique prefix, and -- ends the options.",
+    ]
+    return "\n".join(lines)
 
-    p_check = sub.add_parser("check", parents=[common], help="run one analysis")
-    p_check.add_argument("which", choices=sorted(_CHECKS))
-    p_check.add_argument("target", help="file path or gallery:ID")
-    p_check.set_defaults(func=cmd_check)
 
-    p_construct = sub.add_parser(
-        "construct", parents=[common], help="integrate a functor document"
-    )
-    p_construct.add_argument("target", help="functor JSON file")
-    p_construct.add_argument("--out", metavar="DIR", help="write documents here")
-    p_construct.set_defaults(func=cmd_construct)
+def _option(token: str, names: tuple[str, ...]) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """How token reads where the long options are names, as argparse read it.
 
-    p_gallery = sub.add_parser("gallery", parents=[common], help="built-in examples")
-    gsub = p_gallery.add_subparsers(dest="action", required=True)
-    g_list = gsub.add_parser("list", parents=[common])
-    g_list.set_defaults(func=cmd_gallery)
-    g_emit = gsub.add_parser("emit", parents=[common])
-    g_emit.add_argument("id")
-    g_emit.set_defaults(func=cmd_gallery)
+    None for a positional ("-", a negative number, a word with a space);
+    otherwise (option, value), where option is None for an unknown option
+    and value is what follows "=" (or None).
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    if token == "-h":
+        return "--help", None
+    name, eq, value = token.partition("=")
+    if token[1] == "-":
+        found = [option for option in names if option.startswith(name)]
+        if len(found) > 1:
+            raise ParseError(f"ambiguous option: {name} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[:2] == "-h":  # -hX and -h=X give -h the value X; -hh is -h twice
+        return "--help", value if name == "-h" else token[2:].strip("h") or None
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
 
-    return parser
+
+def _read_argv(argv: list[str]) -> Optional[SimpleNamespace]:
+    """argv read against _COMMANDS in one pass, or None when it asks for help.
+
+    Left to right, as argparse read it: help, a bad choice and a bad option
+    stop the pass where they stand, while a missing positional and a token
+    that nothing reads are refused at the end.  The first "--" ends the
+    options.  Options between "gallery" and its action count too.
+    """
+    args = {"json": False, "verbose": False, "budget": None}
+    wanted = ["command"]  # positionals still to read
+    names = ("--help",)  # the long options known before the command
+    end = argv.index("--") if "--" in argv else len(argv)
+    extra = []  # tokens that nothing reads
+    last = None  # the positional the token before filled
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if i - 1 == end:
+            # with nothing left to read, only the positional just before
+            # "--" takes it in, as in argparse, unless that was gallery's
+            # action (read by the parser above the action's)
+            if not wanted and last in (None, "action"):
+                extra.append(token)
+            continue
+        kind = None if i > end else _option(token, names)
+        last = None
+        if kind is None:
+            if not wanted:
+                extra.append(token)
+                continue
+            slot = last = wanted.pop(0)
+            choices = _CHOICES.get(slot)
+            if choices is not None:
+                if token not in choices:
+                    shown = ", ".join(map(repr, choices))
+                    raise ParseError(f"argument {slot}: invalid choice: {token!r} (choose from {shown})")
+                wanted += choices[token]
+            args[slot] = token
+            if slot == "command":
+                values = _COMMANDS[token][2]
+                args.update(dict.fromkeys(v[2:] for v in values))
+                names = _COMMON + tuple(values)
+            continue
+        option, value = kind
+        if option is None:
+            extra.append(token)
+        elif option in ("--help", "--json", "--verbose"):
+            if value is not None:
+                raise ParseError(f"argument {option}: ignored explicit argument {value!r}")
+            if option == "--help":
+                return None
+            args[option[2:]] = True
+        else:
+            if value is None:
+                if i >= end or _option(argv[i], names) is not None:
+                    raise ParseError(f"argument {option}: expected one argument")
+                value = argv[i]
+                i += 1
+            args[option[2:]] = _budget(value) if option == "--budget" else value
+    if wanted:
+        raise ParseError(f"the following arguments are required: {', '.join(wanted)}")
+    if extra:
+        raise ParseError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; fold into the input-error code
-        return 0 if exc.code in (0, None) else 3
-    try:
-        return args.func(args)
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help())
+            return 0
+        return _COMMANDS[args.command][0](args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -6,6 +6,8 @@ permutation scan.  Generators draw from a seeded random.Random so every
 test run sees the same instances.
 """
 
+import argparse
+import functools
 import itertools
 import random
 from typing import Iterator, Optional, Sequence
@@ -13,6 +15,7 @@ from typing import Iterator, Optional, Sequence
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from finfib.cli import _CHECKS, cmd_check, cmd_construct, cmd_gallery, cmd_info
 from finfib.documents import poset_from_doc, poset_to_doc
 from finfib.errors import CodomainMismatch, FunctorialityViolated, UnknownElement
 from finfib.grothendieck import BundleReport, LiftFailure, PosetFunctor, grothendieck_construction
@@ -795,6 +798,69 @@ def rec_isomorphisms(p, q, *, extra_p=None, extra_q=None, visit=None):
             assigned[i] = -1
 
     yield from rec(0)
+
+
+# -- the command line as argparse read it ------------------------------
+
+
+def _budget(text: str) -> int:
+    """A node budget: an int that is 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"budget must be 0 or more, got {n}")
+    return n
+
+
+@functools.cache
+def argparse_reader() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its table-driven reader.
+
+    Kept as the oracle the reader is checked against: parse_args exits 0
+    on help and 2 on a refused command line.
+    """
+    # built once per process: argparse looks sys.stdout/sys.stderr up
+    # when it prints, not when it is built
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    common.add_argument("--verbose", action="store_true", help="more detail")
+    # validated for the callers that pass it; no check runs a search it could bound
+    common.add_argument("--budget", type=_budget, default=None, metavar="N",
+                        help="accepted and validated (0 or more), but bounds nothing")
+
+    parser = argparse.ArgumentParser(
+        prog="finfib",
+        description="Fibration analysis for monotone maps between finite T0 spaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_info = sub.add_parser("info", parents=[common], help="summarize a poset or map")
+    p_info.add_argument("target", help="file path or gallery:ID")
+    p_info.set_defaults(func=cmd_info)
+
+    p_check = sub.add_parser("check", parents=[common], help="run one analysis")
+    p_check.add_argument("which", choices=sorted(_CHECKS))
+    p_check.add_argument("target", help="file path or gallery:ID")
+    p_check.set_defaults(func=cmd_check)
+
+    p_construct = sub.add_parser(
+        "construct", parents=[common], help="integrate a functor document"
+    )
+    p_construct.add_argument("target", help="functor JSON file")
+    p_construct.add_argument("--out", metavar="DIR", help="write documents here")
+    p_construct.set_defaults(func=cmd_construct)
+
+    p_gallery = sub.add_parser("gallery", parents=[common], help="built-in examples")
+    gsub = p_gallery.add_subparsers(dest="action", required=True)
+    g_list = gsub.add_parser("list", parents=[common])
+    g_list.set_defaults(func=cmd_gallery)
+    g_emit = gsub.add_parser("emit", parents=[common])
+    g_emit.add_argument("id")
+    g_emit.set_defaults(func=cmd_gallery)
+
+    return parser
 
 
 # -- retract families, descending endomaps and hom-posets --------------

@@ -1,20 +1,24 @@
 """Command-line behavior: output text, JSON documents, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from finfib import cli
 from finfib.cli import main
 from finfib.documents import map_from_doc, map_to_doc, poset_from_doc
-from finfib.errors import InvariantViolated
+from finfib.errors import InvariantViolated, ParseError
 from finfib.gallery import ENTRIES, gallery_entry
 from finfib.grothendieck import classify_grothendieck
 from finfib.posets import Poset, find_isomorphism_over_base, product
-from helpers import crown_cover, crowns, functor_to_doc
+from helpers import argparse_reader, crown_cover, crowns, functor_to_doc
 
 
 def run(capsys, *argv):
@@ -470,6 +474,153 @@ def test_usage_errors_exit_3(capsys):
     assert run(capsys, "nonsense")[0] == 3
     assert run(capsys)[0] == 3
     assert run(capsys, "--help")[0] == 0
+    # each refusal is one error line on stderr, with no usage text or traceback
+    for argv in (
+        [],
+        ["nonsense"],
+        ["check", "frobnicate", "gallery:p1"],
+        ["check", "hur", "gallery:p1"],
+        ["check", "hurewicz"],
+        ["check", "hurewicz", "gallery:p1", "extra"],
+        ["check", "hurewicz", "gallery:p1", "--budget"],
+        ["check", "hurewicz", "gallery:p1", "--budget", "x"],
+        ["check", "hurewicz", "gallery:p1", "--budget=-1"],
+        ["check", "hurewicz", "gallery:p1", "--json=yes"],
+        ["check", "hurewicz", "gallery:p1", "--out", "d"],
+        ["check", "hurewicz", "gallery:p1", "-x"],
+        ["check", "hurewicz", "gallery:p1", "--=x"],
+        ["--json", "check", "hurewicz", "gallery:p1"],
+        ["info", "gallery:B1", "--json", "--"],
+        ["gallery"],
+        ["gallery", "show"],
+        ["gallery", "emit"],
+        ["gallery", "list", "p1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+
+
+def test_help_names_every_command_and_check(capsys):
+    for argv in (["--help"], ["check", "hurewicz", "--help"], ["gallery", "-h", "nonsense"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        for word in [*cli._COMMANDS, *cli._CHECKS, "list", "emit", "--json", "--verbose", "--budget", "--out"]:
+            assert word in out, (argv, word)
+    # left to right, as argparse read the command line: a bad check name
+    # before the help flag is refused, one after it is never read
+    assert run(capsys, "check", "-h", "frobnicate")[0] == 0
+    assert run(capsys, "check", "frobnicate", "-h")[0] == 3
+    assert run(capsys, "check", "hurewicz", "gallery:p1", "--budget", "-1", "-h")[0] == 3
+
+
+def test_gallery_options_may_stand_before_the_action(capsys):
+    # argparse reset options given between "gallery" and its action, so
+    # "gallery --json list" printed text; it now prints what
+    # "gallery list --json" prints
+    before = run(capsys, "gallery", "--json", "list")
+    after = run(capsys, "gallery", "list", "--json")
+    assert before == after
+    assert [entry["id"] for entry in json.loads(before[1])] == [e.id for e in ENTRIES]
+    assert run(capsys, "gallery", "--js", "emit", "p2") == run(capsys, "gallery", "emit", "p2")
+    code, out, err = run(capsys, "gallery", "--budget", "-1", "list")
+    assert (code, out) == (3, "")
+    assert "argument --budget: budget must be 0 or more, got -1" in err
+
+
+def test_the_package_never_imports_argparse():
+    done = subprocess.run(
+        [sys.executable, "-c", "import finfib.cli, sys; print('argparse' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+# the argv alphabet: commands, gallery actions, check names and prefixes of
+# them, the options and their unique prefixes with the one ambiguous
+# prefix "--=", "=" forms, negative numbers, "-", unknown options, "--",
+# stray words and words with a space.  Left out, because argparse's
+# releases may read them differently (CI runs Python 3.10 and 3.12): a
+# negative number with "_" ("-1_0"), "-h=h", and the forms that
+# argparse_outcome_may_vary names.
+COMMANDS = ("info", "check", "construct", "gallery")
+VALUED = ("--budget", "--bud", "--b", "--out", "--ou", "--o")
+ARGV_WORDS = (
+    *COMMANDS, "list", "emit", "emi", *sorted(cli._CHECKS), "hur", "c", "map",
+    "--json", "--js", "--verbose", "--v", *VALUED, "-h", "--help", "--he", "--=x",
+    "--json=1", "--js=", "--budget=5", "--bud=-1", "--budget=x", "--o=D", "--he=x", "-h=x", "-h=", "-hh", "-hx", "-h y",
+    "5", "0", "-5", "-1", "-1.5", "-", "-x", "-x y", "--a b", "--", "p", "gallery:p1", "a b", "",
+)
+
+
+def argparse_outcome_may_vary(argv):
+    """Whether argparse's releases may read argv differently.
+
+    Python 3.10 and 3.11 refuse an ambiguous option before reading anything,
+    newer releases where it stands, so "--=x" behind a help flag may differ.
+    So may a "--" that is the second one, stands where an option's value
+    should be, or comes before the command or between "gallery" and its
+    action: 3.10 and 3.11 take that one for the sub-command's name, newer
+    releases drop it.
+    """
+    if "--=x" in argv and any(word in ("-h", "--help", "--he", "-hh") for word in argv[: argv.index("--=x")]):
+        return True
+    if "--" not in argv:
+        return False
+    k = argv.index("--")
+    if k == 0 or argv.count("--") > 1 or argv[k - 1] in VALUED or argv[0] not in COMMANDS:
+        return True
+    return argv[0] == "gallery" and not {"list", "emit"} & set(argv[1:k])
+
+
+def argparse_outcome(argv):
+    """("help",), ("refused",) or ("parsed", fields) as the argparse oracle reads argv."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = argparse_reader().parse_args(argv)
+    except SystemExit as exc:
+        return ("help",) if exc.code == 0 else ("refused",)
+    fields = vars(args)
+    del fields["func"]
+    return "parsed", fields
+
+
+def reader_outcome(argv):
+    try:
+        args = cli._read_argv(argv)
+    except ParseError:
+        return ("refused",)
+    return ("help",) if args is None else ("parsed", vars(args))
+
+
+argvs = st.one_of(
+    st.lists(st.sampled_from(ARGV_WORDS), max_size=6),
+    st.builds(lambda c, rest: [c, *rest], st.sampled_from(COMMANDS), st.lists(st.sampled_from(ARGV_WORDS), max_size=7)),
+    st.builds(lambda c, rest: ["check", c, *rest], st.sampled_from(sorted(cli._CHECKS)), st.lists(st.sampled_from(ARGV_WORDS), max_size=6)),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argvs)
+@example(["check", "-h", "frobnicate"])
+@example(["check", "frobnicate", "-h"])
+@example(["check", "hurewicz", "--bud", "-1", "p"])
+@example(["construct", "p", "--o", "-"])
+@example(["check", "hurewicz", "p", "--json", "--"])
+@example(["gallery", "--json", "--budget=5", "emit", "p2", "--verbose"])
+def test_the_reader_reads_argv_as_argparse_did(argv):
+    assume(not argparse_outcome_may_vary(argv))
+    got = reader_outcome(argv)
+    want = argparse_outcome(argv)
+    assert got[0] == want[0], argv
+    if got[0] == "parsed" and argv[0] == "gallery":
+        # the one difference: options between "gallery" and its action
+        # count, as if they followed the action
+        k = next(i for i, word in enumerate(argv) if word in ("list", "emit"))
+        want = argparse_outcome([argv[0], argv[k], *argv[1:k], *argv[k + 1 :]])
+    assert got == want, argv
 
 
 def test_construct_round_trips_p3(capsys, tmp_path):

@@ -49,6 +49,22 @@ def test_no_function_calls_itself_by_name():
     assert found == []
 
 
+def test_no_module_imports_argparse():
+    # cli._read_argv reads the command line from its own table; argparse
+    # and the gettext it pulls in cost every process a fixed import
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for module in modules if module.split(".")[0] == "argparse"]
+    assert found == []
+
+
 def _name_of(node):
     if isinstance(node, ast.Name):
         return node.id
