@@ -96,7 +96,8 @@ def gallery_cli_runs():
     """Exit code, stdout and stderr of in-process ``cli.main`` runs.
 
     ``info`` on every gallery entry and every gallery map under every
-    check, each in the three output modes.
+    check, each in the three output modes; ``gallery list`` as text and
+    JSON, and ``gallery emit`` of every entry.
     """
     argvs = [["info", f"gallery:{e.id}", *mode] for e in ENTRIES for mode in MODES]
     argvs += [
@@ -106,6 +107,8 @@ def gallery_cli_runs():
         for which in sorted(_CHECKS)
         for mode in MODES
     ]
+    argvs += [["gallery", "list"], ["gallery", "list", "--json"]]
+    argvs += [["gallery", "emit", e.id] for e in ENTRIES]
     runs = []
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
