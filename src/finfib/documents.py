@@ -2,8 +2,8 @@
 
 JSON is the machine format; every analysis result serializes to plain
 dicts, which ``dumps`` writes byte for byte as ``json.dumps(doc,
-indent=2)`` does, only faster.  The text DSL covers posets and maps only
-and exists for hand-written fixtures:
+indent=2)`` does, only faster.  The text DSL covers posets and maps only;
+hand-written files and the built-in gallery are written in it:
 
     # a comment
     poset B1 {

@@ -77,4 +77,4 @@ class UnknownGalleryId(FinfibError):
 
 
 class ParseError(FinfibError):
-    """A document (JSON or text) could not be parsed."""
+    """A document (JSON or DSL text) or the command line could not be parsed."""

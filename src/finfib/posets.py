@@ -147,11 +147,6 @@ class Poset:
                 above[i] |= above[j]
         return cls(names, below, above)
 
-    @classmethod
-    def chain(cls, names: Sequence[str]) -> "Poset":
-        """Total order with the given names, first name at the bottom."""
-        return cls.build(names, [(names[i], names[i + 1]) for i in range(len(names) - 1)])
-
     # -- basics ------------------------------------------------------
 
     @property

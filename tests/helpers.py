@@ -1024,6 +1024,11 @@ def search_retract_certificate(p, max_y=3, guard=DEFAULT_GUARD):
 # -- random instance generators ----------------------------------------
 
 
+def chain(names):
+    """The total order on names, first name at the bottom."""
+    return Poset.build(names, zip(names, names[1:]))
+
+
 def rand_poset(rng, n, prob=0.35, prefix="x"):
     """Random poset on n points: random DAG edges, shuffled element order."""
     names = [f"{prefix}{i}" for i in range(n)]

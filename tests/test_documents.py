@@ -29,6 +29,7 @@ from finfib.posets import MonotoneMap, Poset, find_isomorphism_over_base, produc
 from finfib.slices import smallest_dbp_retract_of_map
 from finfib.verdict import decide_hurewicz, necessary_conditions, projection_retract_height1
 from helpers import (
+    chain,
     functor_to_doc,
     rand_functor,
     rand_monotone,
@@ -129,7 +130,7 @@ def test_verdict_doc_shapes():
 
 
 def test_certificate_docs_write_each_kind_s_fields_in_order():
-    fib = Poset.chain(["0", "1"])
+    fib = chain(["0", "1"])
     vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
     fence = Poset.build(["a", "b", "c", "d"], [("a", "b"), ("c", "b"), ("c", "d")])
     cases = [
@@ -304,7 +305,7 @@ def test_a_map_entry_whose_source_holds_an_arrow_is_refused_by_name(tmp_path, ca
 
 
 def test_a_map_may_name_one_block_as_its_domain_and_codomain():
-    p = Poset.chain(["x", "y"])
+    p = chain(["x", "y"])
     text = "poset P { points: x, y; covers: x < y; }\nmap f : P -> P { x -> x; y -> y; }"
     assert parse_text(text) == [("poset", "P", p), ("map", "f", MonotoneMap.identity(p))]
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from finfib.cli import _CHECKS, main
+from finfib.documents import map_from_doc, parse_text, poset_from_doc
 from finfib.errors import UnknownGalleryId
-from finfib.gallery import ENTRIES, gallery_entry
+from finfib.gallery import _TEXT, ENTRIES, gallery_entry
 from finfib.grothendieck import classify_grothendieck, is_fiber_bundle
 from finfib.slices import map_beat_points, map_core
 from finfib.stong import beat_points, is_contractible
@@ -84,6 +85,23 @@ def test_every_map_relates_gallery_posets():
     pi = gallery_entry("pi_sierpinski").build()
     assert pi.cod == gallery_entry("S").build()
     assert pi.dom.n == 8
+
+
+def test_every_block_of_the_text_is_read_and_every_emitted_document_reads_back():
+    # a block is some entry's object or a side of a map block; the text
+    # names no gallery entry, since reading one builds from this text
+    assert "gallery:" not in _TEXT
+    blocks = parse_text(_TEXT)
+    built = [entry.build() for entry in ENTRIES]
+    sides = [side for kind, _, m in blocks if kind == "map" for side in (m.dom, m.cod)]
+    assert [name for _, name, obj in blocks if obj not in built and obj not in sides] == []
+    for entry in ENTRIES:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["gallery", "emit", entry.id]) == 0
+        doc = json.loads(out.getvalue())["document"]
+        read = poset_from_doc(doc) if entry.kind == "poset" else map_from_doc(doc)
+        assert read == entry.build(), entry.id
 
 
 # -- CLI output snapshot ------------------------------------------------

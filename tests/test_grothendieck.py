@@ -22,6 +22,7 @@ from finfib.slices import as_slice
 from helpers import (
     assert_trivializes,
     brute_lift,
+    chain,
     crown_cover,
     deep_maps,
     hand_built_grothendieck_construction,
@@ -319,8 +320,8 @@ def test_integrating_alpha_rebuilds_the_opposite_map():
 
 
 def test_functor_build_composes_covers():
-    base = Poset.chain(["u", "v", "w"])
-    fib = Poset.chain(["0", "1"])
+    base = chain(["u", "v", "w"])
+    fib = chain(["0", "1"])
     flip = {"0": "0", "1": "1"}
     step = MonotoneMap.build(fib, fib, flip)
     d = PosetFunctor(
@@ -333,13 +334,13 @@ def test_functor_build_composes_covers():
     with pytest.raises(FunctorialityViolated):
         PosetFunctor(base, "covariant", {b: fib for b in base.elements}, {("u", "v"): step})
     # contravariant: fiber(w) -> fiber(v) -> fiber(u), composed in that order
-    chain = Poset.chain(["0", "1", "2"])
-    t_uv = MonotoneMap.build(chain, chain, {"0": "0", "1": "0", "2": "1"})
-    t_vw = MonotoneMap.build(chain, chain, {"0": "1", "1": "2", "2": "2"})
+    fib3 = chain(["0", "1", "2"])
+    t_uv = MonotoneMap.build(fib3, fib3, {"0": "0", "1": "0", "2": "1"})
+    t_vw = MonotoneMap.build(fib3, fib3, {"0": "1", "1": "2", "2": "2"})
     d = PosetFunctor(
         base,
         "contravariant",
-        {b: chain for b in base.elements},
+        {b: fib3 for b in base.elements},
         {("u", "v"): t_uv, ("v", "w"): t_vw},
     )
     assert d.transitions[("u", "w")] == t_vw.then(t_uv)
@@ -479,7 +480,7 @@ def test_a_bijective_transport_must_also_reflect_the_order():
     # exists and the transport x -> x0, y -> y0 is a monotone bijection,
     # but it is no isomorphism, so U_b is not U_b x F_b
     total = Poset.build(["x0", "y0", "x", "y"], [("x0", "y0"), ("x0", "x"), ("y0", "y")])
-    p = MonotoneMap.build(total, Poset.chain(["v", "b"]), {"x0": "v", "y0": "v", "x": "b", "y": "b"})
+    p = MonotoneMap.build(total, chain(["v", "b"]), {"x0": "v", "y0": "v", "x": "b", "y": "b"})
     assert classify_grothendieck(p).is_fibration
     rep = assert_bundle_check_matches_the_search(p)
     assert (rep.status, rep.failed_at, list(rep.trivializations)) == ("not_bundle", "b", ["v"])
@@ -487,7 +488,7 @@ def test_a_bijective_transport_must_also_reflect_the_order():
 
 def chain_functor(variance, fibers, transitions):
     """A functor over the chain a < b < c with the given fibers and transitions."""
-    return PosetFunctor(Poset.chain(["a", "b", "c"]), variance, fibers, transitions)
+    return PosetFunctor(chain(["a", "b", "c"]), variance, fibers, transitions)
 
 
 def test_a_functor_checks_its_fibers_before_it_composes():
@@ -498,8 +499,8 @@ def test_a_functor_checks_its_fibers_before_it_composes():
 
 
 def test_a_functor_checks_its_variance_before_it_composes():
-    two = Poset.chain(["u", "v"])
-    three = Poset.chain(["x", "y", "z"])
+    two = chain(["u", "v"])
+    three = chain(["x", "y", "z"])
     fibers = {"a": Poset.build(["o"], []), "b": two, "c": three}
     up = {
         ("a", "b"): MonotoneMap(fibers["a"], two, (0,)),
@@ -512,8 +513,8 @@ def test_a_functor_checks_its_variance_before_it_composes():
 
 
 def test_a_functor_checks_the_shape_of_each_given_transition_before_it_composes():
-    two = Poset.chain(["u", "v"])
-    three = Poset.chain(["x", "y", "z"])
+    two = chain(["u", "v"])
+    three = chain(["x", "y", "z"])
     fibers = {"a": Poset.build(["o"], []), "b": two, "c": three}
     # (a, b) lands in the fiber over c, so composing it with (b, c) would mismatch
     wrong = {
@@ -564,7 +565,7 @@ def count_lift_scans(monkeypatch):
 
 def test_one_lift_table_per_side_serves_every_caller(monkeypatch):
     vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    _, p, _ = product(vee, Poset.chain(["0", "1"]))
+    _, p, _ = product(vee, chain(["0", "1"]))
     sides = count_lift_scans(monkeypatch)
     v = verdict.decide_hurewicz(p)
     assert v.certificate.kind == "height1_max_retract"
@@ -630,8 +631,8 @@ def test_a_row_and_its_failures_partition_the_reach_of_its_point(p):
 def test_one_extremum_search_per_lower_cover(monkeypatch):
     # over the chain c0 < ... < c5 each point above c0 searches its one
     # lower cover and copies the rest of its row: 10 searches, not 30
-    chain = Poset.chain([f"c{i}" for i in range(6)])
-    _, p, _ = product(chain, Poset.build(["a", "b"], []))
+    line = chain([f"c{i}" for i in range(6)])
+    _, p, _ = product(line, Poset.build(["a", "b"], []))
     s = as_slice(p)
     calls = []
     search = grothendieck._closed_extremum

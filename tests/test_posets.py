@@ -31,6 +31,7 @@ from helpers import (
     GuardExceeded,
     all_pairs_monotone,
     brute_iso,
+    chain,
     closure_rows,
     cover_scan_disorder,
     crowns,
@@ -340,8 +341,8 @@ def test_extremum_search_agrees_with_the_linear_probe(p, data):
 
 
 def test_product_is_x_major_with_pair_names():
-    p = Poset.chain(["a", "b"])
-    q = Poset.chain(["0", "1", "2"])
+    p = chain(["a", "b"])
+    q = chain(["0", "1", "2"])
     prod, to_p, to_q = product(p, q)
     assert prod.n == 6
     # x runs slowest: index k = x * |q| + y
@@ -373,8 +374,8 @@ def test_product_rows_match_the_shift_sum(p, q):
 
 
 def test_monotone_map_build_validates():
-    p = Poset.chain(["a", "b"])
-    q = Poset.chain(["0", "1"])
+    p = chain(["a", "b"])
+    q = chain(["0", "1"])
     with pytest.raises(NotMonotone):
         MonotoneMap.build(p, q, {"a": "1", "b": "0"})
     with pytest.raises(UnknownElement):
@@ -441,8 +442,8 @@ def test_composition_and_identity():
 
 
 def test_image_and_injectivity_flags():
-    p = Poset.chain(["a", "b"])
-    q = Poset.chain(["0", "1"])
+    p = chain(["a", "b"])
+    q = chain(["0", "1"])
     const = MonotoneMap(p, q, (q.idx("0"),) * p.n)
     assert q.names(const.image_mask()) == ("0",)
     assert not const.is_surjective()
@@ -498,8 +499,8 @@ def test_monotone_maps_respect_bounds_and_pins():
 
 
 def test_monotone_maps_over_a_base():
-    base = Poset.chain(["u", "v"])
-    dom = Poset.chain(["a", "b"])
+    base = chain(["u", "v"])
+    dom = chain(["a", "b"])
     p = MonotoneMap.build(dom, base, {"a": "u", "b": "v"})
     q = MonotoneMap.identity(base)
     over = list(rec_monotone_maps(dom, base, over=(p, q)))
@@ -515,7 +516,7 @@ def test_guard_limits_enumeration():
 
 
 def test_hom_poset_of_the_chain():
-    two = Poset.chain(["0", "1"])
+    two = chain(["0", "1"])
     h = hom_poset(two, two)
     assert len(h) == 3
     classes = h.comparability_classes()
@@ -557,7 +558,7 @@ def test_isomorphisms_enumerates_all_of_them():
 
 
 def test_find_isomorphism_over_base_on_a_product():
-    base = Poset.chain(["u", "v"])
+    base = chain(["u", "v"])
     fib = Poset.build(["0", "1"], [])
     prod, to_base, _ = product(base, fib)
     # same projection presented twice must match over the base
@@ -679,7 +680,7 @@ def test_the_search_prunes_with_maximal_lower_and_minimal_upper_neighbours(oppos
     # apart; checking only minimal earlier lower neighbours (or maximal
     # upper ones) instead of the maximal (minimal) ones leaves values in
     # a candidate mask that the oracle refutes
-    prod, _, _ = product(crowns(2, 1, "a"), Poset.chain(["c0", "c1", "c2"]))
+    prod, _, _ = product(crowns(2, 1, "a"), chain(["c0", "c1", "c2"]))
     p = prod.op() if opposite else prod
     for seed in range(3):
         order = list(p.elements)

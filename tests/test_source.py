@@ -218,7 +218,7 @@ def test_every_public_member_is_used_or_kept_for_a_reason():
 # has, each with a package use checked by hand, since the count above
 # cannot tell their reads apart
 SHARED_MEMBERS = {
-    "Poset.build": "documents.poset_from_doc and the gallery build posets",
+    "Poset.build": "documents.poset_from_doc and the text DSL reader build posets",
     "MonotoneMap.build": "documents.map_from_doc and functor_from_doc build maps",
     "Poset.op": "grothendieck_construction of a contravariant functor projects to d.base.op()",
     "MonotoneMap.op": "SliceMap.op and the gallery's p1op entry",

@@ -22,6 +22,7 @@ from finfib.stong import (
 from finfib.gallery import gallery_entry
 from helpers import (
     all_dbp_retracts,
+    chain,
     crowns,
     endomaps_below_identity,
     homotopy_classes,
@@ -164,7 +165,7 @@ def test_descending_endomaps_stabilize_onto_dbp_retracts():
 
 
 def test_f_infinity_rejects_non_descending_maps():
-    two = Poset.chain(["0", "1"])
+    two = chain(["0", "1"])
     up = MonotoneMap(two, two, (two.idx("1"),) * two.n)
     with pytest.raises(NotDescending):
         f_infinity(up)
@@ -263,7 +264,7 @@ def assert_reduce_agrees_with_the_rescan_oracle(x, kinds, fiber_vals):
 def test_worklist_reduction_agrees_with_the_rescan_oracle_on_crown_times_chain(k, m):
     # the shuffled projection of crown(k) x chain(m) onto the crown: many
     # witnessless points lie above the beat points the reduction removes
-    prod, to_crown, _ = product(crowns(k, 1, "b"), Poset.chain([f"c{i}" for i in range(m)]))
+    prod, to_crown, _ = product(crowns(k, 1, "b"), chain([f"c{i}" for i in range(m)]))
     order = list(prod.elements)
     seeded(10 * k + m).shuffle(order)
     x = Poset.build(order, prod.covers())

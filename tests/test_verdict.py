@@ -39,6 +39,7 @@ from finfib.verdict import (
 from helpers import (
     assert_trivializes,
     census_unknown,
+    chain,
     crown_cover,
     crowns,
     elementwise_up_reachability,
@@ -117,7 +118,7 @@ def test_a_minimal_total_space_over_a_base_with_a_beat_point_names_it():
     # the crown a, b < c, d is minimal; the chain 0 < 1 under it is not,
     # and 1 is its down beat point
     crown = Poset.build(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-    m = MonotoneMap.build(crown, Poset.chain(["0", "1"]), {"a": "0", "b": "0", "c": "1", "d": "1"})
+    m = MonotoneMap.build(crown, chain(["0", "1"]), {"a": "0", "b": "0", "c": "1", "d": "1"})
     (cond,) = [c for c in necessary_conditions(m).conditions if c.name == "minimalE_implies_minimalB"]
     assert not cond.passed
     assert cond.witness == {"base_beat_point": "1", "kind": "down", "component": ["0", "1"]}
@@ -272,7 +273,7 @@ def test_components_are_decided_independently():
 
     # partial image inside one component refutes
     dom2 = Poset.build(["x"], [])
-    cod2 = Poset.chain(["u", "v"])
+    cod2 = chain(["u", "v"])
     v = decide_hurewicz(MonotoneMap(dom2, cod2, (cod2.idx("u"),) * dom2.n))
     assert v.status == "not_fibration"
     assert v.witness["condition"] == "surjective_over_component"
@@ -306,7 +307,7 @@ def test_up_beat_points_of_the_map_are_not_safe_to_remove():
         ["e0", "e1", "e2", "e3", "e4"],
         [("e1", "e2"), ("e1", "e4"), ("e1", "e3"), ("e0", "e4")],
     )
-    b = Poset.chain(["b0", "b1"])
+    b = chain(["b0", "b1"])
     p = MonotoneMap.build(
         e, b, {"e0": "b0", "e1": "b1", "e2": "b1", "e3": "b1", "e4": "b1"}
     )
@@ -333,15 +334,15 @@ def test_height1_retract_certificate_on_reduced_maps():
 
 def test_height1_retract_certificate_preconditions():
     crown = gallery_entry("B5").build()
-    _, to_crown, _ = product(crown, Poset.chain(["0", "1"]))
+    _, to_crown, _ = product(crown, chain(["0", "1"]))
     with pytest.raises(PreconditionViolated):
         projection_retract_height1(classify_grothendieck(to_crown))  # no maximum
-    tall = Poset.chain(["u", "v", "w"])
+    tall = chain(["u", "v", "w"])
     with pytest.raises(PreconditionViolated):
         projection_retract_height1(classify_grothendieck(MonotoneMap.identity(tall)))  # height 2
     with pytest.raises(PreconditionViolated):
         projection_retract_height1(classify_grothendieck(gallery_entry("p1op").build()))  # not a bifibration
-    empty = MonotoneMap.build(Poset.build([], []), Poset.chain(["u", "v"]), {})
+    empty = MonotoneMap.build(Poset.build([], []), chain(["u", "v"]), {})
     with pytest.raises(PreconditionViolated):
         projection_retract_height1(classify_grothendieck(empty))
 
@@ -398,7 +399,7 @@ def test_each_failing_retract_identity_is_named(fault):
 def _vee_times_chain2():
     """The projection V x chain(2) -> V over the V-shaped base a, b < c."""
     vee = Poset.build(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    _, p, _ = product(vee, Poset.chain(["0", "1"]))
+    _, p, _ = product(vee, chain(["0", "1"]))
     return vee, p
 
 
@@ -531,7 +532,7 @@ def test_the_cover_the_spanning_tree_leaves_out_is_checked_too(twist):
     # no isomorphism, or the swap of the antichain x, y, an isomorphism
     # with nontrivial holonomy
     base = crowns(3, 1, "b")
-    fiber = Poset.chain(["x", "y"]) if twist == "collapse" else Poset.build(["x", "y"], [])
+    fiber = chain(["x", "y"]) if twist == "collapse" else Poset.build(["x", "y"], [])
     values = {"x": "x", "y": "x"} if twist == "collapse" else {"x": "y", "y": "x"}
     odd = MonotoneMap.build(fiber, fiber, values)
     for cover in base.covers():
@@ -548,7 +549,7 @@ def test_the_cover_the_spanning_tree_leaves_out_is_checked_too(twist):
 
 def test_a_fibration_whose_transport_is_a_bijection_but_no_isomorphism_is_not_trivial():
     total = Poset.build(["x0", "y0", "x", "y"], [("x0", "y0"), ("x0", "x"), ("y0", "y")])
-    p = MonotoneMap.build(total, Poset.chain(["v", "b"]), {"x0": "v", "y0": "v", "x": "b", "y": "b"})
+    p = MonotoneMap.build(total, chain(["v", "b"]), {"x0": "v", "y0": "v", "x": "b", "y": "b"})
     assert assert_triviality_matches_the_search(p) == [None]
 
 
@@ -653,7 +654,7 @@ def test_a_shuffled_crown_times_chain_is_decided_at_1280_points():
     # the projection of the 10-point crown times a 128-chain onto the
     # crown, stored in a shuffled order; no timing bound, only verdicts
     base = crowns(5, 1, "b")
-    prod, to_base, _ = product(base, Poset.chain([f"c{i}" for i in range(128)]))
+    prod, to_base, _ = product(base, chain([f"c{i}" for i in range(128)]))
     order = list(prod.elements)
     seeded(1280).shuffle(order)
     p = MonotoneMap.build(Poset.build(order, prod.covers()), base, to_base.values)
@@ -688,7 +689,7 @@ def test_up_reachability_matches_the_elementwise_scan(p):
 def test_down_fiber_contractible_names_a_two_point_fiber():
     # U_e meets the fiber over b in the discrete two-point space
     total = Poset.build(["x", "y", "e"], [("x", "e"), ("y", "e")])
-    base = Poset.chain(["b", "t"])
+    base = chain(["b", "t"])
     s = as_slice(MonotoneMap.build(total, base, {"x": "b", "y": "b", "e": "t"}))
     want = {"e": "e", "b": "b", "reason": "not_contractible"}
     assert _cond_down_fiber_contractible(_ComponentFacts(s)) == want
