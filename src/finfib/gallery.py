@@ -11,9 +11,8 @@ in the Sierpinski projection's domain B4 x S, (b,k) lies over k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import UnknownGalleryId
 from .posets import MonotoneMap, Poset
@@ -21,8 +20,7 @@ from .posets import MonotoneMap, Poset
 GalleryObject = Union[Poset, MonotoneMap]
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
+class GalleryEntry(NamedTuple):
     id: str
     kind: str  # poset | map
     note: str

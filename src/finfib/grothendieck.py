@@ -12,7 +12,6 @@ isomorphism over the base.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -272,7 +271,6 @@ def _transport_functor(s: SliceMap, side: str, transports: list[dict[int, int]])
     return PosetFunctor(base, variance, fibers, transitions)
 
 
-@dataclass(frozen=True)
 class GrothendieckReport:
     """Classification of a map on both lift sides.
 
@@ -283,17 +281,28 @@ class GrothendieckReport:
     index of e's lift over b, and a b of e's reach with no entry has no
     lift.  ``alpha`` (contravariant transport) is present iff the map is
     a Grothendieck fibration, ``beta`` (covariant) iff an opfibration;
-    both are built from the tables on first access.
+    both are built from the tables on first access.  The report is made
+    from the failures and table of each side's scan of s.
     """
 
-    is_fibration: bool
-    is_opfibration: bool
-    fibration_failure: Optional[LiftFailure] = None
-    opfibration_failure: Optional[LiftFailure] = None
-    failures: tuple[LiftFailure, ...] = ()
-    slice_map: Optional[SliceMap] = field(default=None, compare=False, repr=False)
-    cartesian: list[dict[int, int]] = field(default_factory=list, compare=False, repr=False)
-    cocartesian: list[dict[int, int]] = field(default_factory=list, compare=False, repr=False)
+    def __init__(
+        self,
+        s: SliceMap,
+        cart: list[LiftFailure],
+        cart_rows: list[dict[int, int]],
+        cocart: list[LiftFailure],
+        cocart_rows: list[dict[int, int]],
+    ):
+        self.is_fibration = not cart
+        self.is_opfibration = not cocart
+        self.fibration_failure = cart[0] if cart else None
+        self.opfibration_failure = cocart[0] if cocart else None
+        # both sides list their failures e-major, and a stable merge on
+        # the point's index keeps the cartesian ones first for each e
+        self.failures = tuple(heapq.merge(cart, cocart, key=lambda f: s.total.index[f.e]))
+        self.slice_map = s
+        self.cartesian = cart_rows
+        self.cocartesian = cocart_rows
 
     @property
     def is_bifibration(self) -> bool:
@@ -316,18 +325,10 @@ def classify_grothendieck(p: MapLike) -> GrothendieckReport:
     """Decide fibration and opfibration status by checking every lift.
 
     Witnesses are the first failing (element, base point) pair in
-    index order on each failing side.  Both sides list their failures
-    e-major, and a stable merge on the point's index keeps the
-    cartesian ones first for each e.
+    index order on each failing side.
     """
     s = as_slice(p)
-    cart, cart_table = _scan_lifts(s, "cartesian")
-    cocart, cocart_table = _scan_lifts(s, "cocartesian")
-    failures = heapq.merge(cart, cocart, key=lambda f: s.total.index[f.e])
-    return GrothendieckReport(
-        not cart, not cocart, cart[0] if cart else None, cocart[0] if cocart else None,
-        tuple(failures), s, cart_table, cocart_table,
-    )
+    return GrothendieckReport(s, *_scan_lifts(s, "cartesian"), *_scan_lifts(s, "cocartesian"))
 
 
 def grothendieck_construction(d: PosetFunctor) -> SliceMap:
@@ -437,8 +438,7 @@ def _defects(s: SliceMap, cart: list[dict[int, int]]) -> int:
     return defects
 
 
-@dataclass(frozen=True)
-class BundleReport:
+class BundleReport(NamedTuple):
     """Local triviality over every minimal open set of the base.
 
     ``trivializations[b]`` matches the restriction over U_b with the

@@ -117,7 +117,7 @@ class Poset:
         index = {e: i for i, e in enumerate(names)}
         n = len(names)
         up: list[list[int]] = [[] for _ in range(n)]
-        up_adj, indeg = [0] * n, [0] * n  # up_adj drops repeated pairs
+        indeg = [0] * n  # a repeated pair adds one here per copy and takes it back per copy below
         for lo, hi in pairs:
             if lo not in index:
                 raise UnknownElement(f"unknown element {lo!r} in relation pair")
@@ -126,10 +126,8 @@ class Poset:
             if lo == hi:
                 raise CycleDetected(f"element {lo!r} declared below itself")
             i, j = index[lo], index[hi]
-            if not up_adj[i] >> j & 1:
-                up_adj[i] |= 1 << j
-                up[i].append(j)
-                indeg[j] += 1
+            up[i].append(j)
+            indeg[j] += 1
         # Kahn order, read as it grows, pushing each complete down-set up; leftovers mean a cycle
         below, above = [1 << i for i in range(n)], [1 << i for i in range(n)]
         topo = [i for i in range(n) if not indeg[i]]
@@ -386,11 +384,8 @@ class MonotoneMap:
             pre[v] |= 1 << e
         image = sum(1 << b for b, f in enumerate(pre) if f)
         for b in sorted(_bits(image), key=lambda b: rows[b].bit_count()):
-            rest = rows[b] & image ^ 1 << b
-            while rest:
-                c = _climb(self.cod.above, rest)
+            for c in _bits(_maximal(rows, self.cod.above, rows[b] & image ^ 1 << b)):
                 pre[b] |= pre[c]
-                rest &= ~rows[c]
         if all(row & pre[v] == row for row, v in zip(self.dom.below, vals)):
             return None
         for lo, hi in self.dom._cover_pairs():

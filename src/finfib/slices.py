@@ -10,8 +10,7 @@ subspaces reachable that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import NotAComponent
 from .posets import MonotoneMap, Poset, _bits
@@ -108,8 +107,7 @@ def map_beat_points(p: MapLike) -> BeatPointReport:
     return BeatPointReport(down, up)
 
 
-@dataclass(frozen=True)
-class MapReduction:
+class MapReduction(NamedTuple):
     """A beat-point reduction of a map, staying over the same base.
 
     ``reduced`` is the restricted map; ``trace.retraction`` retracts

@@ -11,15 +11,13 @@ the finite searches implemented here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CodomainMismatch, InvariantViolated, NotDescending
 from .posets import MonotoneMap, Poset, _bits, _extremum, _maximal, find_isomorphism
 
 
-@dataclass(frozen=True)
-class BeatPointReport:
+class BeatPointReport(NamedTuple):
     """Beat points of a space, each with its witness.
 
     ``down[e]`` is max of the strict down set of e, ``up[e]`` the min
@@ -34,8 +32,7 @@ class BeatPointReport:
         return not self.down and not self.up
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Record of successive beat-point removals.
 
     ``removed`` lists (element, kind) in removal order; ``retraction``

@@ -16,9 +16,8 @@ with a concrete witness when it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyDomain, InvariantViolated, PreconditionViolated
 from .grothendieck import (
@@ -86,15 +85,13 @@ def is_closed_map(p: MapLike) -> tuple[bool, Optional[dict]]:
     return is_open_map(as_slice(p).op())
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     name: str
     passed: bool
-    witness: Optional[dict] = None
+    witness: Optional[dict]
 
 
-@dataclass(frozen=True)
-class NecessaryReport:
+class NecessaryReport(NamedTuple):
     """Conditions every Hurewicz fibration must satisfy.
 
     Evaluated per touched base component and aggregated; a failed
@@ -320,8 +317,7 @@ def _evaluate_conditions(facts: Sequence[_ComponentFacts]) -> NecessaryReport:
     return NecessaryReport(tuple(results))
 
 
-@dataclass(frozen=True)
-class RetractCertificate:
+class RetractCertificate(NamedTuple):
     """Presentation of a map as a retract of a product projection.
 
     The map p: E -> B is a retract of pi_X: X x Y -> X through
@@ -451,8 +447,7 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     return Certificate("trivial_over_base", base.elements[0], iso=iso)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A machine-checkable reason a verdict is Fibration.
 
     ``point`` is the base minimum (minimum_base_bifibration), the base
@@ -466,14 +461,13 @@ class Certificate:
     """
 
     kind: str  # minimum_base_bifibration | height1_max_retract | trivial_over_base
-    point: Optional[str] = None
+    point: str
     reduction: Optional[MapReduction] = None
     iso: Optional[dict] = None
     retract: Optional[RetractCertificate] = None
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
+class ComponentVerdict(NamedTuple):
     component: tuple[str, ...]
     status: str  # fibration | not_fibration | unknown
     certificate: Optional[Certificate] = None
@@ -481,8 +475,7 @@ class ComponentVerdict:
     necessary: Optional[NecessaryReport] = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the Hurewicz decision.
 
     Overall status is not_fibration if any component fails, else
@@ -494,7 +487,7 @@ class Verdict:
 
     status: str
     components: tuple[ComponentVerdict, ...]
-    skipped_components: tuple[tuple[str, ...], ...] = ()
+    skipped_components: tuple[tuple[str, ...], ...]
     certificate: Optional[Certificate] = None
     witness: Optional[dict] = None
 
@@ -533,7 +526,7 @@ def _decide_component(facts: _ComponentFacts) -> ComponentVerdict:
         return ComponentVerdict(comp, "fibration", certificate=cert)
     triv = is_trivial_over_base(rep)
     if triv is not None:
-        return ComponentVerdict(comp, "fibration", certificate=replace(triv, reduction=red))
+        return ComponentVerdict(comp, "fibration", certificate=triv._replace(reduction=red))
     report = _evaluate_conditions([facts])
     witness = {"condition": "undecided", "component": list(comp)}
     return ComponentVerdict(comp, "unknown", witness=witness, necessary=report)

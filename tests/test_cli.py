@@ -538,6 +538,22 @@ def test_the_package_never_imports_argparse():
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 
+def test_importing_the_cli_adds_neither_dataclasses_nor_inspect():
+    # measured against what the bare interpreter already holds, since a
+    # site hook may load either before the package does
+    code = (
+        "import sys; bare = set(sys.modules); import finfib.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
 # the argv alphabet: commands, gallery actions, check names and prefixes of
 # them, the options and their unique prefixes with the one ambiguous
 # prefix "--=", "=" forms, negative numbers, "-", unknown options, "--",

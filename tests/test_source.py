@@ -49,9 +49,8 @@ def test_no_function_calls_itself_by_name():
     assert found == []
 
 
-def test_no_module_imports_argparse():
-    # cli._read_argv reads the command line from its own table; argparse
-    # and the gettext it pulls in cost every process a fixed import
+def importers(top):
+    """module:line of every import of the top-level module ``top`` in the package."""
     found = []
     for name, tree in package_trees():
         for node in ast.walk(tree):
@@ -61,8 +60,20 @@ def test_no_module_imports_argparse():
                 modules = [node.module or ""]
             else:
                 continue
-            found += [f"{name}:{node.lineno}" for module in modules if module.split(".")[0] == "argparse"]
-    assert found == []
+            found += [f"{name}:{node.lineno}" for module in modules if module.split(".")[0] == top]
+    return found
+
+
+def test_no_module_imports_argparse():
+    # cli._read_argv reads the command line from its own table; argparse
+    # and the gettext it pulls in cost every process a fixed import
+    assert importers("argparse") == []
+
+
+def test_no_module_imports_dataclasses():
+    # every result record is a NamedTuple; dataclasses loads inspect and
+    # execs generated code for each decorated class when its module loads
+    assert importers("dataclasses") == []
 
 
 def _name_of(node):
