@@ -147,6 +147,61 @@ def _closed_extremum(size: list[int], d: int) -> Optional[int]:
     return x.bit_length() - 1 if x else None
 
 
+def _lift_frame(s: SliceMap, side: str) -> tuple:
+    """What every lift search of one side reads: (ups, covers, pre, counts, size).
+
+    ``ups`` are the rows U_e of E (F_e cocartesian), ``covers[b]`` the
+    lower (upper) covers of b from the base's cover table, and
+    ``pre[b]`` the preimage p^-1(U_b) (p^-1(F_b)), one OR per cover
+    along the Hasse diagram, since U_b is b with the U_c of its lower
+    covers c.  Searches only read ``pre`` at base points below (above)
+    another one, so a maximal (minimal) b gets 0.  ``counts[w]`` is
+    |U_w| and ``size[k]`` the points w with |U_w| = k, for
+    ``_closed_extremum``.
+    """
+    total, base = s.total, s.base
+    lower, upper, _ = base._cover_table()
+    order = base._linear_extension()  # each base point after its lower covers
+    if side == "cartesian":
+        ups, covers, over = total.below, lower, upper
+    else:
+        ups, covers, over, order = total.above, upper, lower, reversed(order)
+    pre = [0] * base.n
+    for b in order:
+        if over[b]:
+            m = s.fiber_masks[b]
+            for c in covers[b]:
+                m |= pre[c]
+            pre[b] = m
+    counts = [row.bit_count() for row in ups]
+    size = [0] * (total.n + 1)
+    for w, k in enumerate(counts):
+        size[k] |= 1 << w
+    return ups, covers, pre, counts, size
+
+
+def _lifts_over_covers(s: SliceMap, side: str) -> bool:
+    """Whether p is a fibration (opfibration): e lifts over each lower (upper) cover of p(e).
+
+    That is necessary, and it is enough by induction up the base (down
+    it, cocartesian).  Take b < p(e), below a lower cover c of p(e),
+    and the lift i of e over c.  By the composition lemma of
+    ``_scan_lifts`` e's lift over b is i's, and i, over c < p(e), has
+    all its lifts by induction.  So one ``_closed_extremum`` lookup per
+    point and cover decides the side, the first miss ends the check,
+    and no table is built.
+    """
+    ups, covers, pre, _, size = _lift_frame(s, side)
+    vals = s.map.vals
+    for ei, v in enumerate(vals):
+        up = ups[ei]
+        for c in covers[v]:
+            i = _closed_extremum(size, up & pre[c])
+            if i is None or vals[i] != c:
+                return False
+    return True
+
+
 def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[int, int]]]:
     """Every lift on one side: all failures and the transport rows.
 
@@ -176,32 +231,14 @@ def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[in
     begins.  When no cover of the base lies above another base point,
     nothing is copied and index order serves.
     """
-    total, base, vals, fibers = s.total, s.base, s.map.vals, s.fiber_masks
-    if side == "cartesian":
-        ups, reach, ext = total.below, base.below, "maximum"
-    else:
-        ups, reach, ext = total.above, base.above, "minimum"
-    strict = [row ^ 1 << b for b, row in enumerate(reach)]
-    inner = 0  # the base points another one reaches: only these are searched over
-    for row in strict:
-        inner |= row
-    pre: list[int] = []  # pre[b]: the points over reach[b], for b in inner
-    deep: list[int] = []  # deep[b]: strict[b] less the covers of b
-    covers: list[tuple[int, ...]] = []  # covers[b]: b's lower covers (upper, cocartesian)
-    for b, row in enumerate(strict):
-        searched = inner >> b & 1
-        m, d = fibers[b] if searched else 0, 0
-        for a in _bits(row):
-            d |= strict[a]
-            if searched:
-                m |= fibers[a]
-        pre.append(m)
-        deep.append(d)
-        covers.append(tuple(_bits(row ^ d)))
-    counts = [row.bit_count() for row in ups]
-    size = [0] * (total.n + 1)  # size[k]: the points w with |U_w| = k (|F_w| cocartesian)
-    for w, k in enumerate(counts):
-        size[k] |= 1 << w
+    total, base, vals = s.total, s.base, s.map.vals
+    ups, covers, pre, counts, size = _lift_frame(s, side)
+    reach, ext = (base.below, "maximum") if side == "cartesian" else (base.above, "minimum")
+    deep = []  # deep[b]: the base points below b (above, cocartesian) less b and its covers
+    for b, row in enumerate(reach):
+        for c in covers[b]:
+            row ^= 1 << c
+        deep.append(row ^ 1 << b)
     order = range(total.n)
     if any(deep):
         order = sorted(order, key=counts.__getitem__)
@@ -274,39 +311,60 @@ def _transport_functor(s: SliceMap, side: str, transports: list[dict[int, int]])
 class GrothendieckReport:
     """Classification of a map on both lift sides.
 
-    ``failures`` lists every failing lift, e-major, cartesian before
-    cocartesian for one e, base-index-minor.  ``cartesian`` and
-    ``cocartesian`` hold the two transport tables ``_scan_lifts`` built,
-    one row per point of the total space: ``cartesian[e][b]`` is the
-    index of e's lift over b, and a b of e's reach with no entry has no
-    lift.  ``alpha`` (contravariant transport) is present iff the map is
-    a Grothendieck fibration, ``beta`` (covariant) iff an opfibration;
-    both are built from the tables on first access.  The report is made
-    from the failures and table of each side's scan of s.
+    ``is_fibration`` and ``is_opfibration`` come from
+    ``_lifts_over_covers``, which builds no table.  ``failures`` lists
+    every failing lift, e-major, cartesian before cocartesian for one e,
+    base-index-minor.  ``cartesian`` and ``cocartesian`` are the two
+    transport tables ``_scan_lifts`` builds, one row per point of the
+    total space: ``cartesian[e][b]`` is the index of e's lift over b,
+    and a b of e's reach with no entry has no lift.  ``alpha``
+    (contravariant transport) is present iff the map is a Grothendieck
+    fibration, ``beta`` (covariant) iff an opfibration.  Each side is
+    scanned on the first read of its table, its failures or its
+    transport functor, at most once, and a side that holds is never
+    scanned for its failures, which are none.
     """
 
-    def __init__(
-        self,
-        s: SliceMap,
-        cart: list[LiftFailure],
-        cart_rows: list[dict[int, int]],
-        cocart: list[LiftFailure],
-        cocart_rows: list[dict[int, int]],
-    ):
-        self.is_fibration = not cart
-        self.is_opfibration = not cocart
-        self.fibration_failure = cart[0] if cart else None
-        self.opfibration_failure = cocart[0] if cocart else None
-        # both sides list their failures e-major, and a stable merge on
-        # the point's index keeps the cartesian ones first for each e
-        self.failures = tuple(heapq.merge(cart, cocart, key=lambda f: s.total.index[f.e]))
+    def __init__(self, s: SliceMap):
         self.slice_map = s
-        self.cartesian = cart_rows
-        self.cocartesian = cocart_rows
+        self.is_fibration = _lifts_over_covers(s, "cartesian")
+        self.is_opfibration = _lifts_over_covers(s, "cocartesian")
 
     @property
     def is_bifibration(self) -> bool:
         return self.is_fibration and self.is_opfibration
+
+    @cached_property
+    def _cartesian_scan(self) -> tuple[list[LiftFailure], list[dict[int, int]]]:
+        return _scan_lifts(self.slice_map, "cartesian")
+
+    @cached_property
+    def _cocartesian_scan(self) -> tuple[list[LiftFailure], list[dict[int, int]]]:
+        return _scan_lifts(self.slice_map, "cocartesian")
+
+    @property
+    def cartesian(self) -> list[dict[int, int]]:
+        return self._cartesian_scan[1]
+
+    @property
+    def cocartesian(self) -> list[dict[int, int]]:
+        return self._cocartesian_scan[1]
+
+    @property
+    def fibration_failure(self) -> Optional[LiftFailure]:
+        return None if self.is_fibration else self._cartesian_scan[0][0]
+
+    @property
+    def opfibration_failure(self) -> Optional[LiftFailure]:
+        return None if self.is_opfibration else self._cocartesian_scan[0][0]
+
+    @cached_property
+    def failures(self) -> tuple[LiftFailure, ...]:
+        cart = [] if self.is_fibration else self._cartesian_scan[0]
+        cocart = [] if self.is_opfibration else self._cocartesian_scan[0]
+        # both sides list their failures e-major, and a stable merge on
+        # the point's index keeps the cartesian ones first for each e
+        return tuple(heapq.merge(cart, cocart, key=lambda f: self.slice_map.total.index[f.e]))
 
     @cached_property
     def alpha(self) -> Optional[PosetFunctor]:
@@ -322,13 +380,13 @@ class GrothendieckReport:
 
 
 def classify_grothendieck(p: MapLike) -> GrothendieckReport:
-    """Decide fibration and opfibration status by checking every lift.
+    """Decide fibration and opfibration status from the lifts over base covers.
 
     Witnesses are the first failing (element, base point) pair in
-    index order on each failing side.
+    index order on each failing side, found by scanning that side when
+    they are first read.
     """
-    s = as_slice(p)
-    return GrothendieckReport(s, *_scan_lifts(s, "cartesian"), *_scan_lifts(s, "cocartesian"))
+    return GrothendieckReport(as_slice(p))
 
 
 def grothendieck_construction(d: PosetFunctor) -> SliceMap:

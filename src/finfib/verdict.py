@@ -414,11 +414,14 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     gets None.  The result is a trivial_over_base certificate about p
     itself: its ``point`` is b0 and its ``iso`` the isomorphism.
     """
-    s, transports = rep.slice_map, rep.cartesian
+    s = rep.slice_map
     total, base, masks = s.total, s.base, s.fiber_masks
     if len(base.components()) != 1:
         raise PreconditionViolated("base is not connected")
-    if not rep.is_fibration or _defects(s, transports):
+    if not rep.is_fibration:
+        return None
+    transports = rep.cartesian
+    if _defects(s, transports):
         return None
     lower, upper, covers = base._cover_table()
     # phi[v] maps each point over v to its point of F
@@ -516,13 +519,13 @@ def _decide_component(facts: _ComponentFacts) -> ComponentVerdict:
         w["condition"] = "reduced_bifibration"
         w["component"] = list(comp)
         return ComponentVerdict(comp, "not_fibration", witness=w)
-    if pc.base.minimum() is not None:
-        cert = Certificate("minimum_base_bifibration", pc.base.minimum(), red)
+    bottom = pc.base.minimum()
+    if bottom is not None:
+        cert = Certificate("minimum_base_bifibration", bottom, red)
         return ComponentVerdict(comp, "fibration", certificate=cert)
-    if pc.base.maximum() is not None and pc.base.height() <= 1:
-        cert = Certificate(
-            "height1_max_retract", pc.base.maximum(), red, retract=projection_retract_height1(rep)
-        )
+    top = pc.base.maximum()
+    if top is not None and pc.base.height() <= 1:
+        cert = Certificate("height1_max_retract", top, red, retract=projection_retract_height1(rep))
         return ComponentVerdict(comp, "fibration", certificate=cert)
     triv = is_trivial_over_base(rep)
     if triv is not None:
@@ -542,8 +545,10 @@ def decide_hurewicz(p: MapLike) -> Verdict:
     s = as_slice(p)
     if s.is_empty:
         raise EmptyDomain("the empty map is not analyzed; every lift is vacuous")
-    touched = s.touched_components()
-    skipped = tuple(c for c in s.base.components() if c not in touched)
+    # a component is skipped when every point of it is missed
+    components, missed = s.base.components(), set(s.missed())
+    touched = tuple(c for c in components if not missed.issuperset(c))
+    skipped = tuple(c for c in components if missed.issuperset(c))
     parts = tuple(_decide_component(_ComponentFacts(restrict_over(s, c))) for c in touched)
     if any(c.status == "not_fibration" for c in parts):
         first = next(c for c in parts if c.status == "not_fibration")

@@ -571,11 +571,14 @@ def test_one_lift_table_per_side_serves_every_caller(monkeypatch):
     assert v.certificate.kind == "height1_max_retract"
     assert sorted(sides) == ["cartesian", "cocartesian"]
     sides.clear()
+    # the cover check decides both sides without a table
+    assert classify_grothendieck(p).is_bifibration
+    assert sides == []
     rep = classify_grothendieck(p)
     assert rep.alpha is not None and rep.beta is not None
     assert sorted(sides) == ["cartesian", "cocartesian"]
     reconstruct_over_base(p)
-    assert sorted(sides) == ["cartesian", "cartesian", "cocartesian", "cocartesian"]
+    assert sorted(sides) == ["cartesian", "cocartesian", "cocartesian"]
 
 
 def test_report_tables_hold_every_lift_the_trivial_ones_included():
@@ -606,6 +609,26 @@ def test_lifts_composed_along_base_covers_match_the_pairwise_scan(p):
         assert [f.as_dict() for f in failures] == [f.as_dict() for f in want_failures]
         assert len(table) == s.total.n
         assert table_pairs(table) == want_table
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(deep_maps(), maps()))
+def test_the_cover_check_decides_each_side_and_the_lazy_report_reads_the_scans(p):
+    # a side holds exactly when neither scan finds a failing lift, and a
+    # report built lazily gives the tables and merged failures of an eager scan
+    s = as_slice(p)
+    rep = classify_grothendieck(s)
+    scans = {}
+    for side, holds in (("cartesian", rep.is_fibration), ("cocartesian", rep.is_opfibration)):
+        scans[side] = grothendieck._scan_lifts(s, side)
+        assert grothendieck._lifts_over_covers(s, side) is holds
+        assert holds == (scans[side][0] == []) == (pairwise_scan_lifts(s, side)[0] == [])
+    (cart, cart_rows), (cocart, cocart_rows) = scans["cartesian"], scans["cocartesian"]
+    # sorted is stable, so for one e the cartesian failures stay first
+    assert list(rep.failures) == sorted(cart + cocart, key=lambda f: s.total.idx(f.e))
+    assert rep.fibration_failure == (cart[0] if cart else None)
+    assert rep.opfibration_failure == (cocart[0] if cocart else None)
+    assert (rep.cartesian, rep.cocartesian) == (cart_rows, cocart_rows)
 
 
 @settings(max_examples=200, deadline=None)
