@@ -189,7 +189,8 @@ def _lifts_over_covers(s: SliceMap, side: str) -> bool:
     ``_scan_lifts`` e's lift over b is i's, and i, over c < p(e), has
     all its lifts by induction.  So one ``_closed_extremum`` lookup per
     point and cover decides the side, the first miss ends the check,
-    and no table is built.
+    and no table is built; ``_scan_lifts`` keeps the same lookups as
+    cover rows.
     """
     ups, covers, pre, _, size = _lift_frame(s, side)
     vals = s.map.vals
@@ -203,85 +204,53 @@ def _lifts_over_covers(s: SliceMap, side: str) -> bool:
 
 
 def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[int, int]]]:
-    """Every lift on one side: all failures and the transport rows.
+    """One side's lifts over the base covers, and every failing lift.
 
-    The lift of e over b is the maximum of the down-closed U_e in
-    p^-1(U_b) (cartesian) or the minimum of the up-closed F_e in
-    p^-1(F_b) (cocartesian), one ``_closed_extremum`` lookup, and it
-    must sit over b.  ``rows[e]`` maps each base index b of U_{p(e)}
-    (F_{p(e)} cocartesian) over which e has a lift to it, the trivial
-    lift e over p(e) included without a search, so the failures are
-    the points a row lacks.  Once the rows are done they are read off
-    the short rows, e-major, base-index-minor, with one more lookup for
-    each stray extremum.  The table holds one entry per lift, never
-    |E|.|B| cells.
+    The lift of e over b is the maximum of U_e in p^-1(U_b) (cartesian)
+    or the minimum of F_e in p^-1(F_b) (cocartesian), one
+    ``_closed_extremum`` lookup, and it must sit over b.  ``rows[e]``
+    maps p(e) to e and each lower (upper) cover of p(e) that e lifts
+    over to its lift there: 1 + #covers entries at most.
 
-    Lifts compose, so one search per lower cover c of p(e) settles
-    every b <= c that it reaches (dually with minima and upper covers).
-    If i = max(U_e in p^-1(U_c)) exists, over c or stray, then for every
-    b <= p(i) the set U_e in p^-1(U_b) lies in U_e in p^-1(U_c), hence
-    in U_i, and it holds all of U_i in p^-1(U_b) because i <= e.  The
-    two sets are equal, so e's entry over b is i's, and e has none where
-    i has none.  Every b of i's row lies in U_{p(i)}, so e takes i's
-    whole row: its row begins as a copy of the first such row, later
-    covers' rows are merged into it, and where two overlap they agree.
-    Base points below p(e) that no cover's i reaches are searched
-    directly.  Visiting the points by rising |U_e| (|F_e| cocartesian),
-    which grows strictly along the order, completes i's row before e's
-    begins.  When no cover of the base lies above another base point,
-    nothing is copied and index order serves.
+    Lifts compose.  If i = max(U_e in p^-1(U_c)) exists, over c or
+    stray, then for b <= p(i) the set U_e in p^-1(U_b) lies in U_i and
+    holds all of U_i in p^-1(U_b), as i <= e.  So e's lift over b is
+    i's, and e has none where i has none.  Every b < p(e) lies below a
+    cover, so e fails somewhere exactly when its row lacks a cover or a
+    lift in its row fails somewhere.  When a row is short, one pass by
+    rising |U_e| (|F_e|), which grows strictly along the order, marks
+    those points, and only they are searched where their rows lack an
+    entry: the failures come out e-major, base-index-minor, strays named.
     """
     total, base, vals = s.total, s.base, s.map.vals
     ups, covers, pre, counts, size = _lift_frame(s, side)
-    reach, ext = (base.below, "maximum") if side == "cartesian" else (base.above, "minimum")
-    deep = []  # deep[b]: the base points below b (above, cocartesian) less b and its covers
-    for b, row in enumerate(reach):
-        for c in covers[b]:
-            row ^= 1 << c
-        deep.append(row ^ 1 << b)
-    order = range(total.n)
-    if any(deep):
-        order = sorted(order, key=counts.__getitem__)
-    rows: list[dict[int, int]] = [None] * total.n  # filled in visiting order
-    for ei in order:
-        v = vals[ei]
-        up = ups[ei]
-        rest = deep[v]
-        row = {}
+    rows: list[dict[int, int]] = []
+    short = False
+    for ei, v in enumerate(vals):
+        up, row = ups[ei], {v: ei}
         for c in covers[v]:
             i = _closed_extremum(size, up & pre[c])
-            if i is None:
-                continue
-            copy = reach[vals[i]] & rest
-            if copy:
-                rest ^= copy
-                row.update(rows[i])  # a whole copy while the row is empty
-            if vals[i] == c:
+            if i is not None and vals[i] == c:
                 row[c] = i
-        if rest:
-            for bi in _bits(rest):
-                i = _closed_extremum(size, up & pre[bi])
-                if i is not None and vals[i] == bi:
-                    row[bi] = i
-        row[v] = ei
-        rows[ei] = row
-    names, bnames = total.elements, base.elements
-    none, outside = f"no_{ext}", f"{ext}_outside_fiber"
-    full = [m.bit_count() for m in reach]
+        short = short or len(row) <= len(covers[v])
+        rows.append(row)
     failures = []
-    for ei, row in enumerate(rows):
-        if len(row) == full[vals[ei]]:
-            continue
-        m = reach[vals[ei]]
-        for bi in row:
-            m ^= 1 << bi
-        e, up = names[ei], ups[ei]
-        for bi in _bits(m):
-            i = _closed_extremum(size, up & pre[bi])
-            if i is None:
-                failures.append(LiftFailure(side, e, bnames[bi], none))
-            else:
-                failures.append(LiftFailure(side, e, bnames[bi], outside, names[i]))
+    if short:
+        failing = bytearray(total.n)
+        for ei in sorted(range(total.n), key=counts.__getitem__):
+            row = rows[ei]
+            # e's own entry is still 0, so its trivial lift reads as no failure
+            failing[ei] = len(row) <= len(covers[vals[ei]]) or any(failing[i] for i in row.values())
+        reach, ext = (base.below, "maximum") if side == "cartesian" else (base.above, "minimum")
+        names, bnames = total.elements, base.elements
+        for ei in filter(failing.__getitem__, range(total.n)):
+            v, e, up = vals[ei], names[ei], ups[ei]
+            for bi in _bits(reach[v] & ~sum(1 << b for b in rows[ei])):
+                i = _closed_extremum(size, up & pre[bi])
+                if i is None:
+                    failures.append(LiftFailure(side, e, bnames[bi], f"no_{ext}"))
+                elif vals[i] != bi:
+                    failures.append(LiftFailure(side, e, bnames[bi], f"{ext}_outside_fiber", names[i]))
     return failures, rows
 
 
@@ -290,20 +259,21 @@ def _transport_functor(s: SliceMap, side: str, transports: list[dict[int, int]])
 
     Cartesian transports form a contravariant functor (alpha), the
     cocartesian ones a covariant functor (beta); fibers carry their
-    order as subspaces of the total space.
+    order as subspaces of the total space.  ``transports`` holds the
+    lifts over the base covers, and ``PosetFunctor`` composes and
+    checks every other transition from those.
     """
     total, base = s.total, s.base
     fibers = {b: s.fiber(b) for b in base.elements}
     transitions: dict[tuple[str, str], MonotoneMap] = {}
-    for bi, b in enumerate(base.elements):
-        for vi in _bits(base.below[bi] & ~(1 << bi)):
-            v = base.elements[vi]
-            # cartesian transport runs down from b to v, cocartesian up from v to b
-            src, dst, to = (b, v, vi) if side == "cartesian" else (v, b, bi)
-            src, dst = fibers[src], fibers[dst]
-            lifts = (transports[total.index[x]][to] for x in src.elements)
-            tvals = tuple(dst.index[total.elements[k]] for k in lifts)
-            transitions[(v, b)] = MonotoneMap(src, dst, tvals)
+    for vi, bi in base._cover_pairs():
+        v, b = base.elements[vi], base.elements[bi]
+        # cartesian transport runs down from b to v, cocartesian up from v to b
+        src, dst, to = (b, v, vi) if side == "cartesian" else (v, b, bi)
+        src, dst = fibers[src], fibers[dst]
+        lifts = (transports[total.index[x]][to] for x in src.elements)
+        tvals = tuple(dst.index[total.elements[k]] for k in lifts)
+        transitions[(v, b)] = MonotoneMap(src, dst, tvals)
     variance = "contravariant" if side == "cartesian" else "covariant"
     return PosetFunctor(base, variance, fibers, transitions)
 
@@ -315,14 +285,15 @@ class GrothendieckReport:
     ``_lifts_over_covers``, which builds no table.  ``failures`` lists
     every failing lift, e-major, cartesian before cocartesian for one e,
     base-index-minor.  ``cartesian`` and ``cocartesian`` are the two
-    transport tables ``_scan_lifts`` builds, one row per point of the
-    total space: ``cartesian[e][b]`` is the index of e's lift over b,
-    and a b of e's reach with no entry has no lift.  ``alpha``
-    (contravariant transport) is present iff the map is a Grothendieck
-    fibration, ``beta`` (covariant) iff an opfibration.  Each side is
-    scanned on the first read of its table, its failures or its
-    transport functor, at most once, and a side that holds is never
-    scanned for its failures, which are none.
+    cover rows ``_scan_lifts`` builds: ``cartesian[e][b]`` is the index
+    of e's lift over b = p(e) or a lower cover b of p(e), and a cover
+    with no entry has no lift.  ``alpha`` (contravariant transport) is
+    present iff the map is a Grothendieck fibration, ``beta``
+    (covariant) iff an opfibration, and their ``transitions`` compose
+    every other lift, one map per strictly related base pair.  Each
+    side is scanned on the first read of its table, its failures or
+    its transport functor, at most once, and a side that holds is
+    never scanned for its failures, which are none.
     """
 
     def __init__(self, s: SliceMap):
@@ -462,28 +433,32 @@ def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:
 def _defects(s: SliceMap, cart: list[dict[int, int]]) -> int:
     """Base mask of the points where local triviality breaks.
 
-    ``cart`` is the cartesian table ``_scan_lifts`` built for s.  A
-    defect is the top p(e) of a failing lift, read off a row shorter
-    than U_{p(e)}, or the top w of a cover u < w (w not already a
-    defect) whose transport F_w -> F_u is no order isomorphism.  A
-    transport is monotone: x <= y gives alpha(x) <= x <= y, and
-    alpha(y) is the largest point over u below y.  So a bijective one
-    maps the comparable pairs of F_w injectively into those of F_u, and
-    it is an isomorphism exactly when the two counts agree.  Over a U_b
-    with no failing tops the lifts compose: for u <= w <= b and y over
-    b, every point of U_y over U_u lies below alpha_{w<=b}(y), so
-    alpha_{u<=w} alpha_{w<=b} = alpha_{u<=b}.  Hence every alpha_{v<=b}
-    is an isomorphism exactly when the cover transports inside U_b are,
-    that is when U_b holds no defect.
+    ``cart`` is the cartesian table of cover rows ``_scan_lifts`` built
+    for s.  A defect is p(e) for a row that lacks a cover, or the top w
+    of a cover u < w (w not already a defect) whose transport F_w ->
+    F_u is no order isomorphism.  A U_b meets the first kind exactly
+    when it holds the top p(e) of a failing lift: if e's row holds
+    every cover, a failure of e lies below a cover c, and the lift of
+    e over c < p(e) fails there too, by the composition lemma of
+    ``_scan_lifts``; going down, that ends at a row that lacks a
+    cover.  A transport is monotone: x <= y gives alpha(x) <= x <= y,
+    and alpha(y) is the largest point over u below y.  So a bijective
+    one maps the comparable pairs of F_w injectively into those of
+    F_u, and it is an isomorphism exactly when the two counts agree.
+    Over a U_b with no failing tops the lifts compose: for u <= w <= b
+    and y over b, every point of U_y over U_u lies below
+    alpha_{w<=b}(y), so alpha_{u<=w} alpha_{w<=b} = alpha_{u<=b}.
+    Hence every alpha_{v<=b} is an isomorphism exactly when the cover
+    transports inside U_b are, that is when U_b holds no defect.
     """
     below, vals, masks = s.total.below, s.map.vals, s.fiber_masks
+    lower_covers = s.base._cover_table()[0]
     pairs = [sum((below[x] & m).bit_count() for x in _bits(m)) for m in masks]
-    full = [m.bit_count() for m in s.base.below]
     defects = 0
     for row, v in zip(cart, vals):
-        if len(row) < full[v]:
+        if len(row) <= len(lower_covers[v]):
             defects |= 1 << v
-    for w, lower in enumerate(s.base._cover_table()[0]):
+    for w, lower in enumerate(lower_covers):
         src = masks[w]
         for u in lower:
             if defects >> w & 1:
@@ -494,6 +469,30 @@ def _defects(s: SliceMap, cart: list[dict[int, int]]) -> int:
             if not same or sum(1 << cart[y][u] for y in _bits(src)) != dst:
                 defects |= 1 << w
     return defects
+
+
+def _carry(s: SliceMap, cart: list[dict[int, int]], b0: int, within: int) -> dict[int, dict[int, int]]:
+    """phi[v] sends the points over v to F_b0, for each v joined to b0 inside ``within``.
+
+    phi[b0] is the identity, and a walk along the Hasse diagram sets
+    each further phi from the cover it first meets: phi_u alpha_{u<=w}
+    = phi_w down u < w, phi_v = phi_w alpha_{w<=v} up w < v.  The
+    cover transports of ``cart`` inside ``within`` must be isomorphisms.
+    """
+    lower, upper, _ = s.base._cover_table()
+    phi = {b0: {x: x for x in _bits(s.fiber_masks[b0])}}
+    todo = [b0]
+    while todo:
+        w = todo.pop()
+        for u in lower[w]:
+            if u not in phi and within >> u & 1:
+                phi[u] = {cart[x][u]: y for x, y in phi[w].items()}
+                todo.append(u)
+        for v in upper[w]:
+            if v not in phi and within >> v & 1:
+                phi[v] = {x: phi[w][cart[x][w]] for x in _bits(s.fiber_masks[v])}
+                todo.append(v)
+    return phi
 
 
 class BundleReport(NamedTuple):
@@ -520,7 +519,8 @@ def is_fiber_bundle(p: MapLike) -> BundleReport:
     (<=) Send x to (p(x), alpha_{p(x)<=b}^-1(x)).  For u = p(x) <= w =
     p(y), x <= y holds exactly when x <= alpha_{u<=w}(y), the largest
     point over u below y, and alpha_{u<=b} = alpha_{u<=w} alpha_{w<=b}
-    turns that into alpha_{u<=b}^-1(x) <= alpha_{w<=b}^-1(y).
+    turns that into alpha_{u<=b}^-1(x) <= alpha_{w<=b}^-1(y), and so
+    ``_carry`` composes each alpha_{v<=b}^-1 from cover lifts in U_b.
     (=>) In U_b x F_b every lift exists and every transport is the
     identity, and an isomorphism over U_b carries lifts to lifts.
     """
@@ -533,9 +533,9 @@ def is_fiber_bundle(p: MapLike) -> BundleReport:
         down = base.below[bi]
         if down & defects:
             return BundleReport("not_bundle", trivializations, failed_at=b)
-        back = {cart[y][vi]: y for y in _bits(s.fiber_masks[bi]) for vi in _bits(down)}
+        phi = _carry(s, cart, bi, down)
         trivializations[b] = {
-            total.elements[x]: pair_name(base.elements[vals[x]], total.elements[back[x]])
+            total.elements[x]: pair_name(base.elements[vals[x]], total.elements[phi[vals[x]][x]])
             for x in _bits(s.preimage(down))
         }
     return BundleReport("bundle", trivializations)

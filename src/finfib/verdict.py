@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import EmptyDomain, InvariantViolated, PreconditionViolated
 from .grothendieck import (
     GrothendieckReport,
+    _carry,
     _defects,
     _scan_lifts,  # noqa: F401 -- perfbench/spans.py wraps it under this module
     classify_grothendieck,
@@ -354,13 +355,14 @@ def _retract_fault(sl: SliceMap, cert: RetractCertificate, to_x: MonotoneMap) ->
 def projection_retract_height1(rep: GrothendieckReport) -> RetractCertificate:
     """Constructive retract certificate over a height <= 1 base with maximum.
 
-    ``rep`` is the ``classify_grothendieck`` report of the map p0; its
-    transport tables give every lift.  With X = B and Y = E, the section
-    is i(e) = (p(e), e), and r(p(e), e) = e.  Elsewhere the retraction
-    first pushes (b, e) up into the fiber of the maximum (cocartesian
-    transport), then back down into the fiber of b (cartesian
-    transport).  Height 1 makes that composite monotone; preconditions
-    are checked up front, and the result is checked on the B x E it was
+    ``rep`` is the ``classify_grothendieck`` report of the map p0.  With
+    X = B and Y = E, the section is i(e) = (p(e), e), and r(p(e), e) =
+    e.  Elsewhere the retraction first pushes (b, e) up into the fiber
+    of the maximum b0 (cocartesian transport), then back down into the
+    fiber of b (cartesian transport).  Height 1 makes every b < b0 a
+    lower cover of b0, so the report's cover rows hold both lifts.
+    Height 1 also makes that composite monotone; preconditions are
+    checked up front, and the result is checked on the B x E it was
     built on, monotonicity and every claimed identity included; a fault
     there is InvariantViolated.
     """
@@ -399,23 +401,25 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     base, p is isomorphic to B x F over B exactly when it is a
     Grothendieck fibration whose transports are isomorphisms and whose
     holonomy is trivial.  The transports are isomorphisms when the base
-    holds no ``_defects``.  Then F is carried along a spanning tree of
-    B's Hasse diagram, phi_u alpha_{u<=w} = phi_w on each tree cover
-    u < w, and every other cover must agree with it.  (<=) x -> (p(x),
-    phi_{p(x)}(x)) is an isomorphism, by the argument of
+    holds no ``_defects``.  Then ``_carry`` takes F along a spanning
+    tree of B's Hasse diagram, phi_u alpha_{u<=w} = phi_w on each
+    tree cover u < w, and every other cover must agree with it.  (<=)
+    x -> (p(x), phi_{p(x)}(x)) is an isomorphism, by the argument of
     ``is_fiber_bundle`` with phi in place of alpha^-1.  (=>) The
     transports of B x F are identities, so conjugated by an isomorphism
     h they are h_u^-1 h_w, and phi_v = h_b0^-1 h_v agrees on every
     cover.
 
     ``rep`` is the ``classify_grothendieck`` report of p, whose
-    cartesian table gives every transport; a base that is not connected
-    is PreconditionViolated, and a map that is no Grothendieck fibration
-    gets None.  The result is a trivial_over_base certificate about p
-    itself: its ``point`` is b0 and its ``iso`` the isomorphism.
+    cartesian table of cover rows gives alpha_{u<=w} over each base
+    cover u < w, all that the walk and the check read; a base that is
+    not connected is PreconditionViolated, and a map that is no
+    Grothendieck fibration gets None.  The result is a
+    trivial_over_base certificate about p itself: its ``point`` is b0
+    and its ``iso`` the isomorphism.
     """
     s = rep.slice_map
-    total, base, masks = s.total, s.base, s.fiber_masks
+    total, base = s.total, s.base
     if len(base.components()) != 1:
         raise PreconditionViolated("base is not connected")
     if not rep.is_fibration:
@@ -423,23 +427,10 @@ def is_trivial_over_base(rep: GrothendieckReport) -> Optional["Certificate"]:
     transports = rep.cartesian
     if _defects(s, transports):
         return None
-    lower, upper, covers = base._cover_table()
     # phi[v] maps each point over v to its point of F
-    phi: list[Optional[dict[int, int]]] = [None] * base.n
-    phi[0] = {x: x for x in _bits(masks[0])}
-    todo = [0]
-    while todo:
-        w = todo.pop()
-        for u in lower[w]:
-            if phi[u] is None:
-                phi[u] = {transports[x][u]: y for x, y in phi[w].items()}
-                todo.append(u)
-        for v in upper[w]:
-            if phi[v] is None:
-                phi[v] = {x: phi[w][transports[x][w]] for x in _bits(masks[v])}
-                todo.append(v)
+    phi = _carry(s, transports, 0, (1 << base.n) - 1)
     # trivial holonomy: every cover, tree or not, commutes with phi
-    for u, w in covers:
+    for u, w in base._cover_pairs():
         phi_u = phi[u]
         if any(phi_u[transports[x][u]] != y for x, y in phi[w].items()):
             return None

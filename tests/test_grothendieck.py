@@ -50,17 +50,28 @@ def all_gallery_maps():
 
 
 def assert_lifts_match_brute_force(m):
-    # the report's transport tables are the lifts every caller reads
+    # the report's rows hold each point's lifts over its image and that
+    # image's covers, and on a side that holds, the transport functor
+    # composed from them gives the lift over every strictly related pair
     s = as_slice(m)
     rep = classify_grothendieck(s)
-    for ei, e in enumerate(s.total.elements):
-        for bi, b in enumerate(s.base.elements):
-            if s.base.le(b, s.map(e)):
-                want, _ = brute_lift(s, e, b, "cartesian")
-                assert lift_name(s, rep.cartesian, ei, bi) == want
-            if s.base.le(s.map(e), b):
-                want, _ = brute_lift(s, e, b, "cocartesian")
-                assert lift_name(s, rep.cocartesian, ei, bi) == want
+    lower, upper, _ = s.base._cover_table()
+    for side, table, covers in (("cartesian", rep.cartesian, lower), ("cocartesian", rep.cocartesian, upper)):
+        for ei, e in enumerate(s.total.elements):
+            v = s.map.vals[ei]
+            assert set(table[ei]) <= {v, *covers[v]}
+            for bi in (v, *covers[v]):
+                want, _ = brute_lift(s, e, s.base.elements[bi], side)
+                assert lift_name(s, table, ei, bi) == want
+    pairs = sum((row & ~(1 << b)).bit_count() for b, row in enumerate(s.base.below))
+    for side, functor in (("cartesian", rep.alpha), ("cocartesian", rep.beta)):
+        if functor is None:
+            continue
+        assert len(functor.transitions) == pairs
+        for (lo, hi), t in functor.transitions.items():
+            src, dst = (hi, lo) if side == "cartesian" else (lo, hi)
+            for e in s.fiber(src).elements:
+                assert t(e) == brute_lift(s, e, dst, side)[0]
 
 
 def lift_name(s, table, ei, bi):
@@ -426,22 +437,44 @@ def test_a_negative_bundle_budget_is_refused(capsys):
     assert is_fiber_bundle(gallery_entry("pi_sierpinski").build()).status == "bundle"
 
 
+def pairwise_trivialization(s, b):
+    """U_b's trivialization x -> (p(x), y), y the point over b whose lift over p(x) is x.
+
+    Read off the full table of ``pairwise_scan_lifts``, every lift
+    searched on its own.
+    """
+    _, table = pairwise_scan_lifts(s, "cartesian")
+    names, bnames, vals = s.total.elements, s.base.elements, s.map.vals
+    down = [v for v in range(s.base.n) if s.base.le(bnames[v], b)]
+    back = {table[(s.total.idx(y), v)]: s.total.idx(y) for y in s.fiber(b).elements for v in down}
+    return {
+        names[x]: pair_name(bnames[vals[x]], names[back[x]])
+        for x in range(s.total.n)
+        if vals[x] in down
+    }
+
+
 def assert_bundle_check_matches_the_search(p):
-    """Status and failed_at as the search finds them, each trivialization valid."""
+    """Status and failed_at as the search finds them, each trivialization valid.
+
+    Each trivialization is also the one the pairwise lift table gives.
+    """
     s = as_slice(p)
     got, want = is_fiber_bundle(s), search_fiber_bundle(s)
     assert (got.status, got.failed_at) == (want.status, want.failed_at)
     assert list(got.trivializations) == list(want.trivializations)
     for b, iso in got.trivializations.items():
         assert_trivializes(s, s.base.down_set(b), b, iso)
+        assert iso == pairwise_trivialization(s, b)
     return got
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=maps())
+@given(p=st.one_of(maps(), deep_maps()))
 def test_bundle_check_matches_the_search_on_random_maps(p):
     # rand_monotone over bases of up to four points, disconnected ones
-    # included, with up to two inserted map beat points
+    # included, with up to two inserted map beat points, and maps onto
+    # bases of height 2 or more, whose lifts below a cover are composed
     assert_bundle_check_matches_the_search(p)
 
 
@@ -581,7 +614,16 @@ def test_one_lift_table_per_side_serves_every_caller(monkeypatch):
     assert sorted(sides) == ["cartesian", "cocartesian", "cocartesian"]
 
 
+def cover_pairs(s, side, want):
+    """``pairwise_scan_lifts``' table ``want`` kept to each e over p(e) and the covers of p(e)."""
+    lower, upper, _ = s.base._cover_table()
+    covers = lower if side == "cartesian" else upper
+    keep = {(ei, bi) for ei, v in enumerate(s.map.vals) for bi in (v, *covers[v])}
+    return {k: i for k, i in want.items() if k in keep}
+
+
 def test_report_tables_hold_every_lift_the_trivial_ones_included():
+    # every lift over p(e) and a cover of p(e) there is, and no other
     rng = seeded(223)
     for _ in range(30):
         s = as_slice(rand_monotone(rng, rand_poset(rng, 5), rand_poset(rng, 3, prefix="b")))
@@ -596,19 +638,30 @@ def test_report_tables_hold_every_lift_the_trivial_ones_included():
                         if got is not None:
                             want[(ei, bi)] = s.total.idx(got)
             assert len(table) == s.total.n
-            assert table_pairs(table) == want
+            assert table_pairs(table) == cover_pairs(s, side, want)
 
 
 @settings(max_examples=300, deadline=None)
 @given(p=deep_maps())
 def test_lifts_composed_along_base_covers_match_the_pairwise_scan(p):
+    # the same failures in the same order, the same lifts over the covers,
+    # and on a side that holds the transport functor gives every other lift
     s = as_slice(p)
-    for side in ("cartesian", "cocartesian"):
+    rep = classify_grothendieck(s)
+    for side, functor in (("cartesian", rep.alpha), ("cocartesian", rep.beta)):
         failures, table = grothendieck._scan_lifts(s, side)
         want_failures, want_table = pairwise_scan_lifts(s, side)
         assert [f.as_dict() for f in failures] == [f.as_dict() for f in want_failures]
         assert len(table) == s.total.n
-        assert table_pairs(table) == want_table
+        assert table_pairs(table) == cover_pairs(s, side, want_table)
+        if functor is None:
+            continue
+        idx, names = s.total.index, s.total.elements
+        for ei, bi in want_table:
+            v, b = s.base.elements[s.map.vals[ei]], s.base.elements[bi]
+            if v != b:
+                t = functor.transitions[(b, v) if side == "cartesian" else (v, b)]
+                assert idx[t(names[ei])] == want_table[(ei, bi)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -633,11 +686,14 @@ def test_the_cover_check_decides_each_side_and_the_lazy_report_reads_the_scans(p
 
 @settings(max_examples=200, deadline=None)
 @given(p=deep_maps())
-def test_a_row_and_its_failures_partition_the_reach_of_its_point(p):
-    # rows[e] holds the base points e lifts to, the failures those it does
-    # not, and together they are U_p(e) (F_p(e) cocartesian), each once
+def test_a_row_and_its_failures_partition_the_covers_of_its_point(p):
+    # rows[e] holds p(e) and the covers of p(e) e lifts over, the failures
+    # the covers it does not, and together they are p(e) and its covers,
+    # each once; e fails somewhere exactly when it fails over a cover or
+    # a lift in its row fails somewhere
     s = as_slice(p)
-    for side, reach in (("cartesian", s.base.below), ("cocartesian", s.base.above)):
+    lower, upper, _ = s.base._cover_table()
+    for side, covers in (("cartesian", lower), ("cocartesian", upper)):
         failures, rows = grothendieck._scan_lifts(s, side)
         failing = [0] * s.total.n
         for f in failures:
@@ -646,14 +702,19 @@ def test_a_row_and_its_failures_partition_the_reach_of_its_point(p):
             failing[ei] |= bit
         assert len(rows) == s.total.n
         for ei, row in enumerate(rows):
+            v = s.map.vals[ei]
             held = sum(1 << bi for bi in row)
+            near = sum(1 << bi for bi in (v, *covers[v]))
             assert held & failing[ei] == 0
-            assert held | failing[ei] == reach[s.map.vals[ei]]
+            assert held | failing[ei] & near == near
+            deeper = any(failing[i] for i in row.values() if i != ei)
+            assert bool(failing[ei]) == (held != near or deeper)
 
 
 def test_one_extremum_search_per_lower_cover(monkeypatch):
     # over the chain c0 < ... < c5 each point above c0 searches its one
-    # lower cover and copies the rest of its row: 10 searches, not 30
+    # lower cover and keeps only that lift besides its own: 10 searches
+    # and 12 + 10 entries, where all the lifts would be 42
     line = chain([f"c{i}" for i in range(6)])
     _, p, _ = product(line, Poset.build(["a", "b"], []))
     s = as_slice(p)
@@ -668,7 +729,7 @@ def test_one_extremum_search_per_lower_cover(monkeypatch):
     for side in ("cartesian", "cocartesian"):
         calls.clear()
         failures, table = grothendieck._scan_lifts(s, side)
-        assert (failures, sum(map(len, table)), len(calls)) == ([], 42, 10)
+        assert (failures, sum(map(len, table)), len(calls)) == ([], 22, 10)
 
 
 @settings(max_examples=300, deadline=None)
