@@ -157,8 +157,14 @@ def _lift_frame(s: SliceMap, side: str) -> tuple:
     covers c.  Searches only read ``pre`` at base points below (above)
     another one, so a maximal (minimal) b gets 0.  ``counts[w]`` is
     |U_w| and ``size[k]`` the points w with |U_w| = k, for
-    ``_closed_extremum``.
+    ``_closed_extremum``.  Built on the first call for a slice and
+    side, and kept in ``s._lifts[side]`` as [frame, None] until
+    ``_lifts_over_covers`` finds the side holds and keeps [None, lifts]
+    in its place.
     """
+    kept = s._lifts.get(side)
+    if kept is not None:
+        return kept[0]
     total, base = s.total, s.base
     lower, upper, _ = base._cover_table()
     order = base._linear_extension()  # each base point after its lower covers
@@ -177,7 +183,9 @@ def _lift_frame(s: SliceMap, side: str) -> tuple:
     size = [0] * (total.n + 1)
     for w, k in enumerate(counts):
         size[k] |= 1 << w
-    return ups, covers, pre, counts, size
+    frame = ups, covers, pre, counts, size
+    s._lifts[side] = [frame, None]
+    return frame
 
 
 def _lifts_over_covers(s: SliceMap, side: str) -> bool:
@@ -188,18 +196,26 @@ def _lifts_over_covers(s: SliceMap, side: str) -> bool:
     and the lift i of e over c.  By the composition lemma of
     ``_scan_lifts`` e's lift over b is i's, and i, over c < p(e), has
     all its lifts by induction.  So one ``_closed_extremum`` lookup per
-    point and cover decides the side, the first miss ends the check,
-    and no table is built; ``_scan_lifts`` keeps the same lookups as
-    cover rows.
+    point and cover decides the side, and the first miss ends the
+    check.  On a side that holds the lifts it found, one int per
+    (point, cover) in scan order, replace the frame in
+    ``s._lifts[side]``: ``_scan_lifts`` reads only them, and a second
+    call answers from them.  No row is built here.
     """
+    kept = s._lifts.get(side)
+    if kept is not None and kept[1] is not None:
+        return True
     ups, covers, pre, _, size = _lift_frame(s, side)
     vals = s.map.vals
+    found: list[int] = []
     for ei, v in enumerate(vals):
         up = ups[ei]
         for c in covers[v]:
             i = _closed_extremum(size, up & pre[c])
             if i is None or vals[i] != c:
                 return False
+            found.append(i)
+    s._lifts[side] = [None, found]
     return True
 
 
@@ -210,7 +226,9 @@ def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[in
     or the minimum of F_e in p^-1(F_b) (cocartesian), one
     ``_closed_extremum`` lookup, and it must sit over b.  ``rows[e]``
     maps p(e) to e and each lower (upper) cover of p(e) that e lifts
-    over to its lift there: 1 + #covers entries at most.
+    over to its lift there: 1 + #covers entries at most, built afresh
+    on each call; on a side ``_lifts_over_covers`` found to hold, from
+    the lifts it kept, with no frame, no lookup and no failure.
 
     Lifts compose.  If i = max(U_e in p^-1(U_c)) exists, over c or
     stray, then for b <= p(i) the set U_e in p^-1(U_b) lies in U_i and
@@ -223,8 +241,16 @@ def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[in
     entry: the failures come out e-major, base-index-minor, strays named.
     """
     total, base, vals = s.total, s.base, s.map.vals
-    ups, covers, pre, counts, size = _lift_frame(s, side)
     rows: list[dict[int, int]] = []
+    kept = s._lifts.get(side)
+    if kept is not None and kept[1] is not None:
+        covers, found = base._cover_table()[side != "cartesian"], iter(kept[1])
+        for ei, v in enumerate(vals):
+            row = {v: ei}
+            row.update(zip(covers[v], found))  # zip stops at the last cover before it draws again
+            rows.append(row)
+        return [], rows
+    ups, covers, pre, counts, size = _lift_frame(s, side)
     short = False
     for ei, v in enumerate(vals):
         up, row = ups[ei], {v: ei}
@@ -293,7 +319,11 @@ class GrothendieckReport:
     every other lift, one map per strictly related base pair.  Each
     side is scanned on the first read of its table, its failures or
     its transport functor, at most once, and a side that holds is
-    never scanned for its failures, which are none.
+    never scanned for its failures, which are none.  The slice keeps
+    each side's lift frame, and in its place the lifts of a side found
+    to hold, so no frame is built twice and a side that holds is
+    scanned with no lookup; the rows are built per scan and are the
+    report's own.
     """
 
     def __init__(self, s: SliceMap):

@@ -81,12 +81,14 @@ class Poset:
     trusted as given.  The Hasse diagram is one cover table, built on
     first use by extracting the maximal elements of each strict down-set
     (the lower covers) and transposing them; every cover query reads
-    it.  Instances are immutable and hashable; equality is on the
-    element tuple plus the order, so it is equality of spaces, not of
+    it.  ``_witnesses`` keeps, per kind, the beat-point witness table
+    ``stong`` builds with every point alive, also on first use.
+    Instances are immutable and hashable; equality is on the element
+    tuple plus the order, so it is equality of spaces, not of
     isomorphism classes.
     """
 
-    __slots__ = ("elements", "index", "below", "above", "_covers")
+    __slots__ = ("elements", "index", "below", "above", "_covers", "_witnesses")
 
     def __init__(self, elements: Sequence[str], below: Sequence[int], above: Sequence[int]):
         self.elements = tuple(elements)
@@ -94,6 +96,7 @@ class Poset:
         self.below = tuple(below)
         self.above = tuple(above)
         self._covers = None
+        self._witnesses: dict[str, tuple[Optional[int], ...]] = {}
 
     # -- construction ------------------------------------------------
 
@@ -444,7 +447,9 @@ class MonotoneMap:
         return MonotoneMap(self.cod, self.dom, inv)._disorder() is None
 
     def restrict(self, sub_dom: Poset) -> "MonotoneMap":
-        """Restriction to a subposet of the domain (same names)."""
+        """Restriction to a subposet of the domain (same names); this map itself on its own domain."""
+        if sub_dom is self.dom:
+            return self
         return MonotoneMap(sub_dom, self.cod, tuple(self.vals[self.dom.idx(e)] for e in sub_dom.elements))
 
     def op(self) -> "MonotoneMap":

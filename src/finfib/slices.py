@@ -22,11 +22,14 @@ class SliceMap:
 
     Wraps p: E -> B; ``total`` is E, ``base`` is B.  ``fiber_masks[bi]``
     is the mask of the points over base index bi; fibers are cached
-    sub-posets.  An empty total space is allowed and flagged, so that
-    restrictions to untouched parts of the base stay representable.
+    sub-posets.  ``_lifts`` is the per-side cache of ``grothendieck``:
+    the lift frame, and in its place the lifts over the base covers once
+    the side is found to hold.  An empty total space is allowed and
+    flagged, so that restrictions to untouched parts of the base stay
+    representable.
     """
 
-    __slots__ = ("map", "fiber_masks", "_fibers")
+    __slots__ = ("map", "fiber_masks", "_fibers", "_lifts")
 
     def __init__(self, m: MonotoneMap):
         self.map = m
@@ -35,6 +38,7 @@ class SliceMap:
             masks[v] |= 1 << i
         self.fiber_masks = tuple(masks)
         self._fibers: dict[int, Poset] = {}
+        self._lifts: dict[str, list] = {}
 
     @property
     def total(self) -> Poset:
@@ -110,7 +114,8 @@ def map_beat_points(p: MapLike) -> BeatPointReport:
 class MapReduction(NamedTuple):
     """A beat-point reduction of a map, staying over the same base.
 
-    ``reduced`` is the restricted map; ``trace.retraction`` retracts
+    ``reduced`` is the restricted map, the input slice itself (and its
+    caches) when nothing was removed; ``trace.retraction`` retracts
     the total space onto the surviving one fiberwise.
     """
 
@@ -121,8 +126,8 @@ class MapReduction(NamedTuple):
 def _map_reduce(p: MapLike, kinds: tuple[str, ...]) -> MapReduction:
     s = as_slice(p)
     trace = _reduce(s.total, kinds, s.map.vals)
-    reduced = SliceMap(s.map.restrict(trace.result))
-    return MapReduction(reduced, trace)
+    m = s.map.restrict(trace.result)
+    return MapReduction(s if m is s.map else SliceMap(m), trace)
 
 
 def map_core(p: MapLike) -> MapReduction:

@@ -67,12 +67,20 @@ def _witness_table(rows: Sequence[int], alive: int) -> list[Optional[int]]:
     return wit
 
 
+def _full_witnesses(x: Poset, kind: str) -> tuple[Optional[int], ...]:
+    """x's witness table of one kind with every point alive, built on first use and kept on x."""
+    got = x._witnesses.get(kind)
+    if got is None:
+        rows = x.below if kind == "down" else x.above
+        got = x._witnesses[kind] = tuple(_witness_table(rows, (1 << x.n) - 1))
+    return got
+
+
 def beat_points(x: Poset) -> BeatPointReport:
-    """Every beat point of x, with the witness ``_reduce`` examines it by."""
-    everything = (1 << x.n) - 1
+    """Every beat point of x, with the witness ``_reduce`` examines it by, off the tables x keeps."""
     down, up = (
-        {x.elements[j]: x.elements[w] for j, w in enumerate(_witness_table(rows, everything)) if w is not None}
-        for rows in (x.below, x.above)
+        {x.elements[j]: x.elements[w] for j, w in enumerate(_full_witnesses(x, kind)) if w is not None}
+        for kind in ("down", "up")
     )
     return BeatPointReport(down, up)
 
@@ -104,13 +112,16 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
     3. Kind by kind.  A kind's table is built, at the alive set of that
        moment, only once every earlier kind has no candidates left.
        Nothing reads it before, so the picks are those of a table kept
-       from the start.
+       from the start.  Built with every point alive, it is a copy of
+       the one x keeps (``_full_witnesses``), which ``beat_points``
+       reads too.
 
     Each removed point is redirected to its witness, and the composite
-    retraction is resolved at the end.
+    retraction is resolved at the end; a reduction that removes nothing
+    returns x itself with its identity.
     """
     n = x.n
-    alive = (1 << n) - 1
+    everything = alive = (1 << n) - 1
     cones = [(x.below, x.above) if kind == "down" else (x.above, x.below) for kind in kinds]
     vals = fiber_vals or [0] * n  # a space is a map to a point
     wit: list[list[Optional[int]]] = []  # one table per kind scanned so far
@@ -123,7 +134,10 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
         else:
             if len(wit) == len(kinds):
                 break
-            table = _witness_table(cones[len(wit)][0], alive)
+            if alive == everything:
+                table = list(_full_witnesses(x, kinds[len(wit)]))
+            else:
+                table = _witness_table(cones[len(wit)][0], alive)
             wit.append(table)
             cands.append(sum(1 << j for j, w in enumerate(table) if w is not None and vals[w] == vals[j]))
             continue
@@ -141,6 +155,8 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
                 else:
                     c &= ~(1 << j)
             cands[k] = c
+    if not steps:
+        return ReductionTrace(x, x, (), MonotoneMap.identity(x))
     to = list(range(n))
     for i, _, wi in reversed(steps):
         to[i] = to[wi]

@@ -684,6 +684,25 @@ def test_the_cover_check_decides_each_side_and_the_lazy_report_reads_the_scans(p
     assert (rep.cartesian, rep.cocartesian) == (cart_rows, cocart_rows)
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(maps(), deep_maps()))
+def test_a_side_that_holds_is_scanned_from_the_lifts_its_decision_kept(p):
+    # the decision keeps the lifts of a side that holds on the slice, and a
+    # later scan builds its rows from them: the rows of a scan of a fresh
+    # slice, and the pairwise oracle's lifts over p(e) and its covers.  Each
+    # scan builds its own rows, so a caller that changes them changes no other
+    s = as_slice(p)
+    rep = classify_grothendieck(s)
+    for side, holds in (("cartesian", rep.is_fibration), ("cocartesian", rep.is_opfibration)):
+        if not holds:
+            continue
+        failures, rows = grothendieck._scan_lifts(s, side)
+        assert (failures, rows) == grothendieck._scan_lifts(as_slice(p), side)
+        assert table_pairs(rows) == cover_pairs(s, side, pairwise_scan_lifts(s, side)[1])
+        rows[0].clear()
+        assert grothendieck._scan_lifts(s, side) == grothendieck._scan_lifts(as_slice(p), side)
+
+
 @settings(max_examples=200, deadline=None)
 @given(p=deep_maps())
 def test_a_row_and_its_failures_partition_the_covers_of_its_point(p):

@@ -110,6 +110,17 @@ def test_map_reductions_stay_over_the_base():
             assert m(red.trace.retraction(e)) == m(e)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=maps())
+def test_a_map_reduction_that_removes_nothing_hands_back_its_slice(p):
+    # so the reduced map's lift report shares the slice's caches
+    s = as_slice(p)
+    for red in (smallest_dbp_retract_of_map(s), map_core(s)):
+        assert (red.reduced is s) == (not red.trace.removed)
+        assert red.reduced.map == s.map.restrict(red.trace.result)
+    assert s.map.restrict(s.total) is s.map
+
+
 def test_map_core_trace_replays_as_map_beat_point_removals():
     rng = seeded(79)
     for _ in range(30):

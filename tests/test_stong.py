@@ -295,6 +295,22 @@ def test_removing_a_point_changes_only_the_witnesses_of_the_minimal_points_above
 
 
 @settings(max_examples=300, deadline=None)
+@given(x=posets(max_size=10), first=st.sampled_from((("down",), ("up",), ("down", "up"), ("up", "down"))))
+def test_a_poset_that_served_a_reduction_answers_as_a_fresh_one(x, first):
+    # x keeps the full-alive witness tables the first reduction built, and
+    # that reduction updated copies of them: beat points, cores and the
+    # smallest retract read off x are those of x built afresh.  A reduction
+    # that removes nothing hands back x and its identity
+    trace = _reduce(x, first)
+    if not trace.removed:
+        assert trace.result is x and trace.retraction == MonotoneMap.identity(x)
+    fresh = Poset.build(x.elements, x.covers())
+    assert beat_points(x) == beat_points(fresh)
+    assert core(x) == core(fresh)
+    assert smallest_dbp_retract(x) == smallest_dbp_retract(fresh)
+
+
+@settings(max_examples=300, deadline=None)
 @given(x=posets(max_size=10), data=st.data())
 def test_a_row_lookup_finds_every_witness_at_any_alive_set(x, data):
     # lemma 1 of _reduce: D_j has a maximum w exactly when rows[w] & alive

@@ -769,6 +769,84 @@ def test_an_undecided_component_classifies_its_reduced_map_once(monkeypatch):
         assert c.passed
 
 
+def count_table_builds(monkeypatch):
+    """Counters of the lift frames and full-alive witness tables built, and of lift lookups.
+
+    ``frames[(slice, side)]`` counts the distinct frames handed out for
+    that slice and side, so a kept frame read again does not count;
+    ``tables[rows]`` counts the witness tables built with every point
+    alive from one poset's rows; ``lookups`` counts every
+    ``_closed_extremum`` call and ``held`` those made by scans that
+    found no failure, that is scans of a side that holds.
+    """
+    from finfib import grothendieck, stong
+
+    keep = []  # every counted object stays alive, so no id is reused
+    seen = {"frames": {}, "tables": {}, "lookups": 0, "held": 0}
+    frame, table = grothendieck._lift_frame, stong._witness_table
+    closed, scan = grothendieck._closed_extremum, grothendieck._scan_lifts
+
+    def counted_frame(s, side):
+        got = frame(s, side)
+        keep.append((s, got))
+        seen["frames"].setdefault((id(s), side), set()).add(id(got))
+        return got
+
+    def counted_table(rows, alive):
+        if alive == (1 << len(rows)) - 1:
+            keep.append(rows)
+            seen["tables"][id(rows)] = seen["tables"].get(id(rows), 0) + 1
+        return table(rows, alive)
+
+    def counted_closed(size, d):
+        seen["lookups"] += 1
+        return closed(size, d)
+
+    def counted_scan(s, side):
+        before = seen["lookups"]
+        failures, rows = scan(s, side)
+        if not failures:
+            seen["held"] += seen["lookups"] - before
+        return failures, rows
+
+    monkeypatch.setattr(grothendieck, "_lift_frame", counted_frame)
+    monkeypatch.setattr(stong, "_witness_table", counted_table)
+    monkeypatch.setattr(grothendieck, "_closed_extremum", counted_closed)
+    monkeypatch.setattr(grothendieck, "_scan_lifts", counted_scan)
+    return seen
+
+
+def test_the_unknown_path_builds_each_frame_and_witness_table_once(monkeypatch):
+    # the 32-point double cover reduces to itself, is a bifibration, and is
+    # not trivial over its base: the reduced map's report shares the slice's
+    # frames, the cartesian scan of the triviality check reads the lifts the
+    # decision kept, and the conditions read the beat points of E and B off
+    # the tables the reductions built; rebuilding them read 7 tables for 4,
+    # the cartesian frame twice and 96 lookups
+    seen = count_table_builds(monkeypatch)
+    assert decide_hurewicz(crown_cover(2, 8)).status == "unknown"
+    assert [len(ids) for ids in seen["frames"].values()] == [1, 1]
+    assert list(seen["tables"].values()) == [1, 1, 1, 1]
+    assert (seen["lookups"], seen["held"]) == (64, 0)
+
+
+@pytest.mark.parametrize("pid", ["pi_sierpinski", "p3"])
+def test_a_reduction_that_removes_points_builds_each_table_once(monkeypatch, pid):
+    # pi_sierpinski's reduction removes two points; p3 gets a map down beat
+    # point added, so its reduced map is a new slice on the unknown path
+    p = gallery_entry(pid).build()
+    if pid == "p3":
+        p = insert_map_down_beat_point(seeded(5), p, "x")
+    seen = count_table_builds(monkeypatch)
+    v = decide_hurewicz(p)
+    # a second reduction of the same map reads the tables the first one built
+    assert smallest_dbp_retract_of_map(p).trace.removed
+    assert v.status == ("fibration" if pid == "pi_sierpinski" else "unknown")
+    assert seen["frames"] and all(len(ids) == 1 for ids in seen["frames"].values())
+    assert seen["tables"] and set(seen["tables"].values()) == {1}
+    assert seen["held"] == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=maps())
 # random maps rarely reach the up half of the dichotomy; this one fails there at e0
