@@ -158,13 +158,13 @@ def _lift_frame(s: SliceMap, side: str) -> tuple:
     another one, so a maximal (minimal) b gets 0.  ``counts[w]`` is
     |U_w| and ``size[k]`` the points w with |U_w| = k, for
     ``_closed_extremum``.  Built on the first call for a slice and
-    side, and kept in ``s._lifts[side]`` as [frame, None] until
-    ``_lifts_over_covers`` finds the side holds and keeps [None, lifts]
-    in its place.
+    side and kept in ``s._frames[side]``, until ``_lifts_over_covers``
+    finds the side holds and drops it for the lifts it found; a later
+    call builds it again.
     """
-    kept = s._lifts.get(side)
-    if kept is not None:
-        return kept[0]
+    frame = s._frames.get(side)
+    if frame is not None:
+        return frame
     total, base = s.total, s.base
     lower, upper, _ = base._cover_table()
     order = base._linear_extension()  # each base point after its lower covers
@@ -183,8 +183,7 @@ def _lift_frame(s: SliceMap, side: str) -> tuple:
     size = [0] * (total.n + 1)
     for w, k in enumerate(counts):
         size[k] |= 1 << w
-    frame = ups, covers, pre, counts, size
-    s._lifts[side] = [frame, None]
+    frame = s._frames[side] = ups, covers, pre, counts, size
     return frame
 
 
@@ -197,13 +196,12 @@ def _lifts_over_covers(s: SliceMap, side: str) -> bool:
     ``_scan_lifts`` e's lift over b is i's, and i, over c < p(e), has
     all its lifts by induction.  So one ``_closed_extremum`` lookup per
     point and cover decides the side, and the first miss ends the
-    check.  On a side that holds the lifts it found, one int per
-    (point, cover) in scan order, replace the frame in
-    ``s._lifts[side]``: ``_scan_lifts`` reads only them, and a second
-    call answers from them.  No row is built here.
+    check.  On a side that holds, the lifts it found, one int per
+    (point, cover) in scan order, are kept in ``s._lifts[side]`` and
+    the frame is dropped: ``_scan_lifts`` reads only them, and a
+    second call answers from them.  No row is built here.
     """
-    kept = s._lifts.get(side)
-    if kept is not None and kept[1] is not None:
+    if side in s._lifts:
         return True
     ups, covers, pre, _, size = _lift_frame(s, side)
     vals = s.map.vals
@@ -215,7 +213,8 @@ def _lifts_over_covers(s: SliceMap, side: str) -> bool:
             if i is None or vals[i] != c:
                 return False
             found.append(i)
-    s._lifts[side] = [None, found]
+    s._lifts[side] = found
+    del s._frames[side]
     return True
 
 
@@ -242,9 +241,8 @@ def _scan_lifts(s: SliceMap, side: str) -> tuple[list[LiftFailure], list[dict[in
     """
     total, base, vals = s.total, s.base, s.map.vals
     rows: list[dict[int, int]] = []
-    kept = s._lifts.get(side)
-    if kept is not None and kept[1] is not None:
-        covers, found = base._cover_table()[side != "cartesian"], iter(kept[1])
+    if side in s._lifts:
+        covers, found = base._cover_table()[side != "cartesian"], iter(s._lifts[side])
         for ei, v in enumerate(vals):
             row = {v: ei}
             row.update(zip(covers[v], found))  # zip stops at the last cover before it draws again

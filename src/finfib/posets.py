@@ -447,9 +447,7 @@ class MonotoneMap:
         return MonotoneMap(self.cod, self.dom, inv)._disorder() is None
 
     def restrict(self, sub_dom: Poset) -> "MonotoneMap":
-        """Restriction to a subposet of the domain (same names); this map itself on its own domain."""
-        if sub_dom is self.dom:
-            return self
+        """Restriction to a subposet of the domain (same names)."""
         return MonotoneMap(sub_dom, self.cod, tuple(self.vals[self.dom.idx(e)] for e in sub_dom.elements))
 
     def op(self) -> "MonotoneMap":

@@ -22,14 +22,14 @@ class SliceMap:
 
     Wraps p: E -> B; ``total`` is E, ``base`` is B.  ``fiber_masks[bi]``
     is the mask of the points over base index bi; fibers are cached
-    sub-posets.  ``_lifts`` is the per-side cache of ``grothendieck``:
-    the lift frame, and in its place the lifts over the base covers once
-    the side is found to hold.  An empty total space is allowed and
-    flagged, so that restrictions to untouched parts of the base stay
-    representable.
+    sub-posets.  ``_frames`` and ``_lifts`` are the per-side caches of
+    ``grothendieck``: the lift frame, and once the side is found to
+    hold the lifts over the base covers in its place.  An empty total
+    space is allowed and flagged, so that restrictions to untouched
+    parts of the base stay representable.
     """
 
-    __slots__ = ("map", "fiber_masks", "_fibers", "_lifts")
+    __slots__ = ("map", "fiber_masks", "_fibers", "_frames", "_lifts")
 
     def __init__(self, m: MonotoneMap):
         self.map = m
@@ -38,7 +38,8 @@ class SliceMap:
             masks[v] |= 1 << i
         self.fiber_masks = tuple(masks)
         self._fibers: dict[int, Poset] = {}
-        self._lifts: dict[str, list] = {}
+        self._frames: dict[str, tuple] = {}
+        self._lifts: dict[str, list[int]] = {}
 
     @property
     def total(self) -> Poset:
@@ -126,8 +127,7 @@ class MapReduction(NamedTuple):
 def _map_reduce(p: MapLike, kinds: tuple[str, ...]) -> MapReduction:
     s = as_slice(p)
     trace = _reduce(s.total, kinds, s.map.vals)
-    m = s.map.restrict(trace.result)
-    return MapReduction(s if m is s.map else SliceMap(m), trace)
+    return MapReduction(SliceMap(s.map.restrict(trace.result)) if trace.removed else s, trace)
 
 
 def map_core(p: MapLike) -> MapReduction:

@@ -117,8 +117,7 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
        reads too.
 
     Each removed point is redirected to its witness, and the composite
-    retraction is resolved at the end; a reduction that removes nothing
-    returns x itself with its identity.
+    retraction is resolved at the end.
     """
     n = x.n
     everything = alive = (1 << n) - 1
@@ -155,8 +154,6 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
                 else:
                     c &= ~(1 << j)
             cands[k] = c
-    if not steps:
-        return ReductionTrace(x, x, (), MonotoneMap.identity(x))
     to = list(range(n))
     for i, _, wi in reversed(steps):
         to[i] = to[wi]

@@ -701,6 +701,8 @@ def test_a_side_that_holds_is_scanned_from_the_lifts_its_decision_kept(p):
         assert table_pairs(rows) == cover_pairs(s, side, pairwise_scan_lifts(s, side)[1])
         rows[0].clear()
         assert grothendieck._scan_lifts(s, side) == grothendieck._scan_lifts(as_slice(p), side)
+        # the frame the lifts replaced is built again for any later reader
+        assert grothendieck._lift_frame(s, side) == grothendieck._lift_frame(as_slice(p), side)
 
 
 @settings(max_examples=200, deadline=None)

@@ -118,7 +118,6 @@ def test_a_map_reduction_that_removes_nothing_hands_back_its_slice(p):
     for red in (smallest_dbp_retract_of_map(s), map_core(s)):
         assert (red.reduced is s) == (not red.trace.removed)
         assert red.reduced.map == s.map.restrict(red.trace.result)
-    assert s.map.restrict(s.total) is s.map
 
 
 def test_map_core_trace_replays_as_map_beat_point_removals():
