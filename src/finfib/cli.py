@@ -338,7 +338,8 @@ def cmd_construct(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "total.json").write_text(dumps(total_doc) + "\n")
         (out / "projection.json").write_text(dumps(proj_doc) + "\n")
-        print(f"wrote {out / 'total.json'} and {out / 'projection.json'}")
+        files = {"total": str(out / "total.json"), "projection": str(out / "projection.json")}
+        _emit(args, files, [f"wrote {files['total']} and {files['projection']}"])
     else:
         print(dumps({"total": total_doc, "projection": proj_doc}))
     return 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain, repeat
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import ParseError
 from .gallery import gallery_entry
@@ -128,7 +128,7 @@ def poset_from_doc(doc: Doc) -> Poset:
         raise ParseError("poset document needs an 'elements' list")
     elements = doc["elements"]
     covers = doc.get("covers", [])
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+    if not isinstance(elements, list) or not all(map(isinstance, elements, repeat(str))):
         raise ParseError("'elements' must be a list of strings")
     if not isinstance(covers, list):
         raise ParseError("'covers' must be a list of pairs")
@@ -310,13 +310,15 @@ def verdict_to_doc(v: Verdict) -> dict:
     }
 
 
-def unique_keys(pairs: Iterable[tuple[str, Doc]]) -> dict:
+def unique_keys(pairs: list[tuple[str, Doc]]) -> dict:
     """The pairs as a dict; ParseError on a key that comes twice (json.loads hook)."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ParseError(f"repeated key {key!r}")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):  # walk the pairs only to name the first repeated key
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r}")
+            seen.add(key)
     return out
 
 
@@ -363,7 +365,7 @@ def _dsl_poset(name: str, body: str) -> Poset:
     points: list[str] = []
     covers: list[tuple[str, str]] = []
     parts = (clause.partition(":") for clause in _split_top(body, ";"))
-    clauses = unique_keys((key.strip(), rest) for key, _, rest in parts)
+    clauses = unique_keys([(key.strip(), rest) for key, _, rest in parts])
     for key, rest in clauses.items():
         if key == "points":
             points = _split_top(rest, ",")

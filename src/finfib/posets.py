@@ -78,23 +78,29 @@ class Poset:
     open set of element i), ``above[i]`` the bitmask of j >= i (its
     closure).  Callers hand over both rows, each constructor building
     the one it lacks from data it already holds, and the rows are
-    trusted as given.  The Hasse diagram is one cover table, built on
-    first use by extracting the maximal elements of each strict down-set
-    (the lower covers) and transposing them; every cover query reads
-    it.  ``_witnesses`` keeps, per kind, the beat-point witness table
+    trusted as given.  ``_gens`` holds index pairs (lo, hi) whose
+    closure is the order, those ``build`` closed or ``product`` and
+    ``op`` derive (the raw constructor and ``_sub_mask`` keep None).
+    Cover lemma: every generating set holds each cover, and a pair of
+    it is a cover iff its interval ``below[hi] & above[lo]`` has two
+    points.  So the Hasse diagram, one cover table built on first use
+    that every cover query reads, comes from the generating pairs, or
+    without them from the maximal elements of each strict down-set.
+    ``_witnesses`` keeps, per kind, the beat-point witness table
     ``stong`` builds with every point alive, also on first use.
     Instances are immutable and hashable; equality is on the element
     tuple plus the order, so it is equality of spaces, not of
     isomorphism classes.
     """
 
-    __slots__ = ("elements", "index", "below", "above", "_covers", "_witnesses")
+    __slots__ = ("elements", "index", "below", "above", "_gens", "_covers", "_witnesses")
 
     def __init__(self, elements: Sequence[str], below: Sequence[int], above: Sequence[int]):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.below = tuple(below)
         self.above = tuple(above)
+        self._gens: Optional[tuple[tuple[int, int], ...]] = None
         self._covers = None
         self._witnesses: dict[str, tuple[Optional[int], ...]] = {}
 
@@ -121,6 +127,7 @@ class Poset:
         n = len(names)
         up: list[list[int]] = [[] for _ in range(n)]
         indeg = [0] * n  # a repeated pair adds one here per copy and takes it back per copy below
+        gens = []
         for lo, hi in pairs:
             if lo not in index:
                 raise UnknownElement(f"unknown element {lo!r} in relation pair")
@@ -131,6 +138,7 @@ class Poset:
             i, j = index[lo], index[hi]
             up[i].append(j)
             indeg[j] += 1
+            gens.append((i, j))
         # Kahn order, read as it grows, pushing each complete down-set up; leftovers mean a cycle
         below, above = [1 << i for i in range(n)], [1 << i for i in range(n)]
         topo = [i for i in range(n) if not indeg[i]]
@@ -146,7 +154,9 @@ class Poset:
         for i in reversed(topo):
             for j in up[i]:
                 above[i] |= above[j]
-        return cls(names, below, above)
+        p = cls(names, below, above)
+        p._gens = tuple(gens)
+        return p
 
     # -- basics ------------------------------------------------------
 
@@ -208,13 +218,18 @@ class Poset:
         """Lower and upper covers of each element, as rising indices, and the cover pairs."""
         if self._covers is None:
             below, above = self.below, self.above
-            lower = [tuple(_bits(_maximal(below, above, row & ~(1 << i)))) for i, row in enumerate(below)]
+            # by rising hi, then lo, or by rising lo, then hi: either fills both sides' rows rising
+            if self._gens is None:
+                pairs = [(j, i) for i, row in enumerate(below) for j in _bits(_maximal(below, above, row & ~(1 << i)))]
+            else:
+                pairs = sorted({(j, i) for j, i in self._gens if (below[i] & above[j]).bit_count() == 2})
+            lower: list[list[int]] = [[] for _ in range(self.n)]
             upper: list[list[int]] = [[] for _ in range(self.n)]
-            for i, row in enumerate(lower):
-                for j in row:
-                    upper[j].append(i)
-            pairs = tuple([(j, i) for j, row in enumerate(upper) for i in row])
-            self._covers = (tuple(lower), tuple(map(tuple, upper)), pairs)
+            for j, i in pairs:
+                lower[i].append(j)
+                upper[j].append(i)
+            pairs = [(j, i) for j, row in enumerate(upper) for i in row]
+            self._covers = (tuple(map(tuple, lower)), tuple(map(tuple, upper)), tuple(pairs))
         return self._covers
 
     def _cover_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -283,8 +298,10 @@ class Poset:
     # -- derived posets ----------------------------------------------
 
     def op(self) -> "Poset":
-        """Opposite poset: same elements, order reversed."""
-        return Poset(self.elements, self.above, self.below)
+        """Opposite poset: same elements, order reversed, generating pairs too."""
+        q = Poset(self.elements, self.above, self.below)
+        q._gens = self._gens and tuple([(j, i) for i, j in self._gens])
+        return q
 
     def sub(self, keep: Iterable[str]) -> "Poset":
         """Subposet induced on the given elements, relative order kept.
@@ -333,6 +350,10 @@ def product(p: Poset, q: Poset) -> tuple[Poset, "MonotoneMap", "MonotoneMap"]:
         return [q_row * s for s in spread for q_row in q_rows]
 
     prod = Poset(names, rows(p.below, q.below), rows(p.above, q.above))
+    # (x, y) < (x', y) and (x, y) < (x, y') for generating pairs x < x', y < y' (covers if none kept)
+    gp, gq = (x._gens if x._gens is not None else x._cover_pairs() for x in (p, q))
+    prod._gens = tuple([(a * nq + y, b * nq + y) for a, b in gp for y in range(nq)]
+                       + [(x * nq + a, x * nq + b) for x in range(p.n) for a, b in gq])
     to_p = MonotoneMap(prod, p, tuple(i for i in range(p.n) for _ in range(nq)))
     to_q = MonotoneMap(prod, q, tuple(j for _ in range(p.n) for j in range(nq)))
     return prod, to_p, to_q
@@ -355,14 +376,16 @@ class MonotoneMap:
 
     @classmethod
     def build(cls, dom: Poset, cod: Poset, values: dict[str, str]) -> "MonotoneMap":
-        vals = []
-        for e in dom.elements:
-            if e not in values:
-                raise UnknownElement(f"no value assigned to element {e!r}")
-            vals.append(cod.idx(values[e]))
-        extra = set(values) - set(dom.elements)
-        if extra:
-            raise UnknownElement(f"values assigned to unknown elements {sorted(extra)}")
+        try:
+            vals = [cod.index[values[e]] for e in dom.elements]
+        except KeyError:  # the loop names the first element without a value, or its unknown value
+            for e in dom.elements:
+                if e not in values:
+                    raise UnknownElement(f"no value assigned to element {e!r}") from None
+                cod.idx(values[e])
+            raise
+        if len(values) > dom.n:  # every element of dom is a key, so the rest are not in dom
+            raise UnknownElement(f"values assigned to unknown elements {sorted(set(values) - set(dom.elements))}")
         f = cls(dom, cod, vals)
         bad = f._disorder()
         if bad is not None:
@@ -376,20 +399,14 @@ class MonotoneMap:
     def _disorder(self) -> Optional[tuple[int, int]]:
         """The first cover (lo, hi) of the domain whose images are out of order, or None.
 
-        Lemma: p is monotone iff U_e lies in D[p(e)] = p^-1(U_{p(e)}) for every
-        e, as that says p(x) <= p(e) for each x <= e.  D[b] joins the fiber of b
-        and D[c] for the maximal image points c < b (one climb each, b by rising
-        |U_b|).  Only a map failing this test builds the domain's cover table.
+        Generator lemma: a map is monotone iff p(lo) <= p(hi) for each
+        pair of a set generating the domain's order, by transitivity in
+        B.  So one bit test per generating pair decides; only a map that
+        fails it, or a domain without pairs, scans the domain's covers
+        (which generate too) to name the first bad one.
         """
-        rows, vals = self.cod.below, self.vals
-        pre = [0] * self.cod.n  # the fibers, each grown into D[b] in turn
-        for e, v in enumerate(vals):
-            pre[v] |= 1 << e
-        image = sum(1 << b for b, f in enumerate(pre) if f)
-        for b in sorted(_bits(image), key=lambda b: rows[b].bit_count()):
-            for c in _bits(_maximal(rows, self.cod.above, rows[b] & image ^ 1 << b)):
-                pre[b] |= pre[c]
-        if all(row & pre[v] == row for row, v in zip(self.dom.below, vals)):
+        rows, vals, gens = self.cod.below, self.vals, self.dom._gens
+        if gens is not None and all(rows[vals[hi]] >> vals[lo] & 1 for lo, hi in gens):
             return None
         for lo, hi in self.dom._cover_pairs():
             if not rows[vals[hi]] >> vals[lo] & 1:

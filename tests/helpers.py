@@ -209,7 +209,7 @@ def all_pairs_monotone(dom, cod, values):
 def cover_scan_disorder(f):
     """The first cover (lo, hi) of f's domain, in covers() order, whose images are out of order.
 
-    ``MonotoneMap._disorder`` before its mask test, kept as an oracle;
+    ``MonotoneMap._disorder`` before it tested generating pairs, kept as an oracle;
     None for a monotone map.
     """
     rows = f.cod.below

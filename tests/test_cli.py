@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -650,6 +651,23 @@ def test_construct_round_trips_p3(capsys, tmp_path):
     rebuilt = map_from_doc(json.loads((tmp_path / "built" / "projection.json").read_text()))
     assert rebuilt.cod == p3.cod
     assert find_isomorphism_over_base(rebuilt, p3) is not None
+
+
+def test_construct_out_names_its_two_files_in_json_under_json(capsys, tmp_path):
+    doc = functor_to_doc(classify_grothendieck(gallery_entry("p3").build()).beta)
+    f = tmp_path / "beta.json"
+    f.write_text(json.dumps(doc))
+    built = tmp_path / "built"
+    code, out, _ = run(capsys, "construct", str(f), "--json", "--out", str(built))
+    assert code == 0
+    files = {"total": str(built / "total.json"), "projection": str(built / "projection.json")}
+    assert json.loads(out) == files
+    written = {key: Path(path).read_text() for key, path in files.items()}
+    # without --json the files are the same and the line stays plain text
+    code, out, _ = run(capsys, "construct", str(f), "--out", str(built))
+    assert code == 0
+    assert out == f"wrote {files['total']} and {files['projection']}\n"
+    assert {key: Path(path).read_text() for key, path in files.items()} == written
 
 
 def test_construct_inline_output(capsys, tmp_path):

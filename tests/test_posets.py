@@ -408,11 +408,11 @@ def values_to_check(draw):
 def test_build_refuses_exactly_the_maps_that_break_some_pair(case):
     dom, cod, values = case
     f = MonotoneMap(dom, cod, [cod.index[values[x]] for x in dom.elements])
-    # the mask test and the cover scan it falls back on agree on every map
+    # the test on generating pairs and the cover scan it falls back on agree on every map
     assert f._disorder() == cover_scan_disorder(f)
     if all_pairs_monotone(dom, cod, values):
-        # a monotone map is accepted without the domain's cover table
-        fresh = Poset(dom.elements, dom.below, dom.above)
+        # a monotone map on a domain that kept its pairs is accepted without its cover table
+        fresh = Poset.build(dom.elements, dom.covers())
         assert MonotoneMap.build(fresh, cod, values) == f
         assert fresh._covers is None
         return
@@ -423,6 +423,63 @@ def test_build_refuses_exactly_the_maps_that_break_some_pair(case):
     assert str(info.value) == (
         f"{lo!r} <= {hi!r} in the domain but {values[lo]!r} <= {values[hi]!r} fails in the codomain"
     )
+
+
+@st.composite
+def generated_domains(draw):
+    """(way, poset): a poset whose generating pairs are its covers, more than its covers, or derived.
+
+    The ways are ``Poset.build`` from the exact covers, from the covers
+    plus shuffled transitive and repeated pairs, ``product`` of two such
+    posets or of induced subposets (which keep no pairs), ``op`` and
+    ``_sub_mask``.
+    """
+    way = draw(st.sampled_from(("covers", "redundant", "product", "op", "sub")))
+    p = draw(posets(max_size=7))
+    elements = draw(st.permutations(p.elements))
+    if way == "covers":
+        return way, Poset.build(elements, p.covers())
+    comparable = [(a, b) for a in p for b in p if p.lt(a, b)]
+    pairs = list(p.covers()) + draw(st.lists(st.sampled_from(comparable), max_size=8) if comparable else st.just([]))
+    built = Poset.build(elements, draw(st.permutations(pairs)))
+    if way == "redundant":
+        return way, built
+    if way == "op":
+        return way, built.op()
+    keep = draw(st.integers(0, (1 << p.n) - 1))
+    if way == "sub":
+        return way, built._sub_mask(keep)
+    q = draw(posets(max_size=3))
+    if draw(st.booleans()):
+        built, q = built._sub_mask(keep), q._sub_mask(draw(st.integers(0, (1 << q.n) - 1)))
+    return way, product(built, q)[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=generated_domains(), cod=posets(max_size=5).filter(len), data=st.data())
+def test_generating_pairs_decide_monotonicity_and_give_the_covers(case, cod, data):
+    way, dom = case
+    # only an induced subposet that drops a point keeps no pairs
+    assert dom._gens is not None or way == "sub"
+    # the oracles and the drawing read a twin without pairs, so they build no cover table on dom
+    twin = Poset(dom.elements, dom.below, dom.above)
+    if data.draw(st.booleans()):
+        values = {x: data.draw(st.sampled_from(cod.elements)) for x in dom}
+    else:
+        values = rand_monotone(seeded(data.draw(st.integers(0, 2**16))), twin, cod).values
+        for x in data.draw(st.lists(st.sampled_from(dom.elements), max_size=2)) if dom.n else ():
+            values[x] = data.draw(st.sampled_from(cod.elements))
+    f = MonotoneMap(dom, cod, [cod.index[values[x]] for x in dom.elements])
+    assert f._disorder() == cover_scan_disorder(MonotoneMap(twin, cod, f.vals))
+    monotone = all_pairs_monotone(dom, cod, values)
+    try:
+        assert MonotoneMap.build(dom, cod, values) == f
+        assert monotone
+        # a domain with generating pairs accepts a monotone map without its cover table
+        assert dom._gens is None or dom._covers is None
+    except NotMonotone:
+        assert not monotone
+    assert_cover_queries_match_the_pair_walk(dom)
 
 
 def test_composition_and_identity():
