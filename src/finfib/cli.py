@@ -272,7 +272,7 @@ def _check_core(args) -> int:
     trace = core(space)
     doc = trace_to_doc(trace)
     doc["contractible"] = trace.result.n == 1
-    lines = [
+    lines = [] if args.json else [
         "core: " + ", ".join(trace.result.elements),
         "removed: " + (", ".join(f"{e} ({k})" for e, k in trace.removed) or "nothing"),
     ]
@@ -284,7 +284,7 @@ def _check_map_core(args) -> int:
     m = _load_target(args.target, ("map",))
     red = map_core(m)
     doc = map_reduction_to_doc(red)
-    lines = [
+    lines = [] if args.json else [
         "map core total: " + ", ".join(red.reduced.total.elements),
         "removed: " + (", ".join(f"{e} ({k})" for e, k in red.trace.removed) or "nothing"),
     ]

@@ -39,15 +39,20 @@ Doc = Union[dict, list, str, int, bool, None]
 
 _encode = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+# rows of strings in one pass of the C encoder when there is one; a raw NUL
+# is never inside ensure_ascii text, so it marks the separators to indent
+_ROWS = json.JSONEncoder(separators=("\x00", ":"), check_circular=False)
 
 
 def _flat(value: Doc, nl: str) -> Optional[str]:
     """JSON text of value at line prefix nl, or None for a container to open.
 
-    An object of strings, true, false and null, or a list of strings or
-    of non-empty such lists, is one join.  A constant is told by
-    identity before its text is looked up: 1 == True, and the two hash
-    alike, so the lookup alone would write 1 as true.
+    An object of strings, true, false and null, or a list of strings,
+    is one join; a list of non-empty lists of strings is one encode,
+    whose NUL separators are then replaced: between rows first, then
+    between strings.  A constant is told by identity before its text
+    is looked up: 1 == True, and the two hash alike, so the lookup
+    alone would write 1 as true.
     """
     if isinstance(value, str):
         return _encode(value)
@@ -66,11 +71,13 @@ def _flat(value: Doc, nl: str) -> Optional[str]:
                 for k, v in value.items()
             ])
             return "{" + inner + body + nl + "}"
-        rows = map(_encode, value)
         if all(isinstance(v, (list, tuple)) and v for v in value):
-            deep = sep + "  "
-            rows = ["[" + deep[1:] + deep.join(map(_encode, v)) + inner + "]" for v in value]
-        return "[" + inner + sep.join(rows) + nl + "]"
+            if not all(map(isinstance, chain.from_iterable(value), repeat(str))):
+                return None
+            deep = inner + "  "
+            text = _ROWS.encode(value)[2:-2].replace("]\x00[", inner + "]," + inner + "[" + deep)
+            return "[" + inner + "[" + deep + text.replace("\x00", "," + deep) + inner + "]" + nl + "]"
+        return "[" + inner + sep.join(map(_encode, value)) + nl + "]"
     except TypeError:
         return None
 
@@ -166,7 +173,7 @@ def map_to_doc(m: MapLike) -> dict:
     return {
         "domain": poset_to_doc(m.dom),
         "codomain": poset_to_doc(m.cod),
-        "values": dict(m.values),
+        "values": m.values,
     }
 
 
@@ -243,7 +250,7 @@ def trace_to_doc(trace: ReductionTrace) -> dict:
         "source": list(trace.source.elements),
         "result": list(trace.result.elements),
         "removed": [list(step) for step in trace.removed],
-        "retraction": dict(trace.retraction.values),
+        "retraction": trace.retraction.values,
     }
 
 
@@ -263,10 +270,10 @@ def retract_certificate_to_doc(cert: RetractCertificate) -> dict:
     return {
         "x": poset_to_doc(cert.x),
         "y": poset_to_doc(cert.y),
-        "i": dict(cert.i.values),
-        "r": dict(cert.r.values),
-        "j": dict(cert.j.values),
-        "s": dict(cert.s.values),
+        "i": cert.i.values,
+        "r": cert.r.values,
+        "j": cert.j.values,
+        "s": cert.s.values,
     }
 
 

@@ -80,7 +80,8 @@ class Poset:
     the one it lacks from data it already holds, and the rows are
     trusted as given.  ``_gens`` holds index pairs (lo, hi) whose
     closure is the order, those ``build`` closed or ``product`` and
-    ``op`` derive (the raw constructor and ``_sub_mask`` keep None).
+    ``op`` derive, or a reduction's surviving covers for its result
+    (the raw constructor and ``_sub_mask`` keep None).
     Cover lemma: every generating set holds each cover, and a pair of
     it is a cover iff its interval ``below[hi] & above[lo]`` has two
     points.  So the Hasse diagram, one cover table built on first use

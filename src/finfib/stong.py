@@ -11,10 +11,11 @@ the finite searches implemented here.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import CodomainMismatch, InvariantViolated, NotDescending
-from .posets import MonotoneMap, Poset, _bits, _extremum, _maximal, find_isomorphism
+from .posets import MonotoneMap, Poset, find_isomorphism
 
 
 class BeatPointReport(NamedTuple):
@@ -46,33 +47,20 @@ class ReductionTrace(NamedTuple):
     retraction: MonotoneMap
 
 
-def _witness_table(rows: Sequence[int], alive: int) -> list[Optional[int]]:
-    """Each alive point's witness (the maximum of its alive strict down-set), by row lookup.
-
-    With rows = above it is the minimum of the strict up-set.  D_j, the
-    alive points strictly below j, has a maximum w exactly when
-    rows[w] & alive == D_j, and the rows restricted to alive are
-    distinct, by antisymmetry; so one dict from restricted rows to
-    points answers each point with one lookup.  With every point alive
-    the rows themselves are the keys.  Dead points read None.
-    """
-    if alive == (1 << len(rows)) - 1:
-        look = {row: w for w, row in enumerate(rows)}
-        return [look.get(row ^ (1 << j)) for j, row in enumerate(rows)]
-    keys = {w: rows[w] & alive for w in _bits(alive)}
-    look = {key: w for w, key in keys.items()}
-    wit: list[Optional[int]] = [None] * len(rows)
-    for j, key in keys.items():
-        wit[j] = look.get(key ^ (1 << j))
-    return wit
-
-
 def _full_witnesses(x: Poset, kind: str) -> tuple[Optional[int], ...]:
-    """x's witness table of one kind with every point alive, built on first use and kept on x."""
+    """x's beat-point witness table of one kind, built on first use and kept on x.
+
+    The witness of j is the maximum of its strict down-set D_j (with
+    kind up, the minimum of its strict up-set), or None.  D_j has a
+    maximum w exactly when rows[w] == D_j, and rows are distinct, by
+    antisymmetry; so one dict from rows to points answers each point
+    with one lookup.
+    """
     got = x._witnesses.get(kind)
     if got is None:
         rows = x.below if kind == "down" else x.above
-        got = x._witnesses[kind] = tuple(_witness_table(rows, (1 << x.n) - 1))
+        look = {row: w for w, row in enumerate(rows)}
+        got = x._witnesses[kind] = tuple([look.get(row ^ (1 << j)) for j, row in enumerate(rows)])
     return got
 
 
@@ -90,75 +78,113 @@ def _reduce(x: Poset, kinds: tuple[str, ...], fiber_vals: Optional[Sequence[int]
 
     It removes the lowest-indexed beat point of the first kind that has
     one; ``fiber_vals`` switches to beat points of a map, whose witness
-    must share the fiber.  Per kind it keeps every alive point's witness
-    (for kind down, the maximum of its alive strict down-set D_j) and
-    the mask of candidates, and each removal re-examines only the points
-    this lemma leaves:
+    must share the fiber.  A point is a down beat point exactly when it
+    has one lower cover, its witness (an up beat point: one upper
+    cover).  So the engine keeps each alive point's lower and upper
+    covers, from the generating pairs (from the cover table if x has
+    none), and never climbs the order.  A kind's candidates are listed
+    once no earlier kind has one, since nothing reads them before, and
+    are kept up to date from then on.  If the tables x keeps
+    (``_full_witnesses``) show no candidate, it returns x and its
+    identity without building any of this.
 
-    Removing i changes D_j only for j above i.  If a surviving z of D_j
-    lies above i, the maximal elements of D_j stay the same, so D_j
-    keeps its maximum or its lack of one.  Only the j in which i is
-    maximal, the minimal alive points above i, need a fresh look; they
-    are the points whose witness was i and the witnessless points with
-    nothing alive between i and them.
-
-    Three more lemmas find the witnesses without climbing the order:
-
-    1. Row lookup.  D_j has a maximum w exactly when rows[w] & alive ==
-       D_j, so ``_witness_table`` reads every witness off one dict.
-    2. Hand-over.  If i was j's witness, then D_j without i is D_i, so
-       j's new witness is i's own, or none.  Of the points above i only
-       the witnessless ones are searched again.
-    3. Kind by kind.  A kind's table is built, at the alive set of that
-       moment, only once every earlier kind has no candidates left.
-       Nothing reads it before, so the picks are those of a table kept
-       from the start.  Built with every point alive, it is a copy of
-       the one x keeps (``_full_witnesses``), which ``beat_points``
-       reads too.
+    Removal lemma.  Remove i, a down beat point with witness w (up is
+    dual).  The covers left are the old ones without i, plus (w, y) for
+    each upper cover y of i such that no other lower cover of y lies
+    above w.  Proof: a cover without i stays one, as its interval only
+    shrinks.  A new cover (a, b) had i alone strictly inside, so a is a
+    lower cover of i, that is w, and b an upper cover y of i.  A point
+    strictly between w and y other than i lies below a lower cover z of
+    y other than i (z = i would put it between w and i), and such a z
+    above w is one itself; so (w, y) is a cover exactly when no such z
+    lies above w, one row bit per lower cover of y.  Only the y change
+    their lower covers and only w its upper ones, so candidacy of i's
+    kind is read again at the y, of the other kind at w.
 
     Each removed point is redirected to its witness, and the composite
-    retraction is resolved at the end.
+    retraction is resolved at the end.  The result's rows are ORed
+    along the surviving covers in a linear extension, and it keeps
+    those covers as its generating pairs.
     """
     n = x.n
-    everything = alive = (1 << n) - 1
-    cones = [(x.below, x.above) if kind == "down" else (x.above, x.below) for kind in kinds]
     vals = fiber_vals or [0] * n  # a space is a map to a point
-    wit: list[list[Optional[int]]] = []  # one table per kind scanned so far
-    cands: list[int] = []
+    for kind in kinds:
+        if any(w is not None and vals[w] == vals[j] for j, w in enumerate(_full_witnesses(x, kind))):
+            break
+    else:
+        return ReductionTrace(x, x, (), MonotoneMap.identity(x))
+    below, above = x.below, x.above
+    if x._gens is None:
+        lower, upper = ([list(c) for c in side] for side in x._cover_table()[:2])
+    else:
+        lower, upper = [[] for _ in range(n)], [[] for _ in range(n)]
+        for lo, hi in set(x._gens):
+            if (below[hi] & above[lo]).bit_count() == 2:
+                lower[hi].append(lo)
+                upper[lo].append(hi)
+    sides = [(lower, upper, below) if kind == "down" else (upper, lower, above) for kind in kinds]
+    marks: list[bytearray] = []  # per kind scanned so far, its candidates
+    heaps: list[list[int]] = []  # and a heap of them, whose stale entries are unmarked
     steps: list[tuple[int, int, int]] = []  # (removed point, kind, witness)
     while True:
-        for k, c in enumerate(cands):
-            if c:
+        for k, heap in enumerate(heaps):
+            mark = marks[k]
+            while heap and not mark[heap[0]]:
+                heappop(heap)
+            if heap:
                 break
         else:
-            if len(wit) == len(kinds):
+            if len(heaps) == len(kinds):
                 break
-            if alive == everything:
-                table = list(_full_witnesses(x, kinds[len(wit)]))
-            else:
-                table = _witness_table(cones[len(wit)][0], alive)
-            wit.append(table)
-            cands.append(sum(1 << j for j, w in enumerate(table) if w is not None and vals[w] == vals[j]))
+            own = sides[len(heaps)][0]  # a removed point has no covers left, so it is no candidate
+            marks.append(bytearray([len(c) == 1 and vals[c[0]] == vals[j] for j, c in enumerate(own)]))
+            heaps.append([j for j, m in enumerate(marks[-1]) if m])
             continue
-        bit = c & -c
-        i = bit.bit_length() - 1
-        alive ^= bit
-        steps.append((i, k, wit[k][i]))
-        for k, table in enumerate(wit):
-            rows, co = cones[k]
-            c = cands[k] & ~bit
-            for j in _bits(_maximal(co, rows, co[i] & alive)):
-                w = table[j] = table[i] if table[j] == i else _extremum(rows, co, rows[j] & alive & ~(1 << j))
-                if w is not None and vals[w] == vals[j]:
-                    c |= 1 << j
-                else:
-                    c &= ~(1 << j)
-            cands[k] = c
+        i = heappop(heap)
+        own, far, rows = sides[k]
+        (w,) = own[i]
+        steps.append((i, k, w))
+        far[w].remove(i)
+        for y in far[i]:
+            ys = own[y]
+            ys.remove(i)
+            for z in ys:
+                if rows[z] >> w & 1:
+                    break
+            else:
+                ys.append(w)
+                far[w].append(y)
+            now = len(ys) == 1 and vals[ys[0]] == vals[y]
+            if now and not mark[y]:
+                heappush(heap, y)
+            mark[y] = now
+        own[i], far[i] = [], []
+        for (side, _, _), other, pending in zip(sides, marks, heaps):
+            other[i] = 0
+            if side is far:
+                now = len(side[w]) == 1 and vals[side[w][0]] == vals[w]
+                if now and not other[w]:
+                    heappush(pending, w)
+                other[w] = now
     to = list(range(n))
     for i, _, wi in reversed(steps):
         to[i] = to[wi]
-    result = x._sub_mask(alive)
-    retraction = MonotoneMap(x, result, tuple(result.index[x.elements[to[j]]] for j in range(n)))
+    gone = {i for i, _, _ in steps}
+    kept = [j for j in range(n) if j not in gone]
+    pos = dict(zip(kept, range(len(kept))))
+    rising = sorted(kept, key=lambda j: below[j].bit_count())
+    new_rows = []
+    for covers, order in ((lower, rising), (upper, reversed(rising))):
+        out = [0] * len(kept)
+        for j in order:
+            row = 1 << pos[j]
+            for z in covers[j]:
+                row |= out[pos[z]]
+            out[pos[j]] = row
+        new_rows.append(out)
+    result = Poset([x.elements[j] for j in kept], *new_rows)
+    result._gens = tuple([(pos[z], pos[j]) for j in kept for z in lower[j]])
+    retraction = MonotoneMap(x, result, [pos[to[j]] for j in range(n)])
     removed = tuple((x.elements[i], kinds[k]) for i, k, _ in steps)
     return ReductionTrace(x, result, removed, retraction)
 

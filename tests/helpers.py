@@ -1252,6 +1252,36 @@ def posets(draw, max_size=8):
 
 
 @st.composite
+def generated_domains(draw):
+    """(way, poset): a poset whose generating pairs are its covers, more than its covers, or derived.
+
+    The ways are ``Poset.build`` from the exact covers, from the covers
+    plus shuffled transitive and repeated pairs, ``product`` of two such
+    posets or of induced subposets (which keep no pairs), ``op`` and
+    ``_sub_mask``.
+    """
+    way = draw(st.sampled_from(("covers", "redundant", "product", "op", "sub")))
+    p = draw(posets(max_size=7))
+    elements = draw(st.permutations(p.elements))
+    if way == "covers":
+        return way, Poset.build(elements, p.covers())
+    comparable = [(a, b) for a in p for b in p if p.lt(a, b)]
+    pairs = list(p.covers()) + draw(st.lists(st.sampled_from(comparable), max_size=8) if comparable else st.just([]))
+    built = Poset.build(elements, draw(st.permutations(pairs)))
+    if way == "redundant":
+        return way, built
+    if way == "op":
+        return way, built.op()
+    keep = draw(st.integers(0, (1 << p.n) - 1))
+    if way == "sub":
+        return way, built._sub_mask(keep)
+    q = draw(posets(max_size=3))
+    if draw(st.booleans()):
+        built, q = built._sub_mask(keep), q._sub_mask(draw(st.integers(0, (1 << q.n) - 1)))
+    return way, product(built, q)[0]
+
+
+@st.composite
 def maps(draw, max_total=7, max_base=4):
     """Hypothesis strategy: a random monotone map, plus up to two map down beat points."""
     total = draw(posets(max_size=max_total).filter(len))

@@ -166,6 +166,15 @@ def test_dumps_writes_what_the_stdlib_writes(doc):
     assert dumps(doc) == json.dumps(doc, indent=2)
 
 
+@pytest.mark.parametrize("cell", ['"],["', '","', "\\", "\x00", "]\x00[", "a]", "[b"])
+def test_rows_of_strings_holding_separator_lookalikes_write_what_the_stdlib_writes(cell):
+    # rows are one encode with NUL separators, then two replaces: an
+    # escaped quote forms "," and "],[" inside a string, a raw NUL never
+    rows = [[cell], ["x", cell, cell + cell], (cell, "y")]
+    for doc in (rows, {"removed": rows, "deeper": {"covers": rows}}):
+        assert dumps(doc) == json.dumps(doc, indent=2)
+
+
 def test_dumps_writes_floats_and_non_string_keys_as_the_stdlib_does():
     doc = {
         1: 1.5,

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finfib import stong
+from finfib import posets as posets_module
 from finfib.errors import NotDescending
 from finfib.posets import MonotoneMap, Poset, _bits, _maximal, find_isomorphism, product
+from finfib.slices import as_slice, restrict_over
 from finfib.stong import (
     _reduce,
-    _witness_table,
     beat_points,
     core,
     f_infinity,
@@ -25,11 +25,15 @@ from helpers import (
     chain,
     crowns,
     endomaps_below_identity,
+    generated_domains,
     homotopy_classes,
     is_beat_point_brute,
     is_dbp_retract,
     linear_extremum,
     map_le,
+    maps,
+    pair_walk_covers,
+    pair_walk_sub,
     posets,
     rand_poset,
     rescan_reduce,
@@ -277,10 +281,10 @@ def test_worklist_reduction_agrees_with_the_rescan_oracle_on_crown_times_chain(k
 @settings(max_examples=300, deadline=None)
 @given(x=posets(max_size=10).filter(len), data=st.data())
 def test_removing_a_point_changes_only_the_witnesses_of_the_minimal_points_above_it(x, data):
-    # the lemma _reduce re-examines by: removing i changes the maximum (or
-    # its lack) of an alive strict down-set D_j only where i is maximal in
-    # D_j, so only for the minimal alive points above i; these are the
-    # points i witnessed and the witnessless ones with nothing between
+    # removing i changes the maximum (or its lack) of an alive strict
+    # down-set D_j only where i is maximal in D_j, so only for the minimal
+    # alive points above i; these are the points i witnessed and the
+    # witnessless ones with nothing between
     i = data.draw(st.integers(0, x.n - 1))
     after = data.draw(st.integers(0, (1 << x.n) - 1)) & ~(1 << i)
     alive = after | 1 << i
@@ -312,21 +316,33 @@ def test_a_poset_that_served_a_reduction_answers_as_a_fresh_one(x, first):
 
 @settings(max_examples=300, deadline=None)
 @given(x=posets(max_size=10), data=st.data())
-def test_a_row_lookup_finds_every_witness_at_any_alive_set(x, data):
-    # lemma 1 of _reduce: D_j has a maximum w exactly when rows[w] & alive
-    # is D_j, so one dict of restricted rows answers every alive point
-    everything = (1 << x.n) - 1
-    alive = data.draw(st.just(everything) | st.integers(0, everything))
-    for rows in (x.below, x.above):
-        want = [linear_extremum(rows, rows[j] & alive & ~(1 << j)) if alive >> j & 1 else None for j in range(x.n)]
-        assert _witness_table(rows, alive) == want
+def test_removing_a_beat_point_rewires_only_its_neighbours_covers(x, data):
+    # the removal lemma of _reduce: removing a down beat point i with
+    # witness w (its one lower cover) leaves the covers without i, plus
+    # (w, y) for each upper cover y of i with no other lower cover above
+    # w; dually for an up beat point
+    alive = data.draw(st.integers(0, (1 << x.n) - 1))
+    sub = pair_walk_sub(x, x.names(alive))
+    covers = set(pair_walk_covers(sub))
+    for i in sub:
+        # w and y index a cover pair on the witness's and the far side; le is <= or its opposite
+        for w, y, le in ((0, 1, sub.le), (1, 0, lambda a, b: sub.le(b, a))):
+            near = [c[w] for c in covers if c[y] == i]
+            if len(near) != 1:
+                continue
+            (wi,) = near
+            want = {c for c in covers if i not in c}
+            for yi in (c[y] for c in covers if c[w] == i):
+                if not any(le(wi, c[w]) for c in covers if c[y] == yi and c[w] != i):
+                    want.add((wi, yi) if w == 0 else (yi, wi))
+            assert set(pair_walk_covers(pair_walk_sub(sub, [e for e in sub if e != i]))) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(x=posets(max_size=10).filter(len), data=st.data())
 def test_removing_a_witness_hands_its_own_witness_on(x, data):
-    # lemma 2 of _reduce: if i was the witness of j, then D_j without i is
-    # D_i, so j's witness after removing i is i's witness, or none
+    # if i was the witness of j, then D_j without i is D_i, so j's
+    # witness after removing i is i's witness, or none
     i = data.draw(st.integers(0, x.n - 1))
     alive = data.draw(st.integers(0, (1 << x.n) - 1)) | 1 << i
     after = alive & ~(1 << i)
@@ -337,23 +353,74 @@ def test_removing_a_witness_hands_its_own_witness_on(x, data):
                 assert linear_extremum(rows, rows[j] & after & ~(1 << j)) == w_i
 
 
-def test_core_on_a_shuffled_chain_hands_witnesses_over_without_a_search(monkeypatch):
-    # every removal hands the removed point's witness to the point above
-    # it, so the reduction finds the minimal points above once per
-    # removal and never searches for an extremum
-    calls = {"_extremum": 0, "_maximal": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(stong, name)):
+def test_core_on_a_shuffled_chain_neither_climbs_nor_reads_the_cover_table(monkeypatch):
+    # the reduction takes the chain's covers from the pairs it was built
+    # from and rewires them at each removal: it never climbs the order
+    # and never builds the cover table
+    calls = {"_climb": 0, "_cover_table": 0}
+    for owner, name in ((posets_module, "_climb"), (Poset, "_cover_table")):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(stong, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     names = [f"c{i}" for i in range(200)]
     order = names[:]
     seeded(61).shuffle(order)
     trace = core(Poset.build(order, list(zip(names, names[1:]))))
     assert trace.result.elements == ("c0",)
-    assert calls == {"_extremum": 0, "_maximal": 199}
+    assert calls == {"_climb": 0, "_cover_table": 0}
+
+
+@st.composite
+def reduction_domains(draw):
+    """(poset, fiber values or None): a ``generated_domains`` poset, or the total over a base component."""
+    if draw(st.booleans()):
+        x = draw(generated_domains())[1]
+        return x, draw(st.none() | st.lists(st.integers(0, 2), min_size=x.n, max_size=x.n))
+    s = as_slice(draw(maps()))
+    part = restrict_over(s, draw(st.sampled_from(s.base.components())))
+    return part.total, draw(st.sampled_from((None, part.map.vals)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reduction_domains(), kinds=st.sampled_from([("down", "up"), ("down",), ("up",)]))
+def test_the_reduction_agrees_with_the_rescan_oracle_on_every_kind_of_domain(case, kinds):
+    # built with transitive and repeated pairs, a product, an opposite, an
+    # induced subposet without pairs, the total over a component: the
+    # trace is the oracle's, and so are the result's up-rows (which
+    # equality of posets does not compare) and its covers
+    x, fiber_vals = case
+    assert_reduce_agrees_with_the_rescan_oracle(x, kinds, fiber_vals)
+    result = _reduce(x, kinds, fiber_vals).result
+    assert result.above == pair_walk_sub(x, result.elements).above
+    assert result.covers() == pair_walk_covers(result)
+
+
+class _Unread(tuple):
+    """Generating pairs that fail the test when anything walks them."""
+
+    def __iter__(self):
+        raise AssertionError("the generating pairs were read")
+
+
+@pytest.mark.parametrize(
+    "x, kinds, fiber_vals",
+    [
+        pytest.param(gallery_entry("B5").build(), ("down", "up"), None, id="crown"),
+        pytest.param(chain([f"c{i}" for i in range(5)]), ("down", "up"), list(range(5)), id="chain-over-itself"),
+        pytest.param(n_poset(), ("down",), [0, 0, 0, 1], id="n-down-split"),
+    ],
+)
+def test_a_reduction_that_removes_nothing_builds_no_diagram(monkeypatch, x, kinds, fiber_vals):
+    # the witness tables x keeps show no candidate, so neither the pairs
+    # nor the cover table are read, and x itself comes back
+    assert x._gens is not None
+    x._gens = _Unread(x._gens)
+    monkeypatch.setattr(Poset, "_cover_table", lambda self: pytest.fail("the cover table was read"))
+    trace = _reduce(x, kinds, fiber_vals)
+    assert trace.removed == () and trace.result is x
+    assert trace.retraction == MonotoneMap.identity(x)
 
 
 @pytest.mark.parametrize("n", [4, 6, 10, 16])

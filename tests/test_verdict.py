@@ -774,8 +774,8 @@ def count_table_builds(monkeypatch):
 
     ``frames[(slice, side)]`` counts the distinct frames handed out for
     that slice and side, so a kept frame read again does not count;
-    ``tables[rows]`` counts the witness tables built with every point
-    alive from one poset's rows; ``lookups`` counts every
+    ``tables[rows]`` counts the witness tables ``_full_witnesses`` builds
+    from one poset's rows; ``lookups`` counts every
     ``_closed_extremum`` call and ``held`` those made by scans that
     found no failure, that is scans of a side that holds.
     """
@@ -783,7 +783,7 @@ def count_table_builds(monkeypatch):
 
     keep = []  # every counted object stays alive, so no id is reused
     seen = {"frames": {}, "tables": {}, "lookups": 0, "held": 0}
-    frame, table = grothendieck._lift_frame, stong._witness_table
+    frame, table = grothendieck._lift_frame, stong._full_witnesses
     closed, scan = grothendieck._closed_extremum, grothendieck._scan_lifts
 
     def counted_frame(s, side):
@@ -792,11 +792,12 @@ def count_table_builds(monkeypatch):
         seen["frames"].setdefault((id(s), side), set()).add(id(got))
         return got
 
-    def counted_table(rows, alive):
-        if alive == (1 << len(rows)) - 1:
+    def counted_table(x, kind):
+        if kind not in x._witnesses:
+            rows = x.below if kind == "down" else x.above
             keep.append(rows)
             seen["tables"][id(rows)] = seen["tables"].get(id(rows), 0) + 1
-        return table(rows, alive)
+        return table(x, kind)
 
     def counted_closed(size, d):
         seen["lookups"] += 1
@@ -810,7 +811,7 @@ def count_table_builds(monkeypatch):
         return failures, rows
 
     monkeypatch.setattr(grothendieck, "_lift_frame", counted_frame)
-    monkeypatch.setattr(stong, "_witness_table", counted_table)
+    monkeypatch.setattr(stong, "_full_witnesses", counted_table)
     monkeypatch.setattr(grothendieck, "_closed_extremum", counted_closed)
     monkeypatch.setattr(grothendieck, "_scan_lifts", counted_scan)
     return seen
