@@ -42,17 +42,21 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 # rows of strings in one pass of the C encoder when there is one; a raw NUL
 # is never inside ensure_ascii text, so it marks the separators to indent
 _ROWS = json.JSONEncoder(separators=("\x00", ":"), check_circular=False)
+# each encode call makes a new C encoder, which costs more than a join per
+# row below this many rows (CPython 3.11: 3.5 against 2.0 us for one row)
+_ENCODE_FROM = 7
 
 
 def _flat(value: Doc, nl: str) -> Optional[str]:
     """JSON text of value at line prefix nl, or None for a container to open.
 
     An object of strings, true, false and null, or a list of strings,
-    is one join; a list of non-empty lists of strings is one encode,
-    whose NUL separators are then replaced: between rows first, then
-    between strings.  A constant is told by identity before its text
-    is looked up: 1 == True, and the two hash alike, so the lookup
-    alone would write 1 as true.
+    is one join; a list of non-empty lists of strings is a join per row
+    when it is short and otherwise one encode, whose NUL separators are
+    then replaced: between rows first, then between strings.  A
+    constant is told by identity before its text is looked up: 1 ==
+    True, and the two hash alike, so the lookup alone would write 1 as
+    true.
     """
     if isinstance(value, str):
         return _encode(value)
@@ -72,9 +76,12 @@ def _flat(value: Doc, nl: str) -> Optional[str]:
             ])
             return "{" + inner + body + nl + "}"
         if all(isinstance(v, (list, tuple)) and v for v in value):
+            deep = inner + "  "
+            if len(value) < _ENCODE_FROM:
+                rows = ["[" + deep + ("," + deep).join(map(_encode, v)) + inner + "]" for v in value]
+                return "[" + inner + sep.join(rows) + nl + "]"
             if not all(map(isinstance, chain.from_iterable(value), repeat(str))):
                 return None
-            deep = inner + "  "
             text = _ROWS.encode(value)[2:-2].replace("]\x00[", inner + "]," + inner + "[" + deep)
             return "[" + inner + "[" + deep + text.replace("\x00", "," + deep) + inner + "]" + nl + "]"
         return "[" + inner + sep.join(map(_encode, value)) + nl + "]"

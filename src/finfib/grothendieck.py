@@ -63,11 +63,20 @@ class PosetFunctor:
     fibers[lo] -> fibers[hi], contravariant ones fibers[hi] ->
     fibers[lo].  The variance, the fiber keys and the pair and shape of
     every given transition are checked first.  One bottom-up pass then
-    composes each strictly related pair through every point strictly
-    between, in index order: a pair left out takes the first composite
-    (cover transitions suffice), every other composite must equal it,
-    and a pair with neither raises.  So instances are always genuine
-    functors with a transition for every strictly related pair.
+    composes each strictly related pair (v, b) through the lower covers
+    c of b with v < c, in index order: a pair left out takes the first
+    composite (cover transitions suffice), every other composite must
+    equal it, and a pair with neither, a cover, raises.  So instances
+    are always genuine functors with a transition for every strictly
+    related pair.
+
+    Covers are enough, by induction up the base.  The pass takes b in
+    a linear extension and v by falling |U_v|, so the pairs (m, b) with
+    v < m and (v, c) with c < b come before (v, b).  If they passed,
+    any m with v < m < b lies below a lower cover c of b, and for m < c
+    t(m, b) t(v, m) = t(c, b) t(m, c) t(v, m) = t(c, b) t(v, c).  So
+    (v, b) fails exactly where composing through every point between
+    would, and only the middle point it names may differ.
     """
 
     __slots__ = ("base", "variance", "fibers", "transitions")
@@ -93,25 +102,27 @@ class PosetFunctor:
             if t.dom != fibers[src] or t.cod != fibers[dst]:
                 raise FunctorialityViolated(f"transition for ({lo!r}, {hi!r}) has the wrong fibers")
         filled = dict(transitions)
-        # bottom-up over the base, and within each top element nearest lower
-        # elements first, so both halves through any point in between exist
-        names = base.elements
+        names, below, above = base.elements, base.below, base.above
+        lower = base._cover_table()[0]
+        rank = [-row.bit_count() for row in below]  # falling |U_v|, then rising index, as sorted keeps ties
         for bi in base._linear_extension():
             b = names[bi]
-            strict = _bits(base.below[bi] & ~(1 << bi))
-            for vi in sorted(strict, key=lambda vi: -base.below[vi].bit_count()):
+            for vi in sorted(_bits(below[bi] & ~(1 << bi)), key=rank.__getitem__):
                 v = names[vi]
-                for mi in _bits(base.above[vi] & base.below[bi] & ~(1 << vi | 1 << bi)):
-                    mid = names[mi]
-                    lower, upper = filled[(v, mid)], filled[(mid, b)]
-                    through = lower.then(upper) if co else upper.then(lower)
-                    if (v, b) not in filled:
-                        filled[(v, b)] = through
-                    elif filled[(v, b)] != through:
+                held = filled.get((v, b))
+                for ci in lower[bi]:
+                    if ci == vi or not above[vi] >> ci & 1:
+                        continue
+                    mid = names[ci]
+                    first, second = (filled[(v, mid)], filled[(mid, b)]) if co else (filled[(mid, b)], filled[(v, mid)])
+                    through = first.then(second)
+                    if held is None:
+                        filled[(v, b)] = held = through
+                    elif held != through:
                         raise FunctorialityViolated(
                             f"transitions do not compose along {v!r} <= {mid!r} <= {b!r}"
                         )
-                if (v, b) not in filled:
+                if held is None:
                     raise FunctorialityViolated(f"missing transition for ({v!r}, {b!r})")
         self.base = base
         self.variance = variance
@@ -402,27 +413,37 @@ def grothendieck_construction(d: PosetFunctor) -> SliceMap:
     then projects to d.base.op().  Integrating the cartesian functor
     of a fibration p this way rebuilds p.op().
 
-    Either way the order is the closure of the fiber covers (reversed
-    for a contravariant d) and the pairs (src, y) < (dst, t(y)) of
-    each cover transition t from the fiber over src to the one over
-    dst; functoriality makes every other transition a composite of
-    those.  Names that collide raise DuplicateName.
+    Either way the order is the closure of each fiber's generating
+    pairs (its covers when it keeps none; reversed for a contravariant
+    d) and the pairs (src, y) < (dst, t(y)) of each cover transition t
+    from the fiber over src to the one over dst; functoriality makes
+    every other transition a composite of those.  The points are
+    numbered fiber by fiber in base order, so each pair is an index
+    pair, a fiber's offset plus its point, and ``Poset._closed``
+    closes them with no name lookup.  Names that collide raise
+    DuplicateName, as ``Poset.build`` words it.
     """
     co = d.variance == "covariant"
-    names: dict[str, list[str]] = {}
-    pairs: list[tuple[str, str]] = []
-    for b in d.base.elements:
+    base = d.base
+    names: list[str] = []
+    offset: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    for b in base.elements:
         fib = d.fibers[b]
-        names[b] = at = [pair_name(b, x) for x in fib.elements]
-        for lo, hi in fib._cover_pairs():
-            lo, hi = at[lo], at[hi]
-            pairs.append((lo, hi) if co else (hi, lo))
-    for lo, hi in d.base.covers():
-        src, dst = (names[lo], names[hi]) if co else (names[hi], names[lo])
-        pairs.extend(zip(src, (dst[v] for v in d.transitions[(lo, hi)].vals)))
-    total = Poset.build((x for b in d.base.elements for x in names[b]), pairs)
-    owner = tuple(bi for bi, b in enumerate(d.base.elements) for _ in names[b])
-    return SliceMap(MonotoneMap(total, d.base if co else d.base.op(), owner))
+        k = len(names)
+        offset.append(k)
+        names += [pair_name(b, x) for x in fib.elements]
+        gens = fib._gens if fib._gens is not None else fib._cover_pairs()
+        pairs += [(k + lo, k + hi) if co else (k + hi, k + lo) for lo, hi in gens]
+    if len(set(names)) < len(names):
+        Poset.build(names, ())  # names the first repeated name
+    for lo, hi in base._cover_pairs():
+        t = d.transitions[(base.elements[lo], base.elements[hi])]
+        src, dst = (offset[lo], offset[hi]) if co else (offset[hi], offset[lo])
+        pairs += [(src + y, dst + x) for y, x in enumerate(t.vals)]
+    total = Poset._closed(names, pairs)
+    owner = tuple(bi for bi, b in enumerate(base.elements) for _ in d.fibers[b].elements)
+    return SliceMap(MonotoneMap(total, base if co else base.op(), owner))
 
 
 def reconstruct_over_base(p: MapLike) -> tuple[SliceMap, MonotoneMap]:

@@ -79,9 +79,10 @@ class Poset:
     closure).  Callers hand over both rows, each constructor building
     the one it lacks from data it already holds, and the rows are
     trusted as given.  ``_gens`` holds index pairs (lo, hi) whose
-    closure is the order, those ``build`` closed or ``product`` and
-    ``op`` derive, or a reduction's surviving covers for its result
-    (the raw constructor and ``_sub_mask`` keep None).
+    closure is the order: those ``_closed`` closed (for ``build`` or
+    the Grothendieck construction), those ``product`` and ``op``
+    derive, or a reduction's surviving covers for its result (the raw
+    constructor and ``_sub_mask`` keep None).
     Cover lemma: every generating set holds each cover, and a pair of
     it is a cover iff its interval ``below[hi] & above[lo]`` has two
     points.  So the Hasse diagram, one cover table built on first use
@@ -114,7 +115,9 @@ class Poset:
         ``pairs`` lists (lo, hi) with lo < hi; they may be covers or any
         generating set, the reflexive-transitive closure is taken.  A
         closure that is not antisymmetric raises CycleDetected, since
-        the corresponding finite space would not be T0.
+        the corresponding finite space would not be T0.  The names and
+        pairs are checked here; ``_closed`` closes the index pairs, as
+        it does for the Grothendieck construction.
         """
         names = list(elements)
         seen = set()
@@ -125,9 +128,6 @@ class Poset:
                 raise DuplicateName(f"duplicate element name {name!r}")
             seen.add(name)
         index = {e: i for i, e in enumerate(names)}
-        n = len(names)
-        up: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n  # a repeated pair adds one here per copy and takes it back per copy below
         gens = []
         for lo, hi in pairs:
             if lo not in index:
@@ -136,11 +136,24 @@ class Poset:
                 raise UnknownElement(f"unknown element {hi!r} in relation pair")
             if lo == hi:
                 raise CycleDetected(f"element {lo!r} declared below itself")
-            i, j = index[lo], index[hi]
+            gens.append((index[lo], index[hi]))
+        return cls._closed(names, gens)
+
+    @classmethod
+    def _closed(cls, names: Sequence[str], gens: list[tuple[int, int]]) -> "Poset":
+        """The poset on distinct names ordered by the closure of the index pairs gens.
+
+        Each pair (lo, hi) has lo != hi.  Kahn's order, read as it
+        grows, pushes each complete down-set up its pairs, and the up-sets
+        come back down the same order; points left over lie on a cycle,
+        which raises CycleDetected.  The pairs are kept as ``_gens``.
+        """
+        n = len(names)
+        up: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n  # a repeated pair adds one here per copy and takes it back per copy below
+        for i, j in gens:
             up[i].append(j)
             indeg[j] += 1
-            gens.append((i, j))
-        # Kahn order, read as it grows, pushing each complete down-set up; leftovers mean a cycle
         below, above = [1 << i for i in range(n)], [1 << i for i in range(n)]
         topo = [i for i in range(n) if not indeg[i]]
         for i in topo:

@@ -10,6 +10,7 @@ import argparse
 import functools
 import itertools
 import random
+import types
 from typing import Iterator, Optional, Sequence
 
 from hypothesis import assume
@@ -18,7 +19,13 @@ from hypothesis import strategies as st
 from finfib.cli import _CHECKS, cmd_check, cmd_construct, cmd_gallery, cmd_info
 from finfib.documents import poset_from_doc, poset_to_doc
 from finfib.errors import CodomainMismatch, FunctorialityViolated, UnknownElement
-from finfib.grothendieck import BundleReport, LiftFailure, PosetFunctor, grothendieck_construction
+from finfib.grothendieck import (
+    BundleReport,
+    LiftFailure,
+    PosetFunctor,
+    classify_grothendieck,
+    grothendieck_construction,
+)
 from finfib.posets import (
     MonotoneMap,
     Poset,
@@ -520,6 +527,51 @@ def hand_built_grothendieck_construction(d):
                 raise FunctorialityViolated("transition data does not generate a poset")
     proj = MonotoneMap(total, base, tuple(bi for bi, _ in owner))
     return SliceMap(proj)
+
+
+def all_midpoints_transitions(base, variance, fibers, transitions):
+    """``PosetFunctor``'s filled transitions, composing each pair through every point between.
+
+    The constructor before it composed through the lower covers of the
+    top alone, kept verbatim as an oracle: the same checks in the same
+    order, and the same first (v, b) to fail, though a path dependence
+    may name another middle point.
+    """
+    if variance not in ("covariant", "contravariant"):
+        raise FunctorialityViolated(f"unknown variance {variance!r}")
+    if set(fibers) != set(base.elements):
+        raise UnknownElement("fibers must be indexed exactly by the base elements")
+    co = variance == "covariant"
+    for (lo, hi), t in transitions.items():
+        if lo not in base or hi not in base:
+            raise UnknownElement(f"transition pair ({lo!r}, {hi!r}) is not in the base")
+        if not base.lt(lo, hi):
+            raise FunctorialityViolated(f"transition pair ({lo!r}, {hi!r}) is not strictly related")
+        src, dst = (lo, hi) if co else (hi, lo)
+        if t.dom != fibers[src] or t.cod != fibers[dst]:
+            raise FunctorialityViolated(f"transition for ({lo!r}, {hi!r}) has the wrong fibers")
+    filled = dict(transitions)
+    # bottom-up over the base, and within each top element nearest lower
+    # elements first, so both halves through any point in between exist
+    names = base.elements
+    for bi in base._linear_extension():
+        b = names[bi]
+        strict = _bits(base.below[bi] & ~(1 << bi))
+        for vi in sorted(strict, key=lambda vi: -base.below[vi].bit_count()):
+            v = names[vi]
+            for mi in _bits(base.above[vi] & base.below[bi] & ~(1 << vi | 1 << bi)):
+                mid = names[mi]
+                lower, upper = filled[(v, mid)], filled[(mid, b)]
+                through = lower.then(upper) if co else upper.then(lower)
+                if (v, b) not in filled:
+                    filled[(v, b)] = through
+                elif filled[(v, b)] != through:
+                    raise FunctorialityViolated(
+                        f"transitions do not compose along {v!r} <= {mid!r} <= {b!r}"
+                    )
+            if (v, b) not in filled:
+                raise FunctorialityViolated(f"missing transition for ({v!r}, {b!r})")
+    return filled
 
 
 def transpose(rows):
@@ -1320,6 +1372,53 @@ def deep_maps(draw):
         p = insert_map_down_beat_point(rng, p, str(j))
     total = Poset.build(rng.sample(p.dom.elements, p.dom.n), p.dom.covers())
     return MonotoneMap.build(total, base, p.values)
+
+
+@st.composite
+def functor_data(draw):
+    """A genuine functor's base, variance, fibers and transitions, with at most one transition changed.
+
+    The functor is the inclusions of the down-sets (covariant) or the
+    up-sets (contravariant) of a random poset or a grid, or a transport
+    functor of a random fibration.  Its transitions are given for every
+    strictly related pair or for the covers alone.  The change replaces
+    one given transition with another random monotone map between the
+    same fibers, drops one, or adds one for a pair left out.  The result
+    reads like a ``PosetFunctor``, so ``functor_to_doc`` writes its
+    document.
+    """
+    rng = seeded(draw(st.integers(0, 2**16)))
+    source = draw(st.sampled_from(("down-sets", "up-sets", "transport")))
+    if source == "transport":
+        rep = classify_grothendieck(rand_fibration(rng))
+        d = draw(st.sampled_from([e for e in (rep.alpha, rep.beta) if e is not None]))
+        base, variance, fibers, full = d.base, d.variance, d.fibers, d.transitions
+    else:
+        if draw(st.booleans()):
+            base = draw(posets(max_size=7))
+        else:  # a grid, whose squares give pairs two ways round
+            base = product(*(chain([f"{c}{i}" for i in range(draw(st.integers(2, 3)))]) for c in "uv"))[0]
+        co = source == "down-sets"
+        variance = "covariant" if co else "contravariant"
+        rows = base.below if co else base.above
+        fibers = {b: base._sub_mask(rows[i]) for i, b in enumerate(base.elements)}
+        full = {}
+        for lo, hi in ((a, b) for a in base for b in base if base.lt(a, b)):
+            src, dst = (fibers[lo], fibers[hi]) if co else (fibers[hi], fibers[lo])
+            full[(lo, hi)] = MonotoneMap.build(src, dst, {x: x for x in src.elements})
+    transitions = dict(full) if draw(st.booleans()) else {c: full[c] for c in base.covers()}
+    change = draw(st.sampled_from(("none", "replace", "drop", "add")))
+    pairs = sorted(transitions) if change in ("replace", "drop") else sorted(set(full) - set(transitions))
+    if change != "none" and pairs:
+        pair = draw(st.sampled_from(pairs))
+        t = full[pair]
+        transitions.pop(pair, None)
+        # a few draws find another map between the two fibers, when there is one
+        for _ in range(8 if change != "drop" else 0):
+            transitions[pair] = rand_monotone(rng, t.dom, t.cod)
+            if transitions[pair] != t:
+                break
+    return types.SimpleNamespace(base=base, variance=variance, fibers=fibers, transitions=transitions)
 
 
 def shuffling_picker(rng):

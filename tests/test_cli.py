@@ -19,7 +19,7 @@ from finfib.errors import InvariantViolated, ParseError
 from finfib.gallery import ENTRIES, gallery_entry
 from finfib.grothendieck import classify_grothendieck
 from finfib.posets import Poset, find_isomorphism_over_base, product
-from helpers import argparse_reader, crown_cover, crowns, functor_to_doc
+from helpers import argparse_reader, crown_cover, crowns, functor_to_doc, rand_functor, seeded
 
 
 def run(capsys, *argv):
@@ -747,20 +747,64 @@ def test_construct_refuses_a_transition_pair_given_twice(capsys, tmp_path):
 
 def test_construct_refuses_colliding_pair_names(capsys, tmp_path):
     # base point a with fiber point "b,c" and base point "a,b" with fiber
-    # point c both name the pair "(a,b,c)"
-    f = tmp_path / "collide.json"
-    f.write_text(json.dumps({
+    # point c both name the pair "(a,b,c)", with or without order relations
+    # in the fibers and the base, for both variances
+    doc = {
         "base": {"elements": ["a", "a,b"], "covers": []},
         "variance": "covariant",
         "fibers": {
             "a": {"elements": ["b,c"], "covers": []},
             "a,b": {"elements": ["c"], "covers": []},
         },
-    }))
-    code, out, err = run(capsys, "construct", str(f), "--json")
-    assert code == 3
-    assert out == ""
-    assert "duplicate element name '(a,b,c)'" in err
+    }
+    ordered = {
+        "base": {"elements": ["a", "a,b"], "covers": [["a", "a,b"]]},
+        "fibers": {
+            "a": {"elements": ["b,c", "d"], "covers": [["b,c", "d"]]},
+            "a,b": {"elements": ["c"], "covers": []},
+        },
+    }
+    for variance, mapping in ((None, None), ("covariant", {"b,c": "c", "d": "c"}), ("contravariant", {"c": "d"})):
+        if variance:
+            doc = {**ordered, "variance": variance, "transitions": {"a<=a,b": mapping}}
+        f = tmp_path / "collide.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "construct", str(f), "--json")
+        assert (code, out) == (3, "")
+        assert err == "error: duplicate element name '(a,b,c)'\n"
+
+
+def redundant_covers(doc, rng):
+    """A copy of the poset document doc whose covers also hold transitive and repeated pairs, shuffled."""
+    covers = [list(c) for c in doc["covers"]]
+    covers += [[a, d] for a, b in doc["covers"] for c, d in doc["covers"] if b == c] + covers[:2]
+    rng.shuffle(covers)
+    return {**doc, "covers": covers}
+
+
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+def test_construct_reads_each_fiber_by_its_generating_pairs(capsys, tmp_path, variance):
+    # fiber cover lists that also hold transitive and repeated pairs, shuffled,
+    # generate the same fibers, so construct prints the same bytes; a
+    # contravariant document is the covariant one over the opposite base
+    rng = seeded(37)
+    added = 0
+    for k in range(12):
+        exact = functor_to_doc(rand_functor(rng, max_base=6, max_fiber=5))
+        if variance == "contravariant":
+            exact["base"]["covers"] = [[hi, lo] for lo, hi in exact["base"]["covers"]]
+            exact["variance"] = variance
+            exact["transitions"] = {"<=".join(key.split("<=")[::-1]): m for key, m in exact["transitions"].items()}
+        redundant = {**exact, "fibers": {b: redundant_covers(f, rng) for b, f in exact["fibers"].items()}}
+        added += sum(len(redundant["fibers"][b]["covers"]) - len(f["covers"]) for b, f in exact["fibers"].items())
+        outs = []
+        for name, doc in (("exact", exact), ("redundant", redundant)):
+            f = tmp_path / f"{name}{k}.json"
+            f.write_text(json.dumps(doc))
+            outs.append(run(capsys, "construct", "--json", str(f)))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+    assert added > 12
 
 
 def test_gallery_target_reaches_every_check(capsys):

@@ -1,6 +1,7 @@
 """Lifts, transport functors, the construction, and bundle detection."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from finfib import grothendieck, verdict
 from finfib.cli import main
+from finfib.documents import functor_from_doc
 from finfib.errors import FunctorialityViolated, NotGrothendieckOpfibration, UnknownElement
 from finfib.gallery import gallery_entry
 from finfib.grothendieck import (
@@ -20,11 +22,14 @@ from finfib.grothendieck import (
 from finfib.posets import MonotoneMap, Poset, isomorphisms, pair_name, product
 from finfib.slices import as_slice
 from helpers import (
+    all_midpoints_transitions,
     assert_trivializes,
     brute_lift,
     chain,
     crown_cover,
     deep_maps,
+    functor_data,
+    functor_to_doc,
     hand_built_grothendieck_construction,
     insert_map_down_beat_point,
     linear_extremum,
@@ -380,6 +385,29 @@ def test_functor_build_rejects_path_dependence():
                 ("r", "top"): swap,
             },
         )
+
+
+def failed_pair(exc):
+    """(what failed, v, b) of the pair (v, b) a FunctorialityViolated names."""
+    names = re.findall(r"'([^']*)'", str(exc))
+    return str(exc).split()[0], names[0], names[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=functor_data())
+def test_functoriality_through_lower_covers_fails_where_every_middle_point_does(data):
+    # the document's functor and the all-midpoints oracle: equal transitions,
+    # or a failure of the same kind at the same first pair (v, b)
+    outcomes = []
+    for make in (
+        lambda: functor_from_doc(functor_to_doc(data)).transitions,
+        lambda: all_midpoints_transitions(data.base, data.variance, data.fibers, data.transitions),
+    ):
+        try:
+            outcomes.append(make())
+        except FunctorialityViolated as exc:
+            outcomes.append(failed_pair(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_bundle_status_of_gallery_maps():
